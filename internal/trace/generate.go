@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/shotnoise"
@@ -216,6 +218,12 @@ func Generate(spec GenSpec) (*Trace, error) {
 	if spec.AvgFileKB <= 0 {
 		return nil, fmt.Errorf("trace %s: sizes must be positive", spec.Name)
 	}
+	if !(spec.Alpha >= 0) {
+		return nil, fmt.Errorf("trace %s: Alpha %v must be >= 0", spec.Name, spec.Alpha)
+	}
+	if spec.Clients > 0 && !(spec.ClientAlpha >= 0) {
+		return nil, fmt.Errorf("trace %s: ClientAlpha %v must be >= 0", spec.Name, spec.ClientAlpha)
+	}
 	switch spec.Mode {
 	case ModeStationary:
 		return generateStationary(spec)
@@ -248,6 +256,12 @@ func generateStationary(spec GenSpec) (*Trace, error) {
 	if spec.HeadBoost < 0 || spec.HeadBoost >= 1 {
 		return nil, fmt.Errorf("trace %s: HeadBoost must be in [0,1)", spec.Name)
 	}
+	if spec.LocalityP > 0 && spec.LocalityDepth < 0 {
+		return nil, fmt.Errorf("trace %s: LocalityDepth %d must be positive", spec.Name, spec.LocalityDepth)
+	}
+	if spec.HeadBoost > 0 && spec.HeadFiles < 0 {
+		return nil, fmt.Errorf("trace %s: HeadFiles %d must be positive", spec.Name, spec.HeadFiles)
+	}
 	if spec.HeadFiles > spec.Files {
 		spec.HeadFiles = spec.Files
 	}
@@ -257,14 +271,18 @@ func generateStationary(spec GenSpec) (*Trace, error) {
 	pop := zipf.New(spec.Alpha, int64(spec.Files))
 
 	// Effective popularity including the head boost, used for size
-	// calibration: p_eff(i) = B/K for i <= K, plus (1-B)*p_zipf(i).
-	pEff := func(rank int64) float64 {
-		p := (1 - spec.HeadBoost) * pop.P(rank)
-		if rank <= int64(spec.HeadFiles) {
-			p += spec.HeadBoost / float64(spec.HeadFiles)
+	// calibration: p_eff(i) = B/K for i <= K, plus (1-B)*p_zipf(i). It does
+	// not depend on beta, so it is tabulated once for the whole bisection.
+	pEff := make([]float64, spec.Files)
+	fillChunks(len(pEff), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p := (1 - spec.HeadBoost) * pop.P(int64(i+1))
+			if i < spec.HeadFiles {
+				p += spec.HeadBoost / float64(spec.HeadFiles)
+			}
+			pEff[i] = p
 		}
-		return p
-	}
+	})
 
 	// Lognormal noise with mean 1.
 	noise := make([]float64, spec.Files)
@@ -272,14 +290,15 @@ func generateStationary(spec GenSpec) (*Trace, error) {
 		noise[i] = math.Exp(spec.SizeSigma*rng.NormFloat64() - spec.SizeSigma*spec.SizeSigma/2)
 	}
 
-	beta := solveBeta(pEff, noise, spec.AvgReqKB/spec.AvgFileKB)
+	// shape doubles as the bisection's term buffer.
+	shape := make([]float64, spec.Files)
+	beta := solveBeta(pEff, noise, shape, spec.AvgReqKB/spec.AvgFileKB)
 
 	// Scale to the catalog mean.
-	shape := make([]float64, spec.Files)
+	fillTerms(shape, noise, beta)
 	var mean float64
-	for i := range shape {
-		shape[i] = math.Pow(float64(i+1), beta) * noise[i]
-		mean += shape[i]
+	for _, s := range shape {
+		mean += s
 	}
 	mean /= float64(spec.Files)
 	scale := spec.AvgFileKB * 1024 / mean
@@ -314,16 +333,7 @@ func generateStationary(spec GenSpec) (*Trace, error) {
 	}
 
 	t := &Trace{Name: spec.Name, Alpha: spec.Alpha, Sizes: sizes, Requests: reqs}
-
-	if spec.Clients > 0 {
-		cdist := zipf.New(spec.ClientAlpha, int64(spec.Clients))
-		clients := make([]int32, spec.Requests)
-		for k := range clients {
-			clients[k] = int32(cdist.Sample(rng) - 1)
-		}
-		t.Clients = clients
-	}
-
+	attachClients(t, spec, rng)
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -454,9 +464,7 @@ func MustGenerate(spec GenSpec) *Trace {
 }
 
 // attachClients tags the trace's requests with Zipf-distributed client
-// identities when the spec asks for them. The stationary generator keeps
-// its historical inline equivalent (its draw order is golden-pinned); this
-// helper serves the non-stationary modes.
+// identities when the spec asks for them. Its draw order is golden-pinned.
 func attachClients(t *Trace, spec GenSpec, rng *rand.Rand) {
 	if spec.Clients <= 0 {
 		return
@@ -473,13 +481,19 @@ func attachClients(t *Trace, spec GenSpec, rng *rand.Rand) {
 // popularity-weighted mean size to the unweighted mean size equals target.
 // The ratio is strictly decreasing in beta (larger beta inflates unpopular
 // high-rank files, which the uniform mean weights more heavily), so a
-// bisection converges.
-func solveBeta(pEff func(int64) float64, noise []float64, target float64) float64 {
+// bisection converges. pEff is the tabulated effective popularity by rank;
+// terms is scratch of the same length, overwritten by every evaluation.
+//
+// After ~45 halvings rounding noise decides the comparisons, so the traces
+// are only reproducible if ratio returns the same float64 on every host:
+// the terms are computed in parallel, but the two sums accumulate serially
+// in rank order, which makes the result independent of the chunk count.
+func solveBeta(pEff, noise, terms []float64, target float64) float64 {
 	ratio := func(beta float64) float64 {
+		fillTerms(terms, noise, beta)
 		var weighted, uniform float64
-		for i, x := range noise {
-			s := math.Pow(float64(i+1), beta) * x
-			weighted += pEff(int64(i+1)) * s
+		for i, s := range terms {
+			weighted += pEff[i] * s
 			uniform += s
 		}
 		uniform /= float64(len(noise))
@@ -501,4 +515,36 @@ func solveBeta(pEff func(int64) float64, noise []float64, target float64) float6
 		}
 	}
 	return (lo + hi) / 2
+}
+
+// fillTerms sets terms[i] to the unscaled size of rank i+1 under beta.
+func fillTerms(terms, noise []float64, beta float64) {
+	fillChunks(len(terms), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			terms[i] = math.Pow(float64(i+1), beta) * noise[i]
+		}
+	})
+}
+
+// minFillChunk is the smallest share of a fill worth a goroutine of its
+// own: a few thousand math.Pow calls, ~0.2 ms.
+const minFillChunk = 4096
+
+// fillChunks calls fill on disjoint contiguous ranges that cover [0, n), on
+// up to GOMAXPROCS goroutines, and returns when all of them have. fill must
+// compute element i from i alone, so that the chunking cannot show in the
+// result.
+func fillChunks(n int, fill func(lo, hi int)) {
+	chunks := max(1, min(runtime.GOMAXPROCS(0), n/minFillChunk))
+	var wg sync.WaitGroup
+	for c := 1; c < chunks; c++ {
+		lo, hi := c*n/chunks, (c+1)*n/chunks
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fill(lo, hi)
+		}()
+	}
+	fill(0, n/chunks)
+	wg.Wait()
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -98,10 +99,21 @@ func TestGenerateErrors(t *testing.T) {
 		"no-requests": {Name: "x", Files: 1, AvgFileKB: 1, Requests: 0, AvgReqKB: 1, Alpha: 1},
 		"bad-size":    {Name: "x", Files: 1, AvgFileKB: 0, Requests: 1, AvgReqKB: 1, Alpha: 1},
 		"bad-p":       {Name: "x", Files: 1, AvgFileKB: 1, Requests: 1, AvgReqKB: 1, Alpha: 1, LocalityP: 1.5},
+		// Values zipf.New and rand.Intn panic on; NaN passes every "< 0" test.
+		"neg-alpha":         {Name: "x", Files: 10, AvgFileKB: 1, Requests: 10, AvgReqKB: 1, Alpha: -1},
+		"nan-alpha":         {Name: "x", Files: 10, AvgFileKB: 1, Requests: 10, AvgReqKB: 1, Alpha: math.NaN()},
+		"neg-clientalpha":   {Name: "x", Files: 10, AvgFileKB: 1, Requests: 10, AvgReqKB: 1, Alpha: 1, Clients: 5, ClientAlpha: -1},
+		"nan-clientalpha":   {Name: "x", Files: 10, AvgFileKB: 1, Requests: 10, AvgReqKB: 1, Alpha: 1, Clients: 5, ClientAlpha: math.NaN()},
+		"churn-clientalpha": {Name: "x", Mode: ModeChurn, Files: 100, AvgFileKB: 1, Requests: 100, Clients: 5, ClientAlpha: -1},
+		"neg-depth":         {Name: "x", Files: 10, AvgFileKB: 1, Requests: 100, AvgReqKB: 1, Alpha: 1, LocalityP: 0.5, LocalityDepth: -1},
+		"neg-headfiles":     {Name: "x", Files: 10, AvgFileKB: 1, Requests: 100, AvgReqKB: 1, Alpha: 1, HeadBoost: 0.5, HeadFiles: -1},
 	}
 	for name, spec := range cases {
-		if _, err := Generate(spec); err == nil {
+		_, err := Generate(spec)
+		if err == nil {
 			t.Errorf("%s: expected error", name)
+		} else if !strings.HasPrefix(err.Error(), "trace x: ") {
+			t.Errorf("%s: error %q does not name the trace", name, err)
 		}
 	}
 }
