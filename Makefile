@@ -29,12 +29,13 @@ check: fmt vet build test bench-check bench-scale-check
 # race exercises the deterministic sweep runner and the simulator under the
 # race detector — the parallel-equals-sequential guarantee is only as good
 # as its synchronization — plus the pooled simulation core, the live
-# native cluster (gossip, failure detection, hand-off retry) and the trace
-# generator's chunked calibration fill (-short: the 200 000-file reference
-# case takes 40 s under the detector and starts no goroutine the small ones
-# do not).
+# native cluster (gossip, failure detection, hand-off retry), the policies
+# and the shot-noise synthesizer (their determinism tests switch GOMAXPROCS)
+# and the trace generator's chunked calibration fill (-short: the
+# 200 000-file reference case takes 40 s under the detector and starts no
+# goroutine the small ones do not).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/cache/... ./internal/netsim/... ./internal/runner/... ./internal/server/... ./internal/native/...
+	$(GO) test -race ./internal/sim/... ./internal/cache/... ./internal/netsim/... ./internal/runner/... ./internal/server/... ./internal/native/... ./internal/policy/... ./internal/shotnoise/...
 	$(GO) test -race -short ./internal/trace/...
 
 # chaos runs the fault-injection tests (node kill mid-replay, seeded gossip

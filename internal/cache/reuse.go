@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fastmap"
@@ -178,7 +179,7 @@ type Curve struct {
 // Curve finalizes the builder.
 func (b *CurveBuilder) Curve() *Curve {
 	ds := append([]int64(nil), b.distances...)
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	slices.Sort(ds)
 	return &Curve{distances: ds, measured: uint64(len(ds)) + b.cold}
 }
 

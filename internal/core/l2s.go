@@ -226,6 +226,9 @@ func New(env policy.Env, opts Options) *L2S {
 // files, so catalog-scale runs skip its rehash-doublings.
 func (l *L2S) ReserveFiles(n int) { l.sets.Reserve(n) }
 
+// IndexSizing is policy.FileSets.Sizing of the server-set index.
+func (l *L2S) IndexSizing() (files, capacity, grows int) { return l.sets.Sizing() }
+
 // NewWeighted builds L2S with capacity-weighted thresholds and server-set
 // selection. weights must have one entry per node, normalized to mean 1
 // (see policy.Options.Weights); nil degrades to plain L2S.

@@ -96,6 +96,16 @@ func TestHandoffHappens(t *testing.T) {
 	// Prime the file at its first server via node 0.
 	resp, _ := get(t, c.URLs()[0]+"/files/f/5")
 	owner := resp.Header.Get("X-Served-By")
+	// The server set reaches the other nodes by an asynchronous broadcast;
+	// an entry node that has not heard it yet would elect itself.
+	waitFor(t, 5*time.Second, "server set of /f/5 did not reach every node", func() bool {
+		for i := 0; i < 4; i++ {
+			if len(c.Node(i).ServerSet("/f/5")) == 0 {
+				return false
+			}
+		}
+		return true
+	})
 	// A request entering at a different node must be forwarded (header
 	// X-Forwarded-By set) yet still served by the owner.
 	var forwarded bool

@@ -1,8 +1,10 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -134,16 +136,19 @@ func buildRing(n, vnodes int, weights []float64) []ringPoint {
 			pts = append(pts, ringPoint{hash: pointHash(i, r), node: int32(i), replica: int32(r)})
 		}
 	}
-	sort.Slice(pts, func(a, b int) bool {
-		if pts[a].hash != pts[b].hash {
-			return pts[a].hash < pts[b].hash
-		}
-		if pts[a].node != pts[b].node {
-			return pts[a].node < pts[b].node
-		}
-		return pts[a].replica < pts[b].replica
-	})
+	slices.SortFunc(pts, compareRingPoints)
 	return pts
+}
+
+// compareRingPoints is the ring's total order: (hash, node, replica).
+func compareRingPoints(a, b ringPoint) int {
+	if a.hash != b.hash {
+		return cmp.Compare(a.hash, b.hash)
+	}
+	if a.node != b.node {
+		return cmp.Compare(a.node, b.node)
+	}
+	return cmp.Compare(a.replica, b.replica)
 }
 
 // pointHash positions virtual node (node, replica) on the ring — a pure

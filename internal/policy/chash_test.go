@@ -1,8 +1,12 @@
 package policy
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/policy/policytest"
@@ -294,5 +298,57 @@ func TestChashRoundRobinArrival(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Fatalf("round-robin arrival hit %d of 4 nodes", len(seen))
+	}
+}
+
+// ringLessRef is the sort.Slice comparator buildRing used before
+// compareRingPoints, kept as the differential reference.
+func ringLessRef(pts []ringPoint) func(a, b int) bool {
+	return func(a, b int) bool {
+		if pts[a].hash != pts[b].hash {
+			return pts[a].hash < pts[b].hash
+		}
+		if pts[a].node != pts[b].node {
+			return pts[a].node < pts[b].node
+		}
+		return pts[a].replica < pts[b].replica
+	}
+}
+
+// TestRingSortMatchesReference: (hash, node, replica) is a total order, so
+// slices.SortFunc on it and the sort.Slice it replaced agree on every ring —
+// including crafted ones where hashes collide and the tie-breaks decide.
+func TestRingSortMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		n, vnodes int
+		weights   []float64
+	}{{1, 1, nil}, {8, 128, []float64{2, 1, 0.5, 0.5, 1, 1, 1, 1}}, {1024, 128, nil}} {
+		ring := buildRing(tc.n, tc.vnodes, tc.weights)
+		ref := append([]ringPoint(nil), ring...)
+		rand.New(rand.NewSource(3)).Shuffle(len(ref), func(i, j int) { ref[i], ref[j] = ref[j], ref[i] })
+		sort.Slice(ref, ringLessRef(ref))
+		if !reflect.DeepEqual(ring, ref) {
+			t.Errorf("n=%d vnodes=%d: ring differs from the sort.Slice reference", tc.n, tc.vnodes)
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	pts := make([]ringPoint, 20000)
+	for i := range pts {
+		pts[i] = ringPoint{hash: uint64(rng.Intn(50)), node: int32(rng.Intn(20)), replica: int32(i)}
+		if i%3 == 0 {
+			pts[i].hash = math.MaxUint64 - uint64(rng.Intn(3)) // above the int64 range
+		}
+	}
+	ref := append([]ringPoint(nil), pts...)
+	slices.SortFunc(pts, compareRingPoints)
+	sort.Slice(ref, ringLessRef(ref))
+	if !reflect.DeepEqual(pts, ref) {
+		t.Error("colliding hashes: compareRingPoints orders differently from the sort.Slice reference")
+	}
+}
+
+func BenchmarkBuildRing(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		buildRing(1024, 128, nil)
 	}
 }

@@ -46,6 +46,13 @@ func (s *FileSets) Len() int { return s.m.Len() }
 // Reserve pre-sizes the table for n files without further rehashing.
 func (s *FileSets) Reserve(n int) { s.m.Reserve(n) }
 
+// Sizing reports the live entries, how many the table holds before it would
+// rehash, and the rehashes so far: an index pre-sized from the right count
+// ends its run with grows == 0.
+func (s *FileSets) Sizing() (files, capacity, grows int) {
+	return s.m.Len(), s.m.Cap(), s.m.Grows()
+}
+
 // Nodes returns the file's server set in insertion order, or nil when the
 // file has none. The returned slice is a view: it is valid only until the
 // next mutating call on s, and must not be modified by the caller.

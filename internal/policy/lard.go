@@ -88,6 +88,9 @@ func NewLARD(env Env, opts LARDOptions) *LARD {
 // files, so catalog-scale runs skip its rehash-doublings.
 func (l *LARD) ReserveFiles(n int) { l.sets.Reserve(n) }
 
+// IndexSizing is FileSets.Sizing of the server-set index.
+func (l *LARD) IndexSizing() (files, capacity, grows int) { return l.sets.Sizing() }
+
 // NewWeightedLARD builds LARD with capacity-weighted load comparisons and
 // imbalance triggers. weights must have one entry per node, normalized to
 // mean 1 (see Options.Weights); nil degrades to plain LARD.

@@ -35,8 +35,8 @@ type Options struct {
 	// Files hints the number of distinct files the policy will see, so
 	// per-file indexes (the LARD and L2S server-set tables) pre-size once
 	// instead of rehash-doubling a dozen times at 10^7-file catalogs. The
-	// simulator fills it with min(catalog size, request count); zero means
-	// unknown and is always safe.
+	// simulator fills it with the trace's exact distinct-requested-file
+	// count (trace.DistinctFiles); zero means unknown and is always safe.
 	Files int
 
 	// Weights gives each node's relative capacity, normalized to mean 1.

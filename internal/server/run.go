@@ -274,6 +274,20 @@ func Run(cfg Config, tr *trace.Trace) (res Result, err error) {
 			res, err = Result{}, fmt.Errorf("server: %s on %d nodes: %v", cfg.policyName(), cfg.Nodes, r)
 		}
 	}()
+	d, err := newDriver(cfg, tr)
+	if err != nil {
+		return Result{}, err
+	}
+	d.eng.Run()
+	d.series.flush()
+
+	return d.result(), nil
+}
+
+// newDriver is Run's set-up: it validates the inputs, builds the cluster
+// and the policy, and primes the first arrivals; the run itself is then
+// d.eng.Run().
+func newDriver(cfg Config, tr *trace.Trace) (*driver, error) {
 	if cfg.Persistent && cfg.ReqsPerConn == 0 {
 		cfg.ReqsPerConn = 7
 	}
@@ -286,16 +300,16 @@ func Run(cfg Config, tr *trace.Trace) (res Result, err error) {
 		}
 	}
 	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if err := tr.Validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if cfg.MaxRequests > 0 {
 		tr = tr.Truncate(cfg.MaxRequests)
 	}
 	if tr.NumRequests() == 0 {
-		return Result{}, fmt.Errorf("server: empty trace")
+		return nil, fmt.Errorf("server: empty trace")
 	}
 
 	d := &driver{
@@ -342,12 +356,10 @@ func Run(cfg Config, tr *trace.Trace) (res Result, err error) {
 	}
 
 	popts := cfg.policyOptions()
-	// Pre-size per-file policy state: a policy sees at most one set per
-	// distinct file, and no more files than there are requests.
-	popts.Files = tr.NumFiles()
-	if r := tr.NumRequests(); r < popts.Files {
-		popts.Files = r
-	}
+	// Pre-size per-file policy state from a census of the (truncated)
+	// trace: a policy keeps at most one set per distinct requested file, so
+	// the index is allocated once, at its final size, and never rehashes.
+	popts.Files = tr.DistinctFiles()
 	if d.profiles != nil {
 		// Weighted policies scale their thresholds and selections by
 		// relative node capacity; unweighted ones ignore this.
@@ -361,11 +373,11 @@ func Run(cfg Config, tr *trace.Trace) (res Result, err error) {
 		// above, so a plain name builds exactly what NewNamed would.
 		spec, err := policy.ParseSpec(cfg.policyName())
 		if err != nil {
-			return Result{}, fmt.Errorf("server: %w", err)
+			return nil, fmt.Errorf("server: %w", err)
 		}
 		dist, err := spec.Build(d, popts)
 		if err != nil {
-			return Result{}, fmt.Errorf("server: %w", err)
+			return nil, fmt.Errorf("server: %w", err)
 		}
 		d.dist = dist
 	}
@@ -401,10 +413,7 @@ func Run(cfg Config, tr *trace.Trace) (res Result, err error) {
 			d.inject()
 		}
 	}
-	d.eng.Run()
-	d.series.flush()
-
-	return d.result(), nil
+	return d, nil
 }
 
 // scheduleArrival plants the next open-loop Poisson arrival.

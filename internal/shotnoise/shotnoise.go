@@ -16,10 +16,11 @@
 package shotnoise
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Doc is one document of the process: its arrival time and its weight V —
@@ -211,8 +212,16 @@ func sortByTime(p *Process) {
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return p.Times[idx[a]] < p.Times[idx[b]]
+	// (time, index) is a total order, so the unstable sort has exactly one
+	// result — the stable sort's.
+	slices.SortFunc(idx, func(a, b int32) int {
+		if ta, tb := p.Times[a], p.Times[b]; ta != tb {
+			if ta < tb {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a, b)
 	})
 	times := make([]float64, len(p.Times))
 	docs := make([]int32, len(p.DocOf))

@@ -285,3 +285,67 @@ func meanCV2(xs []float64) (mean, cv2 float64) {
 	m, v := meanVar(xs)
 	return m, v / (m * m)
 }
+
+// sortByTimeRef is the sort.SliceStable form sortByTime replaced, kept as
+// the differential reference.
+func sortByTimeRef(p *Process) {
+	idx := make([]int32, len(p.Times))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		return p.Times[idx[a]] < p.Times[idx[b]]
+	})
+	times := make([]float64, len(p.Times))
+	docs := make([]int32, len(p.DocOf))
+	for i, j := range idx {
+		times[i] = p.Times[j]
+		docs[i] = p.DocOf[j]
+	}
+	p.Times, p.DocOf = times, docs
+}
+
+// unsortedStream returns n requests in emission order whose times collide
+// often (a grid of `distinct` values, both zeros included), so the
+// insertion-order tie-break decides many positions.
+func unsortedStream(n, distinct int, seed int64) *Process {
+	rng := rand.New(rand.NewSource(seed))
+	p := &Process{Times: make([]float64, n), DocOf: make([]int32, n)}
+	for i := range p.Times {
+		p.Times[i] = float64(rng.Intn(distinct)) / 8
+		if p.Times[i] == 0 && rng.Intn(2) == 0 {
+			p.Times[i] = math.Copysign(0, -1)
+		}
+		p.DocOf[i] = int32(rng.Intn(1000))
+	}
+	return p
+}
+
+// TestSortByTimeMatchesStableSort: sorting on the total order (time, index)
+// yields exactly the stable sort by time, ties and all.
+func TestSortByTimeMatchesStableSort(t *testing.T) {
+	for _, tc := range []struct{ n, distinct int }{{0, 1}, {1, 1}, {2, 1}, {100, 1}, {5000, 7}, {5000, 400}, {60000, 1 << 30}} {
+		got, want := unsortedStream(tc.n, tc.distinct, 5), unsortedStream(tc.n, tc.distinct, 5)
+		sortByTime(got)
+		sortByTimeRef(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("n=%d, %d distinct times: sortByTime differs from the stable sort", tc.n, tc.distinct)
+		}
+	}
+}
+
+func BenchmarkSortByTime(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		sort func(*Process)
+	}{{"slices", sortByTime}, {"stable-ref", sortByTimeRef}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p := unsortedStream(1_200_000, 1<<40, 9)
+				b.StartTimer()
+				bc.sort(p)
+			}
+		})
+	}
+}
