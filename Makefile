@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race chaos fmt vet bench bench-hot bench-json bench-check bench-scale bench-scale-headline bench-scale-check bench-scale-counts cover fuzz profile
+.PHONY: all build test check race chaos fmt vet bench cover fuzz profile
 
 all: build
 
@@ -21,74 +21,33 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# check is the tier-1 gate: formatting, static analysis, a full build, the
-# whole test suite, the hot-path performance floor, and the N x F scaling
-# floor.
-check: fmt vet build test bench-check bench-scale-check
+# check is the tier-1 gate: formatting, static analysis, a full build and
+# the whole test suite (which includes the exact event/message/gossip
+# counts of the N x F scale grid, TestScaleGridCounts).
+check: fmt vet build test
 
 # race exercises the deterministic sweep runner and the simulator under the
 # race detector — the parallel-equals-sequential guarantee is only as good
 # as its synchronization — plus the pooled simulation core, the live
 # native cluster (gossip, failure detection, hand-off retry), the policies
 # and the shot-noise synthesizer (their determinism tests switch GOMAXPROCS)
-# and the trace generator's chunked calibration fill (-short: the
+# and, under -short, the trace generator's chunked calibration fill (the
 # 200 000-file reference case takes 40 s under the detector and starts no
-# goroutine the small ones do not).
+# goroutine the small ones do not) and the server (TestScaleGridCounts keeps
+# its F=10^4 column and skips the 10^6- and 10^7-file traces).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/cache/... ./internal/netsim/... ./internal/runner/... ./internal/server/... ./internal/native/... ./internal/policy/... ./internal/shotnoise/...
-	$(GO) test -race -short ./internal/trace/...
+	$(GO) test -race ./internal/sim/... ./internal/cache/... ./internal/netsim/... ./internal/runner/... ./internal/native/... ./internal/policy/... ./internal/shotnoise/...
+	$(GO) test -race -short ./internal/trace/... ./internal/server/...
 
 # chaos runs the fault-injection tests (node kill mid-replay, seeded gossip
 # drop/delay/duplicate, crash recovery) under the race detector, twice.
 chaos:
 	$(GO) test -race -count=2 -run 'TestChaos' ./internal/native/...
 
+# bench runs the repo benchmark (BENCHMARK.json): six workloads, end-to-end
+# and per-layer metrics; see bench/README.md for -workload, -seed, -compare.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-
-# bench-hot runs the allocation-tracked hot-path microbenchmarks (event
-# calendar, FCFS resource, LRU, end-to-end server.Run) at full benchtime.
-bench-hot:
-	$(GO) test ./internal/perf -bench=. -run=^$$
-
-# bench-json regenerates the committed hot-path baseline that future
-# performance PRs diff against, and records the same measurement as a
-# labeled point in the BENCH_hotpath.json trajectory.
-BENCH_LABEL ?= HEAD
-
-bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_simcore.json -hotpath BENCH_hotpath.json -label $(BENCH_LABEL)
-
-# bench-check reruns the suite and fails if any benchmark's ns/op regressed
-# more than 10% against the committed baseline.
-bench-check:
-	$(GO) run ./cmd/benchjson -compare BENCH_simcore.json
-
-# bench-scale regenerates the committed scaling baseline: full L2S cluster
-# runs over the N x F grid (N up to 1024, catalogs up to 10^7 files),
-# recording ns/request, peak heap bytes per node, and the deterministic
-# event/message counts. The flagship N=1024, F=10^7, 10^8-request point is
-# only rerun by bench-scale-headline (it takes ~20 minutes); plain
-# bench-scale carries the committed headline entry forward.
-bench-scale:
-	$(GO) run ./cmd/benchjson -scale BENCH_scale.json
-
-bench-scale-headline:
-	$(GO) run ./cmd/benchjson -scale BENCH_scale.json -headline
-
-# bench-scale-check reruns the grid (never the headline) and fails on a
-# >25% ns/request or bytes/node regression at any point — or on ANY change
-# in the deterministic event/message counts, which catches complexity
-# regressions wall-clock noise would hide.
-bench-scale-check:
-	$(GO) run ./cmd/benchjson -scale-compare BENCH_scale.json
-
-# bench-scale-counts reruns the grid and fails on ANY change in the
-# deterministic event/message/gossip counts, skipping the ns/request and
-# bytes/node tolerances entirely: it is noise-free and safe to run as a
-# blocking CI gate on shared hardware where wall-clock checks flake.
-bench-scale-counts:
-	$(GO) run ./cmd/benchjson -scale-compare BENCH_scale.json -counts-only
+	$(GO) run ./bench
 
 # profile captures pprof CPU and heap profiles of a representative
 # large-cluster run (N=1024 L2S over the clarknet workload): the input the

@@ -9,7 +9,7 @@
 // paper's Table 2 traces (internal/trace), and an experiment harness that
 // regenerates every table and figure (internal/experiments).
 //
-// The benchmarks in bench_test.go regenerate each published table and
-// figure; see DESIGN.md for the experiment index and EXPERIMENTS.md for
+// cmd/experiments regenerates each published table and figure; see
+// DESIGN.md for the experiment index and EXPERIMENTS.md for
 // measured-versus-published results.
 package repro

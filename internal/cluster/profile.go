@@ -1,6 +1,9 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Profile describes one node's hardware relative to the Table 1 baseline.
 // The paper assumes "all cluster nodes are equally powerful"; a Profile
@@ -34,15 +37,18 @@ type Profile struct {
 func DefaultProfile() Profile { return Profile{CPUSpeed: 1, DiskSpeed: 1} }
 
 // Validate reports profile errors. Zero fields are legal (they select
-// defaults); negative ones are not.
+// defaults); negative, NaN and infinite ones are not — a NaN speed turns
+// every service time into NaN and the simulator's clock with it.
 func (p Profile) Validate() error {
+	// x >= 0 is false for NaN, so one test rejects negatives and NaN.
+	ok := func(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 	switch {
-	case p.CPUSpeed < 0:
-		return fmt.Errorf("cluster: negative CPU speed %v", p.CPUSpeed)
-	case p.DiskSpeed < 0:
-		return fmt.Errorf("cluster: negative disk speed %v", p.DiskSpeed)
-	case p.LinkKBps < 0:
-		return fmt.Errorf("cluster: negative link rate %v", p.LinkKBps)
+	case !ok(p.CPUSpeed):
+		return fmt.Errorf("cluster: bad CPU speed %v (want a finite value >= 0)", p.CPUSpeed)
+	case !ok(p.DiskSpeed):
+		return fmt.Errorf("cluster: bad disk speed %v (want a finite value >= 0)", p.DiskSpeed)
+	case !ok(p.LinkKBps):
+		return fmt.Errorf("cluster: bad link rate %v (want a finite value >= 0)", p.LinkKBps)
 	case p.CacheBytes < 0:
 		return fmt.Errorf("cluster: negative cache size %d", p.CacheBytes)
 	}

@@ -51,14 +51,14 @@ func TestWeightedL2SNilWeightsIsPlainL2S(t *testing.T) {
 // from Options.Weights and rejects bad tunables like plain l2s.
 func TestWeightedL2SRegistered(t *testing.T) {
 	env := policytest.New(4)
-	d, err := policy.NewNamed("l2s-weighted", env, policy.Options{Weights: []float64{2, 1, 0.5, 0.5}})
+	d, err := policy.MustParseSpec("l2s-weighted").Build(env, policy.Options{Weights: []float64{2, 1, 0.5, 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Name() != "l2s-weighted" {
 		t.Errorf("Name = %q", d.Name())
 	}
-	_, err = policy.NewNamed("l2s-weighted", env, policy.Options{L2S: Options{T: -1, BroadcastDelta: 1}})
+	_, err = policy.MustParseSpec("l2s-weighted").Build(env, policy.Options{L2S: Options{T: -1, BroadcastDelta: 1}})
 	if err == nil {
 		t.Error("invalid thresholds accepted")
 	}

@@ -109,48 +109,52 @@ func TestSequentialMissRateBands(t *testing.T) {
 	}
 }
 
+// Figures 7-10: every paper trace sweeps without error and yields the four
+// curves over every cluster size, in the paper's shape.
 func TestRunTraceProducesAllSeries(t *testing.T) {
-	run, err := RunTrace("calgary", fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig := run.ThroughputFigure("figure7")
-	if len(fig.Series) != 4 {
-		t.Fatalf("want 4 series (model/l2s/lard/trad), got %d", len(fig.Series))
-	}
-	for _, s := range fig.Series {
-		if len(s.Values) != len(fig.X) {
-			t.Fatalf("series %s has %d values for %d sizes", s.Label, len(s.Values), len(fig.X))
+	for _, name := range []string{"calgary", "clarknet", "nasa", "rutgers"} {
+		run, err := RunTrace(name, fastOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		for _, v := range s.Values {
-			if v <= 0 {
-				t.Fatalf("series %s has non-positive throughput", s.Label)
+		fig := run.ThroughputFigure(FigureIDs[name])
+		if len(fig.Series) != 4 {
+			t.Fatalf("%s: want 4 series (model/l2s/lard/trad), got %d", name, len(fig.Series))
+		}
+		for _, s := range fig.Series {
+			if len(s.Values) != len(fig.X) {
+				t.Fatalf("%s: series %s has %d values for %d sizes", name, s.Label, len(s.Values), len(fig.X))
+			}
+			for _, v := range s.Values {
+				if v <= 0 {
+					t.Fatalf("%s: series %s has non-positive throughput", name, s.Label)
+				}
 			}
 		}
-	}
-	// Paper shape: at 16 nodes, L2S leads both servers and sits below the
-	// model bound.
-	last := len(fig.X) - 1
-	model, l2s, lard, trad := fig.Series[0].Values[last], fig.Series[1].Values[last],
-		fig.Series[2].Values[last], fig.Series[3].Values[last]
-	if !(l2s > lard && l2s > trad) {
-		t.Errorf("ordering broken at 16 nodes: l2s=%v lard=%v trad=%v", l2s, lard, trad)
-	}
-	if l2s > model*1.05 {
-		t.Errorf("l2s %v exceeds the model bound %v", l2s, model)
-	}
+		// Paper shape: at 16 nodes, L2S leads both servers and sits below
+		// the model bound.
+		last := len(fig.X) - 1
+		model, l2s, lard, trad := fig.Series[0].Values[last], fig.Series[1].Values[last],
+			fig.Series[2].Values[last], fig.Series[3].Values[last]
+		if !(l2s > lard && l2s > trad) {
+			t.Errorf("%s: ordering broken at 16 nodes: l2s=%v lard=%v trad=%v", name, l2s, lard, trad)
+		}
+		if l2s > model*1.05 {
+			t.Errorf("%s: l2s %v exceeds the model bound %v", name, l2s, model)
+		}
 
-	// Secondary figures render with consistent axes.
-	for _, f := range []Figure{run.MissRateFigure(), run.IdleTimeFigure(), run.ForwardingFigure()} {
-		if len(f.X) != len(fig.X) {
-			t.Errorf("%s axis mismatch", f.ID)
+		// Secondary figures render with consistent axes.
+		for _, f := range []Figure{run.MissRateFigure(), run.IdleTimeFigure(), run.ForwardingFigure()} {
+			if len(f.X) != len(fig.X) {
+				t.Errorf("%s: %s axis mismatch", name, f.ID)
+			}
+			if !strings.Contains(f.Render(), "nodes") {
+				t.Errorf("%s: %s render missing axis label", name, f.ID)
+			}
 		}
-		if !strings.Contains(f.Render(), "nodes") {
-			t.Errorf("%s render missing axis label", f.ID)
+		if !strings.Contains(run.Summary(), "l2s vs lard") {
+			t.Errorf("%s: summary missing comparisons", name)
 		}
-	}
-	if !strings.Contains(run.Summary(), "l2s vs lard") {
-		t.Error("summary missing comparisons")
 	}
 }
 

@@ -73,19 +73,32 @@ func TestNotFound(t *testing.T) {
 	}
 }
 
+// waitServerSetKnown blocks until all n nodes hold a server set for path.
+// The set reaches the other nodes by an asynchronous broadcast; an entry
+// node that has not heard it yet would elect itself.
+func waitServerSetKnown(t *testing.T, c *Cluster, n int, path string) {
+	t.Helper()
+	waitFor(t, 5*time.Second, "server set of "+path+" did not reach every node", func() bool {
+		for i := 0; i < n; i++ {
+			if len(c.Node(i).ServerSet(path)) == 0 {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 func TestLocalityStickiness(t *testing.T) {
 	c := startTestCluster(t, 4, DefaultOptions())
 	// Ask different nodes for the same file: all replies must come from
 	// the same service node (the file's server set has one member under
 	// light load).
-	var servedBy string
-	for i := 0; i < 8; i++ {
-		entry := c.URLs()[i%4]
-		resp, _ := get(t, entry+"/files/f/3")
-		by := resp.Header.Get("X-Served-By")
-		if servedBy == "" {
-			servedBy = by
-		} else if by != servedBy {
+	resp, _ := get(t, c.URLs()[0]+"/files/f/3")
+	servedBy := resp.Header.Get("X-Served-By")
+	waitServerSetKnown(t, c, 4, "/f/3")
+	for i := 1; i < 8; i++ {
+		resp, _ := get(t, c.URLs()[i%4]+"/files/f/3")
+		if by := resp.Header.Get("X-Served-By"); by != servedBy {
 			t.Fatalf("request %d served by %s, want sticky %s", i, by, servedBy)
 		}
 	}
@@ -96,16 +109,7 @@ func TestHandoffHappens(t *testing.T) {
 	// Prime the file at its first server via node 0.
 	resp, _ := get(t, c.URLs()[0]+"/files/f/5")
 	owner := resp.Header.Get("X-Served-By")
-	// The server set reaches the other nodes by an asynchronous broadcast;
-	// an entry node that has not heard it yet would elect itself.
-	waitFor(t, 5*time.Second, "server set of /f/5 did not reach every node", func() bool {
-		for i := 0; i < 4; i++ {
-			if len(c.Node(i).ServerSet("/f/5")) == 0 {
-				return false
-			}
-		}
-		return true
-	})
+	waitServerSetKnown(t, c, 4, "/f/5")
 	// A request entering at a different node must be forwarded (header
 	// X-Forwarded-By set) yet still served by the owner.
 	var forwarded bool

@@ -19,7 +19,7 @@ func TestChashPresets(t *testing.T) {
 		"chash-bounded": {VNodes: 128, BoundC: 1.25, D: 1},
 		"chash-d":       {VNodes: 128, D: 2},
 	} {
-		d, err := NewNamed(name, env, Options{})
+		d, err := New(MustParseSpec(name), env)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -86,7 +86,7 @@ func TestRingWeightedVnodeCounts(t *testing.T) {
 
 func TestChashOwnerStableAndLocalityPreserving(t *testing.T) {
 	env := policytest.New(8)
-	d, err := NewNamed("chash", env, Options{})
+	d, err := New(MustParseSpec("chash"), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestChashOwnerStableAndLocalityPreserving(t *testing.T) {
 
 func TestChashSkipsDeadNodes(t *testing.T) {
 	env := policytest.New(8)
-	d, _ := NewNamed("chash", env, Options{})
+	d, _ := New(MustParseSpec("chash"), env)
 	owners := make([]int, 100)
 	for f := range owners {
 		owners[f] = d.Service(0, FileID(f))
@@ -134,7 +134,7 @@ func TestChashSkipsDeadNodes(t *testing.T) {
 
 func TestChashBoundedSpillsOverloadedOwner(t *testing.T) {
 	env := policytest.New(8)
-	d, err := NewNamed("chash-bounded", env, Options{})
+	d, err := New(MustParseSpec("chash-bounded"), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestChashBoundedSpillsOverloadedOwner(t *testing.T) {
 
 func TestChashBoundedAllOverloadedPicksLeastLoaded(t *testing.T) {
 	env := policytest.New(4)
-	d, _ := NewNamed("chash-bounded", env, Options{})
+	d, _ := New(MustParseSpec("chash-bounded"), env)
 	p := d.(*CHash)
 	p.inflight = 400
 	for i := range env.Loads {
@@ -176,7 +176,7 @@ func TestChashBoundedAllOverloadedPicksLeastLoaded(t *testing.T) {
 
 func TestChashDPicksLeastLoadedCandidate(t *testing.T) {
 	env := policytest.New(8)
-	d, err := NewNamed("chash-d", env, Options{})
+	d, err := New(MustParseSpec("chash-d"), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestChashDPicksLeastLoadedCandidate(t *testing.T) {
 			env.Loads[i] = i * 10
 		}
 		got := d.Service(0, f)
-		plain, _ := NewNamed("chash", env, Options{})
+		plain, _ := New(MustParseSpec("chash"), env)
 		owner := plain.Service(0, f)
 		if env.Loads[got] > env.Loads[owner] {
 			t.Fatalf("file %d: d-choices picked load %d over owner load %d",
@@ -198,7 +198,7 @@ func TestChashDPicksLeastLoadedCandidate(t *testing.T) {
 
 func TestChashDOneDegradesToPlain(t *testing.T) {
 	env := policytest.New(8)
-	plain, _ := NewNamed("chash", env, Options{})
+	plain, _ := New(MustParseSpec("chash"), env)
 	one, err := New(MustParseSpec("chash:d=1"), env)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestChashProximityWithoutRaterFallsBack(t *testing.T) {
 
 func TestChashInflightTracking(t *testing.T) {
 	env := policytest.New(4)
-	d, _ := NewNamed("chash-bounded", env, Options{})
+	d, _ := New(MustParseSpec("chash-bounded"), env)
 	p := d.(*CHash)
 	d.OnAssign(1)
 	d.OnAssign(2)
@@ -288,7 +288,7 @@ func TestChashInflightTracking(t *testing.T) {
 
 func TestChashRoundRobinArrival(t *testing.T) {
 	env := policytest.New(4)
-	d, _ := NewNamed("chash", env, Options{})
+	d, _ := New(MustParseSpec("chash"), env)
 	if d.FrontEnd() != -1 {
 		t.Fatal("chash has no dedicated front-end")
 	}

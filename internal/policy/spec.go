@@ -263,8 +263,7 @@ func (s Spec) Options(base Options) Options {
 
 // Build constructs the spec's policy over env, applying its parameters on
 // top of the given Options baseline. A spec with no parameters calls the
-// factory with the baseline untouched, so plain names build bit-identically
-// to the pre-spec API.
+// factory with the baseline untouched.
 func (s Spec) Build(env Env, base Options) (Distributor, error) {
 	registry.RLock()
 	f, ok := registry.factories[s.Name]
@@ -277,8 +276,8 @@ func (s Spec) Build(env Env, base Options) (Distributor, error) {
 }
 
 // New constructs the distribution policy a parsed spec describes over env,
-// with every un-set tunable at its published default. It is the spec-first
-// entrypoint; NewNamed remains for callers that assemble Options directly.
+// with every un-set tunable at its published default; callers that
+// assemble an Options baseline themselves use Spec.Build.
 func New(spec Spec, env Env) (Distributor, error) {
 	return spec.Build(env, Options{})
 }

@@ -159,7 +159,9 @@ func TestNamesAndAliasesSortedAndMarked(t *testing.T) {
 	}
 }
 
-func TestSpecBuildMatchesNewNamed(t *testing.T) {
+// A plain name, parsed and built, is the registered factory's policy with
+// the Options baseline untouched.
+func TestSpecBuildsRegisteredFactory(t *testing.T) {
 	for _, name := range Names() {
 		if name == "l2s" || name == "l2s-weighted" {
 			continue // registered by package core, not linked into this test
@@ -170,13 +172,16 @@ func TestSpecBuildMatchesNewNamed(t *testing.T) {
 			t.Errorf("%s via spec: %v", name, err)
 			continue
 		}
-		viaName, err := NewNamed(name, env, Options{})
+		registry.RLock()
+		factory := registry.factories[name]
+		registry.RUnlock()
+		direct, err := factory(env, Options{})
 		if err != nil {
-			t.Errorf("%s via NewNamed: %v", name, err)
+			t.Errorf("%s via factory: %v", name, err)
 			continue
 		}
-		if viaSpec.Name() != viaName.Name() {
-			t.Errorf("%s: spec built %q, NewNamed built %q", name, viaSpec.Name(), viaName.Name())
+		if viaSpec.Name() != direct.Name() {
+			t.Errorf("%s: spec built %q, factory built %q", name, viaSpec.Name(), direct.Name())
 		}
 	}
 }

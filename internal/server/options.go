@@ -95,11 +95,6 @@ func WithPersistent(reqsPerConn float64) Option {
 	return func(c *Config) { c.Persistent, c.ReqsPerConn = true, reqsPerConn }
 }
 
-// WithCPUSpeeds gives each node a relative CPU speed.
-func WithCPUSpeeds(speeds []float64) Option {
-	return func(c *Config) { c.CPUSpeeds = speeds }
-}
-
 // WithDistributedFS models the distributed file system explicitly: cache
 // misses fetch from the file's home disk across the cluster network.
 func WithDistributedFS() Option {

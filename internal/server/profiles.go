@@ -20,8 +20,6 @@ type NodeProfile = cluster.Profile
 func DefaultNodeProfile() NodeProfile { return cluster.DefaultProfile() }
 
 // WithProfiles gives each node a hardware profile; exactly one per node.
-// This supersedes the deprecated WithCPUSpeeds, which it can express as
-// profiles with only CPUSpeed set.
 func WithProfiles(profiles ...NodeProfile) Option {
 	return func(c *Config) { c.Profiles = profiles }
 }
@@ -61,26 +59,16 @@ func Tiered(fast, slow NodeProfile, split int) Option {
 }
 
 // resolvedProfiles returns the run's per-node profiles, normalized, or nil
-// for a fully homogeneous run. The deprecated CPUSpeeds field maps onto
-// profiles with only CPUSpeed set, which is bit-identical to its
-// historical behavior (TestCPUSpeedsShimBitIdentical): every other
-// resource divides by exactly 1.0.
+// for a fully homogeneous run.
 func (c Config) resolvedProfiles() []cluster.Profile {
-	if c.Profiles != nil {
-		out := make([]cluster.Profile, len(c.Profiles))
-		for i, p := range c.Profiles {
-			out[i] = p.Normalized()
-		}
-		return out
+	if c.Profiles == nil {
+		return nil
 	}
-	if c.CPUSpeeds != nil {
-		out := make([]cluster.Profile, len(c.CPUSpeeds))
-		for i, s := range c.CPUSpeeds {
-			out[i] = cluster.Profile{CPUSpeed: s, DiskSpeed: 1}
-		}
-		return out
+	out := make([]cluster.Profile, len(c.Profiles))
+	for i, p := range c.Profiles {
+		out[i] = p.Normalized()
 	}
-	return nil
+	return out
 }
 
 // weightReferenceHit is the cache hit rate at which capacity weights are
@@ -187,8 +175,10 @@ func parseProfileFields(s string) (NodeProfile, error) {
 		if v == "" {
 			return 0, nil
 		}
+		// The range test is written so that NaN (for which every comparison
+		// is false) fails it; ParseFloat accepts "NaN" and "Inf".
 		x, err := strconv.ParseFloat(v, 64)
-		if err != nil || x < 0 || x > 1e6 {
+		if err != nil || !(x >= 0 && x <= 1e6) {
 			return 0, fmt.Errorf("profiles: bad %s speed %q", name, v)
 		}
 		return x, nil
@@ -235,7 +225,7 @@ func parseByteSize(s string) (int64, error) {
 		}
 	}
 	x, err := strconv.ParseFloat(num, 64)
-	if err != nil || x < 0 || x > 1e12 {
+	if err != nil || !(x >= 0 && x <= 1e12) {
 		return 0, fmt.Errorf("profiles: bad cache size %q", s)
 	}
 	return int64(x * float64(mult)), nil

@@ -82,6 +82,14 @@ func TestParseProfilesErrors(t *testing.T) {
 		"0x1/1",                   // zero count
 		"999999999x1/1",           // count past the node cap
 		"2000x1/1," + "65000x1/1", // cumulative count past the cap
+		"NaN/1,1/1",               // NaN is neither < 0 nor > the cap
+		"1/nan",                   // ... in the disk field
+		"1/1/NaN",                 // ... in the link field
+		"1/1/0/nanMB,1/1",         // ... and as a cache size (int64(NaN) = MinInt64)
+		"Inf/1",                   // infinities in each field
+		"1/+Inf",
+		"1/1/-Inf",
+		"1/1//InfGB",
 	}
 	for _, spec := range bad {
 		if got, err := ParseProfiles(spec); err == nil {
@@ -101,6 +109,10 @@ func FuzzParseProfiles(f *testing.F) {
 	f.Add("9999999999999999999x1/1")
 	f.Add(",,,")
 	f.Add("1e3/1e-3/1e9/1e9")
+	f.Add("NaN/1,1/1")
+	f.Add("1/1/0/nanMB,1/1")
+	f.Add("1/Inf")
+	f.Add("1/1/-Inf/infGB")
 	f.Fuzz(func(t *testing.T, spec string) {
 		profiles, err := ParseProfiles(spec)
 		if err != nil {
@@ -110,16 +122,13 @@ func FuzzParseProfiles(f *testing.F) {
 			t.Fatalf("accepted %q with %d profiles", spec, len(profiles))
 		}
 		for i, p := range profiles {
+			// Validate rejects NaN and infinities as well as negatives, so
+			// passing it is the "every accepted profile is finite" invariant.
 			if err := p.Validate(); err != nil {
 				t.Fatalf("accepted %q with invalid profile %d: %v", spec, i, err)
 			}
 			if p != p.Normalized() {
 				t.Fatalf("accepted %q with unnormalized profile %d: %+v", spec, i, p)
-			}
-			if math.IsInf(p.CPUSpeed, 0) || math.IsNaN(p.CPUSpeed) ||
-				math.IsInf(p.DiskSpeed, 0) || math.IsNaN(p.DiskSpeed) ||
-				math.IsInf(p.LinkKBps, 0) || math.IsNaN(p.LinkKBps) {
-				t.Fatalf("accepted %q with non-finite profile %d: %+v", spec, i, p)
 			}
 		}
 	})
@@ -157,11 +166,20 @@ func TestConfigValidateProfiles(t *testing.T) {
 	if err := NewConfig(L2SServer, 4, WithProfiles(UniformProfiles(3, DefaultNodeProfile())...)).Validate(); err == nil {
 		t.Error("wrong profile count accepted")
 	}
-	bad := UniformProfiles(4, DefaultNodeProfile())
-	bad[2].DiskSpeed = -1
-	err := NewConfig(L2SServer, 4, WithProfiles(bad...)).Validate()
-	if err == nil || !strings.Contains(err.Error(), "node 2") {
-		t.Errorf("invalid profile error = %v, want node index", err)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, p := range []NodeProfile{
+		{CPUSpeed: 1, DiskSpeed: -1},
+		{CPUSpeed: nan, DiskSpeed: 1}, {CPUSpeed: inf, DiskSpeed: 1}, {CPUSpeed: -inf, DiskSpeed: 1},
+		{CPUSpeed: 1, DiskSpeed: nan}, {CPUSpeed: 1, DiskSpeed: inf}, {CPUSpeed: 1, DiskSpeed: -inf},
+		{LinkKBps: nan}, {LinkKBps: inf}, {LinkKBps: -inf},
+		{CacheBytes: -1},
+	} {
+		bad := UniformProfiles(4, DefaultNodeProfile())
+		bad[2] = p
+		err := NewConfig(L2SServer, 4, WithProfiles(bad...)).Validate()
+		if err == nil || !strings.Contains(err.Error(), "node 2") {
+			t.Errorf("profile %+v: error = %v, want one naming node 2", p, err)
+		}
 	}
 }
 

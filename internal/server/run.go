@@ -370,7 +370,7 @@ func newDriver(cfg Config, tr *trace.Trace) (*driver, error) {
 	} else {
 		// The policy name is a full spec ("chash:vnodes=256,load=1.25"):
 		// parsed parameters are applied on top of the Options assembled
-		// above, so a plain name builds exactly what NewNamed would.
+		// above, so a plain name hands the factory exactly those Options.
 		spec, err := policy.ParseSpec(cfg.policyName())
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)

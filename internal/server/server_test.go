@@ -417,16 +417,14 @@ func TestFileHomeSpreads(t *testing.T) {
 	}
 }
 
-func TestHeterogeneousCPUSpeeds(t *testing.T) {
+func TestHeterogeneousCPUs(t *testing.T) {
 	tr := testTrace(30000)
 	base, err := Run(DefaultConfig(L2SServer, 4), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two fast nodes, two half-speed nodes.
-	cfg := DefaultConfig(L2SServer, 4)
-	cfg.CPUSpeeds = []float64{1, 1, 0.5, 0.5}
-	het, err := Run(cfg, tr)
+	het, err := Run(NewConfig(L2SServer, 4, WithProfiles(cpuProfiles(1, 1, 0.5, 0.5)...)), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,16 +448,13 @@ func TestHeterogeneousCPUSpeeds(t *testing.T) {
 	}
 }
 
-func TestCPUSpeedsValidation(t *testing.T) {
+func TestCPUProfileValidation(t *testing.T) {
 	tr := testTrace(100)
-	cfg := DefaultConfig(Traditional, 2)
-	cfg.CPUSpeeds = []float64{1}
-	if _, err := Run(cfg, tr); err == nil {
+	if _, err := Run(NewConfig(Traditional, 2, WithProfiles(cpuProfiles(1)...)), tr); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	cfg.CPUSpeeds = []float64{1, 0}
-	if _, err := Run(cfg, tr); err == nil {
-		t.Fatal("zero speed accepted")
+	if _, err := Run(NewConfig(Traditional, 2, WithProfiles(cpuProfiles(1, -1)...)), tr); err == nil {
+		t.Fatal("negative speed accepted")
 	}
 }
 

@@ -141,7 +141,7 @@ func TestPSumsToOne(t *testing.T) {
 }
 
 // sampleRefBench draws via the binary-search reference, for the growth
-// comparison against the guide-table benches in internal/perf.
+// comparison against the guide-table benches below.
 func sampleRefBench(b *testing.B, files int64) {
 	d := New(0.8, files)
 	rng := rand.New(rand.NewSource(7))
