@@ -30,13 +30,14 @@ check: fmt vet build test
 # race detector — the parallel-equals-sequential guarantee is only as good
 # as its synchronization — plus the pooled simulation core, the live
 # native cluster (gossip, failure detection, hand-off retry), the policies
-# and the shot-noise synthesizer (their determinism tests switch GOMAXPROCS)
-# and, under -short, the trace generator's chunked calibration fill (the
+# and the shot-noise synthesizer (their determinism tests switch GOMAXPROCS),
+# the obs instruments (every native node hits the Registry's counters
+# concurrently) and, under -short, the trace generator's chunked calibration fill (the
 # 200 000-file reference case takes 40 s under the detector and starts no
 # goroutine the small ones do not) and the server (TestScaleGridCounts keeps
 # its F=10^4 column and skips the 10^6- and 10^7-file traces).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/cache/... ./internal/netsim/... ./internal/runner/... ./internal/native/... ./internal/policy/... ./internal/shotnoise/...
+	$(GO) test -race ./internal/sim/... ./internal/cache/... ./internal/netsim/... ./internal/runner/... ./internal/native/... ./internal/policy/... ./internal/shotnoise/... ./internal/obs/...
 	$(GO) test -race -short ./internal/trace/... ./internal/server/...
 
 # chaos runs the fault-injection tests (node kill mid-replay, seeded gossip

@@ -70,6 +70,11 @@ func main() {
 	)
 	flag.Parse()
 
+	if *seriesOut != "" || *chromeOut != "" {
+		if err := obs.CheckInterval(*seriesDt); err != nil {
+			fatalIf(fmt.Errorf("-seriesdt: %w", err))
+		}
+	}
 	if *cpuProfile != "" || *memProfile != "" {
 		stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
 		fatalIf(err)

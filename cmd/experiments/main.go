@@ -361,6 +361,9 @@ func main() {
 // time series as JSONL and/or Chrome trace_event JSON (load either into
 // chrome://tracing or Perfetto).
 func writeSeriesArtifacts(seriesOut, traceOut string, dt, scale float64) error {
+	if err := obs.CheckInterval(dt); err != nil {
+		return fmt.Errorf("-seriesdt: %w", err)
+	}
 	spec, err := trace.PaperTrace("calgary")
 	if err != nil {
 		return err

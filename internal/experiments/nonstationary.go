@@ -320,8 +320,9 @@ func adaptationLag(rec *obs.Series) float64 {
 // saturation, completions accrue near-uniformly, so the request-index
 // window maps onto the same fraction of the run.
 func flashWindowStats(rec *obs.Series, fstart, fdur float64) (fwdIn, fwdOut, peakImbal float64) {
+	samples := rec.Samples() // a copy: materialise once
 	var tEnd float64
-	for _, s := range rec.Samples() {
+	for _, s := range samples {
 		if s.T > tEnd {
 			tEnd = s.T
 		}
@@ -331,7 +332,7 @@ func flashWindowStats(rec *obs.Series, fstart, fdur float64) (fwdIn, fwdOut, pea
 
 	var inSum, inDt, outSum, outDt float64
 	loads := map[float64][]float64{}
-	for _, s := range rec.Samples() {
+	for _, s := range samples {
 		switch s.Metric {
 		case server.SeriesForwardFrac:
 			if inWin(s.T) {

@@ -59,6 +59,20 @@ func TestNewSeriesPanics(t *testing.T) {
 	}
 }
 
+func TestCheckInterval(t *testing.T) {
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := CheckInterval(bad)
+		if err == nil || !strings.Contains(err.Error(), "want a positive, finite number of simulated seconds") {
+			t.Errorf("CheckInterval(%v) = %v, want an error naming what is wanted", bad, err)
+		}
+	}
+	for _, good := range []float64{1e-9, 0.1} {
+		if err := CheckInterval(good); err != nil {
+			t.Errorf("CheckInterval(%v) = %v, want nil", good, err)
+		}
+	}
+}
+
 func TestWriteJSONL(t *testing.T) {
 	s := NewSeries(1)
 	s.Record(0.25, 0.25, 2, "cpu_util", 0.75)

@@ -165,11 +165,14 @@ type Engine struct {
 	pending int   // scheduled, uncancelled, unfired events
 	fired   uint64
 	probes  []probe
+	// probeDue is the earliest next boundary of any probe, +Inf with none
+	// registered: the per-event cost of probes is one float comparison.
+	probeDue Time
 }
 
 // NewEngine returns an engine with the clock at zero and an empty calendar.
 func NewEngine() *Engine {
-	return &Engine{free: -1}
+	return &Engine{free: -1, probeDue: math.Inf(1)}
 }
 
 // Now returns the current simulated time.
@@ -401,7 +404,8 @@ func (e *Engine) removeTop(fromStaged bool) {
 // leave the event sequence, Pending, and Fired counts untouched, so an
 // instrumented run replays bit-identically to an uninstrumented one. A
 // probe that lags several boundaries behind (sparse calendars) fires once,
-// at the current time. Disabled cost is one slice-length check per Step.
+// at the current time. Per event, disabled or between boundaries, probes
+// cost one float comparison against the earliest pending boundary.
 func (e *Engine) Probe(every Time, fn func(Time)) {
 	if !(every > 0) || math.IsInf(every, 0) {
 		panic(fmt.Sprintf("sim: probe interval must be positive and finite, got %v", every))
@@ -410,9 +414,11 @@ func (e *Engine) Probe(every Time, fn func(Time)) {
 		panic("sim: probe needs a callback")
 	}
 	e.probes = append(e.probes, probe{every: every, next: e.now + every, fn: fn})
+	e.probeDue = min(e.probeDue, e.now+every)
 }
 
-// runProbes fires every probe whose boundary the clock has reached.
+// runProbes fires every probe whose boundary the clock has reached and
+// re-arms probeDue. Callers check e.now >= e.probeDue first.
 func (e *Engine) runProbes() {
 	for i := range e.probes {
 		p := &e.probes[i]
@@ -424,6 +430,11 @@ func (e *Engine) runProbes() {
 		}
 		p.fn(e.now)
 	}
+	due := math.Inf(1)
+	for i := range e.probes { // after the callbacks: one may have registered a probe
+		due = min(due, e.probes[i].next)
+	}
+	e.probeDue = due
 }
 
 // Step fires the next event. It reports false when the calendar is empty.
@@ -455,7 +466,7 @@ func (e *Engine) fire(fromStaged bool, entry heapEntry) {
 		e.freeSlot(slot)
 		fn()
 	}
-	if len(e.probes) != 0 {
+	if e.now >= e.probeDue {
 		e.runProbes()
 	}
 }
@@ -478,7 +489,7 @@ func (e *Engine) RunUntil(t Time) {
 	}
 	if t > e.now {
 		e.now = t
-		if len(e.probes) != 0 {
+		if e.now >= e.probeDue {
 			e.runProbes()
 		}
 	}

@@ -132,3 +132,103 @@ func TestProbeAllocFree(t *testing.T) {
 		t.Fatalf("probe never fired")
 	}
 }
+
+// ungatedProbes is the dispatch loop the engine ran before it kept the
+// earliest boundary: after every clock advance, walk every probe.
+type ungatedProbes struct {
+	every, next []Time
+	fn          func(probe int, now Time)
+}
+
+func (u *ungatedProbes) add(now, every Time) {
+	u.every, u.next = append(u.every, every), append(u.next, now+every)
+}
+
+func (u *ungatedProbes) advance(now Time) {
+	for i := range u.next {
+		if u.next[i] > now {
+			continue
+		}
+		for u.next[i] <= now {
+			u.next[i] += u.every[i]
+		}
+		u.fn(i, now)
+	}
+}
+
+// TestProbeGateFiresSameCalls: gating dispatch on the earliest boundary
+// must leave every callback at exactly the same event with the same t. Two
+// probes with incommensurate periods and one registered mid-run by a
+// callback, driven by Step, by RunUntil past the last event and by RunUntil
+// on an empty calendar; then the same with a probe whose period is far
+// below the event spacing (it lags many boundaries, fires once per event
+// and holds the gate open).
+func TestProbeGateFiresSameCalls(t *testing.T) {
+	for _, periods := range [][]Time{
+		{1, math.Sqrt2 / 3, 2.5},
+		{1, math.Sqrt2 / 3, 0.001, 2.5},
+	} {
+		type call struct {
+			probe int
+			at    Time
+		}
+		var got, want []call
+		e := NewEngine()
+		ref := ungatedProbes{}
+		last := len(periods) - 1 // this probe's first call registers one more
+		ref.fn = func(probe int, now Time) {
+			want = append(want, call{probe, now})
+			if probe == last && len(ref.next) == len(periods) {
+				ref.add(now, 0.05)
+			}
+		}
+		var register func(every Time)
+		register = func(every Time) {
+			probe := len(e.probes)
+			e.Probe(every, func(now Time) {
+				got = append(got, call{probe, now})
+				if probe == last && len(e.probes) == len(periods) {
+					register(0.05) // earlier than every pending boundary
+				}
+			})
+		}
+		for _, every := range periods {
+			register(every)
+			ref.add(0, every)
+		}
+
+		// Irregular event times: some share a timestamp, some are far apart.
+		var times []Time
+		for i, at := 0, Time(0); i < 400; i++ {
+			at += Time(i%7) * 0.013 * Time(1+i%3)
+			if i%50 == 49 {
+				at += 3.3
+			}
+			times = append(times, at)
+			e.At(at, func() {})
+		}
+		end := times[len(times)-1] + 10
+		for i := 0; i < len(times)/2; i++ {
+			e.Step()
+		}
+		e.RunUntil(end)     // the other half, then a bare clock advance
+		e.RunUntil(end + 1) // empty calendar
+		for _, now := range append(times, end, end+1) {
+			ref.advance(now)
+		}
+
+		if len(got) != len(want) {
+			t.Fatalf("periods %v: gated engine made %d probe calls, ungated loop %d", periods, len(got), len(want))
+		}
+		calls := map[int]int{}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("periods %v: call %d: gated %+v, ungated %+v", periods, i, got[i], want[i])
+			}
+			calls[want[i].probe]++
+		}
+		if len(calls) != len(periods)+1 {
+			t.Fatalf("periods %v: not every probe fired: calls per probe %v", periods, calls)
+		}
+	}
+}
