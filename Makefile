@@ -65,7 +65,7 @@ profile: build
 # unit, so they are exempt).
 COVER_MIN ?= 60
 COVER_PKGS = ./internal/cache ./internal/core ./internal/fastmap \
-             ./internal/netsim ./internal/obs \
+             ./internal/native ./internal/netsim ./internal/obs \
              ./internal/queuemodel ./internal/runner ./internal/server \
              ./internal/shotnoise ./internal/sim ./internal/stats \
              ./internal/trace ./internal/zipf
@@ -108,3 +108,4 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseProfiles -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run=^$$ -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/policy
 	$(GO) test -run=^$$ -fuzz=FuzzParseGenSpec -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzHandoffFrame -fuzztime=$(FUZZTIME) ./internal/native

@@ -1,7 +1,7 @@
 // Command l2sd runs a live L2S cluster over HTTP on loopback ports — the
 // native server of the paper's conclusion. It serves a synthetic catalog,
-// gossips load and server-set changes between nodes, hands requests off by
-// reverse proxying, and survives node crashes: heartbeat failure detection
+// gossips load and server-set changes between nodes, hands requests off
+// over persistent peer connections, and survives node crashes: heartbeat failure detection
 // evicts dead nodes from server sets, hand-offs retry with backoff, and a
 // restarted node rejoins through heartbeats and anti-entropy.
 //
@@ -246,6 +246,9 @@ func scheduleKill(cluster *native.Cluster, spec string, restart time.Duration) e
 func runDemo(cluster *native.Cluster, d time.Duration, workers, files int, alpha float64) {
 	fmt.Printf("l2sd: driving load for %v with %d workers...\n", d, workers)
 	dist := zipf.New(alpha, int64(files))
+	// Idle connections sized to the workers, as in native.Replay.
+	client := &http.Client{Timeout: 10 * time.Second, Transport: &http.Transport{MaxIdleConnsPerHost: workers}}
+	defer client.CloseIdleConnections()
 	stop := time.Now().Add(d)
 	var done, errs atomic.Uint64
 	var wg sync.WaitGroup
@@ -254,7 +257,6 @@ func runDemo(cluster *native.Cluster, d time.Duration, workers, files int, alpha
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			client := &http.Client{Timeout: 10 * time.Second}
 			urls := cluster.URLs()
 			for time.Now().Before(stop) {
 				id := dist.Sample(rng) - 1
@@ -319,8 +321,8 @@ func printStats(cluster *native.Cluster, fi *native.FaultInjector, asJSON bool) 
 			s.ID, s.Served, s.Proxied, s.Received, s.HitRate*100, s.CacheUsed>>10, s.GossipOut, s.GossipFail, s.DeadPeers)
 	}
 	t := cluster.Totals()
-	fmt.Printf("cluster: served=%d hit-rate=%.1f%% handoffs=%d retries=%d failovers=%d gossip=%d (%d failed, %d retried)\n",
-		t.Served+t.Received, t.HitRate*100, t.Proxied, t.Retries, t.Failovers, t.GossipOut, t.GossipFail, t.GossipRetry)
+	fmt.Printf("cluster: served=%d hit-rate=%.1f%% handoffs=%d over %d channels (%d dialled) retries=%d failovers=%d gossip=%d (%d failed, %d retried)\n",
+		t.Served+t.Received, t.HitRate*100, t.Proxied, t.HandoffConns, t.HandoffDials, t.Retries, t.Failovers, t.GossipOut, t.GossipFail, t.GossipRetry)
 	if fi != nil {
 		fs := fi.Stats()
 		fmt.Printf("faults injected: dropped=%d delayed=%d duplicated=%d blocked=%d\n",

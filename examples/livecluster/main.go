@@ -51,8 +51,10 @@ func main() {
 	// Phase 2: locality in action — one file, many entry points, one
 	// server.
 	fmt.Println("\nphase 2: the same file requested via every node")
+	client := &http.Client{Timeout: 5 * time.Second, Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
 	for i := 0; i < cluster.Len(); i++ {
-		resp, err := http.Get(cluster.URLs()[i] + "/files/f/42")
+		resp, err := client.Get(cluster.URLs()[i] + "/files/f/42")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -86,6 +88,9 @@ func main() {
 // ones as entry points.
 func drive(cluster *native.Cluster, d time.Duration, workers, files int) {
 	dist := zipf.New(0.9, int64(files))
+	// Idle connections sized to the workers, or most requests reconnect.
+	client := &http.Client{Timeout: 5 * time.Second, Transport: &http.Transport{MaxIdleConnsPerHost: workers}}
+	defer client.CloseIdleConnections()
 	stop := time.Now().Add(d)
 	var wg sync.WaitGroup
 	var completed, errs int64
@@ -95,7 +100,6 @@ func drive(cluster *native.Cluster, d time.Duration, workers, files int) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			client := &http.Client{Timeout: 5 * time.Second}
 			for time.Now().Before(stop) {
 				file := dist.Sample(rng) - 1
 				// A real client whose connection fails retries against the

@@ -126,7 +126,7 @@ func TestChaosKillNodeMidReplay(t *testing.T) {
 
 	// Fresh traffic is served by survivors only.
 	for i := 0; i < 20; i++ {
-		resp, err := http.Get(c.Node(0).cfg.Peers[0] + fmt.Sprintf("/files/f/%d", i))
+		resp, err := testClient.Get(c.Node(0).cfg.Peers[0] + fmt.Sprintf("/files/f/%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}

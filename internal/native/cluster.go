@@ -133,7 +133,11 @@ func (c *Cluster) Stop(i int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nodes[i].stopLoops()
-	return c.servers[i].Close()
+	err := c.servers[i].Close()
+	// The listener is closed first, so a peer whose hand-off dies here
+	// finds nothing to reconnect to.
+	c.nodes[i].closeConns()
+	return err
 }
 
 // Restart brings a previously stopped node back on its old address with a
@@ -162,7 +166,9 @@ func (c *Cluster) Restart(i int) error {
 
 // Shutdown drains every node gracefully: gossip loops stop first (so the
 // cluster stops advertising), then each HTTP server finishes its in-flight
-// requests before closing, bounded by a three-second deadline.
+// requests before closing, bounded by a three-second deadline past which it
+// is closed outright. The hand-off channels those requests may still be
+// using close only after every server has drained.
 func (c *Cluster) Shutdown() {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
@@ -172,7 +178,12 @@ func (c *Cluster) Shutdown() {
 		n.stopLoops()
 	}
 	for _, srv := range c.servers {
-		_ = srv.Shutdown(ctx)
+		if err := srv.Shutdown(ctx); err != nil {
+			_ = srv.Close()
+		}
+	}
+	for _, n := range c.nodes {
+		n.closeConns()
 	}
 }
 
@@ -195,6 +206,8 @@ func (c *Cluster) Totals() Stats {
 		total.GossipOut += s.GossipOut
 		total.GossipFail += s.GossipFail
 		total.GossipRetry += s.GossipRetry
+		total.HandoffDials += s.HandoffDials
+		total.HandoffConns += s.HandoffConns
 		if s.DeadPeers > total.DeadPeers {
 			total.DeadPeers = s.DeadPeers
 		}

@@ -17,12 +17,13 @@ var (
 	errFaultKilled  = errors.New("faultinject: destination node killed")
 )
 
-// FaultInjector is a deterministic network-fault layer: it wraps the HTTP
-// transports of every node in a cluster (see WithFaults) and, on a seeded
-// schedule, drops, delays, or duplicates control messages and blackholes
-// traffic to killed nodes. The data plane (/files, /local) only sees kills;
-// drop/delay/duplicate apply to /control/* messages, mirroring the paper's
-// concern with gossip robustness.
+// FaultInjector is a deterministic network-fault layer with two hooks into
+// every node of a cluster (see WithFaults): it wraps the HTTP transport that
+// carries the node's /control/* messages and, on a seeded schedule, drops,
+// delays, or duplicates them; and it blackholes traffic to killed nodes,
+// on that transport and — asked before each exchange — on the hand-off
+// channel. The data plane only sees kills, mirroring the paper's concern
+// with gossip robustness.
 //
 // All knobs are safe to flip while the cluster is running, which is how
 // chaos tests start and stop fault schedules.
@@ -148,10 +149,19 @@ func (f *FaultInjector) register(urls []string) {
 
 // transport wraps base with the fault schedule.
 func (f *FaultInjector) transport(base http.RoundTripper) http.RoundTripper {
-	if base == nil {
-		base = http.DefaultTransport
-	}
 	return &faultTransport{f: f, base: base}
+}
+
+// refuses is the hand-off channel's hook: it reports whether the node is
+// killed, counting the refusal like a blocked request.
+func (f *FaultInjector) refuses(node int) bool {
+	f.mu.Lock()
+	killed := f.killed[node]
+	f.mu.Unlock()
+	if killed {
+		f.blocked.Add(1)
+	}
+	return killed
 }
 
 type faultTransport struct {

@@ -49,6 +49,7 @@ const (
 // gossiper pushes control messages to the cluster's peers with bounded
 // retry and reports per-peer delivery outcomes to the failure detector.
 type gossiper struct {
+	ctx     context.Context // the owning node's: done once it stops
 	self    int
 	peers   []string // base URLs, indexed by node id; peers[self] unused
 	client  *http.Client
@@ -66,7 +67,7 @@ type gossiper struct {
 	sent, failures, retries *obs.Counter
 }
 
-func newGossiper(self int, peers []string, retry RetryPolicy, transport http.RoundTripper, rng *lockedRand, m *nodeMetrics) *gossiper {
+func newGossiper(ctx context.Context, self int, peers []string, retry RetryPolicy, transport http.RoundTripper, rng *lockedRand, m *nodeMetrics) *gossiper {
 	if rng == nil {
 		rng = newLockedRand(int64(self) + 1)
 	}
@@ -74,6 +75,7 @@ func newGossiper(self int, peers []string, retry RetryPolicy, transport http.Rou
 		m = newNodeMetrics()
 	}
 	return &gossiper{
+		ctx:      ctx,
 		sent:     m.gossipSent,
 		failures: m.gossipFailed,
 		retries:  m.gossipRetries,
@@ -134,6 +136,11 @@ func (g *gossiper) send(peer int, url string, body []byte, attempts int) bool {
 	g.sent.Inc()
 	for attempt := 1; ; attempt++ {
 		ok := g.post(url, body)
+		if !ok && g.ctx.Err() != nil {
+			// This node stopped: the failure says nothing about the peer.
+			g.failures.Inc()
+			return false
+		}
 		if g.onResult != nil {
 			g.onResult(peer, ok)
 		}
@@ -150,7 +157,7 @@ func (g *gossiper) send(peer int, url string, body []byte, attempts int) bool {
 }
 
 func (g *gossiper) post(url string, body []byte) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), g.timeout)
+	ctx, cancel := context.WithTimeout(g.ctx, g.timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {

@@ -31,6 +31,9 @@ type nodeMetrics struct {
 	retries   *obs.Counter // hand-off delivery retries
 	failovers *obs.Counter // hand-off failures served locally instead
 
+	handoffDials *obs.Counter // outbound hand-off channels opened
+	handoffConns *obs.Gauge   // of which open now, idle or in use; refreshed at scrape time
+
 	gossipSent    *obs.Counter
 	gossipFailed  *obs.Counter
 	gossipRetries *obs.Counter
@@ -52,6 +55,8 @@ func newNodeMetrics() *nodeMetrics {
 		misses:        reg.Counter("cache_misses_total"),
 		retries:       reg.Counter("handoff_retries_total"),
 		failovers:     reg.Counter("failovers_total"),
+		handoffDials:  reg.Counter("handoff_dials_total"),
+		handoffConns:  reg.Gauge("handoff_conns"),
 		gossipSent:    reg.Counter("gossip_sent_total"),
 		gossipFailed:  reg.Counter("gossip_failed_total"),
 		gossipRetries: reg.Counter("gossip_retries_total"),
@@ -71,6 +76,7 @@ func (n *Node) Metrics() *obs.Registry { return n.metrics.reg }
 func (n *Node) WriteMetrics(w io.Writer) error {
 	n.metrics.load.Set(float64(n.Load()))
 	n.metrics.cacheUsed.Set(float64(n.cache.used()))
+	n.metrics.handoffConns.Set(float64(n.handoffs.outbound.len()))
 	return n.metrics.reg.WritePrometheus(w)
 }
 

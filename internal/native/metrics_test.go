@@ -40,6 +40,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			"requests_served_total", "requests_proxied_total",
 			"handoffs_received_total", "cache_hits_total", "cache_misses_total",
 			"handoff_retries_total", "failovers_total",
+			"handoff_dials_total", "handoff_conns",
 			"gossip_sent_total", "gossip_failed_total", "gossip_retries_total",
 			"load", "cache_used_bytes",
 		} {

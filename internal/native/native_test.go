@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"repro/internal/trace"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 func testStore(files int) *MemStore {
@@ -33,9 +34,14 @@ func startTestCluster(t *testing.T, nodes int, opts Options) *Cluster {
 	return c
 }
 
+// testClient carries the tests' own requests: like the nodes, they keep off
+// the process-wide http.DefaultTransport, whose idle connections would
+// outlive the cluster a test shut down.
+var testClient = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 32}, Timeout: 10 * time.Second}
+
 func get(t *testing.T, url string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Get(url)
+	resp, err := testClient.Get(url)
 	if err != nil {
 		t.Fatalf("GET %s: %v", url, err)
 	}
@@ -151,7 +157,7 @@ func TestGossipUpdatesPeerViews(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Get(c.URLs()[1] + fmt.Sprintf("/files/f/%d", i%32))
+			resp, err := testClient.Get(c.URLs()[1] + fmt.Sprintf("/files/f/%d", i%32))
 			if err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
@@ -173,7 +179,7 @@ func TestGossipUpdatesPeerViews(t *testing.T) {
 
 func TestControlEndpointsValidate(t *testing.T) {
 	c := startTestCluster(t, 2, DefaultOptions())
-	resp, err := http.Post(c.URLs()[0]+loadPath, "application/json", nil)
+	resp, err := testClient.Post(c.URLs()[0]+loadPath, "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +248,7 @@ func TestReplicationUnderHotspot(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Get(c.URLs()[0] + "/files/f/0")
+			resp, err := testClient.Get(c.URLs()[0] + "/files/f/0")
 			if err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()

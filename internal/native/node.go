@@ -2,11 +2,12 @@ package native
 
 import (
 	"container/list"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,8 +40,9 @@ type Config struct {
 	// zero value means DefaultRetryPolicy.
 	Retry RetryPolicy
 
-	// Faults, when non-nil, wraps the node's outbound transports with the
-	// fault-injection schedule.
+	// Faults, when non-nil, applies the fault-injection schedule to the
+	// node's outbound traffic: it wraps the control transport and is asked
+	// before every hand-off exchange whether the peer is killed.
 	Faults *FaultInjector
 
 	// Seed drives backoff jitter deterministically; zero derives one from
@@ -49,16 +51,27 @@ type Config struct {
 }
 
 // Node is one cluster member: an HTTP server with its own cache, its own
-// replica of the distribution state, a gossip client, and a failure
-// detector for its peers.
+// replica of the distribution state, a gossip client, hand-off channels to
+// and from its peers, and a failure detector for them.
 type Node struct {
 	cfg    Config
 	state  *state
 	gossip *gossiper
 	cache  *contentCache
-	client *http.Client
 	health *healthTracker
 	rng    *lockedRand
+
+	// transport carries the node's control traffic and nothing else. It is
+	// the node's own, so that stopping the node can close its idle
+	// connections: one left open in a shared pool keeps the peer's serve
+	// goroutine, and through it that node's store, alive for 90 s.
+	transport *http.Transport
+
+	handoffs handoffs
+
+	// idHeader[i] is node i's id as a ready-made header value
+	// (X-Served-By, X-Forwarded-By), shared by every reply.
+	idHeader [][]string
 
 	open atomic.Int64 // requests being serviced here (the load metric)
 
@@ -66,8 +79,10 @@ type Node struct {
 	// Snapshot and /statsz read the same registry /metricsz exposes.
 	metrics *nodeMetrics
 
-	stop     chan struct{}
-	stopOnce sync.Once
+	// ctx ends when the node stops: it halts the gossip loop and aborts
+	// every control message still in flight.
+	ctx  context.Context
+	stop context.CancelFunc
 
 	syncMu sync.Mutex
 	syncRR int // round-robin cursor for anti-entropy peers
@@ -105,22 +120,30 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = int64(cfg.ID) + 1
 	}
-	var transport http.RoundTripper
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	var control http.RoundTripper = transport
 	if cfg.Faults != nil {
-		transport = cfg.Faults.transport(nil)
+		control = cfg.Faults.transport(transport)
 	}
 	rng := newLockedRand(cfg.Seed)
 	m := newNodeMetrics()
+	ctx, stop := context.WithCancel(context.Background())
 	n := &Node{
-		cfg:     cfg,
-		metrics: m,
-		state:   newState(cfg.ID, len(cfg.Peers), cfg.Opts),
-		gossip:  newGossiper(cfg.ID, cfg.Peers, cfg.Retry, transport, rng, m),
-		cache:   newContentCache(cfg.CacheBytes),
-		client:  &http.Client{Timeout: 10 * time.Second, Transport: transport},
-		health:  newHealthTracker(cfg.ID, len(cfg.Peers), cfg.Health),
-		rng:     rng,
-		stop:    make(chan struct{}),
+		cfg:       cfg,
+		metrics:   m,
+		state:     newState(cfg.ID, len(cfg.Peers), cfg.Opts),
+		gossip:    newGossiper(ctx, cfg.ID, cfg.Peers, cfg.Retry, control, rng, m),
+		cache:     newContentCache(cfg.CacheBytes),
+		health:    newHealthTracker(cfg.ID, len(cfg.Peers), cfg.Health),
+		rng:       rng,
+		transport: transport,
+		handoffs:  handoffs{pools: make([]peerPool, len(cfg.Peers))},
+		idHeader:  make([][]string, len(cfg.Peers)),
+		ctx:       ctx,
+		stop:      stop,
+	}
+	for i := range n.idHeader {
+		n.idHeader[i] = []string{strconv.Itoa(i)}
 	}
 	n.health.onDead = n.peerDied
 	n.gossip.onResult = func(peer int, ok bool) {
@@ -137,6 +160,7 @@ func NewNode(cfg Config) (*Node, error) {
 	mux.HandleFunc(setPath, n.handleSetUpdate)
 	mux.HandleFunc(pingPath, n.handlePing)
 	mux.HandleFunc(syncPath, n.handleSync)
+	mux.HandleFunc(handoffPath, n.handleHandoff)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	})
@@ -147,10 +171,29 @@ func NewNode(cfg Config) (*Node, error) {
 }
 
 // startLoops launches the heartbeat and anti-entropy goroutine; stopLoops
-// (idempotent) halts it. The Cluster drives both.
+// (idempotent) halts it, aborts the control messages in flight and closes
+// the connections they leave idle. The Cluster drives both.
+//
+// The order matters to the peers' shutdown: a message sent after
+// CloseIdleConnections would let a dial that lost its race to a returning
+// connection be parked unused, which the peer's http.Server takes for a new
+// connection and waits five seconds on. With the context cancelled first no
+// message gets that far, and the transport closes such a dial instead.
 func (n *Node) startLoops() { go n.gossipLoop() }
 
-func (n *Node) stopLoops() { n.stopOnce.Do(func() { close(n.stop) }) }
+func (n *Node) stopLoops() {
+	n.stop()
+	n.transport.CloseIdleConnections()
+}
+
+// closeConns closes what the node's HTTP server does not track: the
+// hand-off channels in both directions, and the control connections that
+// gossip still in flight at stopLoops has parked since. The Cluster calls it
+// after the server has closed, so nothing new can arrive.
+func (n *Node) closeConns() {
+	n.handoffs.close()
+	n.transport.CloseIdleConnections()
+}
 
 // gossipLoop drives active failure detection and state anti-entropy:
 // heartbeats go to every peer (dead ones included — that is how a
@@ -163,7 +206,7 @@ func (n *Node) gossipLoop() {
 	defer sync.Stop()
 	for {
 		select {
-		case <-n.stop:
+		case <-n.ctx.Done():
 			return
 		case <-hb.C:
 			n.gossip.broadcast(pingPath, &Ping{Node: n.cfg.ID, Load: n.Load()}, nil, 1)
@@ -235,6 +278,10 @@ func (n *Node) handleFiles(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing file path", http.StatusBadRequest)
 		return
 	}
+	if len(path) > maxHandoffPath {
+		http.Error(w, "file path too long", http.StatusRequestURITooLong)
+		return
+	}
 	start := time.Now()
 	defer func() { n.metrics.request.Observe(time.Since(start).Seconds()) }()
 	dec := n.state.decide(path, n.alive)
@@ -263,29 +310,29 @@ func (n *Node) handleFiles(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleLocal serves a hand-off on behalf of another node, without
-// re-running distribution.
+// handleLocal is the HTTP view of the data path, without distribution: what
+// a hand-off frame asks of this node, reachable with curl. Peers use the
+// hand-off channel (handoff.go), not this endpoint.
 func (n *Node) handleLocal(w http.ResponseWriter, r *http.Request) {
 	path := strings.TrimPrefix(r.URL.Path, "/local")
 	n.metrics.received.Inc()
 	n.serveLocal(w, path)
 }
 
-// serveLocal is the data path: cache, store on a miss, respond.
-func (n *Node) serveLocal(w http.ResponseWriter, path string) {
+// lookup is the data path every serving endpoint shares: cache, store on a
+// miss, the configured penalties, counted as one open request while it runs.
+func (n *Node) lookup(path string) (content []byte, found bool) {
 	n.trackLoad(1)
 	defer n.trackLoad(-1)
 
-	content, ok := n.cache.get(path)
-	if ok {
+	content, found = n.cache.get(path)
+	if found {
 		n.metrics.hits.Inc()
 	} else {
 		n.metrics.misses.Inc()
-		var found bool
 		content, found = n.cfg.Store.Get(path)
 		if !found {
-			http.Error(w, "not found", http.StatusNotFound)
-			return
+			return nil, false
 		}
 		if n.cfg.MissPenalty > 0 {
 			time.Sleep(n.cfg.MissPenalty)
@@ -295,10 +342,31 @@ func (n *Node) serveLocal(w http.ResponseWriter, path string) {
 	if n.cfg.ServePenalty > 0 {
 		time.Sleep(n.cfg.ServePenalty)
 	}
-	w.Header().Set("X-Served-By", fmt.Sprintf("%d", n.cfg.ID))
-	w.Header().Set("Content-Type", "application/octet-stream")
+	return content, true
+}
+
+// serveLocal answers the client from this node's own data path.
+func (n *Node) serveLocal(w http.ResponseWriter, path string) {
+	content, found := n.lookup(path)
+	if !found {
+		http.Error(w, "not found", http.StatusNotFound)
+		return
+	}
+	n.fileHeaders(w.Header(), n.cfg.ID, int64(len(content)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(content)
+}
+
+var octetStream = []string{"application/octet-stream"}
+
+// fileHeaders sets a file reply's headers. The explicit Content-Length keeps
+// bodies past net/http's 2 KB buffer from being chunk-encoded; the other
+// values are shared slices, assigned rather than formatted per request (the
+// keys are already in canonical form).
+func (n *Node) fileHeaders(h http.Header, servedBy int, length int64) {
+	h["Content-Length"] = []string{strconv.FormatInt(length, 10)}
+	h["Content-Type"] = octetStream
+	h["X-Served-By"] = n.idHeader[servedBy]
 }
 
 // trackLoad adjusts the open-request count and gossips it when it has
@@ -318,12 +386,11 @@ var errProxyStarted = errors.New("native: hand-off failed mid-response")
 // exponential backoff + jitter, feeding every outcome to the failure
 // detector. It gives up early once the peer is declared dead.
 func (n *Node) proxyWithRetry(svc int, path string, w http.ResponseWriter) error {
-	base := n.cfg.Peers[svc]
-	if base == "" {
+	if n.cfg.Peers[svc] == "" {
 		return fmt.Errorf("native: no address for node %d", svc)
 	}
 	for attempt := 1; ; attempt++ {
-		started, err := n.proxyOnce(base, path, w)
+		started, err := n.handoffOnce(svc, path, w)
 		if err == nil {
 			n.health.observeSuccess(svc)
 			return nil
@@ -338,29 +405,6 @@ func (n *Node) proxyWithRetry(svc int, path string, w http.ResponseWriter) error
 		n.metrics.retries.Inc()
 		time.Sleep(n.cfg.Retry.backoff(attempt, n.rng))
 	}
-}
-
-// proxyOnce relays the request to the service node's internal endpoint and
-// streams the response back — the user-level equivalent of connection
-// hand-off. started reports whether any part of the response reached the
-// client (after which a retry or fallback would corrupt it).
-func (n *Node) proxyOnce(base, path string, w http.ResponseWriter) (started bool, err error) {
-	resp, err := n.client.Get(base + "/local" + path)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	w.Header().Set("X-Forwarded-By", fmt.Sprintf("%d", n.cfg.ID))
-	w.WriteHeader(resp.StatusCode)
-	if _, err := io.Copy(w, resp.Body); err != nil {
-		return true, err
-	}
-	return true, nil
 }
 
 func (n *Node) handleLoadUpdate(w http.ResponseWriter, r *http.Request) {
@@ -444,6 +488,11 @@ type Stats struct {
 	GossipOut   uint64  `json:"gossip_out"`
 	GossipFail  uint64  `json:"gossip_fail"`
 	GossipRetry uint64  `json:"gossip_retry"`
+
+	// The outbound hand-off channels: how many were ever dialled, and how
+	// many are open now (idle or in use). A warm pool stops dialling.
+	HandoffDials uint64 `json:"handoff_dials"`
+	HandoffConns int    `json:"handoff_conns"`
 }
 
 // Snapshot returns current statistics.
@@ -470,6 +519,9 @@ func (n *Node) Snapshot() Stats {
 		GossipOut:   sent,
 		GossipFail:  failed,
 		GossipRetry: retried,
+
+		HandoffDials: n.metrics.handoffDials.Value(),
+		HandoffConns: n.handoffs.outbound.len(),
 	}
 }
 

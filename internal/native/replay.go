@@ -46,6 +46,11 @@ func Replay(cluster *Cluster, tr *trace.Trace, concurrency int) (ReplayResult, e
 	if err := tr.Validate(); err != nil {
 		return ReplayResult{}, err
 	}
+	// One transport for the run, keeping as many idle connections per node
+	// as there are workers: the default of two would have most of them
+	// reconnect per request, and the replay would measure connect(2).
+	client := &http.Client{Timeout: 10 * time.Second, Transport: &http.Transport{MaxIdleConnsPerHost: concurrency}}
+	defer client.CloseIdleConnections()
 	start := time.Now()
 	var idx, completed, errs, retried atomic.Uint64
 	var wg sync.WaitGroup
@@ -53,7 +58,6 @@ func Replay(cluster *Cluster, tr *trace.Trace, concurrency int) (ReplayResult, e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client := &http.Client{Timeout: 10 * time.Second}
 			for {
 				i := idx.Add(1) - 1
 				if i >= uint64(tr.NumRequests()) {

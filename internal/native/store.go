@@ -3,8 +3,8 @@
 // announces. Each node is an http.Server with its own main-memory cache,
 // its own view of cluster load, and its own replica of the file server
 // sets; nodes gossip load changes and server-set modifications over HTTP
-// control endpoints and hand requests off to each other by reverse
-// proxying (the user-level stand-in for TCP hand-off).
+// control endpoints and hand requests off to each other over persistent
+// framed connections (handoff.go: the user-level stand-in for TCP hand-off).
 //
 // The package is self-contained and uses only the standard library; the
 // cluster runs happily inside one process (each node on its own loopback
