@@ -64,8 +64,9 @@ profile: build
 # infrastructure packages (commands are exercised end to end, not unit by
 # unit, so they are exempt).
 COVER_MIN ?= 60
-COVER_PKGS = ./internal/cache ./internal/core ./internal/fastmap \
-             ./internal/native ./internal/netsim ./internal/obs \
+COVER_PKGS = ./internal/cache ./internal/cluster ./internal/core \
+             ./internal/experiments ./internal/fastmap ./internal/native \
+             ./internal/netsim ./internal/obs ./internal/policy \
              ./internal/queuemodel ./internal/runner ./internal/server \
              ./internal/shotnoise ./internal/sim ./internal/stats \
              ./internal/trace ./internal/zipf

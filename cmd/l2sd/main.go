@@ -5,6 +5,11 @@
 // evicts dead nodes from server sets, hand-offs retry with backoff, and a
 // restarted node rejoins through heartbeats and anti-entropy.
 //
+// Every node decides with the simulator's L2S rule (core.Decide) and takes
+// the simulator's core.Options: -T/-t/-delta, or a -policy l2s spec layered
+// over them, are validated exactly as clustersim validates them, so any
+// l2s spec clustersim runs (oracle=true aside) l2sd runs too.
+//
 // Usage:
 //
 //	l2sd -nodes 4                       # run until interrupted
@@ -68,8 +73,10 @@ func main() {
 	flag.Parse()
 
 	// The daemon IS the l2s policy, so -policy accepts only the l2s family
-	// of the shared spec grammar; its keys layer over the short flags.
-	shrinkAfter := 20 * time.Second
+	// of the shared spec grammar; its keys layer over the short flags, and
+	// native.WithL2S validates the result as the simulator does.
+	l2s := core.DefaultOptions()
+	l2s.T, l2s.LowT, l2s.BroadcastDelta = *tHigh, *tLow, *delta
 	if *polSpec != "" {
 		ps, err := policy.ParseSpec(*polSpec)
 		if err != nil {
@@ -78,19 +85,7 @@ func main() {
 		if ps.Name != "l2s" {
 			fatal(fmt.Errorf("l2sd runs the l2s policy only, not %q (use clustersim to simulate other policies)", ps.Name))
 		}
-		base := policy.Options{L2S: core.Options{
-			T: *tHigh, LowT: *tLow, BroadcastDelta: *delta,
-			ShrinkAfter: shrinkAfter.Seconds(),
-		}}
-		co := ps.Options(base).L2S.(core.Options)
-		if co.Oracle {
-			fatal(fmt.Errorf("l2s:oracle is simulator-only: a live cluster has no true-load oracle"))
-		}
-		if err := co.Validate(); err != nil {
-			fatal(err)
-		}
-		*tHigh, *tLow, *delta = co.T, co.LowT, co.BroadcastDelta
-		shrinkAfter = time.Duration(co.ShrinkAfter * float64(time.Second))
+		l2s = ps.Options(policy.Options{L2S: l2s}).L2S.(core.Options)
 	}
 
 	store := native.SyntheticStore(*files, *avgKB, 1)
@@ -111,9 +106,7 @@ func main() {
 		native.WithNodes(*nodes),
 		native.WithStore(store),
 		native.WithCacheMB(*cacheMB),
-		native.WithThresholds(*tHigh, *tLow),
-		native.WithBroadcastDelta(*delta),
-		native.WithShrinkAfter(shrinkAfter),
+		native.WithL2S(l2s),
 		native.WithMissPenalty(*miss),
 		native.WithSeed(*faultseed),
 		native.WithHealth(native.HealthOptions{

@@ -43,7 +43,7 @@ type Options struct {
 	// load broadcast (Section 5.1: 4).
 	BroadcastDelta int
 	// ShrinkAfter is how long a server set must remain unmodified before
-	// it may shrink, in seconds.
+	// it may shrink, in seconds (finite, >= 0).
 	ShrinkAfter float64
 	// Oracle disables dissemination staleness: decisions read true remote
 	// loads. It quantifies the cost of gossip in the sensitivity study and
@@ -66,54 +66,52 @@ func (o Options) Validate() error {
 	if o.BroadcastDelta <= 0 {
 		return fmt.Errorf("core: BroadcastDelta must be positive, got %d", o.BroadcastDelta)
 	}
+	if o.ShrinkAfter < 0 || math.IsNaN(o.ShrinkAfter) || math.IsInf(o.ShrinkAfter, 0) {
+		return fmt.Errorf("core: ShrinkAfter must be a finite number of seconds >= 0, got %v", o.ShrinkAfter)
+	}
 	return nil
 }
 
 // init places L2S in the policy registry next to the baselines it is
 // evaluated against, so CLIs and sweeps construct every policy through
-// policy.New. Options.L2S carries this package's Options.
+// policy.New. Options.L2S carries this package's Options. l2s-weighted
+// scales L2S's thresholds and selections by the per-node capacity weights
+// the simulator derives from hardware profiles (Options.Weights); on a
+// homogeneous cluster it is exactly l2s.
 func init() {
-	policy.Register("l2s", func(env policy.Env, popts policy.Options) (policy.Distributor, error) {
-		opts := DefaultOptions()
-		if popts.L2S != nil {
-			o, ok := popts.L2S.(Options)
+	for _, name := range []string{"l2s", "l2s-weighted"} {
+		weighted := name == "l2s-weighted"
+		policy.Register(name, func(env policy.Env, popts policy.Options) (policy.Distributor, error) {
+			opts, ok := optionsOf(popts)
 			if !ok {
 				return nil, fmt.Errorf("core: policy Options.L2S has type %T, want core.Options", popts.L2S)
 			}
-			if o != (Options{}) {
-				opts = o
+			if err := opts.Validate(); err != nil {
+				return nil, err
 			}
-		}
-		if err := opts.Validate(); err != nil {
-			return nil, err
-		}
-		l := New(env, opts)
-		l.ReserveFiles(popts.Files)
-		return l, nil
-	})
-	// l2s-weighted scales L2S's thresholds and selections by the per-node
-	// capacity weights the simulator derives from hardware profiles
-	// (Options.Weights); on a homogeneous cluster it is exactly l2s.
-	policy.Register("l2s-weighted", func(env policy.Env, popts policy.Options) (policy.Distributor, error) {
-		opts := DefaultOptions()
-		if popts.L2S != nil {
-			o, ok := popts.L2S.(Options)
-			if !ok {
-				return nil, fmt.Errorf("core: policy Options.L2S has type %T, want core.Options", popts.L2S)
+			l := New(env, opts)
+			if weighted {
+				l.weights = popts.NodeWeights(env.N())
 			}
-			if o != (Options{}) {
-				opts = o
-			}
-		}
-		if err := opts.Validate(); err != nil {
-			return nil, err
-		}
-		l := NewWeighted(env, opts, popts.NodeWeights(env.N()))
-		l.ReserveFiles(popts.Files)
-		return l, nil
-	})
-	policy.RegisterParams("l2s", l2sParams()...)
-	policy.RegisterParams("l2s-weighted", l2sParams()...)
+			l.ReserveFiles(popts.Files)
+			return l, nil
+		})
+		policy.RegisterParams(name, l2sParams()...)
+	}
+}
+
+// optionsOf returns the L2S options po carries, the defaults when it
+// carries none or the zero Options; ok is false when po.L2S holds a foreign
+// type.
+func optionsOf(po policy.Options) (o Options, ok bool) {
+	o, ok = po.L2S.(Options)
+	if !ok && po.L2S != nil {
+		return o, false
+	}
+	if o == (Options{}) {
+		o = DefaultOptions()
+	}
+	return o, true
 }
 
 // l2sParams declares the spec parameters of the L2S family (the keys match
@@ -124,16 +122,10 @@ func init() {
 func l2sParams() []policy.Param {
 	set := func(f func(*Options, float64)) func(*policy.Options, float64) {
 		return func(po *policy.Options, v float64) {
-			opts := DefaultOptions()
-			if o, ok := po.L2S.(Options); ok && o != (Options{}) {
-				opts = o
-			} else if po.L2S != nil {
-				if _, foreign := po.L2S.(Options); !foreign {
-					return
-				}
+			if opts, ok := optionsOf(*po); ok {
+				f(&opts, v)
+				po.L2S = opts
 			}
-			f(&opts, v)
-			po.L2S = opts
 		}
 	}
 	return []policy.Param{
@@ -181,21 +173,11 @@ type L2S struct {
 	inFlight []bool
 
 	sets *policy.FileSets
-	all  []int
 
 	// Statistics.
 	loadBroadcasts uint64
 	setBroadcasts  uint64
 	grows, shrinks uint64
-}
-
-func contains(nodes []int32, n int) bool {
-	for _, v := range nodes {
-		if int(v) == n {
-			return true
-		}
-	}
-	return false
 }
 
 // New builds an L2S distributor over the environment's cluster.
@@ -204,10 +186,6 @@ func New(env policy.Env, opts Options) *L2S {
 		panic(err.Error())
 	}
 	n := env.N()
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
 	reporter, _ := env.(policy.LoadReporter)
 	return &L2S{
 		env:      env,
@@ -218,7 +196,6 @@ func New(env policy.Env, opts Options) *L2S {
 		lastSent: make([]int, n),
 		inFlight: make([]bool, n),
 		sets:     policy.NewFileSets(0),
-		all:      all,
 	}
 }
 
@@ -272,123 +249,36 @@ func (l *L2S) loadAs(observer, n int) int {
 }
 
 // Service implements the L2S distribution algorithm, executed at the
-// initial node with the information visible there.
+// initial node with the information visible there: the shared rule
+// (Decide) over this node's gossiped load view, applied to the simulator's
+// FileSets.
 func (l *L2S) Service(initial int, f policy.FileID) int {
 	// Capacity-scaled load view: with nil weights this is the published
 	// algorithm (scaling by exactly 1.0); with weights the overload
 	// threshold is effectively T*w_i per node.
 	view := func(n int) float64 { return float64(l.loadAs(initial, n)) / l.weight(n) }
-	overloaded := func(n int) bool { return view(n) > float64(l.opts.T) }
-
 	f32 := int32(f)
-	nodes := l.sets.Nodes(f32)
-	if len(nodes) == 0 || l.allDead(nodes) {
-		// First request for this file (or all its servers crashed): the
-		// initial node takes it unless it is overloaded, in which case the
-		// least-loaded node in the cluster does.
-		svc := initial
-		if overloaded(initial) || !l.env.Alive(initial) {
-			if m := l.argminAll(view); m >= 0 {
-				svc = m
-			}
-		}
-		l.sets.SetSingle(f32, svc, l.env.Now())
-		l.broadcastSetChange(initial)
+	stable := func() bool { return l.env.Now()-l.sets.Modified(f32) > l.opts.ShrinkAfter }
+	d := Decide(l.sets.Nodes(f32), initial, l.env.N(), l.opts.T, l.opts.LowT, view, l.env.Alive, stable)
+	switch d.Edit {
+	case Keep:
+		return d.Service
+	case Reset:
+		l.sets.SetSingle(f32, d.Service, l.env.Now())
 		l.grows++
-		return svc
-	}
-
-	var svc int
-	switch {
-	case contains(nodes, initial) && !overloaded(initial) && l.env.Alive(initial):
-		// Serve locally: the file is (believed) cached here and we have
-		// capacity.
-		svc = initial
-	default:
-		// Forward to the least-loaded member of the server set...
-		n := l.leastLoadedMember(nodes, view)
-		if overloaded(initial) && overloaded(n) {
-			// ... unless everyone relevant is overloaded: grow the set with
-			// the least-loaded node in the whole cluster.
-			if m := l.argminAll(view); m >= 0 && !contains(nodes, m) {
-				l.sets.Append(f32, m, l.env.Now())
-				l.broadcastSetChange(initial)
-				l.grows++
-				n = m
-			}
+	case Grow:
+		l.sets.Append(f32, d.Service, l.env.Now())
+		l.grows++
+	case Shrink:
+		if d.At >= 0 {
+			l.sets.RemoveAt(f32, d.At, l.env.Now())
+		} else {
+			l.sets.Touch(f32, l.env.Now())
 		}
-		svc = n
-	}
-
-	// Replication control: shrink a stable set whose chosen server is
-	// underloaded. Re-read the set: growth above stamps the modification
-	// time, which defers shrinking exactly as before.
-	nodes = l.sets.Nodes(f32)
-	if len(nodes) > 1 && view(svc) < float64(l.opts.LowT) &&
-		l.env.Now()-l.sets.Modified(f32) > l.opts.ShrinkAfter {
-		l.removeMostLoaded(f32, nodes, svc, view)
-		l.broadcastSetChange(initial)
 		l.shrinks++
 	}
-	return svc
-}
-
-func (l *L2S) allDead(nodes []int32) bool {
-	for _, n := range nodes {
-		if l.env.Alive(int(n)) {
-			return false
-		}
-	}
-	return true
-}
-
-func (l *L2S) argminAll(view func(int) float64) int {
-	best := -1
-	bestLoad := math.Inf(1)
-	for _, n := range l.all {
-		if !l.env.Alive(n) {
-			continue
-		}
-		if v := view(n); v < bestLoad {
-			best, bestLoad = n, v
-		}
-	}
-	return best
-}
-
-func (l *L2S) leastLoadedMember(nodes []int32, view func(int) float64) int {
-	best := -1
-	bestLoad := math.Inf(1)
-	for _, n := range nodes {
-		if !l.env.Alive(int(n)) {
-			continue
-		}
-		if v := view(int(n)); v < bestLoad {
-			best, bestLoad = int(n), v
-		}
-	}
-	if best < 0 {
-		return int(nodes[0])
-	}
-	return best
-}
-
-func (l *L2S) removeMostLoaded(f int32, nodes []int32, keep int, view func(int) float64) {
-	worst, at := -1, -1
-	worstLoad := math.Inf(-1)
-	for i, n := range nodes {
-		if int(n) == keep {
-			continue
-		}
-		if v := view(int(n)); v > worstLoad {
-			worst, worstLoad, at = int(n), v, i
-		}
-	}
-	if worst >= 0 {
-		l.sets.RemoveAt(f, at, l.env.Now())
-	} else {
-		l.sets.Touch(f, l.env.Now())
-	}
+	l.broadcastSetChange(initial)
+	return d.Service
 }
 
 // broadcastSetChange charges the cost of disseminating a server-set

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -107,6 +108,19 @@ func TestShrinkAfterStability(t *testing.T) {
 	}
 	if l.Stats().SetShrinks != 1 {
 		t.Fatalf("shrinks = %d, want 1", l.Stats().SetShrinks)
+	}
+}
+
+// TestServiceAllocs pins the hot path: deciding for a file whose set exists
+// allocates nothing, whether the request is served locally or forwarded.
+func TestServiceAllocs(t *testing.T) {
+	env := policytest.New(4)
+	l := New(env, DefaultOptions())
+	l.Service(2, 1) // set = {2}
+	for _, initial := range []int{2, 0} {
+		if allocs := testing.AllocsPerRun(100, func() { l.Service(initial, 1) }); allocs != 0 {
+			t.Errorf("Service(%d, 1) allocates %.1f times per call, want 0", initial, allocs)
+		}
 	}
 }
 
@@ -233,9 +247,13 @@ func TestStatsReplicatedFraction(t *testing.T) {
 
 func TestBadOptionsPanic(t *testing.T) {
 	cases := map[string]Options{
-		"zero-T":     {T: 0, LowT: 0, BroadcastDelta: 4},
-		"t-above-T":  {T: 5, LowT: 9, BroadcastDelta: 4},
-		"zero-delta": {T: 20, LowT: 10, BroadcastDelta: 0},
+		"zero-T":      {T: 0, LowT: 0, BroadcastDelta: 4},
+		"t-above-T":   {T: 5, LowT: 9, BroadcastDelta: 4},
+		"zero-delta":  {T: 20, LowT: 10, BroadcastDelta: 0},
+		"nan-shrink":  {T: 20, LowT: 10, BroadcastDelta: 4, ShrinkAfter: math.NaN()},
+		"inf-shrink":  {T: 20, LowT: 10, BroadcastDelta: 4, ShrinkAfter: math.Inf(1)},
+		"-inf-shrink": {T: 20, LowT: 10, BroadcastDelta: 4, ShrinkAfter: math.Inf(-1)},
+		"neg-shrink":  {T: 20, LowT: 10, BroadcastDelta: 4, ShrinkAfter: -1},
 	}
 	for name, opts := range cases {
 		func() {

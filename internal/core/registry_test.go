@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -59,31 +60,35 @@ func TestRegistryRejectsBadOptions(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "thresholds") {
 		t.Fatalf("invalid thresholds: err = %v", err)
 	}
+	_, err = policy.MustParseSpec("l2s").Build(policytest.New(4), policy.Options{L2S: Options{T: 20, LowT: 10, BroadcastDelta: 4, ShrinkAfter: math.NaN()}})
+	if err == nil || !strings.Contains(err.Error(), "ShrinkAfter") {
+		t.Fatalf("NaN ShrinkAfter: err = %v", err)
+	}
 }
 
 func TestArgminSkipsDeadNodes(t *testing.T) {
 	env := policytest.New(4)
 	env.Loads = []int{1, 9, 9, 9}
 	env.Dead[0] = true // the least-loaded node is down
-	l := New(env, DefaultOptions())
-	if got := l.argminAll(func(n int) float64 { return float64(env.Loads[n]) }); got == 0 || got < 0 {
-		t.Fatalf("argminAll = %d, want a live node", got)
+	load := func(n int) float64 { return float64(env.Loads[n]) }
+	if got := argmin(env.N(), load, env.Alive); got == 0 || got < 0 {
+		t.Fatalf("argmin = %d, want a live node", got)
 	}
 }
 
 func TestLeastLoadedMemberFallsBackWhenAllDead(t *testing.T) {
 	env := policytest.New(4)
-	l := New(env, DefaultOptions())
+	load := func(n int) float64 { return float64(env.Loads[n]) }
 	set := []int32{2, 3}
 	env.Dead[2], env.Dead[3] = true, true
 	// With every member down there is no good answer; the contract is a
 	// deterministic fallback to the first member rather than a crash.
-	if got := l.leastLoadedMember(set, func(n int) float64 { return float64(env.Loads[n]) }); got != 2 {
+	if got := leastLoadedMember(set, load, env.Alive); got != 2 {
 		t.Fatalf("all-dead fallback = %d, want first member 2", got)
 	}
 	env.Dead[2] = false
 	env.Loads = []int{0, 0, 7, 1}
-	if got := l.leastLoadedMember(set, func(n int) float64 { return float64(env.Loads[n]) }); got != 2 {
+	if got := leastLoadedMember(set, load, env.Alive); got != 2 {
 		t.Fatalf("member pick = %d, want the only live member 2", got)
 	}
 }

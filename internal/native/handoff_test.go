@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -124,7 +125,7 @@ func FuzzHandoffFrame(f *testing.F) {
 // TestHandoffEndpointOnlyUpgrades: a plain GET of the upgrade endpoint is
 // refused, not hijacked.
 func TestHandoffEndpointOnlyUpgrades(t *testing.T) {
-	c := startTestCluster(t, 1, DefaultOptions())
+	c := startTestCluster(t, 1, core.DefaultOptions())
 	resp, _ := get(t, c.URLs()[0]+handoffPath)
 	if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != handoffProto {
 		t.Fatalf("plain GET of %s: status %d, Upgrade %q", handoffPath, resp.StatusCode, resp.Header.Get("Upgrade"))
@@ -484,7 +485,7 @@ func mb(b uint64) string { return fmt.Sprintf("%.1f MB", float64(b)/(1<<20)) }
 func TestShutdownWhileGossiping(t *testing.T) {
 	for round := 0; round < 25; round++ {
 		c, err := Start(WithNodes(4), WithStore(testStore(64)), WithCacheMB(1),
-			WithL2S(Options{T: 20, LowT: 10, BroadcastDelta: 1, ShrinkAfter: time.Minute}))
+			WithL2S(core.Options{T: 20, LowT: 10, BroadcastDelta: 1, ShrinkAfter: 60}))
 		if err != nil {
 			t.Fatal(err)
 		}

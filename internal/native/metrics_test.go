@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -15,7 +16,7 @@ import (
 // Prometheus reader, carry the expected metric families, and agree with the
 // node's own Snapshot counters.
 func TestMetricsEndpoint(t *testing.T) {
-	c := startTestCluster(t, 2, DefaultOptions())
+	c := startTestCluster(t, 2, core.DefaultOptions())
 	for i := 0; i < 20; i++ {
 		resp, _ := get(t, c.URLs()[i%2]+fmt.Sprintf("/files/f/%d", i%8))
 		if resp.StatusCode != http.StatusOK {
@@ -73,7 +74,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestPprofEndpoints checks the profiling handlers are mounted on the
 // node mux.
 func TestPprofEndpoints(t *testing.T) {
-	c := startTestCluster(t, 1, DefaultOptions())
+	c := startTestCluster(t, 1, core.DefaultOptions())
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
 		resp, _ := get(t, c.URLs()[0]+path)
 		if resp.StatusCode != http.StatusOK {

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -19,7 +21,7 @@ func testStore(files int) *MemStore {
 	return NewMemStore(m)
 }
 
-func startTestCluster(t *testing.T, nodes int, opts Options) *Cluster {
+func startTestCluster(t *testing.T, nodes int, opts core.Options) *Cluster {
 	t.Helper()
 	c, err := Start(
 		WithNodes(nodes),
@@ -54,7 +56,7 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 }
 
 func TestServeFile(t *testing.T) {
-	c := startTestCluster(t, 3, DefaultOptions())
+	c := startTestCluster(t, 3, core.DefaultOptions())
 	resp, body := get(t, c.URLs()[0]+"/files/f/7")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -68,7 +70,7 @@ func TestServeFile(t *testing.T) {
 }
 
 func TestNotFound(t *testing.T) {
-	c := startTestCluster(t, 2, DefaultOptions())
+	c := startTestCluster(t, 2, core.DefaultOptions())
 	resp, _ := get(t, c.URLs()[0]+"/files/no/such/file")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d, want 404", resp.StatusCode)
@@ -95,7 +97,7 @@ func waitServerSetKnown(t *testing.T, c *Cluster, n int, path string) {
 }
 
 func TestLocalityStickiness(t *testing.T) {
-	c := startTestCluster(t, 4, DefaultOptions())
+	c := startTestCluster(t, 4, core.DefaultOptions())
 	// Ask different nodes for the same file: all replies must come from
 	// the same service node (the file's server set has one member under
 	// light load).
@@ -111,7 +113,7 @@ func TestLocalityStickiness(t *testing.T) {
 }
 
 func TestHandoffHappens(t *testing.T) {
-	c := startTestCluster(t, 4, DefaultOptions())
+	c := startTestCluster(t, 4, core.DefaultOptions())
 	// Prime the file at its first server via node 0.
 	resp, _ := get(t, c.URLs()[0]+"/files/f/5")
 	owner := resp.Header.Get("X-Served-By")
@@ -135,7 +137,7 @@ func TestHandoffHappens(t *testing.T) {
 }
 
 func TestCacheHitsAccumulate(t *testing.T) {
-	c := startTestCluster(t, 2, DefaultOptions())
+	c := startTestCluster(t, 2, core.DefaultOptions())
 	for i := 0; i < 10; i++ {
 		get(t, c.URLs()[0]+"/files/f/1")
 	}
@@ -149,7 +151,7 @@ func TestCacheHitsAccumulate(t *testing.T) {
 }
 
 func TestGossipUpdatesPeerViews(t *testing.T) {
-	c := startTestCluster(t, 3, Options{T: 20, LowT: 10, BroadcastDelta: 1, ShrinkAfter: time.Minute})
+	c := startTestCluster(t, 3, core.Options{T: 20, LowT: 10, BroadcastDelta: 1, ShrinkAfter: 60})
 	// Drive concurrent slow-ish requests through node 1 to move its load,
 	// with delta=1 every change broadcasts.
 	var wg sync.WaitGroup
@@ -178,7 +180,7 @@ func TestGossipUpdatesPeerViews(t *testing.T) {
 }
 
 func TestControlEndpointsValidate(t *testing.T) {
-	c := startTestCluster(t, 2, DefaultOptions())
+	c := startTestCluster(t, 2, core.DefaultOptions())
 	resp, err := testClient.Post(c.URLs()[0]+loadPath, "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -187,10 +189,25 @@ func TestControlEndpointsValidate(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty control body accepted: %d", resp.StatusCode)
 	}
+	// A negative load would win every least-loaded choice: refused on both
+	// endpoints that carry one, and never installed.
+	for _, path := range []string{loadPath, pingPath} {
+		resp, err := testClient.Post(c.URLs()[0]+path, "application/json", strings.NewReader(`{"node":1,"load":-1000}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s accepted a negative load: %d", path, resp.StatusCode)
+		}
+	}
+	if got := c.Node(0).state.viewLoad(1); got < 0 {
+		t.Fatalf("node 0 installed load %d for node 1", got)
+	}
 }
 
 func TestAppliedSetUpdateRedirectsTraffic(t *testing.T) {
-	c := startTestCluster(t, 3, DefaultOptions())
+	c := startTestCluster(t, 3, core.DefaultOptions())
 	// Tell node 0 that file /f/9 lives on node 2.
 	c.Node(0).state.applySet(SetUpdate{Path: "/f/9", Nodes: []int{2}})
 	resp, _ := get(t, c.URLs()[0]+"/files/f/9")
@@ -200,7 +217,7 @@ func TestAppliedSetUpdateRedirectsTraffic(t *testing.T) {
 }
 
 func TestFailoverFallsBackLocally(t *testing.T) {
-	c := startTestCluster(t, 3, DefaultOptions())
+	c := startTestCluster(t, 3, core.DefaultOptions())
 	// Route /f/4 to node 2, then crash node 2.
 	c.Node(0).state.applySet(SetUpdate{Path: "/f/4", Nodes: []int{2}})
 	if err := c.Stop(2); err != nil {
@@ -230,7 +247,7 @@ func TestReplicationUnderHotspot(t *testing.T) {
 		WithNodes(3),
 		WithStore(testStore(8)),
 		WithCacheBytes(1<<20),
-		WithL2S(Options{T: 2, LowT: 1, BroadcastDelta: 1, ShrinkAfter: time.Minute}),
+		WithL2S(core.Options{T: 2, LowT: 1, BroadcastDelta: 1, ShrinkAfter: 60}),
 		WithServePenalty(10*time.Millisecond),
 	)
 	if err != nil {
@@ -269,7 +286,7 @@ func TestReplicationUnderHotspot(t *testing.T) {
 }
 
 func TestStatszEndpoint(t *testing.T) {
-	c := startTestCluster(t, 2, DefaultOptions())
+	c := startTestCluster(t, 2, core.DefaultOptions())
 	get(t, c.URLs()[0]+"/files/f/2")
 	resp, body := get(t, c.URLs()[0]+"/statsz")
 	if resp.StatusCode != http.StatusOK {
@@ -327,7 +344,7 @@ func TestContentCacheEviction(t *testing.T) {
 }
 
 func TestRoundRobinURLs(t *testing.T) {
-	c := startTestCluster(t, 3, DefaultOptions())
+	c := startTestCluster(t, 3, core.DefaultOptions())
 	a, b, d := c.NextURL(), c.NextURL(), c.NextURL()
 	if a == b || b == d || a == d {
 		t.Fatal("round robin did not rotate")
@@ -382,7 +399,7 @@ func TestStoreFromTraceSizes(t *testing.T) {
 }
 
 func TestReplayValidation(t *testing.T) {
-	c := startTestCluster(t, 2, DefaultOptions())
+	c := startTestCluster(t, 2, core.DefaultOptions())
 	tr := trace.MustGenerate(trace.GenSpec{
 		Name: "v", Files: 5, AvgFileKB: 4, Requests: 10, AvgReqKB: 4, Alpha: 1, Seed: 1,
 	})

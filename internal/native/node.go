@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Config configures one native node.
@@ -20,7 +22,9 @@ type Config struct {
 	Peers      []string // base URLs indexed by node id (self included)
 	Store      Store
 	CacheBytes int64
-	Opts       Options
+
+	// Opts are the L2S tunables; the zero value means core.DefaultOptions.
+	Opts core.Options
 
 	// MissPenalty is an artificial delay applied on every cache miss,
 	// standing in for the disk of the paper's nodes. Zero disables it
@@ -102,14 +106,17 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = 32 << 20
 	}
-	if cfg.Opts.T == 0 {
-		cfg.Opts = DefaultOptions()
+	if cfg.Opts == (core.Options{}) {
+		cfg.Opts = core.DefaultOptions()
 	}
 	if cfg.Health == (HealthOptions{}) {
 		cfg.Health = DefaultHealthOptions()
 	}
 	if cfg.Retry == (RetryPolicy{}) {
 		cfg.Retry = DefaultRetryPolicy()
+	}
+	if err := checkL2S(cfg.Opts); err != nil {
+		return nil, err
 	}
 	if err := cfg.Health.validate(); err != nil {
 		return nil, err
@@ -284,17 +291,17 @@ func (n *Node) handleFiles(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	defer func() { n.metrics.request.Observe(time.Since(start).Seconds()) }()
-	dec := n.state.decide(path, n.alive)
-	if dec.SetChanged != nil {
-		go n.gossip.broadcast(setPath, dec.SetChanged, n.peerDead, 0)
+	svc, changed := n.state.decide(path, n.alive)
+	if changed != nil {
+		go n.gossip.broadcast(setPath, changed, n.peerDead, 0)
 	}
-	if dec.Service == n.cfg.ID {
+	if svc == n.cfg.ID {
 		n.metrics.served.Inc()
 		n.serveLocal(w, path)
 		return
 	}
 	n.metrics.proxied.Inc()
-	if err := n.proxyWithRetry(dec.Service, path, w); err != nil {
+	if err := n.proxyWithRetry(svc, path, w); err != nil {
 		if errors.Is(err, errProxyStarted) {
 			// The peer died mid-response: the status line is already on the
 			// wire, so nothing can be rewritten. The client sees a truncated
@@ -407,10 +414,18 @@ func (n *Node) proxyWithRetry(svc int, path string, w http.ResponseWriter) error
 	}
 }
 
+// errNegativeLoad refuses a load no node can have: it would win every
+// least-loaded choice in the cluster.
+const errNegativeLoad = "negative load"
+
 func (n *Node) handleLoadUpdate(w http.ResponseWriter, r *http.Request) {
 	var u LoadUpdate
 	if err := decodeJSON(r, &u, 1<<10); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if u.Load < 0 {
+		http.Error(w, errNegativeLoad, http.StatusBadRequest)
 		return
 	}
 	n.state.applyLoad(u.Node, u.Load)
@@ -446,6 +461,10 @@ func (n *Node) handlePing(w http.ResponseWriter, r *http.Request) {
 	var u Ping
 	if err := decodeJSON(r, &u, 1<<10); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if u.Load < 0 {
+		http.Error(w, errNegativeLoad, http.StatusBadRequest)
 		return
 	}
 	n.health.observeSuccess(u.Node)

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Option configures Start. Options validate their arguments; Start returns
@@ -19,7 +21,7 @@ type clusterConfig struct {
 	nodes        int
 	store        Store
 	cacheBytes   int64
-	l2s          Options
+	l2s          core.Options
 	missPenalty  time.Duration
 	servePenalty time.Duration
 	health       HealthOptions
@@ -32,7 +34,7 @@ func defaultClusterConfig() clusterConfig {
 	return clusterConfig{
 		nodes:      1,
 		cacheBytes: 32 << 20,
-		l2s:        DefaultOptions(),
+		l2s:        core.DefaultOptions(),
 		health:     DefaultHealthOptions(),
 		retry:      DefaultRetryPolicy(),
 		seed:       1,
@@ -83,55 +85,24 @@ func WithCacheMB(mb int64) Option {
 	}
 }
 
-// WithThresholds sets the L2S overload threshold T and underload threshold
-// t (the paper's Section 4 parameters).
-func WithThresholds(T, lowT int) Option {
+// WithL2S sets the L2S tunables: the simulator's core.Options, validated
+// the same way. ShrinkAfter counts wall-clock seconds; Oracle is rejected,
+// since a live cluster has no true-load oracle.
+func WithL2S(o core.Options) Option {
 	return func(c *clusterConfig) error {
-		if T <= 0 || lowT < 0 || lowT >= T {
-			return fmt.Errorf("native: thresholds need T > t >= 0, got T=%d t=%d", T, lowT)
-		}
-		c.l2s.T, c.l2s.LowT = T, lowT
-		return nil
-	}
-}
-
-// WithBroadcastDelta sets the load drift that triggers a gossip broadcast.
-func WithBroadcastDelta(d int) Option {
-	return func(c *clusterConfig) error {
-		if d < 1 {
-			return fmt.Errorf("native: broadcast delta must be >= 1, got %d", d)
-		}
-		c.l2s.BroadcastDelta = d
-		return nil
-	}
-}
-
-// WithShrinkAfter sets the server-set stability window before shrinking.
-func WithShrinkAfter(d time.Duration) Option {
-	return func(c *clusterConfig) error {
-		if d <= 0 {
-			return fmt.Errorf("native: shrink window must be positive, got %v", d)
-		}
-		c.l2s.ShrinkAfter = d
-		return nil
-	}
-}
-
-// WithL2S replaces all L2S tunables at once.
-func WithL2S(o Options) Option {
-	return func(c *clusterConfig) error {
-		if o.T <= 0 || o.LowT < 0 || o.LowT >= o.T {
-			return fmt.Errorf("native: L2S options need T > t >= 0, got T=%d t=%d", o.T, o.LowT)
-		}
-		if o.BroadcastDelta < 1 {
-			return fmt.Errorf("native: L2S options need BroadcastDelta >= 1, got %d", o.BroadcastDelta)
-		}
-		if o.ShrinkAfter <= 0 {
-			return fmt.Errorf("native: L2S options need a positive ShrinkAfter, got %v", o.ShrinkAfter)
+		if err := checkL2S(o); err != nil {
+			return err
 		}
 		c.l2s = o
 		return nil
 	}
+}
+
+func checkL2S(o core.Options) error {
+	if o.Oracle {
+		return errors.New("native: l2s oracle is simulator-only: a live cluster has no true-load oracle")
+	}
+	return o.Validate()
 }
 
 // WithMissPenalty sets the artificial per-miss disk delay.

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func TestStartValidation(t *testing.T) {
@@ -19,10 +21,11 @@ func TestStartValidation(t *testing.T) {
 		{"nil store", []Option{WithStore(nil)}, "non-nil store"},
 		{"bad cache", []Option{WithStore(st), WithCacheBytes(0)}, "cache"},
 		{"bad cache mb", []Option{WithStore(st), WithCacheMB(-1)}, "cache"},
-		{"inverted thresholds", []Option{WithStore(st), WithThresholds(5, 9)}, "T > t"},
-		{"zero delta", []Option{WithStore(st), WithBroadcastDelta(0)}, "delta"},
-		{"zero shrink", []Option{WithStore(st), WithShrinkAfter(0)}, "shrink"},
-		{"bad l2s", []Option{WithStore(st), WithL2S(Options{T: 0})}, "T > t"},
+		{"inverted thresholds", []Option{WithStore(st), WithL2S(core.Options{T: 5, LowT: 9, BroadcastDelta: 4})}, "thresholds"},
+		{"zero delta", []Option{WithStore(st), WithL2S(core.Options{T: 20, LowT: 10})}, "BroadcastDelta"},
+		{"negative shrink", []Option{WithStore(st), WithL2S(core.Options{T: 20, LowT: 10, BroadcastDelta: 4, ShrinkAfter: -1})}, "ShrinkAfter"},
+		{"bad l2s", []Option{WithStore(st), WithL2S(core.Options{T: 0})}, "thresholds"},
+		{"oracle", []Option{WithStore(st), WithL2S(core.Options{T: 20, LowT: 10, BroadcastDelta: 4, Oracle: true})}, "oracle"},
 		{"negative miss", []Option{WithStore(st), WithMissPenalty(-time.Second)}, "miss penalty"},
 		{"negative serve", []Option{WithStore(st), WithServePenalty(-time.Second)}, "serve penalty"},
 		{"bad heartbeat", []Option{WithStore(st), WithHealth(HealthOptions{})}, "heartbeat"},
@@ -55,9 +58,9 @@ func TestStartFunctionalOptions(t *testing.T) {
 		WithNodes(2),
 		WithStore(testStore(8)),
 		WithCacheMB(1),
-		WithThresholds(20, 10),
-		WithBroadcastDelta(4),
-		WithShrinkAfter(time.Minute),
+		// t = T and a zero shrink window are valid L2S options, as in the
+		// simulator.
+		WithL2S(core.Options{T: 20, LowT: 20, BroadcastDelta: 4}),
 		WithSeed(3),
 	)
 	if err != nil {

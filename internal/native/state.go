@@ -1,34 +1,23 @@
 package native
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/core"
 )
-
-// Options are the L2S parameters of the native server, mirroring
-// core.Options with wall-clock durations.
-type Options struct {
-	T              int           // overload threshold (open requests)
-	LowT           int           // underload threshold for set shrinking
-	BroadcastDelta int           // load drift triggering a gossip broadcast
-	ShrinkAfter    time.Duration // server-set stability window
-}
-
-// DefaultOptions returns the paper's parameters (T=20, t=10, delta=4) with
-// a shrink window suited to live traffic.
-func DefaultOptions() Options {
-	return Options{T: 20, LowT: 10, BroadcastDelta: 4, ShrinkAfter: 20 * time.Second}
-}
 
 // state is one node's replica of the cluster's distribution state: its
 // view of every node's load (its own is authoritative, the others are the
 // last gossiped values) and its replica of the per-file server sets.
-// It implements the L2S decision rules of Section 4.
+// It applies the L2S rule of Section 4 (core.Decide) to them.
 type state struct {
 	mu   sync.Mutex
 	self int
 	n    int
-	opts Options
+	opts core.Options // ShrinkAfter in seconds of the injectable clock
 
 	loads    []int // loads[self] authoritative, others gossiped
 	lastSent int   // own load at the last broadcast
@@ -49,7 +38,7 @@ func (f *fileSet) update(path string) *SetUpdate {
 	return &SetUpdate{Path: path, Nodes: append([]int(nil), f.nodes...), Version: f.version}
 }
 
-func newState(self, n int, opts Options) *state {
+func newState(self, n int, opts core.Options) *state {
 	return &state{
 		self:  self,
 		n:     n,
@@ -60,28 +49,19 @@ func newState(self, n int, opts Options) *state {
 	}
 }
 
-// decision is the outcome of running the distribution algorithm for one
-// request at this node.
-type decision struct {
-	Service int // node that must serve the request
-
-	// Set changes to gossip (nil when the set was untouched).
-	SetChanged *SetUpdate
-}
-
-// decide runs the L2S algorithm for a request for path, given the set of
-// currently live nodes. It mutates the local server-set replica and
-// reports any change that must be gossiped.
-func (s *state) decide(path string, alive func(int) bool) decision {
+// decide runs the L2S rule for a request for path, given the set of
+// currently live nodes: the node that must serve it, and the set change to
+// gossip (nil when the set was untouched). What it adds to core.Decide is
+// the replica's own bookkeeping: members this replica believes dead are
+// evicted first, and every change bumps the set's version.
+func (s *state) decide(path string, alive func(int) bool) (svc int, changed *SetUpdate) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	load := func(n int) int { return s.loads[n] }
-	overloaded := func(n int) bool { return load(n) > s.opts.T }
-
 	set := s.sets[path]
 	dirty := false
-	if set != nil && len(set.nodes) > 0 {
+	var members []int
+	if set != nil {
 		// Repair: evict members this replica believes are dead, so traffic
 		// stops flowing at crashed nodes and the change gossips outward.
 		if kept := keepAlive(set.nodes, alive); len(kept) != len(set.nodes) {
@@ -90,55 +70,39 @@ func (s *state) decide(path string, alive func(int) bool) decision {
 			set.version++
 			dirty = true
 		}
+		members = set.nodes
 	}
 
-	if set == nil || len(set.nodes) == 0 {
-		var base uint64
-		if set != nil {
-			base = set.version
+	d := core.Decide(members, s.self, s.n, s.opts.T, s.opts.LowT, s.load, alive, func() bool {
+		return s.now().Sub(set.modified).Seconds() > s.opts.ShrinkAfter
+	})
+	switch d.Edit {
+	case core.Keep:
+		if !dirty {
+			return d.Service, nil
 		}
-		svc := s.self
-		if overloaded(s.self) || !alive(s.self) {
-			if m := argminAlive(s.n, load, alive); m >= 0 {
-				svc = m
-			}
+	case core.Reset:
+		if set == nil {
+			set = &fileSet{}
+			s.sets[path] = set
 		}
-		set = &fileSet{nodes: []int{svc}, modified: s.now(), version: base + 1}
-		s.sets[path] = set
-		return decision{Service: svc, SetChanged: set.update(path)}
+		set.nodes = []int{d.Service}
+	case core.Grow:
+		set.nodes = append(set.nodes, d.Service)
+	case core.Shrink:
+		if d.At >= 0 {
+			set.nodes = append(set.nodes[:d.At], set.nodes[d.At+1:]...)
+		}
 	}
-
-	var svc int
-	switch {
-	case contains(set.nodes, s.self) && !overloaded(s.self) && alive(s.self):
-		svc = s.self
-	default:
-		n := argminMember(set.nodes, load, alive)
-		if overloaded(s.self) && overloaded(n) {
-			if m := argminAlive(s.n, load, alive); m >= 0 && !contains(set.nodes, m) {
-				set.nodes = append(set.nodes, m)
-				set.modified = s.now()
-				set.version++
-				dirty = true
-				n = m
-			}
-		}
-		svc = n
-	}
-
-	if len(set.nodes) > 1 && load(svc) < s.opts.LowT &&
-		s.now().Sub(set.modified) > s.opts.ShrinkAfter {
-		removeMostLoaded(set, svc, load)
+	if d.Edit != core.Keep {
 		set.modified = s.now()
 		set.version++
-		dirty = true
 	}
-	var changed *SetUpdate
-	if dirty {
-		changed = set.update(path)
-	}
-	return decision{Service: svc, SetChanged: changed}
+	return d.Service, set.update(path)
 }
+
+// load is this replica's view of node n's load, as core.Decide reads it.
+func (s *state) load(n int) float64 { return float64(s.loads[n]) }
 
 // setLocalLoad records this node's own load and reports whether the drift
 // since the last broadcast reached the gossip threshold (in which case the
@@ -208,14 +172,9 @@ func (s *state) evictNode(dead int) []SetUpdate {
 	defer s.mu.Unlock()
 	var out []SetUpdate
 	for path, set := range s.sets {
-		if !contains(set.nodes, dead) {
+		kept := keepAlive(set.nodes, func(n int) bool { return n != dead })
+		if len(kept) == len(set.nodes) {
 			continue
-		}
-		kept := make([]int, 0, len(set.nodes)-1)
-		for _, n := range set.nodes {
-			if n != dead {
-				kept = append(kept, n)
-			}
 		}
 		set.nodes = kept
 		set.modified = s.now()
@@ -279,72 +238,8 @@ func keepAlive(nodes []int, alive func(int) bool) []int {
 // cmpNodes totally orders member lists (by length, then elementwise) so
 // same-version replicas can tie-break deterministically.
 func cmpNodes(a, b []int) int {
-	if len(a) != len(b) {
-		if len(a) < len(b) {
-			return -1
-		}
-		return 1
+	if c := cmp.Compare(len(a), len(b)); c != 0 {
+		return c
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
-
-func contains(nodes []int, n int) bool {
-	for _, v := range nodes {
-		if v == n {
-			return true
-		}
-	}
-	return false
-}
-
-func argminAlive(n int, load func(int) int, alive func(int) bool) int {
-	best, bestLoad := -1, int(^uint(0)>>1)
-	for i := 0; i < n; i++ {
-		if !alive(i) {
-			continue
-		}
-		if l := load(i); l < bestLoad {
-			best, bestLoad = i, l
-		}
-	}
-	return best
-}
-
-func argminMember(nodes []int, load func(int) int, alive func(int) bool) int {
-	best, bestLoad := -1, int(^uint(0)>>1)
-	for _, n := range nodes {
-		if !alive(n) {
-			continue
-		}
-		if l := load(n); l < bestLoad {
-			best, bestLoad = n, l
-		}
-	}
-	if best < 0 {
-		return nodes[0]
-	}
-	return best
-}
-
-func removeMostLoaded(set *fileSet, keep int, load func(int) int) {
-	worst, worstLoad, at := -1, -1, -1
-	for i, n := range set.nodes {
-		if n == keep {
-			continue
-		}
-		if l := load(n); l > worstLoad {
-			worst, worstLoad, at = n, l, i
-		}
-	}
-	if worst >= 0 {
-		set.nodes = append(set.nodes[:at], set.nodes[at+1:]...)
-	}
+	return slices.Compare(a, b)
 }
