@@ -34,7 +34,8 @@ check: fmt vet build test
 # and the shot-noise synthesizer (their determinism tests switch GOMAXPROCS),
 # the obs instruments (every native node hits the Registry's counters
 # concurrently) and, under -short, the trace generator's chunked calibration fill (the
-# 200 000-file reference case takes 40 s under the detector and starts no
+# 200 000-file case of TestSolveBetaMatchesSerialReference, ~40 s under the
+# detector — nearly all of it the serial math.Pow reference — starts no
 # goroutine the small ones do not) and the server (TestScaleGridCounts keeps
 # its F=10^4 column and skips the 10^6- and 10^7-file traces).
 race:
@@ -109,4 +110,5 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseProfiles -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run=^$$ -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/policy
 	$(GO) test -run=^$$ -fuzz=FuzzParseGenSpec -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzRankPow -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzHandoffFrame -fuzztime=$(FUZZTIME) ./internal/native

@@ -323,33 +323,6 @@ func TestPersistentStudyEffects(t *testing.T) {
 	}
 }
 
-func TestLARDVariantsClose(t *testing.T) {
-	tr := fastTrace(t, "calgary", 0.05)
-	rows, text, err := LARDVariants(testPool(), tr, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("want 2 variants, got %d", len(rows))
-	}
-	// For HTTP/1.0 workloads at these thresholds the variants track each
-	// other closely (Pai et al. report the same).
-	a, b := rows[0].Throughput, rows[1].Throughput
-	if a <= 0 || b <= 0 {
-		t.Fatal("non-positive throughput")
-	}
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff/a > 0.2 {
-		t.Errorf("variants diverge by %.0f%%: %v vs %v", diff/a*100, a, b)
-	}
-	if !strings.Contains(text, "lard variants") {
-		t.Error("render missing header")
-	}
-}
-
 func TestLatencyStudyShape(t *testing.T) {
 	tr := fastTrace(t, "calgary", 0.08)
 	fig, text, err := LatencyStudy(testPool(), tr, 16, []float64{500, 2000, 4000})

@@ -75,39 +75,6 @@ func PolicyComparison(p *runner.Pool, tr *trace.Trace, nodes int) ([]PolicyRow, 
 	return rows, b.String(), nil
 }
 
-// LARDVariants contrasts plain LARD (one server per target, reassignment
-// only on extreme imbalance) with LARD/R (replicated server sets), the
-// distinction Pai et al. draw and the paper inherits. For HTTP/1.0
-// workloads the two behave similarly — replication matters when hot
-// documents outgrow one node, which the thresholds make rare at these
-// loads.
-func LARDVariants(p *runner.Pool, tr *trace.Trace, nodes int) ([]PolicyRow, string, error) {
-	jobs := []runner.Job{
-		{
-			Key:    "lard-variants/basic",
-			Config: server.NewConfig(server.CustomServer, nodes, server.WithPolicy("lard-basic")),
-			Trace:  tr,
-		},
-		{
-			Key:    "lard-variants/replicated",
-			Config: server.NewConfig(server.LARDServer, nodes),
-			Trace:  tr,
-		},
-	}
-	rows, err := runRows(p, jobs, func(_ int, r server.Result) string { return r.System })
-	if err != nil {
-		return nil, "", err
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "lard variants on %s, %d nodes\n", tr.Name, nodes)
-	fmt.Fprintf(&b, "  %-12s %10s %8s %10s\n", "variant", "req/s", "miss%", "imbalance")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-12s %10.0f %8.1f %10.2f\n",
-			r.Policy, r.Throughput, r.MissRate*100, r.Imbalance)
-	}
-	return rows, b.String(), nil
-}
-
 // PersistentRow is one line of the HTTP/1.0-versus-HTTP/1.1 study.
 type PersistentRow struct {
 	System     string

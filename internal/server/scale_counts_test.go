@@ -19,8 +19,8 @@ import (
 // table and says why.
 //
 // Under -short only the F=1e4 column runs: the F=1e7 trace alone takes
-// ~20 s to generate, and `make race` (which passes -short here) would pay
-// that many times over — a 200 000-file trace already costs it 40 s.
+// ~8 s to generate on two vCPUs and the whole grid ~18 s, and `make race`
+// (which passes -short here) would pay that many times over.
 func TestScaleGridCounts(t *testing.T) {
 	type point struct {
 		nodes                    int

@@ -215,8 +215,23 @@ func Generate(spec GenSpec) (*Trace, error) {
 	if spec.Requests < 1 {
 		return nil, fmt.Errorf("trace %s: need at least one request", spec.Name)
 	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"AvgFileKB", spec.AvgFileKB}, {"AvgReqKB", spec.AvgReqKB}, {"Alpha", spec.Alpha},
+		{"SizeSigma", spec.SizeSigma}, {"LocalityP", spec.LocalityP}, {"HeadBoost", spec.HeadBoost},
+		{"ClientAlpha", spec.ClientAlpha},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("trace %s: %s %v must be finite", spec.Name, f.name, f.v)
+		}
+	}
 	if spec.AvgFileKB <= 0 {
-		return nil, fmt.Errorf("trace %s: sizes must be positive", spec.Name)
+		return nil, fmt.Errorf("trace %s: AvgFileKB %v must be positive", spec.Name, spec.AvgFileKB)
+	}
+	if spec.SizeSigma < 0 {
+		return nil, fmt.Errorf("trace %s: SizeSigma %v must be >= 0", spec.Name, spec.SizeSigma)
 	}
 	if !(spec.Alpha >= 0) {
 		return nil, fmt.Errorf("trace %s: Alpha %v must be >= 0", spec.Name, spec.Alpha)
@@ -248,7 +263,7 @@ func Generate(spec GenSpec) (*Trace, error) {
 // draw sequence is pinned by golden_test.go and must never change.
 func generateStationary(spec GenSpec) (*Trace, error) {
 	if spec.AvgReqKB <= 0 {
-		return nil, fmt.Errorf("trace %s: sizes must be positive", spec.Name)
+		return nil, fmt.Errorf("trace %s: AvgReqKB %v must be positive", spec.Name, spec.AvgReqKB)
 	}
 	if spec.LocalityP < 0 || spec.LocalityP >= 1 {
 		return nil, fmt.Errorf("trace %s: LocalityP must be in [0,1)", spec.Name)
@@ -290,12 +305,11 @@ func generateStationary(spec GenSpec) (*Trace, error) {
 		noise[i] = math.Exp(spec.SizeSigma*rng.NormFloat64() - spec.SizeSigma*spec.SizeSigma/2)
 	}
 
-	// shape doubles as the bisection's term buffer.
+	// shape is the bisection's term buffer; it is left holding the terms.
 	shape := make([]float64, spec.Files)
-	beta := solveBeta(pEff, noise, shape, spec.AvgReqKB/spec.AvgFileKB)
+	solveBeta(pEff, noise, shape, spec.AvgReqKB/spec.AvgFileKB)
 
 	// Scale to the catalog mean.
-	fillTerms(shape, noise, beta)
 	var mean float64
 	for _, s := range shape {
 		mean += s
@@ -488,9 +502,17 @@ func attachClients(t *Trace, spec GenSpec, rng *rand.Rand) {
 // are only reproducible if ratio returns the same float64 on every host:
 // the terms are computed in parallel, but the two sums accumulate serially
 // in rank order, which makes the result independent of the chunk count.
+// On return terms holds the terms at the returned beta.
 func solveBeta(pEff, noise, terms []float64, target float64) float64 {
-	ratio := func(beta float64) float64 {
-		fillTerms(terms, noise, beta)
+	// Log(rank) does not depend on beta: one table serves every evaluation.
+	logs := make([]float64, len(noise))
+	fillChunks(len(logs), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			logs[i] = math.Log(float64(i + 1))
+		}
+	})
+	beta := bisectBeta(func(beta float64) float64 {
+		fillTerms(terms, noise, logs, beta)
 		var weighted, uniform float64
 		for i, s := range terms {
 			weighted += pEff[i] * s
@@ -498,7 +520,14 @@ func solveBeta(pEff, noise, terms []float64, target float64) float64 {
 		}
 		uniform /= float64(len(noise))
 		return weighted / uniform
-	}
+	}, target)
+	fillTerms(terms, noise, logs, beta)
+	return beta
+}
+
+// bisectBeta returns the beta in [-3, 5] at which the decreasing function
+// ratio crosses target, saturating at either end.
+func bisectBeta(ratio func(beta float64) float64, target float64) float64 {
 	lo, hi := -3.0, 5.0
 	if ratio(lo) < target { // even strongly inverted sizes cannot reach it
 		return lo
@@ -517,17 +546,19 @@ func solveBeta(pEff, noise, terms []float64, target float64) float64 {
 	return (lo + hi) / 2
 }
 
-// fillTerms sets terms[i] to the unscaled size of rank i+1 under beta.
-func fillTerms(terms, noise []float64, beta float64) {
+// fillTerms sets terms[i] to the unscaled size of rank i+1 under beta,
+// math.Pow(i+1, beta) * noise[i]; logs[i] must be math.Log(i+1).
+func fillTerms(terms, noise, logs []float64, beta float64) {
+	k := newRankPow(beta)
 	fillChunks(len(terms), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			terms[i] = math.Pow(float64(i+1), beta) * noise[i]
+			terms[i] = k.pow(i+1, logs[i]) * noise[i]
 		}
 	})
 }
 
 // minFillChunk is the smallest share of a fill worth a goroutine of its
-// own: a few thousand math.Pow calls, ~0.2 ms.
+// own: a few thousand powers, ~0.05 ms.
 const minFillChunk = 4096
 
 // fillChunks calls fill on disjoint contiguous ranges that cover [0, n), on

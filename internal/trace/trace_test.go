@@ -109,12 +109,39 @@ func TestGenerateErrors(t *testing.T) {
 		"neg-depth":         {Name: "x", Files: 10, AvgFileKB: 1, Requests: 100, AvgReqKB: 1, Alpha: 1, LocalityP: 0.5, LocalityDepth: -1},
 		"neg-headfiles":     {Name: "x", Files: 10, AvgFileKB: 1, Requests: 100, AvgReqKB: 1, Alpha: 1, HeadBoost: 0.5, HeadFiles: -1},
 	}
+	// Non-finite values pass every "< 0" and "<= 0" test; these rows are
+	// named "field/i" after the field their error must name.
+	nan, inf := math.NaN(), math.Inf(1)
+	for i, c := range []struct {
+		field string
+		set   func(*GenSpec)
+	}{
+		{"AvgFileKB", func(s *GenSpec) { s.AvgFileKB = nan }},
+		{"AvgFileKB", func(s *GenSpec) { s.AvgFileKB = inf }},
+		{"AvgReqKB", func(s *GenSpec) { s.AvgReqKB = nan }},
+		{"AvgReqKB", func(s *GenSpec) { s.AvgReqKB = inf }},
+		{"Alpha", func(s *GenSpec) { s.Alpha = inf }},
+		{"SizeSigma", func(s *GenSpec) { s.SizeSigma = nan }},
+		{"SizeSigma", func(s *GenSpec) { s.SizeSigma = -inf }},
+		{"SizeSigma", func(s *GenSpec) { s.SizeSigma = -0.5 }},
+		{"LocalityP", func(s *GenSpec) { s.LocalityP = nan }},
+		{"HeadBoost", func(s *GenSpec) { s.HeadBoost = nan }},
+		{"ClientAlpha", func(s *GenSpec) { s.Clients, s.ClientAlpha = 5, inf }},
+		{"LocalityP", func(s *GenSpec) { s.Mode, s.LocalityP = ModeChurn, nan }},
+		{"SizeSigma", func(s *GenSpec) { s.Mode, s.SizeSigma = ModeChurn, nan }},
+	} {
+		spec := GenSpec{Name: "x", Files: 10, AvgFileKB: 1, Requests: 10, AvgReqKB: 1, Alpha: 1}
+		c.set(&spec)
+		cases[fmt.Sprintf("%s/%d", c.field, i)] = spec
+	}
 	for name, spec := range cases {
 		_, err := Generate(spec)
 		if err == nil {
 			t.Errorf("%s: expected error", name)
 		} else if !strings.HasPrefix(err.Error(), "trace x: ") {
 			t.Errorf("%s: error %q does not name the trace", name, err)
+		} else if field, _, ok := strings.Cut(name, "/"); ok && !strings.HasPrefix(err.Error(), "trace x: "+field+" ") {
+			t.Errorf("%s: error %q does not name the field", name, err)
 		}
 	}
 }
