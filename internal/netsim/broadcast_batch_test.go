@@ -8,28 +8,26 @@ import (
 	"repro/internal/sim"
 )
 
-// batchedConfig returns the default constants with batching forced on for
-// every fan-out, so small clusters exercise the batched path in tests.
-func batchedConfig() Config {
-	cfg := DefaultConfig()
-	cfg.BatchFanout = 1
-	return cfg
+// newNetwork returns a default network over nodes, with nodes registered as
+// its fleet when flat is true. Broadcasts to a registered fleet with at
+// least flatFanout receivers take the flat path; an unregistered network
+// sends every broadcast as per-pair messages, the paper's model and the
+// reference the flat path is checked against.
+func newNetwork(eng *sim.Engine, nodes []*cluster.Node, flat bool) *Network {
+	nw := New(eng, DefaultConfig())
+	if flat {
+		nw.RegisterFleet(nodes)
+	}
+	return nw
 }
 
-// perPairConfig returns the default constants with batching disabled.
-func perPairConfig() Config {
-	cfg := DefaultConfig()
-	cfg.BatchFanout = 0
-	return cfg
-}
-
-// runBroadcast drives one quiet-network broadcast under the given config and
-// returns the network, nodes, and the delivered time.
-func runBroadcast(t *testing.T, cfg Config, n int, kb float64) (*Network, []*cluster.Node, float64) {
+// runBroadcast drives one quiet-network broadcast from node 0 to n nodes
+// and returns the network, nodes, and the delivered time.
+func runBroadcast(t *testing.T, flat bool, n int, kb float64) (*Network, []*cluster.Node, float64) {
 	t.Helper()
 	eng := sim.NewEngine()
-	nw := New(eng, cfg)
 	nodes := makeCluster(eng, n)
+	nw := newNetwork(eng, nodes, flat)
 	deliveredAt := -1.0
 	nw.Broadcast(nodes[0], nodes, kb, func() { deliveredAt = eng.Now() })
 	eng.Run()
@@ -39,33 +37,29 @@ func runBroadcast(t *testing.T, cfg Config, n int, kb float64) (*Network, []*clu
 	return nw, nodes, deliveredAt
 }
 
-// TestBroadcastBatchedMatchesPerPair pins the exactness claim: on a quiet
-// network, the batched fan-out books the same delivered time, message count,
-// control bytes, and per-resource busy time as the per-pair event path, for
-// fan-outs on both sides of the default threshold.
-func TestBroadcastBatchedMatchesPerPair(t *testing.T) {
-	for _, n := range []int{2, 8, 33, 64, 200} {
+// TestBroadcastFlatMatchesPerPair pins the exactness claim: on a quiet
+// network, the flat fan-out books the same delivered time, message count,
+// and per-resource busy time as the per-pair event path.
+func TestBroadcastFlatMatchesPerPair(t *testing.T) {
+	for _, n := range []int{33, 64, 200} {
 		for _, kb := range []float64{0.004, 1.5} {
-			nwP, nodesP, atP := runBroadcast(t, perPairConfig(), n, kb)
-			nwB, nodesB, atB := runBroadcast(t, batchedConfig(), n, kb)
-			if math.Abs(atP-atB) > 1e-12 {
-				t.Fatalf("n=%d kb=%v: delivered per-pair %v, batched %v", n, kb, atP, atB)
+			nwP, nodesP, atP := runBroadcast(t, false, n, kb)
+			nwF, nodesF, atF := runBroadcast(t, true, n, kb)
+			if math.Abs(atP-atF) > 1e-12 {
+				t.Fatalf("n=%d kb=%v: delivered per-pair %v, flat %v", n, kb, atP, atF)
 			}
-			if nwP.Messages() != nwB.Messages() || nwP.Messages() != uint64(n-1) {
-				t.Fatalf("n=%d: messages per-pair %d, batched %d, want %d",
-					n, nwP.Messages(), nwB.Messages(), n-1)
-			}
-			if math.Abs(nwP.ControlKB()-nwB.ControlKB()) > 1e-12 {
-				t.Fatalf("n=%d: control KB per-pair %v, batched %v", n, nwP.ControlKB(), nwB.ControlKB())
+			if nwP.Messages() != nwF.Messages() || nwP.Messages() != uint64(n-1) {
+				t.Fatalf("n=%d: messages per-pair %d, flat %d, want %d",
+					n, nwP.Messages(), nwF.Messages(), n-1)
 			}
 			for i := range nodesP {
 				for _, pair := range [][2]*sim.Resource{
-					{nodesP[i].CPU, nodesB[i].CPU},
-					{nodesP[i].NIOut, nodesB[i].NIOut},
-					{nodesP[i].NIIn, nodesB[i].NIIn},
+					{nodesP[i].CPU, nodesF[i].CPU},
+					{nodesP[i].NIOut, nodesF[i].NIOut},
+					{nodesP[i].NIIn, nodesF[i].NIIn},
 				} {
 					if math.Abs(pair[0].BusyTime()-pair[1].BusyTime()) > 1e-12 {
-						t.Fatalf("n=%d node %d %s: busy per-pair %v, batched %v",
+						t.Fatalf("n=%d node %d %s: busy per-pair %v, flat %v",
 							n, i, pair[0].Name(), pair[0].BusyTime(), pair[1].BusyTime())
 					}
 				}
@@ -74,13 +68,12 @@ func TestBroadcastBatchedMatchesPerPair(t *testing.T) {
 	}
 }
 
-// TestBroadcastBatchedHonorsNodeLinkRates pins that the batched path charges
+// TestBroadcastFlatHonorsNodeLinkRates pins that the flat path charges
 // per-endpoint wire time: a receiver with a slow NI line rate delays the
 // whole broadcast exactly as it does on the per-pair path.
-func TestBroadcastBatchedHonorsNodeLinkRates(t *testing.T) {
-	build := func(cfg Config) (float64, float64) {
+func TestBroadcastFlatHonorsNodeLinkRates(t *testing.T) {
+	build := func(flat bool) (float64, float64) {
 		eng := sim.NewEngine()
-		nw := New(eng, cfg)
 		nodes := make([]*cluster.Node, 40)
 		for i := range nodes {
 			p := cluster.DefaultProfile()
@@ -89,31 +82,32 @@ func TestBroadcastBatchedHonorsNodeLinkRates(t *testing.T) {
 			}
 			nodes[i] = cluster.NewProfiledNode(eng, i, p)
 		}
+		nw := newNetwork(eng, nodes, flat)
 		deliveredAt := -1.0
 		nw.Broadcast(nodes[0], nodes, 2.0, func() { deliveredAt = eng.Now() })
 		eng.Run()
 		return deliveredAt, nodes[17].NIIn.BusyTime()
 	}
-	atP, slowBusyP := build(perPairConfig())
-	atB, slowBusyB := build(batchedConfig())
-	if math.Abs(atP-atB) > 1e-12 {
-		t.Fatalf("delivered per-pair %v, batched %v", atP, atB)
+	atP, slowBusyP := build(false)
+	atF, slowBusyF := build(true)
+	if math.Abs(atP-atF) > 1e-12 {
+		t.Fatalf("delivered per-pair %v, flat %v", atP, atF)
 	}
-	if math.Abs(slowBusyP-slowBusyB) > 1e-12 {
-		t.Fatalf("slow-node NI busy per-pair %v, batched %v", slowBusyP, slowBusyB)
+	if math.Abs(slowBusyP-slowBusyF) > 1e-12 {
+		t.Fatalf("slow-node NI busy per-pair %v, flat %v", slowBusyP, slowBusyF)
 	}
 	// The slow link must actually dominate: 2 KB at 1000 KB/s is 2 ms.
-	if atB < 2e-3 {
-		t.Fatalf("delivered %v, want >= 2ms (slow receiver's serialization)", atB)
+	if atF < 2e-3 {
+		t.Fatalf("delivered %v, want >= 2ms (slow receiver's serialization)", atF)
 	}
 }
 
-// TestBroadcastBatchedSkipsFailedNodes pins that dead receivers cost
-// nothing: no messages, no control bytes, no resource charges.
-func TestBroadcastBatchedSkipsFailedNodes(t *testing.T) {
+// TestBroadcastFlatSkipsFailedNodes pins that dead receivers cost nothing:
+// no messages, no resource charges.
+func TestBroadcastFlatSkipsFailedNodes(t *testing.T) {
 	eng := sim.NewEngine()
-	nw := New(eng, batchedConfig())
 	nodes := makeCluster(eng, 50)
+	nw := newNetwork(eng, nodes, true)
 	for i := 10; i < 20; i++ {
 		nodes[i].Fail()
 	}
@@ -133,15 +127,15 @@ func TestBroadcastBatchedSkipsFailedNodes(t *testing.T) {
 	}
 }
 
-// TestBroadcastBatchedDeliveredOrdering pins callback ordering across
+// TestBroadcastFlatDeliveredOrdering pins callback ordering across
 // overlapping broadcasts: completions fire in simulated-time order, and each
 // delivered callback runs after every receiver-side charge of its own
 // broadcast is booked (the delivered time equals the latest receiver CPU
 // finish).
-func TestBroadcastBatchedDeliveredOrdering(t *testing.T) {
+func TestBroadcastFlatDeliveredOrdering(t *testing.T) {
 	eng := sim.NewEngine()
-	nw := New(eng, batchedConfig())
 	nodes := makeCluster(eng, 65)
+	nw := newNetwork(eng, nodes, true)
 	var order []int
 	// Three broadcasts with distinct start times and fan-outs. Later start
 	// plus smaller fan-out finishes before an earlier giant fan-out would
@@ -161,38 +155,31 @@ func TestBroadcastBatchedDeliveredOrdering(t *testing.T) {
 	}
 }
 
-// TestBroadcastBatchedEventEconomy pins the point of the tentpole: a
-// batched broadcast adds at most one calendar event (zero with a nil
-// delivered callback), where the per-pair path fires five per receiver.
-func TestBroadcastBatchedEventEconomy(t *testing.T) {
-	eng := sim.NewEngine()
-	nw := New(eng, batchedConfig())
-	nodes := makeCluster(eng, 1024)
-	nw.Broadcast(nodes[0], nodes, 0.004, nil)
-	eng.Run()
-	if eng.Fired() != 0 {
-		t.Fatalf("nil-delivered batched broadcast fired %d events, want 0", eng.Fired())
-	}
-	if nw.Messages() != 1023 {
-		t.Fatalf("Messages = %d, want 1023", nw.Messages())
-	}
-
-	eng2 := sim.NewEngine()
-	nw2 := New(eng2, batchedConfig())
-	nodes2 := makeCluster(eng2, 1024)
-	nw2.Broadcast(nodes2[0], nodes2, 0.004, func() {})
-	eng2.Run()
-	if eng2.Fired() != 1 {
-		t.Fatalf("batched broadcast fired %d events, want 1", eng2.Fired())
-	}
-
-	eng3 := sim.NewEngine()
-	nw3 := New(eng3, perPairConfig())
-	nodes3 := makeCluster(eng3, 1024)
-	nw3.Broadcast(nodes3[0], nodes3, 0.004, func() {})
-	eng3.Run()
-	if eng3.Fired() != 5*1023 {
-		t.Fatalf("per-pair broadcast fired %d events, want %d", eng3.Fired(), 5*1023)
+// TestBroadcastFlatEventEconomy pins the point of the flat path: a flat
+// broadcast adds at most one calendar event (zero with a nil delivered
+// callback), where the per-pair path fires five per receiver.
+func TestBroadcastFlatEventEconomy(t *testing.T) {
+	for _, tc := range []struct {
+		flat      bool
+		delivered func()
+		want      uint64
+	}{
+		{true, nil, 0},
+		{true, func() {}, 1},
+		{false, func() {}, 5 * 1023},
+	} {
+		eng := sim.NewEngine()
+		nodes := makeCluster(eng, 1024)
+		nw := newNetwork(eng, nodes, tc.flat)
+		nw.Broadcast(nodes[0], nodes, 0.004, tc.delivered)
+		eng.Run()
+		if eng.Fired() != tc.want {
+			t.Fatalf("flat=%v delivered=%v: broadcast fired %d events, want %d",
+				tc.flat, tc.delivered != nil, eng.Fired(), tc.want)
+		}
+		if nw.Messages() != 1023 {
+			t.Fatalf("flat=%v: Messages = %d, want 1023", tc.flat, nw.Messages())
+		}
 	}
 }
 
@@ -205,8 +192,8 @@ func TestBroadcastStorm1024(t *testing.T) {
 	const n = 1024
 	const senders = 64
 	eng := sim.NewEngine()
-	nw := New(eng, DefaultConfig())
 	nodes := makeCluster(eng, n)
+	nw := newNetwork(eng, nodes, true)
 	delivered := 0
 	for i := 0; i < senders; i++ {
 		s := nodes[i*16]

@@ -1,18 +1,20 @@
 package netsim
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
-// buildFleet returns an engine, network, and cluster, with the fleet
-// registered when flat is true. BatchFanout is forced to 1 so every
-// broadcast takes the batched (or flat) path.
-func buildFleet(n int, flat bool, slowNode int) (*sim.Engine, *Network, []*cluster.Node) {
+// buildFleet returns an engine, a network, and a registered fleet of n
+// nodes, slowNode (if in range) on a 128x slower link.
+func buildFleet(n int, slowNode int) (*sim.Engine, *Network, []*cluster.Node) {
 	eng := sim.NewEngine()
-	nw := New(eng, batchedConfig())
 	nodes := make([]*cluster.Node, n)
 	for i := range nodes {
 		p := cluster.DefaultProfile()
@@ -21,10 +23,7 @@ func buildFleet(n int, flat bool, slowNode int) (*sim.Engine, *Network, []*clust
 		}
 		nodes[i] = cluster.NewProfiledNode(eng, i, p)
 	}
-	if flat {
-		nw.RegisterFleet(nodes)
-	}
-	return eng, nw, nodes
+	return eng, newNetwork(eng, nodes, true), nodes
 }
 
 // stormScript drives an overlapping broadcast storm with mid-run failures
@@ -45,46 +44,52 @@ func stormScript(eng *sim.Engine, nw *Network, nodes []*cluster.Node) []float64 
 	return deliveredAt
 }
 
-// TestBroadcastFlatMatchesBatched pins the tentpole's exactness claim at the
-// netsim layer: with the fleet registered, an overlapping broadcast storm —
-// including a mid-storm failure, a heterogeneous link rate, and interleaved
-// statistics reads and resets — produces bit-identical (==, not within-
-// epsilon) delivered times, event counts, message counters, and per-resource
-// busy times to the unregistered batched path.
-func TestBroadcastFlatMatchesBatched(t *testing.T) {
+// runDigest hashes everything a run observably produced, bit for bit: the
+// delivered times, the event and message counts, and every node's CPU,
+// NI-out and NI-in busy time.
+func runDigest(eng *sim.Engine, nw *Network, nodes []*cluster.Node, deliveredAt []float64) string {
+	h := fnv.New64a()
+	put := func(v uint64) { binary.Write(h, binary.LittleEndian, v) }
+	for _, at := range deliveredAt {
+		put(math.Float64bits(at))
+	}
+	put(eng.Fired())
+	put(nw.Messages())
+	for _, n := range nodes {
+		for _, r := range []*sim.Resource{n.CPU, n.NIOut, n.NIIn} {
+			put(math.Float64bits(r.BusyTime()))
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestBroadcastFlatStorm pins the flat path under contention: an
+// overlapping broadcast storm — including a mid-storm failure, a
+// heterogeneous link rate, and interleaved statistics reads and resets —
+// must reproduce, bit for bit, digests generated while the flat path was
+// still checked against an independent batched walk that charged every
+// resource directly. At n=33 the failure drops the fan-out below
+// flatFanout, so the storm also crosses from the flat to the per-pair path
+// with charges still deferred in the banks.
+func TestBroadcastFlatStorm(t *testing.T) {
+	// The slow link never decides a delivery time here (its extra 4 us of
+	// wire time hides behind the later receivers' staggered departures),
+	// so both link profiles share a digest; the slow one still takes the
+	// per-receiver walk instead of epoch rounds.
+	want := map[int]string{
+		33:  "993f94672e2b5d88",
+		64:  "31053ff90bfdd101",
+		200: "45ff7a7f2462e492",
+	}
 	for _, n := range []int{33, 64, 200} {
 		for _, slow := range []int{-1, 17} {
-			engB, nwB, nodesB := buildFleet(n, false, slow)
-			atB := stormScript(engB, nwB, nodesB)
-			engF, nwF, nodesF := buildFleet(n, true, slow)
-			atF := stormScript(engF, nwF, nodesF)
-
-			if len(atB) != len(atF) {
-				t.Fatalf("n=%d slow=%d: deliveries batched %d, flat %d", n, slow, len(atB), len(atF))
+			eng, nw, nodes := buildFleet(n, slow)
+			at := stormScript(eng, nw, nodes)
+			if len(at) != 16 {
+				t.Fatalf("n=%d slow=%d: %d deliveries, want 16", n, slow, len(at))
 			}
-			for i := range atB {
-				if atB[i] != atF[i] {
-					t.Fatalf("n=%d slow=%d delivery %d: batched %v, flat %v", n, slow, i, atB[i], atF[i])
-				}
-			}
-			if engB.Fired() != engF.Fired() {
-				t.Fatalf("n=%d slow=%d: events batched %d, flat %d", n, slow, engB.Fired(), engF.Fired())
-			}
-			if nwB.Messages() != nwF.Messages() || nwB.ControlKB() != nwF.ControlKB() {
-				t.Fatalf("n=%d slow=%d: messages batched %d/%v, flat %d/%v",
-					n, slow, nwB.Messages(), nwB.ControlKB(), nwF.Messages(), nwF.ControlKB())
-			}
-			for i := range nodesB {
-				for _, pair := range [][2]*sim.Resource{
-					{nodesB[i].CPU, nodesF[i].CPU},
-					{nodesB[i].NIOut, nodesF[i].NIOut},
-					{nodesB[i].NIIn, nodesF[i].NIIn},
-				} {
-					if pair[0].BusyTime() != pair[1].BusyTime() {
-						t.Fatalf("n=%d slow=%d node %d %s: busy batched %v, flat %v",
-							n, slow, i, pair[0].Name(), pair[0].BusyTime(), pair[1].BusyTime())
-					}
-				}
+			if got := runDigest(eng, nw, nodes, at); got != want[n] {
+				t.Errorf("n=%d slow=%d: storm digest %s, want %s", n, slow, got, want[n])
 			}
 		}
 	}
@@ -95,65 +100,42 @@ func TestBroadcastFlatMatchesBatched(t *testing.T) {
 // advancing more than 2.5 message times per round), the fleet records whole
 // rounds in O(1) — fastRounds must be nonzero even with request-like
 // resource traffic and statistics reads dirtying individual nodes — and the
-// results stay bit-identical to the batched walk.
+// results reproduce a digest generated while the flat path was still
+// checked against the batched walk.
 func TestBroadcastFlatSpacedStormTakesFastPath(t *testing.T) {
-	script := func(eng *sim.Engine, nw *Network, nodes []*cluster.Node) []float64 {
-		var deliveredAt []float64
-		for i := 0; i < 12; i++ {
-			s := nodes[(i*7)%len(nodes)]
-			eng.At(float64(i)*5e-5, func() {
-				nw.Broadcast(s, nodes, 0.004, func() { deliveredAt = append(deliveredAt, eng.Now()) })
-			})
-		}
-		// Request-like traffic against individual nodes mid-storm: these
-		// dirty the touched nodes but must not evict the rest of the fleet
-		// from the epoch.
-		eng.At(1.2e-4, func() { nodes[11].CPU.Acquire(2e-6, nil) })
-		eng.At(2.3e-4, func() { _ = nodes[5].CPU.BusyTime() })
-		eng.At(3.1e-4, func() { nodes[9].ResetStats() })
-		eng.Run()
-		return deliveredAt
+	eng, nw, nodes := buildFleet(64, -1)
+	var deliveredAt []float64
+	for i := 0; i < 12; i++ {
+		s := nodes[(i*7)%len(nodes)]
+		eng.At(float64(i)*5e-5, func() {
+			nw.Broadcast(s, nodes, 0.004, func() { deliveredAt = append(deliveredAt, eng.Now()) })
+		})
 	}
+	// Request-like traffic against individual nodes mid-storm: these dirty
+	// the touched nodes but must not evict the rest of the fleet from the
+	// epoch.
+	eng.At(1.2e-4, func() { nodes[11].CPU.Acquire(2e-6, nil) })
+	eng.At(2.3e-4, func() { _ = nodes[5].CPU.BusyTime() })
+	eng.At(3.1e-4, func() { nodes[9].ResetStats() })
+	eng.Run()
 
-	engB, nwB, nodesB := buildFleet(64, false, -1)
-	atB := script(engB, nwB, nodesB)
-	engF, nwF, nodesF := buildFleet(64, true, -1)
-	atF := script(engF, nwF, nodesF)
-
-	if len(atB) != len(atF) {
-		t.Fatalf("deliveries batched %d, flat %d", len(atB), len(atF))
+	if got, want := runDigest(eng, nw, nodes, deliveredAt), "c773ae4748a0f92d"; got != want {
+		t.Errorf("spaced storm digest %s, want %s", got, want)
 	}
-	for i := range atB {
-		if atB[i] != atF[i] {
-			t.Fatalf("delivery %d: batched %v, flat %v", i, atB[i], atF[i])
-		}
-	}
-	if engB.Fired() != engF.Fired() {
-		t.Fatalf("events batched %d, flat %d", engB.Fired(), engF.Fired())
-	}
-	for i := range nodesB {
-		if nodesB[i].NIIn.BusyTime() != nodesF[i].NIIn.BusyTime() ||
-			nodesB[i].CPU.BusyTime() != nodesF[i].CPU.BusyTime() {
-			t.Fatalf("node %d busy times diverge", i)
-		}
-	}
-	if nwF.flat.fastRounds == 0 {
+	if nw.flat.fastRounds == 0 {
 		t.Fatalf("fastRounds = 0 (slowRounds = %d): spaced storm never took the epoch fast path",
-			nwF.flat.slowRounds)
+			nw.flat.slowRounds)
 	}
 }
 
 // TestBroadcastFlatBelowFanoutUsesPerPair pins that a registered fleet only
-// changes how receivers are counted below the batching threshold: the
-// per-pair event path still runs, bit-identical to the unregistered network.
+// changes how receivers are counted below flatFanout: the per-pair event
+// path still runs, bit-identical to the unregistered network.
 func TestBroadcastFlatBelowFanoutUsesPerPair(t *testing.T) {
 	run := func(flat bool) (uint64, float64) {
 		eng := sim.NewEngine()
-		nw := New(eng, DefaultConfig()) // fan-out 7 < DefaultBatchFanout
-		nodes := makeCluster(eng, 8)
-		if flat {
-			nw.RegisterFleet(nodes)
-		}
+		nodes := makeCluster(eng, 8) // fan-out 7 < flatFanout
+		nw := newNetwork(eng, nodes, flat)
 		deliveredAt := -1.0
 		nw.Broadcast(nodes[0], nodes, 0.004, func() { deliveredAt = eng.Now() })
 		eng.Run()
@@ -162,7 +144,7 @@ func TestBroadcastFlatBelowFanoutUsesPerPair(t *testing.T) {
 	eventsB, atB := run(false)
 	eventsF, atF := run(true)
 	if eventsB != eventsF || atB != atF {
-		t.Fatalf("per-pair: batched %d events at %v, flat %d events at %v", eventsB, atB, eventsF, atF)
+		t.Fatalf("per-pair: unregistered %d events at %v, registered %d events at %v", eventsB, atB, eventsF, atF)
 	}
 	if eventsF != 5*7 {
 		t.Fatalf("events = %d, want %d (per-pair path)", eventsF, 5*7)
@@ -171,9 +153,9 @@ func TestBroadcastFlatBelowFanoutUsesPerPair(t *testing.T) {
 
 // TestBroadcastFlatSubsetFallsBack pins that a broadcast addressed to a
 // slice that is not the registered fleet — a subset, or a sender outside it
-// — falls back to the scanning path and stays correct.
+// — falls back to the per-pair path and stays correct.
 func TestBroadcastFlatSubsetFallsBack(t *testing.T) {
-	eng, nw, nodes := buildFleet(64, true, -1)
+	eng, nw, nodes := buildFleet(64, -1)
 	delivered := 0
 	if got := nw.Broadcast(nodes[0], nodes[:40], 0.004, func() { delivered++ }); got != 39 {
 		t.Fatalf("subset broadcast returned %d receivers, want 39", got)
@@ -191,7 +173,7 @@ func TestBroadcastFlatSubsetFallsBack(t *testing.T) {
 // still in the fleet broadcasts to every live node, exactly like the
 // scanning count.
 func TestBroadcastFlatFailedSender(t *testing.T) {
-	eng, nw, nodes := buildFleet(64, true, -1)
+	eng, nw, nodes := buildFleet(64, -1)
 	nodes[0].Fail()
 	nodes[9].Fail()
 	if got := nw.Broadcast(nodes[0], nodes, 0.004, nil); got != 62 {

@@ -24,29 +24,14 @@ type Config struct {
 	SwitchLatency float64 // switch traversal time (1 us)
 	MsgCPU        float64 // per-message CPU overhead per side (3 us)
 	MsgNI         float64 // per-message NI overhead per side (6 us)
-
-	// BatchFanout is the receiver count at or above which Broadcast switches
-	// from per-pair event scheduling (5 events per message, O(N) events and
-	// O(N) heap churn per broadcast) to a batched fan-out that charges every
-	// endpoint's resources arithmetically and schedules at most one pooled
-	// completion event. Zero disables batching, so Config literals that
-	// predate the field keep the exact per-pair behavior.
-	BatchFanout int
-
-	// FlattenGossip lets the server register its node fleet with the
-	// network (RegisterFleet), flattening batched broadcasts further: the
-	// per-receiver resource charges are deferred into dense charge banks
-	// (sim.ChargeBank) and the live-receiver count is maintained
-	// incrementally instead of rescanned per broadcast. Bit-identical to
-	// the batched path; this flag only gates whether the server registers.
-	FlattenGossip bool
 }
 
-// DefaultBatchFanout is the fan-out at which DefaultConfig starts batching
-// broadcasts. Paper-scale clusters (N <= 32) stay on the per-pair path that
-// the golden results pin; the batched path takes over where the O(N) event
-// storm per broadcast would dominate the calendar.
-const DefaultBatchFanout = 32
+// flatFanout is the live-receiver count at or above which a broadcast to
+// the registered fleet takes the flat path (broadcastFlat) instead of per-
+// pair messages. Paper-scale clusters (N <= 32) stay on the per-pair path
+// that the golden results pin; the flat path takes over where the O(N)
+// event storm per broadcast would dominate the calendar.
+const flatFanout = 32
 
 // DefaultConfig returns the constants used throughout Section 5.
 func DefaultConfig() Config {
@@ -56,8 +41,6 @@ func DefaultConfig() Config {
 		SwitchLatency: 1e-6,
 		MsgCPU:        3e-6,
 		MsgNI:         6e-6,
-		BatchFanout:   DefaultBatchFanout,
-		FlattenGossip: true,
 	}
 }
 
@@ -67,8 +50,7 @@ type Network struct {
 	eng    *sim.Engine
 	Router *sim.Resource
 
-	messages     uint64 // intra-cluster messages sent
-	controlBytes float64
+	messages uint64 // intra-cluster messages sent
 
 	// mMessages mirrors the message counter onto a shared observability
 	// counter; nil (the default) is the disabled no-op path. Unlike the
@@ -126,12 +108,10 @@ type fleet struct {
 const deadBase = ^uint64(0)
 
 // RegisterFleet declares nodes as the cluster's full node set, enabling the
-// flat broadcast path for broadcasts addressed to exactly this slice: the
-// batched fan-out's per-receiver charges become deferred sequential
-// arithmetic on dense arrays (see broadcastFlat), bit-identical to the
-// unregistered behavior. Node IDs must equal their slice positions, and
-// each node's resources join a charge bank, so a fleet can be registered
-// with at most one network, once.
+// flat broadcast path (broadcastFlat) for broadcasts addressed to exactly
+// this slice. Node IDs must equal their slice positions, and each node's
+// resources join a charge bank, so a fleet can be registered with at most
+// one network, once.
 func (nw *Network) RegisterFleet(nodes []*cluster.Node) {
 	if nw.flat != nil {
 		panic("netsim: fleet already registered")
@@ -239,7 +219,7 @@ func (f *fleet) fold(i int32) {
 	if p < f.epochSRank {
 		j++
 	}
-	// Exactly broadcastBatched's per-receiver expressions, for the last round.
+	// Exactly broadcastFlat's per-receiver expressions, for the last round.
 	depart := f.epochL - float64(f.epochK-j)*f.m
 	arrive := depart + f.epochWire
 	niChain := arrive + f.m
@@ -350,9 +330,6 @@ func (nw *Network) Config() Config { return nw.cfg }
 // Messages returns the number of intra-cluster messages sent so far.
 func (nw *Network) Messages() uint64 { return nw.messages }
 
-// ControlKB returns the kilobytes carried by intra-cluster messages so far.
-func (nw *Network) ControlKB() float64 { return nw.controlBytes }
-
 // SetMetrics attaches an observability counter that mirrors the message
 // count (nil detaches it).
 func (nw *Network) SetMetrics(messages *obs.Counter) { nw.mMessages = messages }
@@ -407,7 +384,6 @@ func (nw *Network) Send(from, to *cluster.Node, kb float64, delivered func()) {
 		panic(fmt.Sprintf("netsim: node %d sending a message to itself", from.ID))
 	}
 	nw.messages++
-	nw.controlBytes += kb
 	nw.mMessages.Inc()
 	m := nw.getMessage()
 	m.from, m.to = from, to
@@ -420,11 +396,12 @@ func (nw *Network) Send(from, to *cluster.Node, kb float64, delivered func()) {
 // (implemented, as in the paper's M-VIA setup, as multiple point-to-point
 // messages) and calls delivered once, when the last copy has arrived.
 //
-// At or above cfg.BatchFanout live receivers the fan-out is batched: every
-// per-message resource charge is computed arithmetically via ChargeAt and at
-// most one completion event is scheduled, instead of the five events per
-// message the per-pair path costs. See broadcastBatched for the exactness
-// argument.
+// A broadcast to the registered fleet with at least flatFanout live
+// receivers takes the flat path: every per-message resource charge is
+// computed arithmetically and at most one completion event is scheduled,
+// instead of the five events per message the per-pair path costs. See
+// broadcastFlat for the exactness argument. Every other broadcast sends
+// per-pair messages.
 //
 // Broadcast returns the number of point-to-point messages sent (the live
 // receiver count), so callers can account gossip traffic exactly.
@@ -453,12 +430,8 @@ func (nw *Network) Broadcast(from *cluster.Node, others []*cluster.Node, kb floa
 		}
 		return 0
 	}
-	if nw.cfg.BatchFanout > 0 && remaining >= nw.cfg.BatchFanout {
-		if flat {
-			nw.broadcastFlat(from, remaining, kb, delivered)
-		} else {
-			nw.broadcastBatched(from, others, remaining, kb, delivered)
-		}
+	if flat && remaining >= flatFanout {
+		nw.broadcastFlat(from, remaining, kb, delivered)
 		return remaining
 	}
 	b := nw.getBroadcast()
@@ -473,9 +446,10 @@ func (nw *Network) Broadcast(from *cluster.Node, others []*cluster.Node, kb floa
 	return remaining
 }
 
-// broadcastBatched books a k-receiver broadcast with O(k) arithmetic and at
-// most one calendar event, against O(k) events each sifting a calendar that
-// the per-pair path keeps 5k entries deep.
+// broadcastFlat books a k-receiver broadcast to the registered fleet with
+// O(k) arithmetic and at most one calendar event, against the 5k events the
+// per-pair path costs, each sifting a calendar that path keeps 5k entries
+// deep.
 //
 // All k copies are submitted at the same instant, so the sender-side charges
 // are exactly what k sequential Sends would book: k CPU overheads queue FCFS
@@ -486,56 +460,20 @@ func (nw *Network) Broadcast(from *cluster.Node, others []*cluster.Node, kb floa
 // crosses the wire at the pair's own rate (per-node line profiles preserved)
 // and charges the receiver's NI and CPU from its arrival instant.
 //
-// The batched timings diverge from per-pair scheduling only when competing
+// These timings diverge from per-pair scheduling only when competing
 // traffic would have interleaved with the broadcast's own charges at the
 // same resource between now and the last departure: charging up front gives
 // the broadcast FCFS priority over work submitted later at the same instant
 // sequence. Queue-length statistics (InSystem, Completed, mean jobs) do not
 // see arithmetic charges; utilization and busy time stay exact.
-func (nw *Network) broadcastBatched(from *cluster.Node, others []*cluster.Node, k int, kb float64, delivered func()) {
-	nw.messages += uint64(k)
-	nw.controlBytes += float64(k) * kb
-	nw.mMessages.Add(uint64(k))
-
-	c, m := nw.cfg.MsgCPU, nw.cfg.MsgNI
-	now := nw.eng.Now()
-	lastCPU := from.CPU.ChargeAt(now, float64(k)*c)
-	firstCPU := lastCPU - float64(k-1)*c
-	lastNI := from.NIOut.ChargeAt(firstCPU, float64(k)*m)
-
-	var maxDone sim.Time
-	j := 0
-	for _, n := range others {
-		if n == from || n.Failed() {
-			continue
-		}
-		j++
-		depart := lastNI - float64(k-j)*m
-		arrive := depart + nw.WireTime(from, n, kb)
-		niIn := n.NIIn.ChargeAt(arrive, m)
-		done := n.CPU.ChargeAt(niIn, c)
-		if done > maxDone {
-			maxDone = done
-		}
-	}
-	if delivered != nil {
-		nw.eng.At(maxDone, delivered)
-	}
-}
-
-// broadcastFlat is broadcastBatched specialized to a registered fleet: the
-// same sender-side charges and the same per-receiver recurrence, but the
-// receiver side goes through the fleet's charge banks, and on uniform
-// fleets through the epoch layer (broadcastEpoch), which books the common
-// case — every receiver idle — as a single O(1) round instead of an O(N)
-// walk. Every expression mirrors broadcastBatched operation for operation,
-// so events, counters, and all floating-point state are unchanged — pinned
-// by TestBroadcastFlatMatchesBatched and TestBroadcastEpochFastPath here
-// and the policy-by-policy TestFlattenedGossipEquivalence in
-// internal/server.
+//
+// The receiver charges go through the fleet's charge banks (sim.ChargeBank),
+// deferred arithmetic bit-identical to charging each resource directly, and
+// on uniform fleets through the epoch layer (broadcastEpoch), which books
+// the common case — every receiver idle — as a single O(1) round instead of
+// an O(N) walk.
 func (nw *Network) broadcastFlat(from *cluster.Node, k int, kb float64, delivered func()) {
 	nw.messages += uint64(k)
-	nw.controlBytes += float64(k) * kb
 	nw.mMessages.Add(uint64(k))
 
 	c, m := nw.cfg.MsgCPU, nw.cfg.MsgNI
@@ -721,6 +659,5 @@ func (f *fleet) broadcastEpoch(fromID int32, k int, lastNI sim.Time, wire float6
 // the resource itself).
 func (nw *Network) ResetStats() {
 	nw.messages = 0
-	nw.controlBytes = 0
 	nw.Router.ResetStats()
 }

@@ -81,15 +81,7 @@ func cpuProfiles(speeds ...float64) []NodeProfile {
 // excluded: uniform profiles legitimately switch them from their nil-
 // weight degraded mode to all-ones weights.)
 func TestUniformProfilesMatchGolden(t *testing.T) {
-	raw, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read goldens: %v", err)
-	}
-	var want map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("parse goldens: %v", err)
-	}
-
+	want := readGoldens(t, goldenPath)
 	tr := equivalenceTrace()
 	cases := equivalenceCases()
 	names := make([]string, 0, len(cases))
@@ -103,64 +95,82 @@ func TestUniformProfilesMatchGolden(t *testing.T) {
 			"mode/heterogeneous": // already profiled
 			continue
 		}
-		cfg := cases[name]
-		cfg.Profiles = UniformProfiles(cfg.Nodes, NodeProfile{CPUSpeed: 1, DiskSpeed: 1})
-		res, err := Run(cfg, tr)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		js, _ := json.Marshal(res)
-		if string(js) != string(want[name]) {
-			t.Errorf("%s: uniform profiles diverged from golden\n got: %s\nwant: %s",
-				name, js, want[name])
-		}
+		t.Run(name, func(t *testing.T) {
+			cfg := cases[name]
+			cfg.Profiles = UniformProfiles(cfg.Nodes, NodeProfile{CPUSpeed: 1, DiskSpeed: 1})
+			res, err := Run(cfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			js, _ := json.Marshal(res)
+			if string(js) != string(want[name]) {
+				t.Errorf("uniform profiles diverged from golden\n got: %s\nwant: %s",
+					js, want[name])
+			}
+		})
 	}
 }
 
 func TestRunEquivalenceGolden(t *testing.T) {
 	tr := equivalenceTrace()
 	cases := equivalenceCases()
-
-	got := make(map[string]json.RawMessage, len(cases))
 	names := make([]string, 0, len(cases))
 	for name := range cases {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
+	checkGoldenCases(t, goldenPath, names, func(t *testing.T, name string) json.RawMessage {
 		res, err := Run(cases[name], tr)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
 		js, err := json.Marshal(res)
 		if err != nil {
-			t.Fatalf("%s: marshal: %v", name, err)
+			t.Fatalf("marshal: %v", err)
 		}
-		got[name] = js
-	}
+		return js
+	})
+}
 
-	if *updateGolden {
-		var buf []byte
-		buf = append(buf, "{\n"...)
-		for i, name := range names {
-			buf = append(buf, fmt.Sprintf("  %q: %s", name, got[name])...)
-			if i < len(names)-1 {
-				buf = append(buf, ',')
+// checkGoldenCases runs each named case as its own subtest and compares the
+// JSON that run returns against the golden file byte for byte; byte
+// equality of the compact JSON is bit equality of the Result. Under
+// -update-golden it rewrites the file instead, provided every case ran.
+func checkGoldenCases(t *testing.T, path string, names []string, run func(t *testing.T, name string) json.RawMessage) {
+	t.Helper()
+	var want map[string]json.RawMessage
+	if !*updateGolden {
+		want = readGoldens(t, path)
+		if len(want) != len(names) {
+			t.Errorf("golden has %d cases, run produced %d", len(want), len(names))
+		}
+	}
+	got := make(map[string]json.RawMessage, len(names))
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			js := run(t, name)
+			got[name] = js
+			if *updateGolden {
+				return
 			}
-			buf = append(buf, '\n')
-		}
-		buf = append(buf, "}\n"...)
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d goldens to %s", len(names), goldenPath)
-		return
+			w, ok := want[name]
+			if !ok {
+				t.Fatal("no golden entry (run with -update-golden)")
+			}
+			if string(js) != string(w) {
+				t.Errorf("Result diverged from golden\n got: %s\nwant: %s", js, w)
+			}
+		})
 	}
+	if *updateGolden && !t.Failed() {
+		writeGoldens(t, path, names, got)
+	}
+}
 
-	raw, err := os.ReadFile(goldenPath)
+// readGoldens loads a golden file: one compact JSON value per case name.
+func readGoldens(t *testing.T, path string) map[string]json.RawMessage {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read goldens (run with -update-golden to generate): %v", err)
 	}
@@ -168,19 +178,27 @@ func TestRunEquivalenceGolden(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatalf("parse goldens: %v", err)
 	}
-	if len(want) != len(got) {
-		t.Errorf("golden has %d cases, run produced %d", len(want), len(got))
-	}
-	for _, name := range names {
-		w, ok := want[name]
-		if !ok {
-			t.Errorf("%s: no golden entry (run with -update-golden)", name)
-			continue
+	return want
+}
+
+// writeGoldens rewrites a golden file, one case per line in names order.
+func writeGoldens(t *testing.T, path string, names []string, got map[string]json.RawMessage) {
+	t.Helper()
+	var buf []byte
+	buf = append(buf, "{\n"...)
+	for i, name := range names {
+		buf = append(buf, fmt.Sprintf("  %q: %s", name, got[name])...)
+		if i < len(names)-1 {
+			buf = append(buf, ',')
 		}
-		// Byte equality of the compact JSON is bit equality of the Result.
-		if string(got[name]) != string(w) {
-			t.Errorf("%s: Result diverged from golden\n got: %s\nwant: %s",
-				name, got[name], w)
-		}
+		buf = append(buf, '\n')
 	}
+	buf = append(buf, "}\n"...)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %d goldens to %s", len(names), path)
 }

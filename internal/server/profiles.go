@@ -206,7 +206,7 @@ func parseProfileFields(s string) (NodeProfile, error) {
 
 // parseByteSize parses a cache size: a number with an optional KB, MB, or
 // GB suffix (case-insensitive; bare K/M/G also accepted). No suffix means
-// bytes. Empty means the default (0).
+// bytes. Empty means the default (0). The size must be at most 1e12 bytes.
 func parseByteSize(s string) (int64, error) {
 	if s == "" {
 		return 0, nil
@@ -224,9 +224,12 @@ func parseByteSize(s string) (int64, error) {
 			break
 		}
 	}
+	// Bound the byte count, not the number: a bounded number of gigabytes
+	// can still overflow int64.
 	x, err := strconv.ParseFloat(num, 64)
-	if err != nil || !(x >= 0 && x <= 1e12) {
+	b := x * float64(mult)
+	if err != nil || !(b >= 0 && b <= 1e12) {
 		return 0, fmt.Errorf("profiles: bad cache size %q", s)
 	}
-	return int64(x * float64(mult)), nil
+	return int64(b), nil
 }

@@ -90,6 +90,8 @@ func TestParseProfilesErrors(t *testing.T) {
 		"1/+Inf",
 		"1/1/-Inf",
 		"1/1//InfGB",
+		"1/1//9000000000GB", // in range as a number, past int64 as bytes
+		"1/1//1000GB",       // past the 1e12-byte cap
 	}
 	for _, spec := range bad {
 		if got, err := ParseProfiles(spec); err == nil {

@@ -348,12 +348,9 @@ func newDriver(cfg Config, tr *trace.Trace) (*driver, error) {
 			}
 		}
 	}
-	if cfg.Net.FlattenGossip {
-		// Flat broadcast path: gossip fan-outs charge receivers through
-		// dense per-fleet banks, bit-identical to the unregistered network
-		// (TestFlattenedGossipEquivalence).
-		d.net.RegisterFleet(d.nodes)
-	}
+	// Gossip fan-outs above netsim's threshold take the flat broadcast path
+	// (pinned by TestFlatGolden).
+	d.net.RegisterFleet(d.nodes)
 
 	popts := cfg.policyOptions()
 	// Pre-size per-file policy state from a census of the (truncated)

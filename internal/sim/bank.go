@@ -18,8 +18,8 @@ import "fmt"
 // write of free or busy, the interleaving of floating-point operations on
 // the resource is exactly the eager sequence, so deferred and eager
 // charging produce bit-identical simulations (pinned by
-// TestChargeBankMatchesEager and, end to end, by
-// TestFlattenedGossipEquivalence in internal/server).
+// TestChargeBankMatchesEager and, end to end, by TestFlatGolden in
+// internal/server).
 //
 // Each resource belongs to at most one bank, and all charges through a bank
 // cost the same service time — the per-message NI and CPU overheads of a

@@ -6,11 +6,13 @@ import (
 )
 
 // TestPropertyFireOrderExact hammers the split calendar (staging buffer +
-// heap) with a randomized mix of duplicate-time schedules, cancels, and
-// nested scheduling, and checks the fire sequence is exactly minimal in
-// (when, scheduling sequence): nondecreasing times, and schedule order
-// within every tie. This is the property that makes the buffer invisible —
-// any interleaving bug between the two structures shows up as an inversion.
+// heap) with a randomized mix of duplicate-time callback events, resource
+// completions at the same tied times, and nested scheduling, and checks the
+// fire sequence is exactly minimal in (when, scheduling sequence):
+// nondecreasing times, and schedule order within every tie. This is the
+// property that makes the buffer invisible — any interleaving bug between
+// the two structures, or between the two entry kinds, shows up as an
+// inversion.
 func TestPropertyFireOrderExact(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -21,42 +23,41 @@ func TestPropertyFireOrderExact(t *testing.T) {
 			ord  int
 		}
 		var got []fired
-		ord := 0 // global schedule order, incremented per successful schedule
+		ord := 0 // global schedule order, incremented per schedule
 
 		// times come from a tiny discrete set so ties are the common case,
 		// not the exception.
 		times := []Time{0, 1e-6, 1e-6, 5e-6, 1e-3, 1e-3, 0.5}
 
-		// ord increments on every Schedule call, in the order the engine
-		// sees them — including nested schedules issued from callbacks —
-		// so it is exactly the engine's scheduling sequence.
-		var schedule func(depth int) Event
-		schedule = func(depth int) Event {
+		// ord increments on every Schedule or Acquire call, in the order the
+		// engine sees them — including nested ones issued from callbacks —
+		// so it is exactly the engine's scheduling sequence. An Acquire on a
+		// fresh single-server resource completes exactly delay from now,
+		// the same instant a Schedule with that delay fires.
+		var schedule func(depth int)
+		schedule = func(depth int) {
 			delay := times[rng.Intn(len(times))]
 			myOrd := ord
 			ord++
-			return e.Schedule(delay, func() {
+			fn := func() {
 				got = append(got, fired{when: e.Now(), ord: myOrd})
 				if depth < 3 && rng.Intn(4) == 0 {
 					schedule(depth + 1)
 				}
-			})
-		}
-
-		var cancels []Event
-		for i := 0; i < 2000; i++ {
-			ev := schedule(0)
-			if rng.Intn(10) == 0 {
-				cancels = append(cancels, ev)
+			}
+			if rng.Intn(2) == 0 {
+				NewResource(e, "r", 1).Acquire(delay, fn)
+			} else {
+				e.Schedule(delay, fn)
 			}
 		}
-		for _, ev := range cancels {
-			ev.Cancel()
+		for i := 0; i < 2000; i++ {
+			schedule(0)
 		}
 		e.Run()
 
-		if e.Pending() != 0 {
-			t.Fatalf("seed %d: %d events still pending after Run", seed, e.Pending())
+		if len(got) != ord || int(e.Fired()) != ord {
+			t.Fatalf("seed %d: scheduled %d, fired %d callbacks, Fired()=%d", seed, ord, len(got), e.Fired())
 		}
 		for i := 1; i < len(got); i++ {
 			a, b := got[i-1], got[i]
@@ -90,23 +91,5 @@ func TestStagingOverflow(t *testing.T) {
 		if v != i {
 			t.Fatalf("flush broke tie order: got[%d]=%d", i, v)
 		}
-	}
-}
-
-// TestStagedCancelIsDiscarded cancels an event while it sits in the
-// staging buffer (not the heap) and checks it neither fires nor wedges the
-// pop path.
-func TestStagedCancelIsDiscarded(t *testing.T) {
-	e := NewEngine()
-	firedA, firedB := false, false
-	ev := e.Schedule(1, func() { firedA = true })
-	e.Schedule(2, func() { firedB = true })
-	ev.Cancel()
-	e.Run()
-	if firedA {
-		t.Fatal("cancelled staged event fired")
-	}
-	if !firedB {
-		t.Fatal("live event lost behind a cancelled staged entry")
 	}
 }

@@ -10,14 +10,13 @@
 // on the goroutine that calls Run, and two events scheduled for the same
 // instant fire in the order they were scheduled.
 //
-// The calendar is allocation-free in steady state. Resource completions —
-// the bulk of all events — are plain values carried inline in the calendar
-// entries; cancellable callback events live in a pooled slot array reached
-// through the entry's packed key, so scheduling and firing never touch the
-// garbage collector once the pool has grown to the simulation's high-water
-// mark. Event handles carry the scheduling sequence number, which keeps
-// Cancel safe (a no-op) after the event has fired and its slot has been
-// recycled.
+// The calendar is allocation-free in steady state. Every event — resource
+// completions, the bulk of all events, and plain callbacks alike — is a
+// value carried inline in its calendar entry, so scheduling and firing never
+// touch the garbage collector once the calendar has grown to the
+// simulation's high-water mark. Events cannot be cancelled: once scheduled,
+// an event fires. A model that needs to retract work checks its own state
+// when the callback runs.
 package sim
 
 import (
@@ -28,102 +27,25 @@ import (
 // Time is simulated time in seconds since the start of the run.
 type Time = float64
 
-// Event is a cancellable handle to a scheduled callback. It is a small
-// value; copying it copies the handle, not the event. The zero Event is
-// inert: Cancel on it is a no-op.
-type Event struct {
-	eng  *Engine
-	slot int32
-	seq  uint64
-}
-
-// When returns the simulated time at which the event is scheduled to fire,
-// or NaN if it already fired or was cancelled.
-func (ev Event) When() Time {
-	if ev.eng == nil || ev.eng.slots[ev.slot].seq != ev.seq {
-		return math.NaN()
-	}
-	return ev.eng.slots[ev.slot].when
-}
-
-// Cancel prevents the event from firing. Cancelling an event that already
-// fired or was already cancelled is a no-op: the sequence number in the
-// handle no longer matches the recycled slot's.
-func (ev Event) Cancel() {
-	if ev.eng == nil {
-		return
-	}
-	s := &ev.eng.slots[ev.slot]
-	if s.seq != ev.seq {
-		return
-	}
-	ev.eng.pending--
-	ev.eng.freeSlot(ev.slot)
-}
-
-// invalidSeq marks a free slot. push never assigns it (the sequence counter
-// is bounded far below), so a freed slot matches no outstanding handle and
-// no stale calendar entry.
-const invalidSeq = ^uint64(0)
-
-// eventSlot is pooled per-event state for cancellable callback events
-// (Schedule/At). A slot is live between schedule and fire/cancel; seq holds
-// the scheduling sequence number while live and invalidSeq while free,
-// which invalidates stale handles and stale heap entries alike. Resource
-// completions never take a slot — they ride inline in the calendar entry
-// (see heapEntry).
-//
-// Releasing a slot deliberately leaves its fn pointer in place: a freed
-// slot's callback is never invoked (the seq mismatch retires its entry
-// first), and skipping the nil store keeps the release path free of GC
-// write barriers. The pointer a retired slot pins is a pooled job or
-// method-value callback of the model, which lives for the whole run anyway.
-type eventSlot struct {
-	when Time
-	seq  uint64
-	fn   func()
-	next int32 // free-list link while the slot is free
-}
-
-// Calendar-key layout: seq in the high bits, slot index in the low bits.
-// Comparing keys compares seq first, and seq is unique, so key order IS
-// schedule order; the slot bits ride along for free. Completion entries
-// carry no slot and leave the low bits zero — harmless, since seq alone
-// decides every comparison.
-const (
-	slotBits = 20
-	maxSlots = 1 << slotBits // 1M simultaneously pending events
-	seqShift = slotBits
-	maxSeq   = uint64(1)<<(64-seqShift) - 1 // ~1.7e13 schedulings per engine
-)
-
-// heapEntry is one calendar entry: the firing time, a packed key holding
-// (sequence, slot), and — for resource completions, the overwhelming bulk
-// of calendar traffic — the completion target carried inline. Inlining
-// (res, done) costs sixteen extra bytes per entry but spares completions
-// the pooled slot round-trip entirely: no slot allocate/free per job, and
-// no random load into the slot array on every peek to check staleness
-// (completions have no handle, so they can never be cancelled and are
-// always live). Cancellable callback events keep res nil and reach their
-// callback through the slot named in the key.
+// heapEntry is one calendar entry: the firing time, the scheduling sequence
+// number that breaks ties, and the event itself. A resource completion
+// carries its target in res and its callback (possibly nil) in done; a
+// callback event leaves res nil and carries its callback in done.
 type heapEntry struct {
 	when Time
-	key  uint64
+	seq  uint64
 	res  *Resource // completion target, nil for callback events
-	done func()    // completion callback (may be nil); unused for callback events
+	done func()
 }
 
-// before orders entries by (when, seq); the slot bits in the low end of
-// the key never matter because seq alone is unique.
+// before orders entries by (when, seq); seq is unique, so the order is
+// total.
 func (a heapEntry) before(b heapEntry) bool {
 	if a.when != b.when {
 		return a.when < b.when
 	}
-	return a.key < b.key
+	return a.seq < b.seq
 }
-
-func (en heapEntry) slot() int32      { return int32(en.key & (maxSlots - 1)) }
-func (en heapEntry) entrySeq() uint64 { return en.key >> seqShift }
 
 // probe is an observation hook that fires outside the event calendar (see
 // Engine.Probe).
@@ -160,9 +82,6 @@ type Engine struct {
 	staged  [stagedCap]heapEntry // sorted descending: the minimum is last
 	nstaged int
 	heap    []heapEntry
-	slots   []eventSlot
-	free    int32 // head of the slot free list, -1 when empty
-	pending int   // scheduled, uncancelled, unfired events
 	fired   uint64
 	probes  []probe
 	// probeDue is the earliest next boundary of any probe, +Inf with none
@@ -172,7 +91,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and an empty calendar.
 func NewEngine() *Engine {
-	return &Engine{free: -1, probeDue: math.Inf(1)}
+	return &Engine{probeDue: math.Inf(1)}
 }
 
 // Now returns the current simulated time.
@@ -181,93 +100,48 @@ func (e *Engine) Now() Time { return e.now }
 // Fired reports how many events have fired so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are scheduled but have not fired or been
-// cancelled.
-func (e *Engine) Pending() int { return e.pending }
-
 // Schedule runs fn after delay units of simulated time. A negative delay is
 // an error in the model; it panics rather than silently reordering history.
-func (e *Engine) Schedule(delay Time, fn func()) Event {
+func (e *Engine) Schedule(delay Time, fn func()) {
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("sim: schedule with invalid delay %v at t=%v", delay, e.now))
 	}
-	return e.At(e.now+delay, fn)
+	e.At(e.now+delay, fn)
 }
 
 // At runs fn at absolute simulated time t, which must not be in the past.
-func (e *Engine) At(t Time, fn func()) Event {
+func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
-	slot := e.allocSlot()
-	s := &e.slots[slot]
-	s.when = t
-	s.fn = fn
-	seq := e.push(heapEntry{when: t, key: uint64(uint32(slot))})
-	s.seq = seq
-	return Event{eng: e, slot: slot, seq: seq}
+	e.push(heapEntry{when: t, done: fn})
 }
 
 // atCompletion schedules a resource-completion event: when it fires, r
 // retires one job and then calls done. The pair rides inline in the
-// calendar entry — no slot, no closure — so Resource.Acquire stays
-// allocation-free and the completion never pays the slot pool's
-// bookkeeping.
+// calendar entry, so Resource.Acquire stays allocation-free.
 func (e *Engine) atCompletion(t Time, r *Resource, done func()) {
 	e.push(heapEntry{when: t, res: r, done: done})
 }
 
-// allocSlot takes a slot from the free list, growing the pool if none is
-// free.
-func (e *Engine) allocSlot() int32 {
-	if e.free >= 0 {
-		slot := e.free
-		e.free = e.slots[slot].next
-		return slot
-	}
-	if len(e.slots) >= maxSlots {
-		panic(fmt.Sprintf("sim: more than %d events pending", maxSlots))
-	}
-	e.slots = append(e.slots, eventSlot{next: -1, seq: invalidSeq})
-	return int32(len(e.slots) - 1)
-}
-
-// freeSlot releases a slot back to the pool. Resetting seq invalidates
-// every outstanding handle and heap entry that still names the slot. The
-// callback pointers stay behind on purpose (see eventSlot): this function
-// writes only scalars, so releasing an event costs no GC write barrier.
-func (e *Engine) freeSlot(slot int32) {
-	s := &e.slots[slot]
-	s.seq = invalidSeq
-	s.next = e.free
-	e.free = slot
-}
-
-// push stages a calendar entry. The caller fills when, the low key bits
-// (slot index for callback events, zero for completions), and any inline
-// completion state; push assigns the sequence number and returns it.
-func (e *Engine) push(en heapEntry) uint64 {
-	seq := e.seq
-	if seq > maxSeq {
-		panic("sim: scheduling sequence numbers exhausted")
-	}
+// push files a calendar entry under the next sequence number.
+func (e *Engine) push(en heapEntry) {
+	en.seq = e.seq
 	e.seq++
-	e.pending++
 	if e.nstaged == stagedCap {
 		e.flushStaged()
 	}
-	en.key |= seq << seqShift
 	// An entry due no earlier than the staged maximum goes straight to the
 	// heap: it would only ride the buffer until the next flush anyway, and
 	// filing it first means shifting every nearer entry out of its way. At
 	// saturation most pushes are far-future queue-tail completions, so this
 	// branch keeps the buffer holding near-term work. The buffer/heap split
-	// is free to vary — peekLive takes the minimum of both — so any
-	// partition yields the identical popped sequence.
+	// is free to vary — pop takes the minimum of both — so any partition
+	// yields the identical popped sequence.
 	if e.nstaged > 0 && !en.before(e.staged[0]) {
 		e.heap = append(e.heap, en)
 		e.siftUp(len(e.heap) - 1)
-		return seq
+		return
 	}
 	// Insertion-sort into the descending buffer. The common near-term push
 	// is a new minimum, which lands at the end after a single failed
@@ -279,7 +153,6 @@ func (e *Engine) push(en heapEntry) uint64 {
 	}
 	e.staged[p] = en
 	e.nstaged++
-	return seq
 }
 
 // flushStaged spills the staging buffer into the heap. Entries that make
@@ -353,55 +226,25 @@ func (e *Engine) popMin() heapEntry {
 	return top
 }
 
-// peekLive returns the (when, seq)-minimal live calendar entry across the
-// staging buffer and the heap, discarding stale entries (cancelled events,
-// detected by the sequence mismatch against the slot) as it finds them.
-// fromStaged reports where the entry lives — the buffer's minimum is its
-// last element, the heap's is its root — so the caller can remove exactly
-// that entry. ok is false when the calendar is empty.
-func (e *Engine) peekLive() (fromStaged bool, entry heapEntry, ok bool) {
-	for {
-		has := false
-		if len(e.heap) > 0 {
-			entry = e.heap[0]
-			has = true
-		}
-		fromStaged = false
-		if e.nstaged > 0 {
-			if s := e.staged[e.nstaged-1]; !has || s.before(entry) {
-				entry = s
-				fromStaged = true
-				has = true
-			}
-		}
-		if !has {
-			return false, heapEntry{}, false
-		}
-		// Completions are always live: they carry no handle, so nothing can
-		// cancel them. Only callback events need the slot staleness check.
-		if entry.res != nil || e.slots[entry.slot()].seq == entry.entrySeq() {
-			return fromStaged, entry, true
-		}
-		e.removeTop(fromStaged)
-	}
-}
-
-// removeTop removes the calendar entry peekLive located: the buffer's
-// minimum is shed by shrinking the buffer (it is sorted descending), the
-// heap's by popping the root.
-func (e *Engine) removeTop(fromStaged bool) {
-	if fromStaged {
+// pop removes and returns the (when, seq)-minimal calendar entry: the
+// smaller of the staging buffer's minimum (its last element) and the heap
+// root. ok is false when the calendar is empty.
+func (e *Engine) pop() (entry heapEntry, ok bool) {
+	if e.nstaged > 0 && (len(e.heap) == 0 || e.staged[e.nstaged-1].before(e.heap[0])) {
 		e.nstaged--
-		return
+		return e.staged[e.nstaged], true
 	}
-	e.popMin()
+	if len(e.heap) == 0 {
+		return heapEntry{}, false
+	}
+	return e.popMin(), true
 }
 
 // Probe registers an observation hook that fires whenever the clock
 // crosses a multiple of every, with the time of the event that crossed the
 // boundary. Probes run after the crossing event's callback, entirely
 // outside the event calendar: they schedule nothing, allocate nothing, and
-// leave the event sequence, Pending, and Fired counts untouched, so an
+// leave the event sequence and the Fired count untouched, so an
 // instrumented run replays bit-identically to an uninstrumented one. A
 // probe that lags several boundaries behind (sparse calendars) fires once,
 // at the current time. Per event, disabled or between boundaries, probes
@@ -418,7 +261,7 @@ func (e *Engine) Probe(every Time, fn func(Time)) {
 }
 
 // runProbes fires every probe whose boundary the clock has reached and
-// re-arms probeDue. Callers check e.now >= e.probeDue first.
+// re-arms probeDue. Step checks e.now >= e.probeDue first.
 func (e *Engine) runProbes() {
 	for i := range e.probes {
 		p := &e.probes[i]
@@ -439,67 +282,28 @@ func (e *Engine) runProbes() {
 
 // Step fires the next event. It reports false when the calendar is empty.
 func (e *Engine) Step() bool {
-	fromStaged, entry, ok := e.peekLive()
+	entry, ok := e.pop()
 	if !ok {
 		return false
 	}
-	e.fire(fromStaged, entry)
-	return true
-}
-
-// fire removes the entry peekLive located and runs its callback.
-func (e *Engine) fire(fromStaged bool, entry heapEntry) {
-	e.removeTop(fromStaged)
 	if entry.when < e.now {
 		panic("sim: time went backwards")
 	}
-	e.pending--
 	e.now = entry.when
 	e.fired++
 	if entry.res != nil {
 		entry.res.complete(entry.done)
 	} else {
-		// Copy the callback out and release the slot before invoking it: the
-		// callback is free to schedule new events into the recycled slot.
-		slot := entry.slot()
-		fn := e.slots[slot].fn
-		e.freeSlot(slot)
-		fn()
+		entry.done()
 	}
 	if e.now >= e.probeDue {
 		e.runProbes()
 	}
+	return true
 }
 
 // Run fires events until the calendar is empty.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
-}
-
-// RunUntil fires events with timestamps at or before t, then advances the
-// clock to t. Events scheduled for later instants remain pending.
-func (e *Engine) RunUntil(t Time) {
-	for {
-		fromStaged, entry, ok := e.peekLive()
-		if !ok || entry.when > t {
-			break
-		}
-		e.fire(fromStaged, entry)
-	}
-	if t > e.now {
-		e.now = t
-		if e.now >= e.probeDue {
-			e.runProbes()
-		}
-	}
-}
-
-// RunLimit fires at most n events; it reports how many actually fired.
-func (e *Engine) RunLimit(n uint64) uint64 {
-	var fired uint64
-	for fired < n && e.Step() {
-		fired++
-	}
-	return fired
 }

@@ -12,8 +12,8 @@ func TestEngineStartsAtZero(t *testing.T) {
 	if e.Now() != 0 {
 		t.Fatalf("Now() = %v, want 0", e.Now())
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d, want 0", e.Pending())
+	if e.Fired() != 0 {
+		t.Fatalf("Fired() = %d, want 0", e.Fired())
 	}
 }
 
@@ -51,27 +51,6 @@ func TestSameTimeEventsFireInScheduleOrder(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.Schedule(1, func() { fired = true })
-	ev.Cancel()
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if e.Fired() != 0 {
-		t.Fatalf("Fired() = %d, want 0", e.Fired())
-	}
-}
-
-func TestCancelAfterFireIsNoop(t *testing.T) {
-	e := NewEngine()
-	ev := e.Schedule(1, func() {})
-	e.Run()
-	ev.Cancel() // must not panic
-}
-
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -91,44 +70,6 @@ func TestAtInPastPanics(t *testing.T) {
 		}
 	}()
 	e.At(1, func() {})
-}
-
-func TestRunUntilAdvancesClock(t *testing.T) {
-	e := NewEngine()
-	var fired []float64
-	e.Schedule(1, func() { fired = append(fired, e.Now()) })
-	e.Schedule(10, func() { fired = append(fired, e.Now()) })
-	e.RunUntil(5)
-	if len(fired) != 1 || fired[0] != 1 {
-		t.Fatalf("fired = %v, want [1]", fired)
-	}
-	if e.Now() != 5 {
-		t.Fatalf("Now() = %v, want 5", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if len(fired) != 2 || fired[1] != 10 {
-		t.Fatalf("fired = %v, want [1 10]", fired)
-	}
-}
-
-func TestRunLimit(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(float64(i+1), func() { count++ })
-	}
-	if n := e.RunLimit(3); n != 3 {
-		t.Fatalf("RunLimit(3) = %d", n)
-	}
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if n := e.RunLimit(100); n != 7 {
-		t.Fatalf("RunLimit(100) = %d, want 7", n)
-	}
 }
 
 func TestNestedScheduling(t *testing.T) {

@@ -30,7 +30,7 @@ func TestProbeFiresOnBoundaries(t *testing.T) {
 }
 
 // TestProbeDoesNotPerturbEngine: registering a probe changes no observable
-// engine state — same event count, same pending, same clock.
+// engine state — same event count, same clock.
 func TestProbeDoesNotPerturbEngine(t *testing.T) {
 	run := func(withProbe bool) (fired uint64, now Time) {
 		e := NewEngine()
@@ -53,22 +53,6 @@ func TestProbeDoesNotPerturbEngine(t *testing.T) {
 	f1, t1 := run(true)
 	if f0 != f1 || t0 != t1 {
 		t.Fatalf("probe perturbed the engine: fired %d vs %d, now %v vs %v", f0, f1, t0, t1)
-	}
-}
-
-// TestProbeRunUntil: advancing the clock with RunUntil past a probe
-// boundary fires the probe at the target time.
-func TestProbeRunUntil(t *testing.T) {
-	e := NewEngine()
-	var times []Time
-	e.Probe(1.0, func(now Time) { times = append(times, now) })
-	e.At(0.5, func() {})
-	e.RunUntil(3.5)
-	if len(times) != 1 || times[0] != 3.5 {
-		t.Fatalf("probe fired at %v, want [3.5]", times)
-	}
-	if e.Now() != 3.5 {
-		t.Fatalf("now = %v", e.Now())
 	}
 }
 
@@ -123,8 +107,8 @@ func TestProbeAllocFree(t *testing.T) {
 		e.Step()
 		next++
 	})
-	// Allow the event-slot pool and heap to have warmed up: after the first
-	// iterations nothing may allocate.
+	// Allow the calendar to have warmed up: after the first iterations
+	// nothing may allocate.
 	if allocs > 0 {
 		t.Fatalf("probe dispatch allocates %v per event", allocs)
 	}
@@ -159,10 +143,9 @@ func (u *ungatedProbes) advance(now Time) {
 // TestProbeGateFiresSameCalls: gating dispatch on the earliest boundary
 // must leave every callback at exactly the same event with the same t. Two
 // probes with incommensurate periods and one registered mid-run by a
-// callback, driven by Step, by RunUntil past the last event and by RunUntil
-// on an empty calendar; then the same with a probe whose period is far
-// below the event spacing (it lags many boundaries, fires once per event
-// and holds the gate open).
+// callback, driven by Step and then by Run; then the same with a probe
+// whose period is far below the event spacing (it lags many boundaries,
+// fires once per event and holds the gate open).
 func TestProbeGateFiresSameCalls(t *testing.T) {
 	for _, periods := range [][]Time{
 		{1, math.Sqrt2 / 3, 2.5},
@@ -207,13 +190,11 @@ func TestProbeGateFiresSameCalls(t *testing.T) {
 			times = append(times, at)
 			e.At(at, func() {})
 		}
-		end := times[len(times)-1] + 10
 		for i := 0; i < len(times)/2; i++ {
 			e.Step()
 		}
-		e.RunUntil(end)     // the other half, then a bare clock advance
-		e.RunUntil(end + 1) // empty calendar
-		for _, now := range append(times, end, end+1) {
+		e.Run() // the other half
+		for _, now := range times {
 			ref.advance(now)
 		}
 

@@ -24,7 +24,6 @@ type Resource struct {
 	busy      Time    // total service time accrued (per-server seconds)
 	completed uint64  // jobs completed
 	inSystem  int     // jobs queued or in service
-	maxQueue  int     // high-water mark of inSystem
 	areaQ     float64 // integral of inSystem over time, for mean jobs-in-system
 	lastT     Time    // last time areaQ was updated
 	epoch     Time    // start of the current measurement interval
@@ -63,9 +62,6 @@ func (r *Resource) Acquire(service Time, done func()) Time {
 	now := r.eng.Now()
 	r.accumulate(now)
 	r.inSystem++
-	if r.inSystem > r.maxQueue {
-		r.maxQueue = r.inSystem
-	}
 
 	// Pick the server that frees up first.
 	best := 0
@@ -82,8 +78,8 @@ func (r *Resource) Acquire(service Time, done func()) Time {
 	r.free[best] = finish
 	r.busy += service
 
-	// A completion event carries (r, done) in its pooled slot rather than a
-	// closure, so Acquire itself never allocates.
+	// A completion event carries (r, done) inline in its calendar entry
+	// rather than in a closure, so Acquire itself never allocates.
 	r.eng.atCompletion(finish, r, done)
 	return finish
 }
@@ -95,7 +91,7 @@ func (r *Resource) Acquire(service Time, done func()) Time {
 // the per-server free times advance identically. It returns the finish time.
 //
 // This is the arithmetic half of batched fan-out: a broadcast charges each
-// endpoint's resources with ChargeAt and schedules one pooled event at the
+// endpoint's resources with ChargeAt and schedules one event at the
 // latest finish, instead of one completion event per endpoint per stage.
 // Because no event fires, the charge is invisible to the queue-length
 // statistics (inSystem, areaQ, Completed) — callers that batch trade those
@@ -162,9 +158,6 @@ func (r *Resource) Completed() uint64 { return r.completed }
 // InSystem returns the number of jobs queued or in service right now.
 func (r *Resource) InSystem() int { return r.inSystem }
 
-// MaxInSystem returns the high-water mark of jobs queued or in service.
-func (r *Resource) MaxInSystem() int { return r.maxQueue }
-
 // MeanInSystem returns the time-average number of jobs in the resource.
 func (r *Resource) MeanInSystem() float64 {
 	now := r.eng.Now()
@@ -192,7 +185,6 @@ func (r *Resource) ResetStats() {
 	}
 	r.busy = future
 	r.completed = 0
-	r.maxQueue = r.inSystem
 	r.areaQ = 0
 	r.lastT = now
 	r.epoch = now

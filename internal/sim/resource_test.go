@@ -90,9 +90,6 @@ func TestResourceQueueAccounting(t *testing.T) {
 	if r.InSystem() != 5 {
 		t.Fatalf("InSystem = %d, want 5", r.InSystem())
 	}
-	if r.MaxInSystem() != 5 {
-		t.Fatalf("MaxInSystem = %d, want 5", r.MaxInSystem())
-	}
 	e.Run()
 	if r.InSystem() != 0 {
 		t.Fatalf("InSystem after run = %d, want 0", r.InSystem())
@@ -107,9 +104,8 @@ func TestResourceQueueAccounting(t *testing.T) {
 func TestResourceResetStats(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "cpu", 1)
-	r.Acquire(4, nil) // busy [0,4]
-	e.RunUntil(2)
-	r.ResetStats() // measurement starts at t=2; 2s of that job remain
+	r.Acquire(4, nil)     // busy [0,4]
+	e.At(2, r.ResetStats) // measurement starts at t=2; 2s of that job remain
 	e.Run()
 	if r.Completed() != 1 {
 		t.Fatalf("Completed = %d, want 1", r.Completed())

@@ -1,100 +1,66 @@
 package sim
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
 
-// The stress tests exercise the pooled calendar the way the cluster
-// simulator does — dense schedule/cancel/fire interleavings with slot
-// recycling — and assert the engine's core contracts: total (time, seq)
-// order, exact Fired/Pending accounting, and Cancel safety against stale
-// handles after the underlying slot has been reused.
+// The stress tests exercise the calendar the way the cluster simulator
+// does — dense schedule/fire interleavings, callbacks that schedule more
+// events — and assert the engine's core contracts: total (time, seq) order
+// and exact Fired accounting.
 
-// TestStressScheduleCancelFire drives randomized interleavings of
-// scheduling, cancelling (before and after firing), and firing, and checks
-// that fired events come out in nondecreasing time order with schedule
-// order breaking ties, that cancelled events never fire, and that
-// Fired/Pending agree with an independent count at every step.
-func TestStressScheduleCancelFire(t *testing.T) {
+// TestStressScheduleFire drives randomized interleavings of scheduling and
+// firing, and checks that fired events come out in nondecreasing time order
+// with schedule order breaking ties, and that Fired agrees with an
+// independent count at every step.
+func TestStressScheduleFire(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
 
 		type scheduled struct {
-			ev        Event
-			when      Time
-			order     int // schedule order, the tie-break within one instant
-			cancelled bool
-			fired     bool
+			when  Time
+			order int // schedule order, the tie-break within one instant
+			fired bool
 		}
 		var all []*scheduled
 		firedSeq := make([]*scheduled, 0, 256)
 		live := 0
 
-		schedule := func() {
-			s := &scheduled{when: e.Now() + rng.Float64()*10, order: len(all)}
-			s.ev = e.At(s.when, func() { s.fired = true; firedSeq = append(firedSeq, s) })
-			all = append(all, s)
-			live++
-		}
-
 		for step := 0; step < 600; step++ {
-			switch op := rng.Intn(10); {
-			case op < 5: // schedule
-				schedule()
-			case op < 7 && len(all) > 0: // cancel a random event, fired or not
-				s := all[rng.Intn(len(all))]
-				wasLive := !s.fired && !s.cancelled
-				s.ev.Cancel()
-				if s.fired || s.cancelled {
-					// Cancel after fire (or double cancel) must be a no-op —
-					// in particular it must not kill whatever event now
-					// occupies the recycled slot.
-					s.ev.Cancel()
-				} else {
-					s.cancelled = true
-				}
-				if wasLive {
-					live--
-				}
-			default: // fire
-				before := e.Fired()
-				if e.Step() {
-					if e.Fired() != before+1 {
-						t.Fatalf("seed %d: Fired went %d -> %d in one Step", seed, before, e.Fired())
-					}
-					live--
-				} else if live != 0 {
-					t.Fatalf("seed %d: Step()=false with %d live events", seed, live)
-				}
+			if rng.Intn(10) < 6 { // schedule
+				s := &scheduled{when: e.Now() + rng.Float64()*10, order: len(all)}
+				e.At(s.when, func() { s.fired = true; firedSeq = append(firedSeq, s) })
+				all = append(all, s)
+				live++
+				continue
 			}
-			if e.Pending() != live {
-				t.Fatalf("seed %d step %d: Pending()=%d, tracked live=%d",
-					seed, step, e.Pending(), live)
+			before := e.Fired()
+			if e.Step() {
+				if e.Fired() != before+1 {
+					t.Fatalf("seed %d: Fired went %d -> %d in one Step", seed, before, e.Fired())
+				}
+				live--
+			} else if live != 0 {
+				t.Fatalf("seed %d: Step()=false with %d live events", seed, live)
+			}
+			if int(e.Fired()) != len(firedSeq) {
+				t.Fatalf("seed %d step %d: Fired()=%d, observed %d callbacks",
+					seed, step, e.Fired(), len(firedSeq))
 			}
 		}
 		e.Run()
 
-		// Every event fired exactly once or was cancelled, never both.
-		firedCount := 0
+		// Every event fired exactly once.
 		for i, s := range all {
-			if s.fired && s.cancelled {
-				t.Fatalf("seed %d: event %d both fired and cancelled", seed, i)
-			}
-			if !s.fired && !s.cancelled {
-				t.Fatalf("seed %d: event %d neither fired nor cancelled after Run", seed, i)
-			}
-			if s.fired {
-				firedCount++
+			if !s.fired {
+				t.Fatalf("seed %d: event %d never fired", seed, i)
 			}
 		}
-		if got := int(e.Fired()); got != firedCount {
-			t.Fatalf("seed %d: engine Fired()=%d, observed %d callbacks", seed, got, firedCount)
-		}
-		if e.Pending() != 0 {
-			t.Fatalf("seed %d: Pending()=%d after Run", seed, e.Pending())
+		if got := int(e.Fired()); got != len(all) || len(firedSeq) != len(all) {
+			t.Fatalf("seed %d: engine Fired()=%d, observed %d callbacks, scheduled %d",
+				seed, got, len(firedSeq), len(all))
 		}
 
 		// Total (time, schedule-order) order over the fired sequence.
@@ -111,57 +77,16 @@ func TestStressScheduleCancelFire(t *testing.T) {
 	}
 }
 
-// TestCancelledHandleSurvivesSlotReuse pins the generation-counter
-// guarantee directly: after an event fires, its slot is recycled by the
-// next schedule, and the stale handle's Cancel must not touch the new
-// occupant.
-func TestCancelledHandleSurvivesSlotReuse(t *testing.T) {
-	e := NewEngine()
-	stale := e.Schedule(1, func() {})
-	if !e.Step() {
-		t.Fatal("first event did not fire")
-	}
-	// The pool now has exactly one free slot; this schedule reuses it.
-	fired := false
-	fresh := e.Schedule(1, func() { fired = true })
-	if fresh == stale {
-		t.Fatal("recycled handle should differ by generation")
-	}
-	stale.Cancel() // must not cancel the fresh occupant
-	e.Run()
-	if !fired {
-		t.Fatal("stale Cancel killed the event occupying the recycled slot")
-	}
-}
-
-// TestWhenReportsScheduledTime covers the handle's When accessor across the
-// slot lifecycle.
-func TestWhenReportsScheduledTime(t *testing.T) {
-	e := NewEngine()
-	ev := e.Schedule(2.5, func() {})
-	if got := ev.When(); got != 2.5 {
-		t.Fatalf("When() = %v, want 2.5", got)
-	}
-	e.Run()
-	if got := ev.When(); !math.IsNaN(got) {
-		t.Fatalf("When() after fire = %v, want NaN", got)
-	}
-	if got := (Event{}).When(); !math.IsNaN(got) {
-		t.Fatalf("zero Event When() = %v, want NaN", got)
-	}
-}
-
-// TestStressNestedReschedule mixes self-rescheduling callbacks (the
-// resource-completion pattern) with cancellations, under the race detector
-// when enabled, to shake out pool corruption from callbacks that schedule
-// into freshly recycled slots.
+// TestStressNestedReschedule drives self-rescheduling callbacks with a
+// random fan-out (the message-hop pattern), under the race detector when
+// enabled, and checks the clock never runs backwards and every scheduled
+// event fires.
 func TestStressNestedReschedule(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
 		var last Time
-		fired := 0
-		var pending []Event
+		scheduled, fired := 1, 0
 		var tick func()
 		tick = func() {
 			if e.Now() < last {
@@ -172,20 +97,53 @@ func TestStressNestedReschedule(t *testing.T) {
 			if fired >= 5000 {
 				return
 			}
-			// Fan out, and sometimes cancel an arbitrary pending event.
 			for k := rng.Intn(3); k > 0; k-- {
-				pending = append(pending, e.Schedule(rng.Float64(), tick))
-			}
-			if len(pending) > 0 && rng.Intn(4) == 0 {
-				i := rng.Intn(len(pending))
-				pending[i].Cancel()
-				pending = append(pending[:i], pending[i+1:]...)
+				e.Schedule(rng.Float64(), tick)
+				scheduled++
 			}
 		}
 		e.Schedule(0, tick)
 		e.Run()
-		if e.Pending() != 0 {
-			t.Fatalf("seed %d: Pending()=%d after Run", seed, e.Pending())
+		if fired != scheduled || int(e.Fired()) != fired {
+			t.Fatalf("seed %d: scheduled %d, callbacks %d, Fired()=%d", seed, scheduled, fired, e.Fired())
 		}
+	}
+}
+
+// TestMillionPendingEvents holds 2^20+1 callback events pending at once —
+// one past the limit of the slot pool the calendar used to keep — and
+// checks they fire in (when, seq) order. The events fall into 65537 tie
+// groups of up to 16 members, visited in a scrambled time order; a
+// member's callback knows only its position in its group, which is enough
+// to catch any inversion within a tie.
+func TestMillionPendingEvents(t *testing.T) {
+	const (
+		n      = 1<<20 + 1
+		groups = 65537 // prime, so i -> i*a mod groups permutes each round
+	)
+	e := NewEngine()
+	last, want, fired := Time(-1), 0, 0
+	member := make([]func(), n/groups+1)
+	for pos := range member {
+		member[pos] = func() {
+			if now := e.Now(); now != last {
+				if now < last {
+					t.Fatalf("time went backwards: %v after %v", now, last)
+				}
+				last, want = now, 0
+			}
+			if pos != want {
+				t.Fatalf("t=%v: member %d fired, want %d", last, pos, want)
+			}
+			want++
+			fired++
+		}
+	}
+	for i := 0; i < n; i++ {
+		e.At(Time(i*40503%groups), member[i/groups])
+	}
+	e.Run()
+	if fired != n || e.Fired() != n {
+		t.Fatalf("fired %d callbacks, Fired()=%d, want %d", fired, e.Fired(), n)
 	}
 }
