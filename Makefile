@@ -29,8 +29,7 @@ check: fmt vet build test
 # race exercises the deterministic sweep runner and the simulator under the
 # race detector — the parallel-equals-sequential guarantee is only as good
 # as its synchronization — plus the pooled simulation core, the live
-# native cluster (gossip, failure detection, hand-off retry), the open-addressed
-# index behind the policies' file sets and the reuse tracker, the policies
+# native cluster (gossip, failure detection, hand-off retry), the policies
 # and the shot-noise synthesizer (their determinism tests switch GOMAXPROCS),
 # the obs instruments (every native node hits the Registry's counters
 # concurrently) and, under -short, the trace generator's chunked calibration fill (the
@@ -39,7 +38,7 @@ check: fmt vet build test
 # goroutine the small ones do not) and the server (TestScaleGridCounts keeps
 # its F=10^4 column and skips the 10^6- and 10^7-file traces).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/cache/... ./internal/fastmap/... ./internal/netsim/... ./internal/runner/... ./internal/native/... ./internal/policy/... ./internal/shotnoise/... ./internal/obs/...
+	$(GO) test -race ./internal/sim/... ./internal/cache/... ./internal/netsim/... ./internal/runner/... ./internal/native/... ./internal/policy/... ./internal/shotnoise/... ./internal/obs/...
 	$(GO) test -race -short ./internal/trace/... ./internal/server/...
 
 # chaos runs the fault-injection tests (node kill mid-replay, seeded gossip
@@ -66,7 +65,7 @@ profile: build
 # unit, so they are exempt).
 COVER_MIN ?= 60
 COVER_PKGS = ./internal/cache ./internal/cluster ./internal/core \
-             ./internal/experiments ./internal/fastmap ./internal/native \
+             ./internal/experiments ./internal/native \
              ./internal/netsim ./internal/obs ./internal/policy \
              ./internal/queuemodel ./internal/runner ./internal/server \
              ./internal/shotnoise ./internal/sim ./internal/stats \

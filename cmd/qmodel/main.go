@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/experiments"
@@ -40,6 +41,11 @@ func main() {
 	params.Nodes = *nodes
 	params.CacheBytes = *memMB << 20
 	params.Replication = *replication
+	params.AvgFileKB = *size
+	if err := checkFlags(params, *memMB, *hit, *point); err != nil {
+		fmt.Fprintln(os.Stderr, "qmodel:", err)
+		os.Exit(1)
+	}
 
 	did := false
 	if *table1 {
@@ -79,7 +85,6 @@ func main() {
 		did = true
 	}
 	if *point {
-		params.AvgFileKB = *size
 		ob := params.Oblivious(*hit)
 		co := params.Conscious(*hit)
 		hlc, h := params.HitRates(*hit)
@@ -113,4 +118,19 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// checkFlags rejects flag values the model has no answer for, before any
+// mode runs. -hit and -size are read only by -point: the surfaces set the
+// file size per grid point.
+func checkFlags(p queuemodel.Params, memMB int64, hit float64, point bool) error {
+	if memMB < 1 || memMB > math.MaxInt64>>20 {
+		return fmt.Errorf("-mem %d MB outside [1, %d]", memMB, int64(math.MaxInt64>>20))
+	}
+	if !point {
+		p.AvgFileKB = 1
+	} else if !(hit >= 0 && hit <= 1) {
+		return fmt.Errorf("-hit %v outside [0,1]", hit)
+	}
+	return p.Validate()
 }

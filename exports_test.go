@@ -20,8 +20,6 @@ var testOnlyExports = []string{
 	"cache.Capacity", "cache.Evict", "cache.Measured", "cache.MostRecent", "cache.Used",
 	"cluster.CPUTime", "cluster.MaxLoad",
 	"core.NewWeighted", "core.ServerSet",
-	"experiments.SequentialMissRate",
-	"fastmap.Delete",
 	"native.Kill", "native.MarkDead", "native.PeerHealth", "native.Revive", "native.ServerSet",
 	"native.WithRetry", "native.WithServePenalty",
 	"obs.Bounds", "obs.BucketCount", "obs.ParsePrometheus", "obs.WeightedMean",
@@ -33,7 +31,6 @@ var testOnlyExports = []string{
 	"queuemodel.SaturatedTokenThroughput",
 	"server.DefaultNodeProfile", "server.Tiered", "server.UniformProfiles",
 	"server.WithCustomPolicy", "server.WithLARD", "server.WithMaxRequests",
-	"sim.MeanInSystem",
 	"stats.Stddev",
 	"zipf.CDF",
 }

@@ -251,9 +251,9 @@ func (c *LRU) alloc() int32 {
 	return i
 }
 
-// bucket returns the chain id hashes to: the Fibonacci multiply-shift hash
-// of fastmap, which spreads the sequential file ids of a rank-ordered
-// catalog across the array instead of clustering them.
+// bucket returns the chain id hashes to: a Fibonacci multiply-shift hash,
+// which spreads the sequential file ids of a rank-ordered catalog across
+// the array instead of clustering them.
 func (c *LRU) bucket(id FileID) uint32 {
 	return uint32((uint64(uint32(id)) * 0x9e3779b97f4a7c15) >> c.shift)
 }

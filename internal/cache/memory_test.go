@@ -25,7 +25,7 @@ func allocatedBytes(fn func()) uint64 {
 //	+ 24·⌈n/64⌉   the append-grown table of page pointers
 //	+ 256         the LRU struct and the 8-head initial bucket array
 //
-// bytes. The slice-plus-fastmap storage this replaced allocated 100-200
+// bytes. The slice-plus-hash-table storage this replaced allocated 100-200
 // bytes per file on the way up (DESIGN.md §4).
 func TestFillAllocatesResidencyPlusOnePage(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 300, 6000} {

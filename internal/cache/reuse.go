@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-
-	"repro/internal/fastmap"
 )
 
 // fileState is the per-file record of the curve builder: the latest access
@@ -25,8 +23,8 @@ type fileState struct {
 // miss-ratio curve used to anchor the analytic model's hit rates for all
 // cluster sizes at once.
 type CurveBuilder struct {
-	bit   []int64                 // Fenwick tree over access positions, holding sizes
-	files *fastmap.Map[fileState] // latest access position and size per file
+	bit   []int64             // Fenwick tree over access positions, holding sizes
+	files map[int32]fileState // latest access position and size per file
 	next  int32
 
 	distances []int64 // recorded reuse distances of measured hits-or-misses
@@ -54,7 +52,7 @@ func NewCurveBuilder(accesses int) *CurveBuilder {
 	}
 	return &CurveBuilder{
 		bit:   make([]int64, accesses+1),
-		files: fastmap.New[fileState](0),
+		files: make(map[int32]fileState),
 	}
 }
 
@@ -80,7 +78,7 @@ func (b *CurveBuilder) touch(id FileID, size int64, record bool) {
 	if int(b.next)+1 >= len(b.bit) {
 		b.grow()
 	}
-	st, seen := b.files.Get(int32(id))
+	st, seen := b.files[int32(id)]
 	if record {
 		if !seen {
 			b.cold++
@@ -95,7 +93,7 @@ func (b *CurveBuilder) touch(id FileID, size int64, record bool) {
 		b.update(int(st.pos), -st.size)
 	}
 	b.next++
-	b.files.Put(int32(id), fileState{pos: b.next, size: size})
+	b.files[int32(id)] = fileState{pos: b.next, size: size}
 	b.update(int(b.next), size)
 }
 
@@ -108,18 +106,17 @@ func (b *CurveBuilder) touch(id FileID, size int64, record bool) {
 // the unbounded tree's — while memory stays O(distinct files) no matter how
 // long the stream runs.
 func (b *CurveBuilder) grow() {
-	if 2*b.files.Len() <= len(b.bit)-1 {
+	if 2*len(b.files) <= len(b.bit)-1 {
 		b.compact()
 		return
 	}
 	b.bit = make([]int64, len(b.bit)*2)
 	// Rebuild from per-file positions (only live positions carry weight).
-	// The Fenwick updates are additive, so the table's iteration order
+	// The Fenwick updates are additive, so the map's iteration order
 	// cannot affect the rebuilt tree.
-	b.files.Range(func(_ int32, st fileState) bool {
+	for _, st := range b.files {
 		b.update(int(st.pos), st.size)
-		return true
-	})
+	}
 }
 
 // liveEnt is compact's scratch record: one live (file, position, size).
@@ -132,18 +129,19 @@ type liveEnt struct {
 // compact renumbers live positions 1..L in stream order and rebuilds the
 // tree in place.
 func (b *CurveBuilder) compact() {
-	ents := make([]liveEnt, 0, b.files.Len())
-	b.files.Range(func(id int32, st fileState) bool {
+	ents := make([]liveEnt, 0, len(b.files))
+	for id, st := range b.files {
 		ents = append(ents, liveEnt{id: id, pos: st.pos, size: st.size})
-		return true
-	})
+	}
+	// Positions are unique, so the sort fixes the order the map's
+	// iteration left unspecified.
 	sort.Slice(ents, func(i, j int) bool { return ents[i].pos < ents[j].pos })
 	for i := range b.bit {
 		b.bit[i] = 0
 	}
 	for i, e := range ents {
 		pos := int32(i + 1)
-		b.files.Put(e.id, fileState{pos: pos, size: e.size})
+		b.files[e.id] = fileState{pos: pos, size: e.size}
 		b.update(int(pos), e.size)
 	}
 	b.next = int32(len(ents))

@@ -199,12 +199,9 @@ func New(env policy.Env, opts Options) *L2S {
 	}
 }
 
-// ReserveFiles pre-sizes the per-file server-set index for n distinct
-// files, so catalog-scale runs skip its rehash-doublings.
+// ReserveFiles sizes the per-file server-set index for FileIDs in [0, n),
+// so a catalogue-sized index is allocated once.
 func (l *L2S) ReserveFiles(n int) { l.sets.Reserve(n) }
-
-// IndexSizing is policy.FileSets.Sizing of the server-set index.
-func (l *L2S) IndexSizing() (files, capacity, grows int) { return l.sets.Sizing() }
 
 // NewWeighted builds L2S with capacity-weighted thresholds and server-set
 // selection. weights must have one entry per node, normalized to mean 1
@@ -264,7 +261,7 @@ func (l *L2S) Service(initial int, f policy.FileID) int {
 	case Keep:
 		return d.Service
 	case Reset:
-		l.sets.SetSingle(f32, d.Service, l.env.Now())
+		l.sets.SetSingle(f32, d.Service)
 		l.grows++
 	case Grow:
 		l.sets.Append(f32, d.Service, l.env.Now())

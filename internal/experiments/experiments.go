@@ -158,21 +158,16 @@ func Table2(opts Options) ([]trace.Characteristics, string) {
 	return out, b.String()
 }
 
-// SequentialMissRate measures the miss rate of a single sequential server
-// with the given cache over a trace, after warming on the first third —
-// the calibration quantity of Section 5.1 (9-28% at 32 MB).
-func SequentialMissRate(tr *trace.Trace, cacheBytes int64) float64 {
-	return 1 - HitRateAtCapacity(tr, cacheBytes)
-}
-
 // HitRateAtCapacity measures the warm LRU hit rate of the trace at a given
-// cache capacity. The model curves of Figures 7-10 use it to instantiate
-// the paper's hit-rate algebra with the workload's true behavior: Hlo at
-// one node's memory, Hlc at the cluster-wide cache Clc = N(1-R)C + RC, and
-// h at the replicated slice RC. (The paper's closed-form z(n, F) assumes
-// independent Zipf references; real and realistic traces also carry
-// temporal locality, which an LRU pass captures and a z-evaluation would
-// miss, so anchoring on measured hit rates keeps the model an upper bound.)
+// cache capacity, after warming on the first third; at 32 MB its complement
+// is the sequential miss rate Section 5.1 calibrates against (9-28%). The
+// model curves of Figures 7-10 use it to instantiate the paper's hit-rate
+// algebra with the workload's true behavior: Hlo at one node's memory, Hlc
+// at the cluster-wide cache Clc = N(1-R)C + RC, and h at the replicated
+// slice RC. (The paper's closed-form z(n, F) assumes independent Zipf
+// references; real and realistic traces also carry temporal locality, which
+// an LRU pass captures and a z-evaluation would miss, so anchoring on
+// measured hit rates keeps the model an upper bound.)
 func HitRateAtCapacity(tr *trace.Trace, cacheBytes int64) float64 {
 	if cacheBytes <= 0 {
 		return 0

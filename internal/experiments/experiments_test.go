@@ -102,7 +102,7 @@ func TestReplicationSweepTradeoffs(t *testing.T) {
 func TestSequentialMissRateBands(t *testing.T) {
 	for _, name := range []string{"calgary", "nasa"} {
 		tr := fastTrace(t, name, 0.1)
-		m := SequentialMissRate(tr, 32<<20)
+		m := 1 - HitRateAtCapacity(tr, 32<<20)
 		if m < 0.03 || m > 0.35 {
 			t.Errorf("%s: sequential miss %.1f%% far outside the paper band", name, m*100)
 		}

@@ -318,10 +318,6 @@ func TestSyntheticStore(t *testing.T) {
 	if !ok || len(b) < 64 {
 		t.Fatalf("file 0 missing or too small: %d", len(b))
 	}
-	s.Put("/extra", []byte("x"))
-	if _, ok := s.Get("/extra"); !ok {
-		t.Fatal("Put did not store")
-	}
 }
 
 func TestContentCacheEviction(t *testing.T) {

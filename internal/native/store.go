@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 )
 
 // Store is a node's backing content source — the distributed file system
@@ -28,9 +27,9 @@ type Store interface {
 	Paths() []string
 }
 
-// MemStore is an immutable in-memory Store.
+// MemStore is an immutable in-memory Store: its map is never written after
+// construction, so concurrent reads need no lock.
 type MemStore struct {
-	mu    sync.RWMutex
 	files map[string][]byte
 }
 
@@ -65,27 +64,16 @@ func SyntheticStore(files int, avgKB float64, seed int64) *MemStore {
 
 // Get implements Store.
 func (s *MemStore) Get(path string) ([]byte, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	b, ok := s.files[path]
 	return b, ok
 }
 
 // Paths implements Store.
 func (s *MemStore) Paths() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	out := make([]string, 0, len(s.files))
 	for k := range s.files {
 		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Put adds or replaces a file (for tests and dynamic catalogs).
-func (s *MemStore) Put(path string, content []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.files[path] = content
 }

@@ -32,11 +32,8 @@ func NewDispatchLARD(env Env, opts LARDOptions, queryCPU float64) *DispatchLARD 
 	}
 }
 
-// ReserveFiles pre-sizes the underlying LARD server-set index.
+// ReserveFiles sizes the underlying LARD server-set index.
 func (d *DispatchLARD) ReserveFiles(n int) { d.lard.ReserveFiles(n) }
-
-// IndexSizing is FileSets.Sizing of the underlying LARD index.
-func (d *DispatchLARD) IndexSizing() (files, capacity, grows int) { return d.lard.IndexSizing() }
 
 // Name implements Distributor.
 func (d *DispatchLARD) Name() string { return "lard-dispatch" }

@@ -1,146 +1,150 @@
 package policy
 
-import "repro/internal/fastmap"
-
-// fileSet is FileSets' per-file record, 16 bytes and pointer-free: the
-// common single-server set is stored inline in first, and only replicated
-// sets point (by index, not pointer) into the spill arena.
-type fileSet struct {
-	first    int32 // the sole member when spill < 0
-	spill    int32 // index into the spill arena, or -1
+// spillSet is a replicated server set: its members in insertion order and
+// when the set last changed. Only replicated sets carry a modification time,
+// because only they are ever asked for one: a shrink needs a second member.
+type spillSet struct {
+	members  []int32
 	modified float64
 }
 
 // FileSets maps files to their server sets — the per-file state both LARD/R
-// and L2S maintain. At paper scale a map of heap-allocated node slices is
-// fine; at F=10^7 it is the simulator's largest allocation (a pointer, a
-// slice header, and a backing array per file, all GC-scanned). FileSets
-// stores the dominant single-server case inline in a flat open-addressed
-// table and spills only replicated sets (a small fraction of files under
-// both algorithms) to a free-listed arena, cutting per-file cost to 16
-// contiguous bytes with zero GC pressure.
+// and L2S maintain. trace.Validate guarantees every FileID lies in
+// [0, NumFiles), so the file ID indexes a dense []int32 directly, 4 bytes per
+// catalogued file and pointer-free: 0 means no set, n+1 the single member n,
+// and -(i+1) the replicated set spill[i]. Replicated sets (a small fraction of
+// files under both algorithms) live in a free-listed arena.
 //
 // Members keep strict insertion order — growth appends, shrinking removes
 // by position — so policies that scan sets in order decide identically to
 // the slice-per-file representation they replace.
 type FileSets struct {
-	m     *fastmap.Map[fileSet]
-	spill [][]int32
+	sets  []int32
+	spill []spillSet
 	free  []int32  // recycled spill slots
+	files int      // files with a set
 	one   [1]int32 // scratch backing for singleton views
 }
 
-// NewFileSets returns an empty table pre-sized for hint files (0 for
-// grow-as-needed).
-func NewFileSets(hint int) *FileSets {
-	fs := &FileSets{m: fastmap.New[fileSet](0)}
-	if hint > 0 {
-		fs.m.Reserve(hint)
-	}
+// NewFileSets returns an empty table sized for FileIDs in [0, files); a
+// value <= 0 means an empty table. Mutations beyond the size grow it.
+func NewFileSets(files int) *FileSets {
+	fs := &FileSets{}
+	fs.Reserve(files)
 	return fs
 }
 
 // Len returns the number of files with a set.
-func (s *FileSets) Len() int { return s.m.Len() }
+func (s *FileSets) Len() int { return s.files }
 
-// Reserve pre-sizes the table for n files without further rehashing.
-func (s *FileSets) Reserve(n int) { s.m.Reserve(n) }
-
-// Sizing reports the live entries, how many the table holds before it would
-// rehash, and the rehashes so far: an index pre-sized from the right count
-// ends its run with grows == 0.
-func (s *FileSets) Sizing() (files, capacity, grows int) {
-	return s.m.Len(), s.m.Cap(), s.m.Grows()
+// Reserve sizes the table for FileIDs in [0, n), so a catalogue-sized table
+// is allocated once.
+func (s *FileSets) Reserve(n int) {
+	if n > len(s.sets) {
+		s.sets = append(s.sets, make([]int32, n-len(s.sets))...)
+	}
 }
 
 // Nodes returns the file's server set in insertion order, or nil when the
 // file has none. The returned slice is a view: it is valid only until the
 // next mutating call on s, and must not be modified by the caller.
 func (s *FileSets) Nodes(f int32) []int32 {
-	e, ok := s.m.Get(f)
-	if !ok {
+	if int(f) >= len(s.sets) {
 		return nil
 	}
-	if e.spill < 0 {
-		s.one[0] = e.first
+	switch v := s.sets[f]; {
+	case v > 0:
+		s.one[0] = v - 1
 		return s.one[:1]
+	case v < 0:
+		return s.spill[-v-1].members
 	}
-	return s.spill[e.spill]
+	return nil
 }
 
-// Modified returns when the file's set last changed (0 for no set).
+// Modified returns when the file's replicated set last changed: its move
+// from one member to two, or any later Append, RemoveAt or Touch. It is 0
+// for a file with at most one member.
 func (s *FileSets) Modified(f int32) float64 {
-	e, _ := s.m.Get(f)
-	return e.modified
+	if int(f) < len(s.sets) && s.sets[f] < 0 {
+		return s.spill[-s.sets[f]-1].modified
+	}
+	return 0
 }
 
-// SetSingle makes the file's set exactly {n}, releasing any spill storage,
-// and stamps the modification time.
-func (s *FileSets) SetSingle(f int32, n int, now float64) {
-	if e, ok := s.m.Get(f); ok && e.spill >= 0 {
-		s.release(e.spill)
+// SetSingle makes the file's set exactly {n}, releasing any spill storage.
+func (s *FileSets) SetSingle(f int32, n int) {
+	s.Reserve(int(f) + 1)
+	switch v := s.sets[f]; {
+	case v < 0:
+		s.release(-v - 1)
+	case v == 0:
+		s.files++
 	}
-	s.m.Put(f, fileSet{first: int32(n), spill: -1, modified: now})
+	s.sets[f] = int32(n) + 1
 }
 
 // Append adds n at the end of the file's set and stamps the modification
 // time. Appending to a file with no set creates {n}.
 func (s *FileSets) Append(f int32, n int, now float64) {
-	e, ok := s.m.Get(f)
-	if !ok {
-		s.SetSingle(f, n, now)
-		return
-	}
-	if e.spill < 0 {
+	s.Reserve(int(f) + 1)
+	switch v := s.sets[f]; {
+	case v == 0:
+		s.SetSingle(f, n)
+	case v > 0:
 		idx := s.alloc()
-		s.spill[idx] = append(s.spill[idx], e.first, int32(n))
-		s.m.Put(f, fileSet{first: e.first, spill: idx, modified: now})
-		return
+		sp := &s.spill[idx]
+		sp.members = append(sp.members, v-1, int32(n))
+		sp.modified = now
+		s.sets[f] = -(idx + 1)
+	default:
+		sp := &s.spill[-v-1]
+		sp.members = append(sp.members, int32(n))
+		sp.modified = now
 	}
-	s.spill[e.spill] = append(s.spill[e.spill], int32(n))
-	e.modified = now
-	s.m.Put(f, e)
 }
 
 // RemoveAt deletes the member at position i (insertion order) from a
 // replicated set and stamps the modification time. A set shrunk to one
 // member moves back inline and its spill slot is recycled.
 func (s *FileSets) RemoveAt(f int32, i int, now float64) {
-	e, ok := s.m.Get(f)
-	if !ok || e.spill < 0 {
+	if int(f) >= len(s.sets) || s.sets[f] >= 0 {
 		return
 	}
-	sp := s.spill[e.spill]
-	sp = append(sp[:i], sp[i+1:]...)
-	if len(sp) == 1 {
-		first := sp[0]
-		s.release(e.spill)
-		s.m.Put(f, fileSet{first: first, spill: -1, modified: now})
+	idx := -s.sets[f] - 1
+	sp := &s.spill[idx]
+	sp.members = append(sp.members[:i], sp.members[i+1:]...)
+	if len(sp.members) == 1 {
+		s.sets[f] = sp.members[0] + 1
+		s.release(idx)
 		return
 	}
-	s.spill[e.spill] = sp
-	e.modified = now
-	s.m.Put(f, e)
+	sp.modified = now
 }
 
-// Touch stamps the file's modification time without changing membership.
+// Touch stamps a replicated set's modification time without changing its
+// membership; a file with at most one member has no time to stamp.
 func (s *FileSets) Touch(f int32, now float64) {
-	if e, ok := s.m.Get(f); ok {
-		e.modified = now
-		s.m.Put(f, e)
+	if int(f) < len(s.sets) && s.sets[f] < 0 {
+		s.spill[-s.sets[f]-1].modified = now
 	}
 }
 
-// RangeSizes calls fn with every file's set size until fn returns false.
-// Iteration order is unspecified.
+// RangeSizes calls fn with every file's set size, in ascending FileID
+// order, until fn returns false.
 func (s *FileSets) RangeSizes(fn func(f int32, size int) bool) {
-	s.m.Range(func(f int32, e fileSet) bool {
+	for f, v := range s.sets {
 		size := 1
-		if e.spill >= 0 {
-			size = len(s.spill[e.spill])
+		switch {
+		case v == 0:
+			continue
+		case v < 0:
+			size = len(s.spill[-v-1].members)
 		}
-		return fn(f, size)
-	})
+		if !fn(int32(f), size) {
+			return
+		}
+	}
 }
 
 func (s *FileSets) alloc() int32 {
@@ -149,11 +153,11 @@ func (s *FileSets) alloc() int32 {
 		s.free = s.free[:n-1]
 		return idx
 	}
-	s.spill = append(s.spill, nil)
+	s.spill = append(s.spill, spillSet{})
 	return int32(len(s.spill) - 1)
 }
 
 func (s *FileSets) release(idx int32) {
-	s.spill[idx] = s.spill[idx][:0]
+	s.spill[idx].members = s.spill[idx].members[:0]
 	s.free = append(s.free, idx)
 }

@@ -84,12 +84,9 @@ func NewLARD(env Env, opts LARDOptions) *LARD {
 	}
 }
 
-// ReserveFiles pre-sizes the per-file server-set index for n distinct
-// files, so catalog-scale runs skip its rehash-doublings.
+// ReserveFiles sizes the per-file server-set index for FileIDs in [0, n),
+// so a catalogue-sized index is allocated once.
 func (l *LARD) ReserveFiles(n int) { l.sets.Reserve(n) }
-
-// IndexSizing is FileSets.Sizing of the server-set index.
-func (l *LARD) IndexSizing() (files, capacity, grows int) { return l.sets.Sizing() }
 
 // NewWeightedLARD builds LARD with capacity-weighted load comparisons and
 // imbalance triggers. weights must have one entry per node, normalized to
@@ -155,7 +152,7 @@ func (l *LARD) Service(initial int, f FileID) int {
 		if n < 0 {
 			return initial // cluster effectively down
 		}
-		l.sets.SetSingle(f32, n, l.env.Now())
+		l.sets.SetSingle(f32, n)
 		return n
 	}
 	n := l.leastLoadedMember(nodes, view)
@@ -166,7 +163,7 @@ func (l *LARD) Service(initial int, f FileID) int {
 			if l.opts.Replication {
 				l.sets.Append(f32, cheapest, l.env.Now())
 			} else {
-				l.sets.SetSingle(f32, cheapest, l.env.Now())
+				l.sets.SetSingle(f32, cheapest)
 			}
 			n = cheapest
 		}

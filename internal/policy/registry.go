@@ -31,11 +31,9 @@ type Options struct {
 	// selects core.DefaultOptions.
 	L2S any
 
-	// Files hints the number of distinct files the policy will see, so
-	// per-file indexes (the LARD and L2S server-set tables) pre-size once
-	// instead of rehash-doubling a dozen times at 10^7-file catalogs. The
-	// simulator fills it with the trace's exact distinct-requested-file
-	// count (trace.DistinctFiles); zero means unknown and is always safe.
+	// Files is the catalogue size; FileIDs lie in [0, Files). The per-file
+	// indexes (the LARD and L2S server-set tables) are allocated once at
+	// that size; zero means unknown, and they grow as FileIDs arrive.
 	Files int
 
 	// Weights gives each node's relative capacity, normalized to mean 1.

@@ -60,6 +60,15 @@ func TestValidate(t *testing.T) {
 		func(p *Params) { p.AvgFileKB = 0 },
 		func(p *Params) { p.CacheBytes = 0 },
 		func(p *Params) { p.Alpha = -1 },
+		func(p *Params) { p.Replication = math.NaN() },
+		func(p *Params) { p.Replication = math.Inf(1) },
+		func(p *Params) { p.Replication = math.Inf(-1) },
+		func(p *Params) { p.AvgFileKB = math.NaN() },
+		func(p *Params) { p.AvgFileKB = math.Inf(1) },
+		func(p *Params) { p.AvgFileKB = math.Inf(-1) },
+		func(p *Params) { p.Alpha = math.NaN() },
+		func(p *Params) { p.Alpha = math.Inf(1) },
+		func(p *Params) { p.Alpha = math.Inf(-1) },
 	}
 	for i, mutate := range bad {
 		p := params(20)

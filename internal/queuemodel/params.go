@@ -11,6 +11,7 @@ package queuemodel
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/zipf"
 )
@@ -68,14 +69,14 @@ func (p Params) Validate() error {
 	switch {
 	case p.Nodes < 1:
 		return fmt.Errorf("queuemodel: need at least one node, got %d", p.Nodes)
-	case p.Replication < 0 || p.Replication > 1:
+	case !(p.Replication >= 0 && p.Replication <= 1):
 		return fmt.Errorf("queuemodel: replication %v outside [0,1]", p.Replication)
-	case p.AvgFileKB <= 0:
-		return fmt.Errorf("queuemodel: average file size must be positive, got %v", p.AvgFileKB)
+	case !(p.AvgFileKB > 0) || math.IsInf(p.AvgFileKB, 1):
+		return fmt.Errorf("queuemodel: average file size must be positive and finite, got %v", p.AvgFileKB)
 	case p.CacheBytes <= 0:
 		return fmt.Errorf("queuemodel: cache size must be positive, got %d", p.CacheBytes)
-	case p.Alpha < 0:
-		return fmt.Errorf("queuemodel: alpha must be >= 0, got %v", p.Alpha)
+	case !(p.Alpha >= 0) || math.IsInf(p.Alpha, 1):
+		return fmt.Errorf("queuemodel: alpha must be finite and >= 0, got %v", p.Alpha)
 	}
 	return nil
 }

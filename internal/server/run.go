@@ -353,10 +353,7 @@ func newDriver(cfg Config, tr *trace.Trace) (*driver, error) {
 	d.net.RegisterFleet(d.nodes)
 
 	popts := cfg.policyOptions()
-	// Pre-size per-file policy state from a census of the (truncated)
-	// trace: a policy keeps at most one set per distinct requested file, so
-	// the index is allocated once, at its final size, and never rehashes.
-	popts.Files = tr.DistinctFiles()
+	popts.Files = tr.NumFiles()
 	if d.profiles != nil {
 		// Weighted policies scale their thresholds and selections by
 		// relative node capacity; unweighted ones ignore this.

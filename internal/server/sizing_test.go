@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/fastmap"
 	"repro/internal/policy"
 	"repro/internal/trace"
 )
@@ -13,9 +12,9 @@ import (
 // indexedFamilies are the policy families that keep per-file state.
 var indexedFamilies = []string{"lard", "lard-dispatch", "lard-weighted", "l2s", "l2s-weighted"}
 
-// sizingTrace requests about a third as many distinct files as min(catalog,
-// requests) — the bound the index used to be sized from — so the census and
-// the bound land in different power-of-two table sizes.
+// sizingTrace requests under a quarter of its 40,000-file catalogue, so an
+// index sized for the catalogue and one grown from empty end at different
+// sizes.
 func sizingTrace() *trace.Trace {
 	return trace.MustGenerate(trace.GenSpec{
 		Name: "sizing", Files: 40000, AvgFileKB: 6, Requests: 9000,
@@ -25,62 +24,17 @@ func sizingTrace() *trace.Trace {
 
 // sizingConfig runs a family on an 8-node two-tier cluster, so the weighted
 // variants see non-trivial weights.
-func sizingConfig(family string, opts ...Option) Config {
+func sizingConfig(family string) Config {
 	profiles := append(UniformProfiles(2, NodeProfile{CPUSpeed: 2, DiskSpeed: 4}),
 		UniformProfiles(6, NodeProfile{CPUSpeed: 1, DiskSpeed: 1})...)
-	opts = append([]Option{WithPolicy(family), WithSeed(42), WithCacheBytes(2 << 20),
-		WithProfiles(profiles...)}, opts...)
-	return NewConfig(CustomServer, 8, opts...)
-}
-
-// TestPolicyIndexSizedFromCensus checks the sizing rule end to end: after a
-// run, every per-file index holds exactly the census count, never rehashed,
-// in the smallest table fastmap admits for that count — also when
-// MaxRequests truncates the trace inside Run.
-func TestPolicyIndexSizedFromCensus(t *testing.T) {
-	tr := sizingTrace()
-	const truncated = 1500
-	full, short := tr.DistinctFiles(), tr.Truncate(truncated).DistinctFiles()
-	capFor := func(n int) int { return fastmap.New[struct{}](n).Cap() }
-	if bound := min(tr.NumFiles(), tr.NumRequests()); capFor(full) >= capFor(bound) || capFor(short) >= capFor(full) {
-		t.Fatalf("trace does not separate the sizes: census %d, truncated %d, bound %d", full, short, bound)
-	}
-	for _, family := range indexedFamilies {
-		for _, tc := range []struct {
-			name   string
-			opts   []Option
-			census int
-		}{
-			{"full", nil, full},
-			{"truncated", []Option{WithMaxRequests(truncated)}, short},
-		} {
-			d, err := newDriver(sizingConfig(family, tc.opts...), tr)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", family, tc.name, err)
-			}
-			d.eng.Run()
-			idx, ok := d.dist.(interface{ IndexSizing() (int, int, int) })
-			if !ok {
-				t.Fatalf("%s: %T reports no index sizing", family, d.dist)
-			}
-			files, capacity, grows := idx.IndexSizing()
-			if files != tc.census {
-				t.Errorf("%s/%s: index holds %d files, census counted %d", family, tc.name, files, tc.census)
-			}
-			if grows != 0 {
-				t.Errorf("%s/%s: index rehashed %d times", family, tc.name, grows)
-			}
-			if want := capFor(tc.census); capacity != want {
-				t.Errorf("%s/%s: index capacity %d, want %d for %d files", family, tc.name, capacity, want, tc.census)
-			}
-		}
-	}
+	return NewConfig(CustomServer, 8, WithPolicy(family), WithSeed(42), WithCacheBytes(2<<20),
+		WithProfiles(profiles...))
 }
 
 // TestIndexCapacityIsNotAnInput runs each family twice through the same
-// construction path — index hint = the census, index hint = the catalog
-// size (the over-estimate Run used to pass) — and once through Run's own
-// path, and requires identical Results: table capacity never reaches a
+// construction path — an empty index that grows as FileIDs arrive, and one
+// sized for the catalogue as Run sizes it — and once through Run's own path,
+// and requires identical Results: the index's size never reaches a
 // decision, so changing how it is sized cannot change a result.
 func TestIndexCapacityIsNotAnInput(t *testing.T) {
 	tr := sizingTrace()
@@ -90,7 +44,7 @@ func TestIndexCapacityIsNotAnInput(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", family, err)
 		}
-		for _, hint := range []int{tr.DistinctFiles(), tr.NumFiles()} {
+		for _, hint := range []int{0, tr.NumFiles()} {
 			hinted := cfg
 			hinted.Policy = ""
 			hinted.CustomPolicy = func(env policy.Env) policy.Distributor {

@@ -21,12 +21,10 @@ type Resource struct {
 	// dependent miss on every acquire, charge, and completion
 
 	// Statistics.
-	busy      Time    // total service time accrued (per-server seconds)
-	completed uint64  // jobs completed
-	inSystem  int     // jobs queued or in service
-	areaQ     float64 // integral of inSystem over time, for mean jobs-in-system
-	lastT     Time    // last time areaQ was updated
-	epoch     Time    // start of the current measurement interval
+	busy      Time   // total service time accrued (per-server seconds)
+	completed uint64 // jobs completed
+	inSystem  int    // jobs queued or in service
+	epoch     Time   // start of the current measurement interval
 
 	// Deferred-charge membership (see ChargeBank): nil for the common
 	// eagerly charged resource. Every free/busy access syncs first.
@@ -60,7 +58,6 @@ func (r *Resource) Acquire(service Time, done func()) Time {
 	}
 	r.syncDeferred()
 	now := r.eng.Now()
-	r.accumulate(now)
 	r.inSystem++
 
 	// Pick the server that frees up first.
@@ -94,7 +91,7 @@ func (r *Resource) Acquire(service Time, done func()) Time {
 // endpoint's resources with ChargeAt and schedules one event at the
 // latest finish, instead of one completion event per endpoint per stage.
 // Because no event fires, the charge is invisible to the queue-length
-// statistics (inSystem, areaQ, Completed) — callers that batch trade those
+// statistics (InSystem, Completed) — callers that batch trade those
 // per-message samples for the O(1) event count, but utilization and busy
 // time stay exact.
 func (r *Resource) ChargeAt(at, service Time) Time {
@@ -120,18 +117,10 @@ func (r *Resource) ChargeAt(at, service Time) Time {
 
 // complete retires one job when its completion event fires.
 func (r *Resource) complete(done func()) {
-	r.accumulate(r.eng.Now())
 	r.inSystem--
 	r.completed++
 	if done != nil {
 		done()
-	}
-}
-
-func (r *Resource) accumulate(now Time) {
-	if now > r.lastT {
-		r.areaQ += float64(r.inSystem) * (now - r.lastT)
-		r.lastT = now
 	}
 }
 
@@ -158,23 +147,11 @@ func (r *Resource) Completed() uint64 { return r.completed }
 // InSystem returns the number of jobs queued or in service right now.
 func (r *Resource) InSystem() int { return r.inSystem }
 
-// MeanInSystem returns the time-average number of jobs in the resource.
-func (r *Resource) MeanInSystem() float64 {
-	now := r.eng.Now()
-	elapsed := now - r.epoch
-	if elapsed <= 0 {
-		return 0
-	}
-	area := r.areaQ + float64(r.inSystem)*float64(now-r.lastT)
-	return area / float64(elapsed)
-}
-
 // ResetStats zeroes the counters while preserving in-flight work, so that a
 // measurement interval can start after cache warm-up.
 func (r *Resource) ResetStats() {
 	r.syncDeferred()
 	now := r.eng.Now()
-	r.accumulate(now)
 	// Busy time already committed for queued jobs extends past now; keep the
 	// portion that lies in the future so utilization stays exact.
 	var future Time
@@ -185,7 +162,5 @@ func (r *Resource) ResetStats() {
 	}
 	r.busy = future
 	r.completed = 0
-	r.areaQ = 0
-	r.lastT = now
 	r.epoch = now
 }

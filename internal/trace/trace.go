@@ -7,7 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/zipf"
@@ -38,22 +37,6 @@ func (t *Trace) NumFiles() int { return len(t.Sizes) }
 
 // NumRequests returns the number of requests.
 func (t *Trace) NumRequests() int { return len(t.Requests) }
-
-// DistinctFiles returns how many distinct files the trace requests
-// (Characterize's NumFiles): one pass over Requests marking a bit per
-// catalog file. Nothing is cached — Requests is mutable and Truncate shares
-// it — so the count always describes the trace as it is now.
-func (t *Trace) DistinctFiles() int {
-	seen := make([]uint64, (len(t.Sizes)+63)/64)
-	for _, id := range t.Requests {
-		seen[id>>6] |= 1 << (uint(id) & 63)
-	}
-	n := 0
-	for _, w := range seen {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
 
 // Size returns the size in bytes of the given file.
 func (t *Trace) Size(id cache.FileID) int64 { return t.Sizes[id] }

@@ -335,83 +335,3 @@ func TestValidateClientLengthMismatch(t *testing.T) {
 		t.Fatal("client/request length mismatch must fail validation")
 	}
 }
-
-// distinctRef is the map-based reference DistinctFiles is checked against.
-func distinctRef(tr *Trace) int {
-	seen := make(map[cache.FileID]struct{})
-	for _, id := range tr.Requests {
-		seen[id] = struct{}{}
-	}
-	return len(seen)
-}
-
-// TestDistinctFiles pins the census server.Run sizes per-file policy state
-// from: it equals a map-based count and Characterize's NumFiles on the
-// stationary golden specs, on their truncations (Truncate shares Requests,
-// so a cached count would be wrong here), and at the bitset's edges.
-func TestDistinctFiles(t *testing.T) {
-	check := func(name string, tr *Trace) {
-		t.Helper()
-		got := tr.DistinctFiles()
-		if want := distinctRef(tr); got != want {
-			t.Errorf("%s: DistinctFiles = %d, map reference %d", name, got, want)
-		}
-		if ch := Characterize(tr); got != ch.NumFiles {
-			t.Errorf("%s: DistinctFiles = %d, Characterize.NumFiles %d", name, got, ch.NumFiles)
-		}
-	}
-	for _, spec := range stationaryGoldenSpecs() {
-		if testing.Short() && spec.Files > 50_000 {
-			continue
-		}
-		tr := MustGenerate(spec)
-		check(spec.Name, tr)
-		for _, n := range []int{1, 63, 64, 65, tr.NumRequests() / 3} {
-			check(fmt.Sprintf("%s[:%d]", spec.Name, n), tr.Truncate(n))
-		}
-	}
-
-	// Catalog sizes around the 64-bit word boundary, requesting nothing,
-	// only the last file, and every file twice.
-	for _, files := range []int{1, 63, 64, 65, 128, 129} {
-		sizes := make([]int64, files)
-		for i := range sizes {
-			sizes[i] = 1
-		}
-		empty := &Trace{Name: "empty", Sizes: sizes}
-		if got := empty.DistinctFiles(); got != 0 {
-			t.Errorf("F=%d, no requests: DistinctFiles = %d, want 0", files, got)
-		}
-		last := &Trace{Name: "last", Sizes: sizes, Requests: []cache.FileID{cache.FileID(files - 1)}}
-		if got := last.DistinctFiles(); got != 1 {
-			t.Errorf("F=%d, last file only: DistinctFiles = %d, want 1", files, got)
-		}
-		all := &Trace{Name: "all", Sizes: sizes}
-		for rep := 0; rep < 2; rep++ {
-			for f := files - 1; f >= 0; f-- {
-				all.Requests = append(all.Requests, cache.FileID(f))
-			}
-		}
-		check(fmt.Sprintf("all F=%d", files), all)
-		if got := all.DistinctFiles(); got != files {
-			t.Errorf("F=%d, every file twice: DistinctFiles = %d, want %d", files, got, files)
-		}
-	}
-	if got := (&Trace{}).DistinctFiles(); got != 0 {
-		t.Errorf("zero Trace: DistinctFiles = %d, want 0", got)
-	}
-}
-
-// BenchmarkDistinctFiles times the census server.Run takes before every run,
-// on the trace of the bench workloads miss16, gossip1024 and chash1024.
-func BenchmarkDistinctFiles(b *testing.B) {
-	tr := MustGenerate(GenSpec{Files: 1_000_000, AvgFileKB: 6, AvgReqKB: 5, Alpha: 0.8,
-		LocalityP: 0.3, Requests: 600_000, Seed: 11})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tr.DistinctFiles() != 213_139 {
-			b.Fatal("census changed")
-		}
-	}
-}
