@@ -68,8 +68,8 @@ COVER_PKGS = ./internal/cache ./internal/cluster ./internal/core \
              ./internal/experiments ./internal/native \
              ./internal/netsim ./internal/obs ./internal/policy \
              ./internal/queuemodel ./internal/runner ./internal/server \
-             ./internal/shotnoise ./internal/sim ./internal/stats \
-             ./internal/trace ./internal/zipf
+             ./internal/shotnoise ./internal/sim ./internal/spec \
+             ./internal/stats ./internal/trace ./internal/zipf
 
 # The shot-noise synthesizer and its analytic miss model are the conformance
 # anchors of the non-stationary studies: they carry a stricter per-file

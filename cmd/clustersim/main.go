@@ -15,6 +15,8 @@
 //	clustersim -system lard -in real.trace -nodes 8 -mem 128
 //	clustersim -system chash:vnodes=64,load=1.25 -nodes 128
 //	clustersim -system l2s -trace nasa -nodes 16 -fail 3 -failat 0.5
+//	clustersim -system l2s:T=30,delta=8,oracle=true -nodes 16   # L2S tunables
+//	clustersim -system cached-dns:ttl=100 -trace nasa:reqs=200000
 //	clustersim -system l2s,lard,chash-bounded -nodes 16  # comparison mode
 //	clustersim -system all -workers 4                    # every policy
 package main
@@ -38,7 +40,7 @@ import (
 func main() {
 	var (
 		system   = flag.String("system", "l2s", "policy spec (name[:k=v,...]), comma-separated list, or \"all\" (valid: "+strings.Join(policy.NamesAndAliases(), ", ")+")")
-		name     = flag.String("trace", "calgary", "paper trace to generate")
+		name     = flag.String("trace", "calgary", "generation spec: a paper trace (calgary, clarknet, nasa, rutgers) or mode[:key=value,...], e.g. churn:files=20000,reqs=500000")
 		in       = flag.String("in", "", "trace file (overrides -trace)")
 		scale    = flag.Float64("scale", 0.2, "request-count scale for generated traces")
 		nodes    = flag.Int("nodes", 16, "cluster size")
@@ -48,13 +50,8 @@ func main() {
 		warm     = flag.Float64("warm", 0.4, "warm-up fraction of the trace")
 		failNode = flag.Int("fail", -1, "node to crash mid-run (-1: none)")
 		failAt   = flag.Float64("failat", 0.5, "fraction of the trace at which the crash happens")
-		t        = flag.Int("T", 20, "L2S overload threshold")
-		lowT     = flag.Int("t", 10, "L2S underload threshold")
-		delta    = flag.Int("delta", 4, "L2S load-broadcast delta")
-		oracle   = flag.Bool("oracle", false, "L2S reads true remote loads (no gossip staleness)")
 		persist  = flag.Bool("persistent", false, "HTTP/1.1 persistent connections")
 		rpc      = flag.Float64("rpc", 7, "mean requests per persistent connection")
-		dnsTTL   = flag.Int("dnsttl", 50, "cached-dns: requests per cached translation")
 		dfs      = flag.Bool("dfs", false, "explicit distributed file system (remote disk reads)")
 		rate     = flag.Float64("rate", 0, "open-loop Poisson arrival rate (0: saturation)")
 		seed     = flag.Int64("seed", 0, "base RNG seed (0: policy defaults)")
@@ -70,6 +67,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := trace.CheckScale(*scale); err != nil {
+		fatalIf(fmt.Errorf("-scale: %w", err))
+	}
 	if *seriesOut != "" || *chromeOut != "" {
 		if err := obs.CheckInterval(*seriesDt); err != nil {
 			fatalIf(fmt.Errorf("-seriesdt: %w", err))
@@ -90,7 +90,7 @@ func main() {
 		f.Close()
 	} else {
 		var spec trace.GenSpec
-		spec, err = trace.PaperTrace(*name)
+		spec, err = trace.ParseGenSpec(*name)
 		if err == nil {
 			tr, err = trace.Generate(spec.Scaled(*scale))
 		}
@@ -114,7 +114,6 @@ func main() {
 			server.WithCacheBytes(*memMB << 20),
 			server.WithWindow(*window),
 			server.WithWarmFraction(*warm),
-			server.WithDNSTTL(*dnsTTL),
 			server.WithSeed(*seed),
 		}
 		if profiles != nil {
@@ -132,12 +131,7 @@ func main() {
 		if *rate > 0 {
 			opts = append(opts, server.WithArrivalRate(*rate))
 		}
-		cfg := server.NewConfig(server.CustomServer, *nodes, opts...)
-		cfg.L2S.T = *t
-		cfg.L2S.LowT = *lowT
-		cfg.L2S.BroadcastDelta = *delta
-		cfg.L2S.Oracle = *oracle
-		return cfg
+		return server.NewConfig(server.CustomServer, *nodes, opts...)
 	}
 
 	// SplitSpecs (not a raw comma split) keeps parameterized specs such as

@@ -61,6 +61,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := trace.CheckScale(*scale); err != nil {
+		fatalIf(fmt.Errorf("-scale: %w", err))
+	}
 	if *cpuProfile != "" || *memProfile != "" {
 		stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
 		fatalIf(err)

@@ -6,9 +6,9 @@
 // restarted node rejoins through heartbeats and anti-entropy.
 //
 // Every node decides with the simulator's L2S rule (core.Decide) and takes
-// the simulator's core.Options: -T/-t/-delta, or a -policy l2s spec layered
-// over them, are validated exactly as clustersim validates them, so any
-// l2s spec clustersim runs (oracle=true aside) l2sd runs too.
+// the simulator's core.Options from a -policy l2s spec, validated exactly as
+// clustersim validates it, so any l2s spec clustersim runs (oracle=true
+// aside) l2sd runs too.
 //
 // Usage:
 //
@@ -48,15 +48,12 @@ func main() {
 		files   = flag.Int("files", 2000, "synthetic catalog size")
 		avgKB   = flag.Float64("avgkb", 24, "mean file size in KB")
 		cacheMB = flag.Int64("cache", 32, "per-node cache in MB")
-		tHigh   = flag.Int("T", 20, "overload threshold (open requests)")
-		tLow    = flag.Int("t", 10, "underload threshold")
-		delta   = flag.Int("delta", 4, "load-broadcast drift")
-		polSpec = flag.String("policy", "", "L2S policy spec, e.g. l2s:T=30,t=5,delta=8,shrink=10; keys override -T/-t/-delta")
+		polSpec = flag.String("policy", "l2s", "L2S policy spec, e.g. l2s:T=30,t=5,delta=8,shrink=10 (unset keys keep T=20, t=10, delta=4)")
 		miss    = flag.Duration("misspenalty", 2*time.Millisecond, "artificial disk delay per cache miss")
 		demo    = flag.Duration("demo", 0, "run a built-in load generator for this long, then exit")
 		workers = flag.Int("workers", 64, "demo load-generator concurrency")
 		alpha   = flag.Float64("alpha", 0.9, "demo request popularity exponent")
-		replay  = flag.String("replay", "", "replay a paper trace (calgary, clarknet, nasa, rutgers) instead of synthetic demo load")
+		replay  = flag.String("replay", "", "replay a generated trace instead of synthetic demo load: a paper trace (calgary, clarknet, nasa, rutgers) or any generation spec")
 		scale   = flag.Float64("scale", 0.02, "request-count scale for -replay")
 
 		heartbeat = flag.Duration("heartbeat", 500*time.Millisecond, "health heartbeat period")
@@ -72,26 +69,25 @@ func main() {
 	)
 	flag.Parse()
 
-	// The daemon IS the l2s policy, so -policy accepts only the l2s family
-	// of the shared spec grammar; its keys layer over the short flags, and
-	// native.WithL2S validates the result as the simulator does.
-	l2s := core.DefaultOptions()
-	l2s.T, l2s.LowT, l2s.BroadcastDelta = *tHigh, *tLow, *delta
-	if *polSpec != "" {
-		ps, err := policy.ParseSpec(*polSpec)
-		if err != nil {
-			fatal(err)
-		}
-		if ps.Name != "l2s" {
-			fatal(fmt.Errorf("l2sd runs the l2s policy only, not %q (use clustersim to simulate other policies)", ps.Name))
-		}
-		l2s = ps.Options(policy.Options{L2S: l2s}).L2S.(core.Options)
+	if err := trace.CheckScale(*scale); err != nil {
+		fatal(fmt.Errorf("-scale: %w", err))
 	}
+	// The daemon IS the l2s policy, so -policy accepts only the l2s family
+	// of the shared spec grammar; native.WithL2S validates the result as the
+	// simulator does.
+	ps, err := policy.ParseSpec(*polSpec)
+	if err != nil {
+		fatal(err)
+	}
+	if ps.Name != "l2s" {
+		fatal(fmt.Errorf("l2sd runs the l2s policy only, not %q (use clustersim to simulate other policies)", ps.Name))
+	}
+	l2s := ps.Options(policy.Options{L2S: core.DefaultOptions()}).L2S.(core.Options)
 
 	store := native.SyntheticStore(*files, *avgKB, 1)
 	var replayTrace *trace.Trace
 	if *replay != "" {
-		spec, err := trace.PaperTrace(*replay)
+		spec, err := trace.ParseGenSpec(*replay)
 		if err != nil {
 			fatal(err)
 		}

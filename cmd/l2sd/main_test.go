@@ -40,7 +40,7 @@ func TestL2SOptions(t *testing.T) {
 	demo := []string{"-nodes", "2", "-files", "20", "-demo", "200ms"}
 	// Every l2s option the simulator accepts runs live: t = T and a zero
 	// shrink window included.
-	for _, extra := range [][]string{{"-t", "20"}, {"-policy", "l2s:t=20"}, {"-policy", "l2s:shrink=0"}} {
+	for _, extra := range [][]string{{"-policy", "l2s:t=20"}, {"-policy", "l2s:shrink=0"}} {
 		if code, stderr := runL2SD(t, append(demo, extra...)...); code != 0 {
 			t.Errorf("l2sd %s: exit %d, stderr %q", strings.Join(extra, " "), code, stderr)
 		}
@@ -48,7 +48,8 @@ func TestL2SOptions(t *testing.T) {
 	// Bad options exit 1 before any node starts, with one line naming the
 	// command.
 	for _, extra := range [][]string{
-		{"-policy", "chash"}, {"-policy", "l2s:oracle=true"}, {"-policy", "l2s:t=30"}, {"-T", "0"},
+		{"-policy", "chash"}, {"-policy", "l2s:oracle=true"}, {"-policy", "l2s:t=30"}, {"-policy", "l2s:T=0"},
+		{"-scale", "NaN", "-replay", "calgary"},
 	} {
 		code, stderr := runL2SD(t, append(demo, extra...)...)
 		if code != 1 || !strings.HasPrefix(stderr, "l2sd: ") || strings.Count(stderr, "\n") != 1 {

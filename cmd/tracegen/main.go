@@ -4,10 +4,10 @@
 // Usage:
 //
 //	tracegen -list                         # show the Table 2 specs
-//	tracegen -trace nasa -scale 0.1 -out nasa.trace
+//	tracegen -spec nasa -scale 0.1 -out nasa.trace
 //	tracegen -characterize nasa.trace      # Table 2 statistics of a file
 //	tracegen -clf access.log -out real.trace
-//	tracegen -files 50000 -avgfile 30 -avgreq 15 -alpha 0.9 -requests 1e6 -out custom.trace
+//	tracegen -spec stationary:files=50000,filekb=30,reqkb=15,alpha=0.9,reqs=1000000 -out custom.trace
 //	tracegen -spec "churn:files=20000,filekb=16,reqs=500000,lifetime=10" -out churn.trace
 //	tracegen -spec "flash:files=8000,filekb=20,reqs=300000,reqkb=12,alpha=0.9" -out flash.trace
 package main
@@ -23,22 +23,17 @@ import (
 func main() {
 	var (
 		list     = flag.Bool("list", false, "list the paper trace specs")
-		specText = flag.String("spec", "", "generation spec, e.g. churn:files=20000,filekb=16,reqs=500000,lifetime=10 or clarknet:reqs=100000 (modes: stationary, churn, diurnal, flash)")
-		name     = flag.String("trace", "", "paper trace to generate (calgary, clarknet, nasa, rutgers)")
+		specText = flag.String("spec", "", "generation spec: a paper trace (calgary, clarknet, nasa, rutgers) or mode[:key=value,...], e.g. churn:files=20000,filekb=16,reqs=500000,lifetime=10 or clarknet:reqs=100000 (modes: stationary, churn, diurnal, flash)")
 		scale    = flag.Float64("scale", 1.0, "request-count scale factor")
 		out      = flag.String("out", "", "output trace file")
 		charFile = flag.String("characterize", "", "print Table 2 statistics for a trace file")
 		clf      = flag.String("clf", "", "convert a Common Log Format access log")
-
-		files    = flag.Int("files", 0, "custom: catalog size")
-		avgFile  = flag.Float64("avgfile", 30, "custom: mean file size (KB)")
-		avgReq   = flag.Float64("avgreq", 15, "custom: mean request size (KB)")
-		alpha    = flag.Float64("alpha", 0.9, "custom: Zipf exponent")
-		requests = flag.Float64("requests", 1e5, "custom: request count")
-		locality = flag.Float64("locality", 0.3, "custom: temporal locality probability")
-		seed     = flag.Int64("seed", 1, "custom: RNG seed")
 	)
 	flag.Parse()
+
+	if err := trace.CheckScale(*scale); err != nil {
+		fatalIf(fmt.Errorf("-scale: %w", err))
+	}
 
 	switch {
 	case *list:
@@ -50,9 +45,7 @@ func main() {
 	case *specText != "":
 		spec, err := trace.ParseGenSpec(*specText)
 		fatalIf(err)
-		if *scale != 1.0 {
-			spec = spec.Scaled(*scale)
-		}
+		spec = spec.Scaled(*scale)
 		fmt.Printf("spec: %s\n", spec.SpecString())
 		tr, err := trace.Generate(spec)
 		fatalIf(err)
@@ -74,22 +67,6 @@ func main() {
 		tr, skipped, err := trace.ParseCLF(*clf, r)
 		fatalIf(err)
 		fmt.Printf("parsed %d requests (%d lines skipped)\n", tr.NumRequests(), skipped)
-		printCharacteristics(tr)
-		writeOut(tr, *out)
-	case *name != "":
-		spec, err := trace.PaperTrace(*name)
-		fatalIf(err)
-		tr, err := trace.Generate(spec.Scaled(*scale))
-		fatalIf(err)
-		printCharacteristics(tr)
-		writeOut(tr, *out)
-	case *files > 0:
-		tr, err := trace.Generate(trace.GenSpec{
-			Name: "custom", Files: *files, AvgFileKB: *avgFile,
-			Requests: int(*requests), AvgReqKB: *avgReq, Alpha: *alpha,
-			LocalityP: *locality, Seed: *seed,
-		})
-		fatalIf(err)
 		printCharacteristics(tr)
 		writeOut(tr, *out)
 	default:

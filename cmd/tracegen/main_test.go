@@ -70,11 +70,14 @@ func TestSpecWritesGeneratedTrace(t *testing.T) {
 // Bad values exit 1 with one line naming the command.
 func TestBadValuesExit1(t *testing.T) {
 	for _, args := range [][]string{
-		{"-files", "1000", "-avgfile", "NaN"},
-		{"-files", "1000", "-avgreq", "Inf"},
-		{"-files", "1000", "-locality", "1"},
+		{"-spec", "stationary:files=1000,filekb=NaN"},
+		{"-spec", "stationary:files=1000,reqkb=Inf"},
+		{"-spec", "stationary:files=1000,localp=1"},
 		{"-spec", "nosuch:files=1"},
-		{"-trace", "nosuch"},
+		{"-spec", "nosuch"},
+		{"-spec", "calgary", "-scale", "NaN"},
+		{"-spec", "calgary", "-scale", "-1"},
+		{"-spec", "calgary", "-scale", "1e300"},
 	} {
 		code, stderr := runTracegen(t, args...)
 		if code != 1 || !strings.HasPrefix(stderr, "tracegen: ") || strings.Count(stderr, "\n") != 1 {

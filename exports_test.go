@@ -30,7 +30,7 @@ var testOnlyExports = []string{
 	"queuemodel.ObliviousForCatalog", "queuemodel.RequestRate",
 	"queuemodel.SaturatedTokenThroughput",
 	"server.DefaultNodeProfile", "server.Tiered", "server.UniformProfiles",
-	"server.WithCustomPolicy", "server.WithLARD", "server.WithMaxRequests",
+	"server.WithCustomPolicy",
 	"stats.Stddev",
 	"zipf.CDF",
 }

@@ -28,6 +28,7 @@ import (
 	"math"
 
 	"repro/internal/policy"
+	"repro/internal/spec"
 )
 
 // Options are L2S's tunables with the values used in the paper's
@@ -114,12 +115,12 @@ func optionsOf(po policy.Options) (o Options, ok bool) {
 	return o, true
 }
 
-// l2sParams declares the spec parameters of the L2S family (the keys match
-// the l2sd daemon's flag names). Each Apply materializes the defaults
+// l2sParams declares the spec parameters of the L2S family, which the l2sd
+// daemon's -policy flag takes as well. Each Set materializes the defaults
 // before setting one field, so "l2s:delta=8" keeps T=20, t=10. A foreign
 // type already stored in Options.L2S is left untouched for the factory to
 // reject.
-func l2sParams() []policy.Param {
+func l2sParams() []spec.Param[policy.Options] {
 	set := func(f func(*Options, float64)) func(*policy.Options, float64) {
 		return func(po *policy.Options, v float64) {
 			if opts, ok := optionsOf(*po); ok {
@@ -128,22 +129,17 @@ func l2sParams() []policy.Param {
 			}
 		}
 	}
-	return []policy.Param{
-		{Key: "T", Kind: policy.IntParam, Min: 1, Max: 1e6,
-			Doc:   "overload threshold in open connections",
-			Apply: set(func(o *Options, v float64) { o.T = int(v) })},
-		{Key: "t", Kind: policy.IntParam, Min: 0, Max: 1e6,
-			Doc:   "underload threshold for server-set shrinking",
-			Apply: set(func(o *Options, v float64) { o.LowT = int(v) })},
-		{Key: "delta", Kind: policy.IntParam, Min: 1, Max: 1e6,
-			Doc:   "load drift, in connections, that triggers a broadcast",
-			Apply: set(func(o *Options, v float64) { o.BroadcastDelta = int(v) })},
-		{Key: "shrink", Kind: policy.FloatParam, Min: 0, Max: 1e6,
-			Doc:   "seconds a server set stays stable before shrinking",
-			Apply: set(func(o *Options, v float64) { o.ShrinkAfter = v })},
-		{Key: "oracle", Kind: policy.BoolParam,
-			Doc:   "read true remote loads instead of gossiped views",
-			Apply: set(func(o *Options, v float64) { o.Oracle = v != 0 })},
+	return []spec.Param[policy.Options]{
+		{Key: "T", Kind: spec.Int, Min: 1, Max: 1e6,
+			Set: set(func(o *Options, v float64) { o.T = int(v) })},
+		{Key: "t", Kind: spec.Int, Min: 0, Max: 1e6,
+			Set: set(func(o *Options, v float64) { o.LowT = int(v) })},
+		{Key: "delta", Kind: spec.Int, Min: 1, Max: 1e6,
+			Set: set(func(o *Options, v float64) { o.BroadcastDelta = int(v) })},
+		{Key: "shrink", Kind: spec.Float, Min: 0, Max: 1e6,
+			Set: set(func(o *Options, v float64) { o.ShrinkAfter = v })},
+		{Key: "oracle", Kind: spec.Bool,
+			Set: set(func(o *Options, v float64) { o.Oracle = v != 0 })},
 	}
 }
 

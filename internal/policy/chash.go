@@ -6,6 +6,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"repro/internal/spec"
 )
 
 // The chash family dispatches the way 2026-scale CDNs do: a consistent-hash
@@ -333,19 +335,15 @@ func init() {
 
 // chashParams declares the spec parameters shared by the whole chash
 // family — every preset accepts every knob; names only change defaults.
-func chashParams() []Param {
-	return []Param{
-		{Key: "vnodes", Kind: IntParam, Min: 1, Max: 4096,
-			Doc:   "ring points per unit of node capacity",
-			Apply: func(o *Options, v float64) { o.Chash.VNodes = int(v) }},
-		{Key: "load", Kind: FloatParam, Min: 1, Max: 8, MinExcl: true,
-			Doc:   "bounded-load factor c (limit = c x mean load)",
-			Apply: func(o *Options, v float64) { o.Chash.BoundC = v }},
-		{Key: "d", Kind: IntParam, Min: 1, Max: 16,
-			Doc:   "power-of-d candidate owners per file",
-			Apply: func(o *Options, v float64) { o.Chash.D = int(v) }},
-		{Key: "prox", Kind: BoolParam,
-			Doc:   "bias d-choices by per-pair line rate",
-			Apply: func(o *Options, v float64) { o.Chash.Proximity = v != 0 }},
+func chashParams() []spec.Param[Options] {
+	return []spec.Param[Options]{
+		{Key: "vnodes", Kind: spec.Int, Min: 1, Max: 4096,
+			Set: func(o *Options, v float64) { o.Chash.VNodes = int(v) }},
+		{Key: "load", Kind: spec.Float, Min: 1, Max: 8, MinExcl: true,
+			Set: func(o *Options, v float64) { o.Chash.BoundC = v }},
+		{Key: "d", Kind: spec.Int, Min: 1, Max: 16,
+			Set: func(o *Options, v float64) { o.Chash.D = int(v) }},
+		{Key: "prox", Kind: spec.Bool,
+			Set: func(o *Options, v float64) { o.Chash.Proximity = v != 0 }},
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/spec"
 )
 
 // Options carries every tunable a registered policy constructor may need.
@@ -76,11 +78,11 @@ var registry = struct {
 	sync.RWMutex
 	factories map[string]Factory
 	aliases   map[string]string
-	params    map[string][]Param
+	params    map[string][]spec.Param[Options]
 }{
 	factories: make(map[string]Factory),
 	aliases:   make(map[string]string),
-	params:    make(map[string][]Param),
+	params:    make(map[string][]spec.Param[Options]),
 }
 
 // Register adds a named policy constructor to the registry. It panics on a
@@ -177,23 +179,20 @@ func init() {
 	RegisterParams("lard", lardParams()...)
 	RegisterParams("lard-basic", lardParams()[:4]...) // replication is forced off
 	RegisterParams("lard-dispatch", append(lardParams(),
-		Param{Key: "query", Kind: FloatParam, Min: 0, Max: 1, MinExcl: true,
-			Doc:   "dispatcher CPU seconds per decision query",
-			Apply: func(o *Options, v float64) { o.DispatchQuerySec = v }})...)
+		spec.Param[Options]{Key: "query", Kind: spec.Float, Min: 0, Max: 1, MinExcl: true,
+			Set: func(o *Options, v float64) { o.DispatchQuerySec = v }})...)
 	RegisterParams("random",
-		Param{Key: "seed", Kind: IntParam, Min: 1, Max: 1 << 53,
-			Doc:   "RNG seed for the uniform node draw",
-			Apply: func(o *Options, v float64) { o.Seed = int64(v) }})
+		spec.Param[Options]{Key: "seed", Kind: spec.Int, Min: 1, Max: 1 << 53,
+			Set: func(o *Options, v float64) { o.Seed = int64(v) }})
 	RegisterParams("cached-dns",
-		Param{Key: "ttl", Kind: IntParam, Min: 1, Max: 1e9,
-			Doc:   "requests served per cached DNS translation",
-			Apply: func(o *Options, v float64) { o.DNSTTL = int(v) }})
+		spec.Param[Options]{Key: "ttl", Kind: spec.Int, Min: 1, Max: 1e9,
+			Set: func(o *Options, v float64) { o.DNSTTL = int(v) }})
 }
 
 // lardParams declares the spec parameters shared by the LARD family. Each
-// Apply materializes the published defaults before overwriting one field,
+// Set materializes the published defaults before overwriting one field,
 // so "lard:thigh=80" keeps the default TLow rather than a zero one.
-func lardParams() []Param {
+func lardParams() []spec.Param[Options] {
 	set := func(f func(*LARDOptions, float64)) func(*Options, float64) {
 		return func(o *Options, v float64) {
 			l := o.lard()
@@ -201,21 +200,16 @@ func lardParams() []Param {
 			o.LARD = l
 		}
 	}
-	return []Param{
-		{Key: "tlow", Kind: IntParam, Min: 1, Max: 1e6,
-			Doc:   "load below which any server is acceptable",
-			Apply: set(func(l *LARDOptions, v float64) { l.TLow = int(v) })},
-		{Key: "thigh", Kind: IntParam, Min: 1, Max: 1e6,
-			Doc:   "load above which requests migrate away",
-			Apply: set(func(l *LARDOptions, v float64) { l.THigh = int(v) })},
-		{Key: "shrink", Kind: FloatParam, Min: 0, Max: 1e6,
-			Doc:   "seconds of inactivity before a server set shrinks",
-			Apply: set(func(l *LARDOptions, v float64) { l.ShrinkAfter = v })},
-		{Key: "batch", Kind: IntParam, Min: 1, Max: 1e6,
-			Doc:   "load-update batch size",
-			Apply: set(func(l *LARDOptions, v float64) { l.UpdateBatch = int(v) })},
-		{Key: "replication", Kind: BoolParam,
-			Doc:   "replicate hot files across a server set",
-			Apply: set(func(l *LARDOptions, v float64) { l.Replication = v != 0 })},
+	return []spec.Param[Options]{
+		{Key: "tlow", Kind: spec.Int, Min: 1, Max: 1e6,
+			Set: set(func(l *LARDOptions, v float64) { l.TLow = int(v) })},
+		{Key: "thigh", Kind: spec.Int, Min: 1, Max: 1e6,
+			Set: set(func(l *LARDOptions, v float64) { l.THigh = int(v) })},
+		{Key: "shrink", Kind: spec.Float, Min: 0, Max: 1e6,
+			Set: set(func(l *LARDOptions, v float64) { l.ShrinkAfter = v })},
+		{Key: "batch", Kind: spec.Int, Min: 1, Max: 1e6,
+			Set: set(func(l *LARDOptions, v float64) { l.UpdateBatch = int(v) })},
+		{Key: "replication", Kind: spec.Bool,
+			Set: set(func(l *LARDOptions, v float64) { l.Replication = v != 0 })},
 	}
 }

@@ -3,11 +3,13 @@ package policy
 import (
 	"strings"
 	"testing"
+
+	specgrammar "repro/internal/spec"
 )
 
 // FuzzParseSpec drives the policy-spec parser with hostile input and checks
 // the invariants every accepted spec must satisfy: a known canonical name,
-// in-range typed values (re-checked through each Param's own range check),
+// valid typed values (each re-parsed from its canonical text by its Param),
 // and a canonical String() form that re-parses to the same spec — the
 // parser can never accept something it cannot round-trip.
 func FuzzParseSpec(f *testing.F) {
@@ -43,16 +45,12 @@ func FuzzParseSpec(f *testing.F) {
 		if _, known := registry.factories[spec.Name]; !known {
 			t.Fatalf("accepted %q with unknown canonical name %q", s, spec.Name)
 		}
-		if len(spec.String()) > maxSpecLen+16 {
+		if len(spec.String()) > specgrammar.MaxLen+16 {
 			t.Fatalf("accepted %q with oversized canonical form", s)
 		}
 		for _, a := range spec.args {
-			if a.param.Kind != BoolParam {
-				if _, err := a.param.checkRange(spec.Name, a.val); err != nil {
-					t.Fatalf("accepted %q with out-of-range %s=%v: %v", s, a.param.Key, a.val, err)
-				}
-			} else if a.val != 0 && a.val != 1 {
-				t.Fatalf("accepted %q with non-boolean %s=%v", s, a.param.Key, a.val)
+			if v, err := a.param.Parse(a.param.Format(a.val)); err != nil || v != a.val {
+				t.Fatalf("accepted %q with %s=%v, which does not re-parse to itself: %v", s, a.param.Key, a.val, err)
 			}
 		}
 		again, err := ParseSpec(spec.String())

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/spec"
 )
 
 func TestParseSpecPlainNamesMatchRegistry(t *testing.T) {
@@ -106,6 +108,7 @@ func TestParseSpecErrors(t *testing.T) {
 		"chash:d=2,d=3",        // repeated key
 		"lard:tlow=0",          // below range
 		"chash:vnodes=" + strings.Repeat("1", 600), // over length cap
+		"random:seed=9007199254740993",             // 2^53+1: no float64 holds it
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) must fail", bad)
@@ -209,5 +212,5 @@ func TestRegisterParamsRejectsUnknownPolicy(t *testing.T) {
 			t.Error("RegisterParams on an unregistered name must panic")
 		}
 	}()
-	RegisterParams("never-registered", Param{Key: "x", Apply: func(*Options, float64) {}})
+	RegisterParams("never-registered", spec.Param[Options]{Key: "x", Set: func(*Options, float64) {}})
 }

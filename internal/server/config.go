@@ -168,10 +168,6 @@ type Config struct {
 	// reproducible independent of execution order.
 	Seed int64
 
-	// DNSTTL is the cached-dns policy's requests per cached translation
-	// (zero selects its default of 50).
-	DNSTTL int
-
 	// Series, when non-nil, records per-resource utilization, cache hit
 	// rate, queue depth, load, and forwarding-fraction time series at the
 	// recorder's simulated-time interval, over the measurement phase.
@@ -285,7 +281,6 @@ func (c Config) policyOptions() policy.Options {
 		LARD:             c.LARD,
 		DispatchQuerySec: c.DispatchQuerySec,
 		Seed:             c.Seed,
-		DNSTTL:           c.DNSTTL,
 		L2S:              c.L2S,
 	}
 }

@@ -71,11 +71,6 @@ func WithWarmFraction(f float64) Option {
 	return func(c *Config) { c.WarmFraction = f }
 }
 
-// WithMaxRequests truncates the trace.
-func WithMaxRequests(n int) Option {
-	return func(c *Config) { c.MaxRequests = n }
-}
-
 // WithArrivalRate switches to an open-loop Poisson arrival process at the
 // given requests per second.
 func WithArrivalRate(rate float64) Option {
@@ -112,16 +107,11 @@ func WithL2S(opts core.Options) Option {
 	return func(c *Config) { c.L2S = opts }
 }
 
-// WithLARD replaces the LARD execution parameters.
-func WithLARD(opts policy.LARDOptions) Option {
-	return func(c *Config) { c.LARD = opts }
-}
-
 // WithPolicy runs a registered distribution policy by name (see
 // policy.Names): the system becomes CustomServer and the distributor is
 // built by policy.New at run time, configured from the Config's LARD, L2S,
-// Seed, DNSTTL, and DispatchQuerySec fields. Unknown names surface from
-// Run as an error listing the valid ones.
+// Seed, and DispatchQuerySec fields and then the spec's own keys. Unknown
+// names surface from Run as an error listing the valid ones.
 func WithPolicy(name string) Option {
 	return func(c *Config) { c.System, c.Policy = CustomServer, name }
 }
@@ -129,11 +119,6 @@ func WithPolicy(name string) Option {
 // WithCustomPolicy runs a caller-supplied distributor.
 func WithCustomPolicy(mk func(env policy.Env) policy.Distributor) Option {
 	return func(c *Config) { c.System, c.CustomPolicy = CustomServer, mk }
-}
-
-// WithDNSTTL sets the cached-dns policy's requests per cached translation.
-func WithDNSTTL(requests int) Option {
-	return func(c *Config) { c.DNSTTL = requests }
 }
 
 // WithSeries attaches a time-series recorder: per-resource utilization,

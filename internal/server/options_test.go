@@ -26,12 +26,11 @@ func TestOptionsApply(t *testing.T) {
 		WithPersistent(5),
 		WithArrivalRate(1200),
 		WithDistributedFS(),
-		WithDNSTTL(75),
 	)
 	if cfg.Seed != 99 || cfg.CacheBytes != 128<<20 || cfg.FailNode != 2 ||
 		cfg.FailAtFrac != 0.25 || cfg.WindowPerNode != 20 || cfg.WarmFraction != 0.1 ||
 		!cfg.Persistent || cfg.ReqsPerConn != 5 || cfg.ArrivalRate != 1200 ||
-		!cfg.DistributedFS || cfg.DNSTTL != 75 {
+		!cfg.DistributedFS {
 		t.Errorf("options not applied: %+v", cfg)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/queuemodel"
+	"repro/internal/spec"
 	"repro/internal/trace"
 )
 
@@ -165,38 +166,33 @@ func ParseProfiles(spec string) ([]NodeProfile, error) {
 	return out, nil
 }
 
+// profileSpeeds are the CPU, DISK and LINK fields of a profile group, in
+// order: relative speeds and a line rate, each empty or in [0, 1e6].
+var profileSpeeds = []spec.Param[NodeProfile]{
+	{Key: "cpu", Max: 1e6, Set: func(p *NodeProfile, v float64) { p.CPUSpeed = v }},
+	{Key: "disk", Max: 1e6, Set: func(p *NodeProfile, v float64) { p.DiskSpeed = v }},
+	{Key: "link", Max: 1e6, Set: func(p *NodeProfile, v float64) { p.LinkKBps = v }},
+}
+
 // parseProfileFields parses the CPU/DISK[/LINK[/CACHE]] tail of one group.
 func parseProfileFields(s string) (NodeProfile, error) {
 	fields := strings.Split(s, "/")
 	if len(fields) < 2 || len(fields) > 4 {
 		return NodeProfile{}, fmt.Errorf("profiles: group %q needs CPU/DISK[/LINK[/CACHE]]", s)
 	}
-	speed := func(name, v string) (float64, error) {
-		if v == "" {
-			return 0, nil
-		}
-		// The range test is written so that NaN (for which every comparison
-		// is false) fails it; ParseFloat accepts "NaN" and "Inf".
-		x, err := strconv.ParseFloat(v, 64)
-		if err != nil || !(x >= 0 && x <= 1e6) {
-			return 0, fmt.Errorf("profiles: bad %s speed %q", name, v)
-		}
-		return x, nil
-	}
 	var p NodeProfile
-	var err error
-	if p.CPUSpeed, err = speed("cpu", fields[0]); err != nil {
-		return NodeProfile{}, err
-	}
-	if p.DiskSpeed, err = speed("disk", fields[1]); err != nil {
-		return NodeProfile{}, err
-	}
-	if len(fields) >= 3 {
-		if p.LinkKBps, err = speed("link", fields[2]); err != nil {
-			return NodeProfile{}, err
+	for i, field := range fields[:min(len(fields), len(profileSpeeds))] {
+		if field == "" {
+			continue
 		}
+		v, err := profileSpeeds[i].Parse(field)
+		if err != nil {
+			return NodeProfile{}, fmt.Errorf("profiles: %w", err)
+		}
+		profileSpeeds[i].Set(&p, v)
 	}
 	if len(fields) == 4 {
+		var err error
 		if p.CacheBytes, err = parseByteSize(fields[3]); err != nil {
 			return NodeProfile{}, err
 		}

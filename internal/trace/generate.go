@@ -145,6 +145,20 @@ func (s GenSpec) withDefaults() GenSpec {
 	return s
 }
 
+// maxScale bounds a request-count scale factor: the largest count a spec
+// admits (reqs, 1e9) scaled by it, 1e18, still fits an int.
+const maxScale = 1e9
+
+// CheckScale reports whether factor can scale a spec's request count; the
+// error names what is wanted, for a caller to prefix with where factor came
+// from. Scaled itself clamps whatever it is given to at least 1 request.
+func CheckScale(factor float64) error {
+	if !(factor > 0 && factor <= maxScale) {
+		return fmt.Errorf("want a finite factor in (0, %g], got %v", float64(maxScale), factor)
+	}
+	return nil
+}
+
 // Scaled returns a copy of the spec with the request count multiplied by
 // factor (catalog untouched), for fast test and bench runs.
 func (s GenSpec) Scaled(factor float64) GenSpec {

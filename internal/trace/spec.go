@@ -2,15 +2,16 @@ package trace
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/spec"
 )
 
 // This file is the generation-spec grammar: the single string form in which
-// CLIs (cmd/tracegen -spec, the experiment drivers) name a synthetic
-// workload together with its tunables, mirroring the policy-spec grammar of
-// internal/policy. A spec reads
+// CLIs (tracegen -spec, clustersim -trace, l2sd -replay, the experiment
+// drivers) name a synthetic workload together with its tunables. A spec
+// reads
 //
 //	mode[:key=value,key=value,...]
 //
@@ -22,140 +23,103 @@ import (
 //	flash:files=8000,filekb=20,reqs=300000,reqkb=12,alpha=0.9,ffrac=0.7
 //	clarknet:reqs=100000
 //
-// Keys are typed and range-checked per mode; ParseGenSpec never generates a
-// trace, it only builds the validated GenSpec. SpecString is the canonical
+// Keys are typed and range-checked per mode in the grammar of package spec,
+// which policy.ParseSpec shares; ParseGenSpec never generates a trace, it
+// only builds the validated GenSpec. SpecString is the canonical
 // inverse: it emits a form that re-parses to the identical spec, which the
 // fuzz harness holds as an invariant.
 
-// maxGenSpecLen bounds accepted spec text; real specs are tens of bytes.
-const maxGenSpecLen = 512
-
-// genParam is one typed, range-checked key of the grammar. Int values are
-// parsed as decimal integers; both kinds travel as float64 (exact for every
-// in-range int the grammar admits).
-type genParam struct {
-	key   string
-	isInt bool
-
-	min, max         float64
-	minExcl, maxExcl bool
-
-	// check, when set, replaces the min/max range test (e.g. the Pareto
-	// shape's "0 or > 1" domain).
-	check func(v float64) error
-
-	get func(s GenSpec) float64
-	set func(s *GenSpec, v float64)
-}
-
-func (p genParam) inRange(v float64) error {
-	if p.check != nil {
-		return p.check(v)
-	}
-	ok := !math.IsNaN(v) &&
-		(v > p.min || (!p.minExcl && v == p.min)) &&
-		(v < p.max || (!p.maxExcl && v == p.max))
-	if !ok {
-		lo, hi := "[", "]"
-		if p.minExcl {
-			lo = "("
-		}
-		if p.maxExcl {
-			hi = ")"
-		}
-		return fmt.Errorf("value %v out of range %s%v, %v%s", v, lo, p.min, p.max, hi)
-	}
-	return nil
-}
+// genParam is one typed key of the grammar.
+type genParam = spec.Param[GenSpec]
 
 // commonGenParams are accepted by every mode.
 var commonGenParams = []genParam{
-	{key: "files", isInt: true, min: 1, max: 5e7,
-		get: func(s GenSpec) float64 { return float64(s.Files) },
-		set: func(s *GenSpec, v float64) { s.Files = int(v) }},
-	{key: "filekb", min: 0, minExcl: true, max: 1e6,
-		get: func(s GenSpec) float64 { return s.AvgFileKB },
-		set: func(s *GenSpec, v float64) { s.AvgFileKB = v }},
-	{key: "reqs", isInt: true, min: 1, max: 1e9,
-		get: func(s GenSpec) float64 { return float64(s.Requests) },
-		set: func(s *GenSpec, v float64) { s.Requests = int(v) }},
-	{key: "sigma", min: 0, max: 10,
-		get: func(s GenSpec) float64 { return s.SizeSigma },
-		set: func(s *GenSpec, v float64) { s.SizeSigma = v }},
-	{key: "clients", isInt: true, min: 0, max: 1e8,
-		get: func(s GenSpec) float64 { return float64(s.Clients) },
-		set: func(s *GenSpec, v float64) { s.Clients = int(v) }},
-	{key: "clientalpha", min: 0, minExcl: true, max: 5,
-		get: func(s GenSpec) float64 { return s.ClientAlpha },
-		set: func(s *GenSpec, v float64) { s.ClientAlpha = v }},
+	{Key: "files", Kind: spec.Int, Min: 1, Max: 5e7,
+		Get: func(s GenSpec) float64 { return float64(s.Files) },
+		Set: func(s *GenSpec, v float64) { s.Files = int(v) }},
+	{Key: "filekb", Min: 0, MinExcl: true, Max: 1e6,
+		Get: func(s GenSpec) float64 { return s.AvgFileKB },
+		Set: func(s *GenSpec, v float64) { s.AvgFileKB = v }},
+	{Key: "reqs", Kind: spec.Int, Min: 1, Max: 1e9,
+		Get: func(s GenSpec) float64 { return float64(s.Requests) },
+		Set: func(s *GenSpec, v float64) { s.Requests = int(v) }},
+	{Key: "sigma", Min: 0, Max: 10,
+		Get: func(s GenSpec) float64 { return s.SizeSigma },
+		Set: func(s *GenSpec, v float64) { s.SizeSigma = v }},
+	{Key: "clients", Kind: spec.Int, Min: 0, Max: 1e8,
+		Get: func(s GenSpec) float64 { return float64(s.Clients) },
+		Set: func(s *GenSpec, v float64) { s.Clients = int(v) }},
+	{Key: "clientalpha", Min: 0, MinExcl: true, Max: 5,
+		Get: func(s GenSpec) float64 { return s.ClientAlpha },
+		Set: func(s *GenSpec, v float64) { s.ClientAlpha = v }},
 }
 
 // zipfGenParams shape the stationary Zipf content; they apply to every mode
 // except churn, whose popularity structure comes from the shot-noise model.
 var zipfGenParams = []genParam{
-	{key: "reqkb", min: 0, minExcl: true, max: 1e6,
-		get: func(s GenSpec) float64 { return s.AvgReqKB },
-		set: func(s *GenSpec, v float64) { s.AvgReqKB = v }},
-	{key: "alpha", min: 0, max: 5,
-		get: func(s GenSpec) float64 { return s.Alpha },
-		set: func(s *GenSpec, v float64) { s.Alpha = v }},
-	{key: "localp", min: 0, max: 1, maxExcl: true,
-		get: func(s GenSpec) float64 { return s.LocalityP },
-		set: func(s *GenSpec, v float64) { s.LocalityP = v }},
-	{key: "depth", isInt: true, min: 1, max: 1e7,
-		get: func(s GenSpec) float64 { return float64(s.LocalityDepth) },
-		set: func(s *GenSpec, v float64) { s.LocalityDepth = int(v) }},
-	{key: "headboost", min: 0, max: 1, maxExcl: true,
-		get: func(s GenSpec) float64 { return s.HeadBoost },
-		set: func(s *GenSpec, v float64) { s.HeadBoost = v }},
-	{key: "headfiles", isInt: true, min: 1, max: 5e7,
-		get: func(s GenSpec) float64 { return float64(s.HeadFiles) },
-		set: func(s *GenSpec, v float64) { s.HeadFiles = int(v) }},
+	{Key: "reqkb", Min: 0, MinExcl: true, Max: 1e6,
+		Get: func(s GenSpec) float64 { return s.AvgReqKB },
+		Set: func(s *GenSpec, v float64) { s.AvgReqKB = v }},
+	{Key: "alpha", Min: 0, Max: 5,
+		Get: func(s GenSpec) float64 { return s.Alpha },
+		Set: func(s *GenSpec, v float64) { s.Alpha = v }},
+	{Key: "localp", Min: 0, Max: 1, MaxExcl: true,
+		Get: func(s GenSpec) float64 { return s.LocalityP },
+		Set: func(s *GenSpec, v float64) { s.LocalityP = v }},
+	{Key: "depth", Kind: spec.Int, Min: 1, Max: 1e7,
+		Get: func(s GenSpec) float64 { return float64(s.LocalityDepth) },
+		Set: func(s *GenSpec, v float64) { s.LocalityDepth = int(v) }},
+	{Key: "headboost", Min: 0, Max: 1, MaxExcl: true,
+		Get: func(s GenSpec) float64 { return s.HeadBoost },
+		Set: func(s *GenSpec, v float64) { s.HeadBoost = v }},
+	{Key: "headfiles", Kind: spec.Int, Min: 1, Max: 5e7,
+		Get: func(s GenSpec) float64 { return float64(s.HeadFiles) },
+		Set: func(s *GenSpec, v float64) { s.HeadFiles = int(v) }},
 }
 
 var churnGenParams = []genParam{
-	{key: "horizon", min: 0, minExcl: true, max: 1e9,
-		get: func(s GenSpec) float64 { return s.Horizon },
-		set: func(s *GenSpec, v float64) { s.Horizon = v }},
-	{key: "docrate", min: 0, minExcl: true, max: 1e9,
-		get: func(s GenSpec) float64 { return s.DocRate },
-		set: func(s *GenSpec, v float64) { s.DocRate = v }},
-	{key: "lifetime", min: 0, minExcl: true, max: 1e9,
-		get: func(s GenSpec) float64 { return s.DocLifetime },
-		set: func(s *GenSpec, v float64) { s.DocLifetime = v }},
-	{key: "docreqs", min: 0, max: 1e9,
-		get: func(s GenSpec) float64 { return s.DocMeanReqs },
-		set: func(s *GenSpec, v float64) { s.DocMeanReqs = v }},
-	{key: "shape",
-		check: func(v float64) error {
+	{Key: "horizon", Min: 0, MinExcl: true, Max: 1e9,
+		Get: func(s GenSpec) float64 { return s.Horizon },
+		Set: func(s *GenSpec, v float64) { s.Horizon = v }},
+	{Key: "docrate", Min: 0, MinExcl: true, Max: 1e9,
+		Get: func(s GenSpec) float64 { return s.DocRate },
+		Set: func(s *GenSpec, v float64) { s.DocRate = v }},
+	{Key: "lifetime", Min: 0, MinExcl: true, Max: 1e9,
+		Get: func(s GenSpec) float64 { return s.DocLifetime },
+		Set: func(s *GenSpec, v float64) { s.DocLifetime = v }},
+	{Key: "docreqs", Min: 0, Max: 1e9,
+		Get: func(s GenSpec) float64 { return s.DocMeanReqs },
+		Set: func(s *GenSpec, v float64) { s.DocMeanReqs = v }},
+	{Key: "shape",
+		Check: func(v float64) error {
 			if v == 0 || (v > 1 && v <= 100) {
 				return nil
 			}
-			return fmt.Errorf("value %v must be 0 (fixed weights) or in (1, 100] (Pareto)", v)
+			return fmt.Errorf("must be 0 (fixed weights) or in (1, 100] (Pareto)")
 		},
-		get: func(s GenSpec) float64 { return s.WeightShape },
-		set: func(s *GenSpec, v float64) { s.WeightShape = v }},
+		Get: func(s GenSpec) float64 { return s.WeightShape },
+		Set: func(s *GenSpec, v float64) { s.WeightShape = v }},
 }
 
 var diurnalGenParams = []genParam{
-	{key: "amp", min: 0, minExcl: true, max: 1, maxExcl: true,
-		get: func(s GenSpec) float64 { return s.DiurnalAmp },
-		set: func(s *GenSpec, v float64) { s.DiurnalAmp = v }},
-	{key: "periods", min: 0, minExcl: true, max: 1e4,
-		get: func(s GenSpec) float64 { return s.DiurnalPeriods },
-		set: func(s *GenSpec, v float64) { s.DiurnalPeriods = v }},
+	{Key: "amp", Min: 0, MinExcl: true, Max: 1, MaxExcl: true,
+		Get: func(s GenSpec) float64 { return s.DiurnalAmp },
+		Set: func(s *GenSpec, v float64) { s.DiurnalAmp = v }},
+	{Key: "periods", Min: 0, MinExcl: true, Max: 1e4,
+		Get: func(s GenSpec) float64 { return s.DiurnalPeriods },
+		Set: func(s *GenSpec, v float64) { s.DiurnalPeriods = v }},
 }
 
 var flashGenParams = []genParam{
-	{key: "fstart", min: 0, max: 1, maxExcl: true,
-		get: func(s GenSpec) float64 { return s.FlashStart },
-		set: func(s *GenSpec, v float64) { s.FlashStart = v }},
-	{key: "fdur", min: 0, minExcl: true, max: 1,
-		get: func(s GenSpec) float64 { return s.FlashDur },
-		set: func(s *GenSpec, v float64) { s.FlashDur = v }},
-	{key: "ffrac", min: 0, minExcl: true, max: 1, maxExcl: true,
-		get: func(s GenSpec) float64 { return s.FlashFrac },
-		set: func(s *GenSpec, v float64) { s.FlashFrac = v }},
+	{Key: "fstart", Min: 0, Max: 1, MaxExcl: true,
+		Get: func(s GenSpec) float64 { return s.FlashStart },
+		Set: func(s *GenSpec, v float64) { s.FlashStart = v }},
+	{Key: "fdur", Min: 0, MinExcl: true, Max: 1,
+		Get: func(s GenSpec) float64 { return s.FlashDur },
+		Set: func(s *GenSpec, v float64) { s.FlashDur = v }},
+	{Key: "ffrac", Min: 0, MinExcl: true, Max: 1, MaxExcl: true,
+		Get: func(s GenSpec) float64 { return s.FlashFrac },
+		Set: func(s *GenSpec, v float64) { s.FlashFrac = v }},
 }
 
 // genParamsFor returns the ordered key set a mode accepts; the order is the
@@ -176,108 +140,55 @@ func genParamsFor(mode string) []genParam {
 	return params
 }
 
-func findGenParam(params []genParam, key string) (genParam, bool) {
-	for _, p := range params {
-		if p.key == key {
-			return p, true
-		}
-	}
-	return genParam{}, false
-}
-
-func genParamKeys(params []genParam) string {
-	keys := make([]string, 0, len(params)+2)
-	keys = append(keys, "name", "seed")
-	for _, p := range params {
-		keys = append(keys, p.key)
-	}
-	return strings.Join(keys, ", ")
-}
-
 // ParseGenSpec parses and validates a generation spec without synthesizing
 // a trace. Unknown modes, unknown keys, malformed values, and out-of-range
 // values are all errors that name the accepted alternatives.
 func ParseGenSpec(s string) (GenSpec, error) {
-	if len(s) > maxGenSpecLen {
-		return GenSpec{}, fmt.Errorf("trace: spec longer than %d bytes", maxGenSpecLen)
+	head, pairs, err := spec.Split(s)
+	if err != nil {
+		return GenSpec{}, fmt.Errorf("trace: %w", err)
 	}
-	head, paramText, hasParams := strings.Cut(s, ":")
-	head = strings.TrimSpace(head)
-	if head == "" {
-		return GenSpec{}, fmt.Errorf("trace: empty mode in spec %q", s)
-	}
-	var spec GenSpec
+	var gs GenSpec
 	switch head {
 	case "stationary":
-		spec.Mode = ModeStationary
+		gs.Mode = ModeStationary
 	case ModeChurn, ModeDiurnal, ModeFlash:
-		spec.Mode = head
+		gs.Mode = head
 	default:
 		ps, err := PaperTrace(head)
 		if err != nil {
 			return GenSpec{}, fmt.Errorf("trace: unknown mode %q (valid: stationary, churn, diurnal, flash, or a paper trace: calgary, clarknet, nasa, rutgers)", head)
 		}
-		spec = ps
+		gs = ps
 	}
-	params := genParamsFor(spec.Mode)
-	if !hasParams {
-		return spec, nil
-	}
-	if strings.TrimSpace(paramText) == "" {
-		return GenSpec{}, fmt.Errorf("trace: spec %q has an empty parameter list", s)
-	}
-	seen := make(map[string]bool)
-	for _, kv := range strings.Split(paramText, ",") {
-		keyText, valText, ok := strings.Cut(kv, "=")
-		key := strings.TrimSpace(keyText)
-		val := strings.TrimSpace(valText)
-		if !ok || key == "" {
-			return GenSpec{}, fmt.Errorf("trace: parameter %q in spec %q is not key=value", kv, s)
-		}
-		if seen[key] {
-			return GenSpec{}, fmt.Errorf("trace: parameter %q repeated in spec %q", key, s)
-		}
-		seen[key] = true
-		switch key {
+	params := genParamsFor(gs.Mode)
+	for _, kv := range pairs {
+		switch kv.Key {
 		case "name":
-			if val == "" {
+			if kv.Value == "" {
 				return GenSpec{}, fmt.Errorf("trace: empty name in spec %q", s)
 			}
-			spec.Name = val
+			gs.Name = kv.Value
 			continue
 		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
+			n, err := strconv.ParseInt(kv.Value, 10, 64)
 			if err != nil {
-				return GenSpec{}, fmt.Errorf("trace: seed %q is not an integer", val)
+				return GenSpec{}, fmt.Errorf("trace: seed %q is not an integer", kv.Value)
 			}
-			spec.Seed = n
+			gs.Seed = n
 			continue
 		}
-		p, found := findGenParam(params, key)
-		if !found {
-			return GenSpec{}, fmt.Errorf("trace: mode %s has no parameter %q (accepted: %s)",
-				modeLabel(spec.Mode), key, genParamKeys(params))
+		p, err := spec.Find(params, kv.Key, "name", "seed")
+		if err != nil {
+			return GenSpec{}, fmt.Errorf("trace: mode %s has %w", modeLabel(gs.Mode), err)
 		}
-		var v float64
-		if p.isInt {
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return GenSpec{}, fmt.Errorf("trace: parameter %s=%q is not an integer", key, val)
-			}
-			v = float64(n)
-		} else {
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || math.IsInf(f, 0) {
-				return GenSpec{}, fmt.Errorf("trace: parameter %s=%q is not a finite number", key, val)
-			}
-			v = f
+		v, err := p.Parse(kv.Value)
+		if err != nil {
+			return GenSpec{}, fmt.Errorf("trace: parameter %w", err)
 		}
-		if err := p.inRange(v); err != nil {
-			return GenSpec{}, fmt.Errorf("trace: parameter %s: %v", key, err)
-		}
-		p.set(&spec, v)
+		p.Set(&gs, v)
 	}
-	return spec, nil
+	return gs, nil
 }
 
 // modeLabel names a mode for display; the stationary mode's storage form is
@@ -301,14 +212,8 @@ func (s GenSpec) SpecString() string {
 		parts = append(parts, "seed="+strconv.FormatInt(s.Seed, 10))
 	}
 	for _, p := range genParamsFor(s.Mode) {
-		if v := p.get(s); v != 0 {
-			var text string
-			if p.isInt {
-				text = strconv.FormatInt(int64(v), 10)
-			} else {
-				text = strconv.FormatFloat(v, 'g', -1, 64)
-			}
-			parts = append(parts, p.key+"="+text)
+		if v := p.Get(s); v != 0 {
+			parts = append(parts, p.Key+"="+p.Format(v))
 		}
 	}
 	if len(parts) == 0 {

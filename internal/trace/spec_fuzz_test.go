@@ -2,6 +2,8 @@ package trace
 
 import (
 	"testing"
+
+	specgrammar "repro/internal/spec"
 )
 
 // FuzzParseGenSpec drives the generation-spec parser with hostile input and
@@ -43,7 +45,7 @@ func FuzzParseGenSpec(f *testing.F) {
 			t.Fatalf("accepted %q with unknown mode %q", s, spec.Mode)
 		}
 		canon := spec.SpecString()
-		if len(canon) > maxGenSpecLen+64 {
+		if len(canon) > specgrammar.MaxLen+64 {
 			t.Fatalf("accepted %q with oversized canonical form", s)
 		}
 		again, err := ParseGenSpec(canon)

@@ -3,6 +3,8 @@ package trace
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/spec"
 )
 
 func TestParseGenSpecModes(t *testing.T) {
@@ -79,7 +81,7 @@ func TestParseGenSpecErrors(t *testing.T) {
 		"flash:fstart=1",
 		"stationary:name=",
 		"stationary:seed=abc",
-		"stationary:" + strings.Repeat("x", maxGenSpecLen),
+		"stationary:" + strings.Repeat("x", spec.MaxLen),
 	}
 	for _, s := range bad {
 		if spec, err := ParseGenSpec(s); err == nil {
