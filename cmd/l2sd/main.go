@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -72,6 +73,9 @@ func main() {
 	if err := trace.CheckScale(*scale); err != nil {
 		fatal(fmt.Errorf("-scale: %w", err))
 	}
+	if err := checkFlags(*files, *avgKB, *alpha, *workers); err != nil {
+		fatal(err)
+	}
 	// The daemon IS the l2s policy, so -policy accepts only the l2s family
 	// of the shared spec grammar; native.WithL2S validates the result as the
 	// simulator does.
@@ -84,7 +88,7 @@ func main() {
 	}
 	l2s := ps.Options(policy.Options{L2S: core.DefaultOptions()}).L2S.(core.Options)
 
-	store := native.SyntheticStore(*files, *avgKB, 1)
+	var store *native.MemStore
 	var replayTrace *trace.Trace
 	if *replay != "" {
 		spec, err := trace.ParseGenSpec(*replay)
@@ -96,6 +100,8 @@ func main() {
 			fatal(err)
 		}
 		store = native.StoreFromTrace(replayTrace)
+	} else {
+		store = native.SyntheticStore(*files, *avgKB, 1)
 	}
 
 	opts := []native.Option{
@@ -133,8 +139,8 @@ func main() {
 	}
 	defer cluster.Shutdown()
 
-	fmt.Printf("l2sd: %d-node L2S cluster serving %d files (~%.0f KB each)\n",
-		*nodes, *files, *avgKB)
+	served, meanKB := describe(store)
+	fmt.Printf("l2sd: %d-node L2S cluster serving %d files (~%.0f KB each)\n", *nodes, served, meanKB)
 	for i, u := range cluster.URLs() {
 		fmt.Printf("  node %d: %s/files/f/<id>   (stats: %s/statsz)\n", i, u, u)
 	}
@@ -147,8 +153,11 @@ func main() {
 	}
 
 	if replayTrace != nil {
-		fmt.Printf("l2sd: replaying %s (%d requests) with %d workers...\n",
-			replayTrace.Name, replayTrace.NumRequests(), *workers)
+		name := replayTrace.Name
+		if name == "" {
+			name = *replay
+		}
+		fmt.Printf("l2sd: replaying %s (%d requests) with %d workers...\n", name, replayTrace.NumRequests(), *workers)
 		res, err := native.Replay(cluster, replayTrace, *workers)
 		if err != nil {
 			fatal(err)
@@ -188,6 +197,33 @@ func dumpMetrics(cluster *native.Cluster, enabled bool) {
 			fmt.Fprintln(os.Stderr, "l2sd: metrics:", err)
 		}
 	}
+}
+
+// checkFlags rejects values l2sd cannot serve, before any node starts:
+// -files and -avgkb take the trace grammar's files and filekb ranges.
+func checkFlags(files int, avgKB, alpha float64, workers int) error {
+	switch {
+	case files < 1 || files > 5e7:
+		return fmt.Errorf("-files %d outside [1, 5e7]", files)
+	case !(avgKB > 0 && avgKB <= 1e6):
+		return fmt.Errorf("-avgkb %v outside (0, 1e6]", avgKB)
+	case !(alpha >= 0 && alpha <= math.MaxFloat64):
+		return fmt.Errorf("-alpha %v must be finite and >= 0", alpha)
+	case workers < 1:
+		return fmt.Errorf("-workers %d: need at least 1", workers)
+	}
+	return nil
+}
+
+// describe returns the served catalog's file count and mean size in KB.
+func describe(st native.Store) (files int, meanKB float64) {
+	paths := st.Paths()
+	var total int64
+	for _, p := range paths {
+		b, _ := st.Get(p)
+		total += int64(len(b))
+	}
+	return len(paths), float64(total) / float64(len(paths)) / 1024
 }
 
 func fatal(err error) {

@@ -20,7 +20,6 @@ var testOnlyExports = []string{
 	"cache.Capacity", "cache.Evict", "cache.Measured", "cache.MostRecent", "cache.Used",
 	"cluster.CPUTime", "cluster.MaxLoad",
 	"core.NewWeighted", "core.ServerSet",
-	"native.Kill", "native.MarkDead", "native.PeerHealth", "native.Revive", "native.ServerSet",
 	"native.WithRetry", "native.WithServePenalty",
 	"obs.Bounds", "obs.BucketCount", "obs.ParsePrometheus", "obs.WeightedMean",
 	"policytest.Pending",

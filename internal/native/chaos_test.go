@@ -29,7 +29,7 @@ func chaosRetry() RetryPolicy {
 // given member, returning an offending path for diagnostics.
 func setsExclude(n *Node, paths []string, member int) (bool, string) {
 	for _, p := range paths {
-		for _, m := range n.ServerSet(p) {
+		for _, m := range n.serverSet(p) {
 			if m == member {
 				return false, p
 			}
@@ -107,7 +107,7 @@ func TestChaosKillNodeMidReplay(t *testing.T) {
 				continue
 			}
 			n := c.Node(i)
-			if n.PeerHealth(victim) != PeerDead {
+			if n.peerHealth(victim) != PeerDead {
 				converged, why = false, fmt.Sprintf("node %d has not marked %d dead", i, victim)
 				continue
 			}
@@ -209,7 +209,7 @@ func converged(c *Cluster, paths []string) string {
 			if i == j {
 				continue
 			}
-			if n.PeerHealth(j) == PeerDead {
+			if n.peerHealth(j) == PeerDead {
 				return fmt.Sprintf("node %d still believes %d dead", i, j)
 			}
 			if l := n.state.viewLoad(j); l != 0 {
@@ -218,9 +218,9 @@ func converged(c *Cluster, paths []string) string {
 		}
 	}
 	for _, p := range paths {
-		ref := c.Node(0).ServerSet(p)
+		ref := c.Node(0).serverSet(p)
 		for i := 1; i < c.Len(); i++ {
-			got := c.Node(i).ServerSet(p)
+			got := c.Node(i).serverSet(p)
 			if len(got) != len(ref) {
 				return fmt.Sprintf("set %s differs: node 0 %v vs node %d %v", p, ref, i, got)
 			}
@@ -262,19 +262,19 @@ func TestChaosCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "survivors never marked the victim dead", func() bool {
-		return c.Node(0).PeerHealth(victim) == PeerDead && c.Node(1).PeerHealth(victim) == PeerDead
+		return c.Node(0).peerHealth(victim) == PeerDead && c.Node(1).peerHealth(victim) == PeerDead
 	})
 
 	if err := c.Restart(victim); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "rejoined node never marked alive", func() bool {
-		return c.Node(0).PeerHealth(victim) == PeerAlive && c.Node(1).PeerHealth(victim) == PeerAlive
+		return c.Node(0).peerHealth(victim) == PeerAlive && c.Node(1).peerHealth(victim) == PeerAlive
 	})
 	// Anti-entropy must hand the newcomer a server-set replica.
 	waitFor(t, 5*time.Second, "rejoined node never received state via anti-entropy", func() bool {
 		for i := 0; i < 32; i++ {
-			if len(c.Node(victim).ServerSet(fmt.Sprintf("/f/%d", i))) > 0 {
+			if len(c.Node(victim).serverSet(fmt.Sprintf("/f/%d", i))) > 0 {
 				return true
 			}
 		}

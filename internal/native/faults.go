@@ -93,16 +93,16 @@ func (f *FaultInjector) SetDupRate(p float64) error {
 	return nil
 }
 
-// Kill blackholes all injected traffic to the node (connection attempts
+// kill blackholes all injected traffic to the node (connection attempts
 // fail immediately), simulating a crash at the transport seam.
-func (f *FaultInjector) Kill(node int) {
+func (f *FaultInjector) kill(node int) {
 	f.mu.Lock()
 	f.killed[node] = true
 	f.mu.Unlock()
 }
 
-// Revive undoes Kill.
-func (f *FaultInjector) Revive(node int) {
+// revive undoes kill.
+func (f *FaultInjector) revive(node int) {
 	f.mu.Lock()
 	delete(f.killed, node)
 	f.mu.Unlock()

@@ -227,7 +227,7 @@ func TestHandoffKillIsChecked(t *testing.T) {
 	defer c.Shutdown()
 	pin(c, "/f/2", 1, 0)
 	get(t, c.URLs()[0]+"/files/f/2") // warm a channel
-	fi.Kill(1)
+	fi.kill(1)
 	resp, body := get(t, c.URLs()[0]+"/files/f/2")
 	if resp.StatusCode != http.StatusOK || string(body) != "content-of-2" || resp.Header.Get("X-Served-By") != "0" {
 		t.Fatalf("under a kill: status %d, body %q, served by %q; want a local failover", resp.StatusCode, body, resp.Header.Get("X-Served-By"))
@@ -283,7 +283,7 @@ func TestHandoffPeerCrashMidExchange(t *testing.T) {
 	if s.Failovers != 1 || s.HandoffConns != 0 {
 		t.Fatalf("failovers %d, channels still open %d; want 1, 0", s.Failovers, s.HandoffConns)
 	}
-	if c.Node(0).PeerHealth(1) == PeerAlive {
+	if c.Node(0).peerHealth(1) == PeerAlive {
 		t.Fatal("the failure detector was not told")
 	}
 }
@@ -317,7 +317,7 @@ func TestHandoffStaleChannelRedials(t *testing.T) {
 	if s.HandoffDials != 2 || s.HandoffConns != 1 || s.Retries != 0 || s.Failovers != 0 {
 		t.Fatalf("dials %d, channels %d, retries %d, failovers %d; want 2, 1, 0, 0", s.HandoffDials, s.HandoffConns, s.Retries, s.Failovers)
 	}
-	if c.Node(0).PeerHealth(1) != PeerAlive {
+	if c.Node(0).peerHealth(1) != PeerAlive {
 		t.Fatal("a stale channel was held against the peer")
 	}
 }

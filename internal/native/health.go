@@ -144,22 +144,6 @@ func (h *healthTracker) observeFailure(peer int) {
 	}
 }
 
-// forceDead marks a peer dead immediately, bypassing the failure budget.
-func (h *healthTracker) forceDead(peer int) {
-	if peer < 0 || peer >= len(h.states) || peer == h.self {
-		return
-	}
-	h.mu.Lock()
-	was := h.states[peer]
-	h.states[peer] = PeerDead
-	h.fails[peer] = h.opts.DeadAfter
-	cb := h.onDead
-	h.mu.Unlock()
-	if was != PeerDead && cb != nil {
-		cb(peer)
-	}
-}
-
 // alive reports whether the peer should still receive traffic (suspect
 // peers do; dead ones do not). A node always trusts itself.
 func (h *healthTracker) alive(peer int) bool {

@@ -88,7 +88,7 @@ func waitServerSetKnown(t *testing.T, c *Cluster, n int, path string) {
 	t.Helper()
 	waitFor(t, 5*time.Second, "server set of "+path+" did not reach every node", func() bool {
 		for i := 0; i < n; i++ {
-			if len(c.Node(i).ServerSet(path)) == 0 {
+			if len(c.Node(i).serverSet(path)) == 0 {
 				return false
 			}
 		}
@@ -276,7 +276,7 @@ func TestReplicationUnderHotspot(t *testing.T) {
 
 	grew := false
 	for i := 0; i < 3; i++ {
-		if len(c.Node(i).ServerSet("/f/0")) > 1 {
+		if len(c.Node(i).serverSet("/f/0")) > 1 {
 			grew = true
 		}
 	}
@@ -306,17 +306,6 @@ func TestClusterConfigValidation(t *testing.T) {
 	}
 	if _, err := NewNode(Config{Store: testStore(1), Peers: nil}); err == nil {
 		t.Fatal("bad node id accepted")
-	}
-}
-
-func TestSyntheticStore(t *testing.T) {
-	s := SyntheticStore(50, 10, 1)
-	if len(s.Paths()) != 50 {
-		t.Fatalf("paths = %d", len(s.Paths()))
-	}
-	b, ok := s.Get("/f/0")
-	if !ok || len(b) < 64 {
-		t.Fatalf("file 0 missing or too small: %d", len(b))
 	}
 }
 
@@ -378,19 +367,6 @@ func TestReplayTrace(t *testing.T) {
 	// Repeated Zipf requests must hit caches.
 	if c.Totals().HitRate < 0.5 {
 		t.Fatalf("hit rate %.2f too low for a Zipf replay", c.Totals().HitRate)
-	}
-}
-
-func TestStoreFromTraceSizes(t *testing.T) {
-	tr := trace.MustGenerate(trace.GenSpec{
-		Name: "s", Files: 10, AvgFileKB: 8, Requests: 10, AvgReqKB: 8, Alpha: 1, Seed: 1,
-	})
-	st := StoreFromTrace(tr)
-	for i, size := range tr.Sizes {
-		b, ok := st.Get(fmt.Sprintf("/f/%d", i))
-		if !ok || int64(len(b)) != size {
-			t.Fatalf("file %d: got %d bytes, want %d", i, len(b), size)
-		}
 	}
 }
 

@@ -264,18 +264,14 @@ func (n *Node) ID() int { return n.cfg.ID }
 // Load returns the node's current open-request count.
 func (n *Node) Load() int { return int(n.open.Load()) }
 
-// ServerSet exposes the node's replica of a file's server set (tests).
-func (n *Node) ServerSet(path string) []int { return n.state.serverSet(path) }
+// serverSet exposes the node's replica of a file's server set (tests).
+func (n *Node) serverSet(path string) []int { return n.state.serverSet(path) }
 
-// PeerHealth exposes the node's belief about a peer (tests, /statsz).
-func (n *Node) PeerHealth(i int) PeerState { return n.health.state(i) }
+// peerHealth exposes the node's belief about a peer (tests).
+func (n *Node) peerHealth(i int) PeerState { return n.health.state(i) }
 
 // alive reports whether this node believes peer i is up.
 func (n *Node) alive(i int) bool { return n.health.alive(i) }
-
-// MarkDead records that a peer is down immediately, bypassing the failure
-// budget (the failure detector normally does this itself).
-func (n *Node) MarkDead(i int) { n.health.forceDead(i) }
 
 // handleFiles is the public entry point: run the distribution algorithm,
 // then serve locally or hand off.

@@ -121,7 +121,7 @@ func TestFaultInjectorKillRevive(t *testing.T) {
 	}
 	defer c.Shutdown()
 
-	fi.Kill(1)
+	fi.kill(1)
 	// Node 0's hand-offs and gossip to node 1 now fail; requests entering
 	// node 0 must still succeed via failover.
 	c.Node(0).state.applySet(SetUpdate{Path: "/f/2", Nodes: []int{1}, Version: 1})
@@ -133,11 +133,11 @@ func TestFaultInjectorKillRevive(t *testing.T) {
 		t.Fatal("kill never blocked a request")
 	}
 	waitFor(t, 5*time.Second, "node 0 never marked killed peer dead", func() bool {
-		return c.Node(0).PeerHealth(1) == PeerDead
+		return c.Node(0).peerHealth(1) == PeerDead
 	})
 
-	fi.Revive(1)
+	fi.revive(1)
 	waitFor(t, 5*time.Second, "revived peer never marked alive", func() bool {
-		return c.Node(0).PeerHealth(1) == PeerAlive
+		return c.Node(0).peerHealth(1) == PeerAlive
 	})
 }

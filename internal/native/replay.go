@@ -22,18 +22,8 @@ type ReplayResult struct {
 
 // StoreFromTrace builds a MemStore whose files mirror a simulator trace's
 // catalog: file id i becomes /f/<i> with the trace's size. Contents are
-// synthetic bytes.
-func StoreFromTrace(tr *trace.Trace) *MemStore {
-	files := make(map[string][]byte, tr.NumFiles())
-	for i, size := range tr.Sizes {
-		body := make([]byte, size)
-		for j := range body {
-			body[j] = byte('a' + (i+j)%26)
-		}
-		files[fmt.Sprintf("/f/%d", i)] = body
-	}
-	return NewMemStore(files)
-}
+// synthetic bytes, shared as in SyntheticStore.
+func StoreFromTrace(tr *trace.Trace) *MemStore { return syntheticStore(tr.Sizes) }
 
 // Replay drives a trace's request stream through the live cluster with the
 // given concurrency, entering round robin — the native-server analogue of

@@ -12,9 +12,9 @@
 package native
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 )
 
 // Store is a node's backing content source — the distributed file system
@@ -47,19 +47,34 @@ func NewMemStore(files map[string][]byte) *MemStore {
 // generator: file i is named /f/<i> and sized around avgKB.
 func SyntheticStore(files int, avgKB float64, seed int64) *MemStore {
 	rng := rand.New(rand.NewSource(seed))
-	m := make(map[string][]byte, files)
-	for i := 0; i < files; i++ {
-		size := int(avgKB * 1024 * (0.25 + rng.ExpFloat64()))
-		if size < 64 {
-			size = 64
-		}
-		body := make([]byte, size)
-		for j := range body {
-			body[j] = byte('a' + (i+j)%26)
-		}
-		m[fmt.Sprintf("/f/%d", i)] = body
+	sizes := make([]int64, 0, max(files, 0))
+	for range files {
+		sizes = append(sizes, max(64, int64(avgKB*1024*(0.25+rng.ExpFloat64()))))
 	}
-	return NewMemStore(m)
+	return syntheticStore(sizes)
+}
+
+// syntheticStore serves a catalog of the given sizes as /f/<i>, byte j of
+// file i being 'a'+(i+j)%26. That content is a function of (id, offset), so
+// every body is a view of one read-only alphabet run as long as the largest
+// file, and the store does not grow with the catalog's bytes. Each view's
+// capacity ends at its length, so an append to a body copies instead of
+// writing into the shared run.
+func syntheticStore(sizes []int64) *MemStore {
+	var longest int64
+	for _, size := range sizes {
+		longest = max(longest, size)
+	}
+	alphabet := make([]byte, longest+26)
+	for j := range alphabet {
+		alphabet[j] = byte('a' + j%26)
+	}
+	files := make(map[string][]byte, len(sizes))
+	for i, size := range sizes {
+		from := int64(i % 26)
+		files["/f/"+strconv.Itoa(i)] = alphabet[from : from+size : from+size]
+	}
+	return NewMemStore(files)
 }
 
 // Get implements Store.
