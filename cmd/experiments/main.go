@@ -29,6 +29,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -40,6 +41,15 @@ import (
 	"repro/internal/server"
 	"repro/internal/trace"
 )
+
+// experimentNames lists every experiment -only accepts (case-insensitively),
+// in the order a full run prints them; the last four run only when named.
+var experimentNames = []string{
+	"table1", "figures3to6", "table2", "figure7", "figure8", "figure9", "figure10",
+	"section5.2", "sensitivity", "memory", "policies", "persistent", "failover",
+	"section6", "heterogeneous", "twotier", "slownode", "latency",
+	"chash", "scalefigs", "churn", "flash",
+}
 
 func main() {
 	var (
@@ -63,6 +73,9 @@ func main() {
 
 	if err := trace.CheckScale(*scale); err != nil {
 		fatalIf(fmt.Errorf("-scale: %w", err))
+	}
+	if *only != "" && !slices.ContainsFunc(experimentNames, func(name string) bool { return strings.EqualFold(name, *only) }) {
+		fatalIf(fmt.Errorf("-only: unknown experiment %q (valid: %s)", *only, strings.Join(experimentNames, ", ")))
 	}
 	if *cpuProfile != "" || *memProfile != "" {
 		stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)

@@ -18,7 +18,6 @@ import (
 // that is deleted or gains a non-test caller fails it until removed here.
 var testOnlyExports = []string{
 	"cache.Capacity", "cache.Evict", "cache.Measured", "cache.MostRecent", "cache.Used",
-	"cluster.CPUTime", "cluster.MaxLoad",
 	"core.NewWeighted", "core.ServerSet",
 	"native.WithRetry", "native.WithServePenalty",
 	"obs.Bounds", "obs.BucketCount", "obs.ParsePrometheus", "obs.WeightedMean",

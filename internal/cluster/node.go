@@ -95,9 +95,6 @@ func (n *Node) RemoveConnection() {
 // MeanLoad returns the time-averaged open-connection count.
 func (n *Node) MeanLoad() float64 { return n.loadHist.Average(n.eng.Now()) }
 
-// MaxLoad returns the peak open-connection count.
-func (n *Node) MaxLoad() float64 { return n.loadHist.Max() }
-
 // CPUIdle returns the fraction of time the CPU has been idle.
 func (n *Node) CPUIdle() float64 { return 1 - n.CPU.Utilization() }
 

@@ -247,16 +247,16 @@ func (f *fleet) member(n *cluster.Node) bool {
 }
 
 // message is the pooled state of one point-to-point Send: the five hops of
-// the M-VIA path run as pre-bound stage callbacks on this struct, so a
-// message in steady state allocates nothing. The stage funcs are method
-// values created once per pooled object.
+// the M-VIA path (sender CPU, sender NI, wire, receiver NI, receiver CPU)
+// run as a hop counter and one pre-bound callback, so a message in steady
+// state allocates nothing.
 type message struct {
 	nw        *Network
 	from, to  *cluster.Node
 	wire      float64
 	delivered func()
-
-	afterFromCPU, afterFromNI, afterWire, afterToNI, finish func()
+	hops      uint8  // hops completed
+	step      func() // pre-bound m.advance
 }
 
 func (nw *Network) getMessage() *message {
@@ -266,11 +266,24 @@ func (nw *Network) getMessage() *message {
 		return m
 	}
 	m := &message{nw: nw}
-	m.afterFromCPU = func() { m.from.NIOut.Acquire(m.nw.cfg.MsgNI, m.afterFromNI) }
-	m.afterFromNI = func() { m.nw.eng.Schedule(m.wire, m.afterWire) }
-	m.afterWire = func() { m.to.NIIn.Acquire(m.nw.cfg.MsgNI, m.afterToNI) }
-	m.afterToNI = func() { m.to.CPU.Acquire(m.nw.cfg.MsgCPU, m.finish) }
-	m.finish = func() {
+	m.step = m.advance
+	return m
+}
+
+// advance starts the hop after the one that just completed, or delivers the
+// message after the fifth.
+func (m *message) advance() {
+	m.hops++
+	switch m.hops {
+	case 1:
+		m.from.NIOut.Acquire(m.nw.cfg.MsgNI, m.step)
+	case 2:
+		m.nw.eng.Schedule(m.wire, m.step)
+	case 3:
+		m.to.NIIn.Acquire(m.nw.cfg.MsgNI, m.step)
+	case 4:
+		m.to.CPU.Acquire(m.nw.cfg.MsgCPU, m.step)
+	default:
 		delivered := m.delivered
 		m.from, m.to, m.delivered = nil, nil, nil
 		m.nw.msgPool = append(m.nw.msgPool, m)
@@ -278,7 +291,6 @@ func (nw *Network) getMessage() *message {
 			delivered()
 		}
 	}
-	return m
 }
 
 // broadcast is the pooled state of one Broadcast: the arrival count plus
@@ -389,7 +401,8 @@ func (nw *Network) Send(from, to *cluster.Node, kb float64, delivered func()) {
 	m.from, m.to = from, to
 	m.wire = nw.WireTime(from, to, kb)
 	m.delivered = delivered
-	from.CPU.Acquire(nw.cfg.MsgCPU, m.afterFromCPU)
+	m.hops = 0
+	from.CPU.Acquire(nw.cfg.MsgCPU, m.step)
 }
 
 // Broadcast sends the message from one node to every other live node

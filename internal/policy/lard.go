@@ -49,6 +49,7 @@ type LARD struct {
 	backends []int // ids of nodes that service requests
 	feLoad   []int // front-end's view of each node's load
 	pending  []int // completions not yet reported to the front-end
+	updPool  []*lardUpdate
 
 	// weights holds per-node relative capacities for the lard-weighted
 	// variant: loads are compared as load/weight and the imbalance
@@ -227,15 +228,42 @@ func (l *LARD) OnComplete(n int, f FileID) {
 	}
 	l.pending[n]++
 	if l.pending[n] >= l.opts.UpdateBatch {
-		count := l.pending[n]
+		u := l.getUpdate()
+		u.n, u.count = n, l.pending[n]
 		l.pending[n] = 0
-		l.env.SendControl(n, 0, func() {
-			l.feLoad[n] -= count
-			if l.feLoad[n] < 0 {
-				l.feLoad[n] = 0
-			}
-		})
+		l.env.SendControl(n, 0, u.deliver)
 	}
+}
+
+// lardUpdate is the pooled state of one in-flight load update: the reporting
+// back-end and its batched completion count, with a single pre-bound deliver
+// method value instead of a closure per update. An update the network drops
+// (an endpoint failed) is never delivered and never returns to the pool.
+type lardUpdate struct {
+	l        *LARD
+	n, count int
+	deliver  func()
+}
+
+func (l *LARD) getUpdate() *lardUpdate {
+	if n := len(l.updPool); n > 0 {
+		u := l.updPool[n-1]
+		l.updPool = l.updPool[:n-1]
+		return u
+	}
+	u := &lardUpdate{l: l}
+	u.deliver = u.apply
+	return u
+}
+
+// apply lowers the front-end's view of the back-end by the reported count.
+func (u *lardUpdate) apply() {
+	l, n := u.l, u.n
+	l.feLoad[n] -= u.count
+	if l.feLoad[n] < 0 {
+		l.feLoad[n] = 0
+	}
+	l.updPool = append(l.updPool, u)
 }
 
 // SetSizes returns the distribution of server-set sizes, for diagnostics

@@ -3,10 +3,9 @@ package server
 import (
 	"math"
 	"math/rand"
-	"repro/internal/cluster"
 
 	"repro/internal/cache"
-	"repro/internal/policy"
+	"repro/internal/cluster"
 )
 
 // Persistent-connection (HTTP/1.1) support. Section 4 of the paper notes
@@ -53,15 +52,15 @@ func (d *driver) injectConnection() {
 // the requests in order.
 func (d *driver) startConnection(first, count int) {
 	f0 := d.tr.Requests[first]
-	if ca, ok := d.dist.(policy.ClientAware); ok {
-		ca.SetNextClient(d.tr.Client(first))
+	if d.clientAware != nil {
+		d.clientAware.SetNextClient(d.tr.Client(first))
 	}
 	n0 := d.dist.Initial(f0)
 
 	d.net.RouterIn(d.cfg.Costs.ReqKB, func() {
 		node0 := d.nodes[n0]
 		if node0.Failed() {
-			d.abortConnectionUnassigned()
+			d.abortUnassigned()
 			return
 		}
 		node0.NIIn.Acquire(d.niIn, func() {
@@ -69,7 +68,7 @@ func (d *driver) startConnection(first, count int) {
 			if n0 == d.dist.FrontEnd() {
 				cpuCost = d.cfg.FECostSec
 			}
-			node0.CPU.Acquire(d.cpu(n0, cpuCost), func() {
+			node0.CPU.Acquire(node0.CPUTime(cpuCost), func() {
 				owner := d.dist.Service(n0, f0)
 				d.nodes[owner].AddConnection()
 				d.dist.OnAssign(owner)
@@ -82,7 +81,7 @@ func (d *driver) startConnection(first, count int) {
 				if n0 == d.dist.FrontEnd() {
 					fwdCost = 0
 				}
-				node0.CPU.Acquire(d.cpu(n0, fwdCost), func() {
+				node0.CPU.Acquire(node0.CPUTime(fwdCost), func() {
 					d.net.Send(node0, d.nodes[owner], d.cfg.Costs.ReqKB, func() {
 						d.serveConnRequest(owner, first, count, 0, true)
 					})
@@ -105,7 +104,7 @@ func (d *driver) serveConnRequest(owner, first, count, i int, firstCall bool) {
 	f := d.tr.Requests[idx]
 	node := d.nodes[owner]
 	if node.Failed() {
-		d.abortConnectionAssigned(owner, f)
+		d.abortAssigned(owner, f)
 		return
 	}
 	skb := float64(d.tr.Size(f)) / 1024
@@ -135,14 +134,14 @@ func (d *driver) serveConnRequest(owner, first, count, i int, firstCall bool) {
 		}
 		d.net.RouterIn(d.cfg.Costs.ReqKB, func() {
 			node.NIIn.Acquire(d.niIn, func() {
-				node.CPU.Acquire(d.cpu(owner, d.parse), then)
+				node.CPU.Acquire(node.CPUTime(d.parse), then)
 			})
 		})
 	}
 
 	arrive(func() {
 		svc := d.dist.Service(owner, f)
-		if svc == owner || !d.env().Alive(svc) {
+		if svc == owner || !d.Alive(svc) {
 			d.serveLocallyOnConn(node, f, skb, next)
 			return
 		}
@@ -150,7 +149,7 @@ func (d *driver) serveConnRequest(owner, first, count, i int, firstCall bool) {
 		// it to the owner, which transmits it to the client.
 		d.forwarded++
 		d.m.forwarded.Inc()
-		node.CPU.Acquire(d.cpu(owner, d.fwd), func() {
+		node.CPU.Acquire(node.CPUTime(d.fwd), func() {
 			d.net.Send(node, d.nodes[svc], d.cfg.Costs.ReqKB, func() {
 				d.remoteRead(svc, f, skb, func() {
 					// Data crosses the cluster network: sender NI-out and
@@ -176,7 +175,7 @@ func (d *driver) serveConnRequest(owner, first, count, i int, firstCall bool) {
 
 // serveLocallyOnConn is the local service path of a persistent-connection
 // request: cache, disk on miss, transmit, NI out, router out.
-func (d *driver) serveLocallyOnConn(node nodeRef, f cache.FileID, skb float64, next func()) {
+func (d *driver) serveLocallyOnConn(node *cluster.Node, f cache.FileID, skb float64, next func()) {
 	hit := node.Cache.Access(f, d.tr.Size(f))
 	finish := func() {
 		d.transmit(node, skb, func() {
@@ -217,28 +216,3 @@ func (d *driver) closeConnection(owner, first, count int) {
 		d.inject()
 	}
 }
-
-func (d *driver) abortConnectionUnassigned() {
-	d.inflight--
-	d.aborted++
-	d.m.aborted.Inc()
-	if !d.openLoop {
-		d.inject()
-	}
-}
-
-func (d *driver) abortConnectionAssigned(owner int, f cache.FileID) {
-	d.nodes[owner].RemoveConnection()
-	d.dist.OnComplete(owner, f)
-	d.inflight--
-	d.aborted++
-	d.m.aborted.Inc()
-	if !d.openLoop {
-		d.inject()
-	}
-}
-
-// nodeRef aliases the node type for the local service helper.
-type nodeRef = *cluster.Node
-
-func (d *driver) env() policy.Env { return d }

@@ -114,20 +114,39 @@ func (d *driver) getLoadReportJob() *loadReportJob {
 }
 
 // requestJob is the pooled state of one non-persistent request's lifecycle:
-// router in, initial node NI and CPU, distribution decision, optional
-// hand-off, service, reply out. Each stage is a method-value callback
-// created once per pooled object, replacing the chain of per-request
-// closures the driver used to allocate.
+// router in, initial node NI and CPU, an optional dispatcher round trip,
+// distribution decision, optional hand-off, service, reply out. It is a
+// stage machine with one pre-bound callback: every hand-off to a resource
+// or the network sets the stage that runs next and passes step, so a pooled
+// job carries one method value instead of a closure per stage.
 type requestJob struct {
 	d       *driver
 	f       cache.FileID
+	stage   reqStage
 	skb     float64
 	t0      float64
-	n0, svc int
-
-	afterRouterIn, afterNIIn, afterParse, decide, afterFwd,
-	serve, finish, afterTransmit, afterNIOut, afterRouterOut func()
+	n0, svc int     // initial and service node; svc names the dispatcher until the decision
+	dispCPU float64 // the dispatcher's CPU time for this request's query
+	step    func()  // pre-bound j.advance
 }
+
+// reqStage names what a requestJob does when its pending hand-off completes.
+type reqStage uint8
+
+const (
+	atRouterIn    reqStage = iota // through the router: NI-in at the initial node
+	atNIIn                        // accept and parse on the initial node's CPU
+	atParsed                      // query the dispatcher, if any, else decide
+	atDispatcher                  // query delivered: the dispatcher's CPU
+	atQueried                     // answer travels back to the initial node
+	atDecide                      // pick the service node; hand off if remote
+	atHandedOff                   // hand-off CPU done: the message to the service node
+	atServe                       // cache lookup at the service node, disk on a miss
+	atFetched                     // file in memory: chunked transmit
+	atTransmitted                 // NI-out at the service node
+	atNIOut                       // router out
+	atDone                        // reply left the cluster
+)
 
 func (d *driver) getRequestJob() *requestJob {
 	if n := len(d.reqPool); n > 0 {
@@ -136,38 +155,71 @@ func (d *driver) getRequestJob() *requestJob {
 		return j
 	}
 	j := &requestJob{d: d}
-	j.afterRouterIn = func() {
-		d := j.d
+	j.step = j.advance
+	return j
+}
+
+// advance runs the stage the last hand-off completed, and any stage that
+// follows it at the same instant, up to the next hand-off. A hand-off is
+// the last thing a stage does: its callback may run before it returns (a
+// zero-byte transmit), and a released job may already carry the next
+// request.
+func (j *requestJob) advance() {
+	d := j.d
+	switch j.stage {
+	case atRouterIn:
 		node0 := d.nodes[j.n0]
 		if node0.Failed() {
 			j.release()
 			d.abortUnassigned()
 			return
 		}
-		node0.NIIn.Acquire(d.niIn, j.afterNIIn)
-	}
-	j.afterNIIn = func() {
-		d := j.d
+		j.stage = atNIIn
+		node0.NIIn.Acquire(d.niIn, j.step)
+	case atNIIn:
 		cpuCost := d.parse
 		if j.n0 == d.dist.FrontEnd() {
-			// The front-end's accept+parse+hand-off budget.
-			cpuCost = d.cfg.FECostSec
+			cpuCost = d.cfg.FECostSec // the front-end's accept+parse+hand-off budget
 		}
-		d.nodes[j.n0].CPU.Acquire(d.cpu(j.n0, cpuCost), j.afterParse)
-	}
-	j.afterParse = func() {
-		j.d.consultDispatcher(j.n0, j.decide)
-	}
-	j.decide = func() {
-		d := j.d
-		svc := d.dist.Service(j.n0, j.f)
-		j.svc = svc
-		d.nodes[svc].AddConnection()
-		d.dist.OnAssign(svc)
+		node0 := d.nodes[j.n0]
+		j.stage = atParsed
+		node0.CPU.Acquire(node0.CPUTime(cpuCost), j.step)
+	case atParsed:
+		// A Dispatched policy charges its decision query: a message round
+		// trip to the dispatcher plus its per-query CPU.
+		disp, cpuSec := -1, 0.0
+		if d.dispatched != nil {
+			disp, cpuSec = d.dispatched.Dispatcher()
+		}
+		switch {
+		case disp < 0 || disp == j.n0:
+			j.stage = atDecide
+			j.advance()
+		case d.nodes[disp].Failed():
+			// Dispatcher down: the whole scheme stalls, like LARD's
+			// front-end; abort the request.
+			j.release()
+			d.abortUnassigned()
+		default:
+			j.svc, j.dispCPU = disp, d.nodes[disp].CPUTime(cpuSec)
+			j.stage = atDispatcher
+			d.net.Send(d.nodes[j.n0], d.nodes[disp], d.cfg.Costs.ReqKB, j.step)
+		}
+	case atDispatcher:
+		j.stage = atQueried
+		d.nodes[j.svc].CPU.Acquire(j.dispCPU, j.step)
+	case atQueried:
+		j.stage = atDecide
+		d.net.Send(d.nodes[j.svc], d.nodes[j.n0], d.cfg.Costs.ReqKB, j.step)
+	case atDecide:
+		j.svc = d.dist.Service(j.n0, j.f)
+		d.nodes[j.svc].AddConnection()
+		d.dist.OnAssign(j.svc)
 		d.assigned++
 		d.m.assigned.Inc()
-		if svc == j.n0 {
-			j.serve()
+		if j.svc == j.n0 {
+			j.stage = atServe
+			j.advance()
 			return
 		}
 		d.forwarded++
@@ -176,15 +228,13 @@ func (d *driver) getRequestJob() *requestJob {
 		if j.n0 == d.dist.FrontEnd() {
 			fwdCost = 0 // already inside the front-end budget
 		}
-		d.nodes[j.n0].CPU.Acquire(d.cpu(j.n0, fwdCost), j.afterFwd)
-	}
-	j.afterFwd = func() {
-		d := j.d
-		d.net.Send(d.nodes[j.n0], d.nodes[j.svc], d.cfg.Costs.ReqKB, j.serve)
-	}
-	j.serve = func() {
-		// Service at the chosen node: cache lookup, disk on a miss.
-		d := j.d
+		node0 := d.nodes[j.n0]
+		j.stage = atHandedOff
+		node0.CPU.Acquire(node0.CPUTime(fwdCost), j.step)
+	case atHandedOff:
+		j.stage = atServe
+		d.net.Send(d.nodes[j.n0], d.nodes[j.svc], d.cfg.Costs.ReqKB, j.step)
+	case atServe:
 		node := d.nodes[j.svc]
 		if node.Failed() {
 			n, f := j.svc, j.f
@@ -192,29 +242,26 @@ func (d *driver) getRequestJob() *requestJob {
 			d.abortAssigned(n, f)
 			return
 		}
-		hit := node.Cache.Access(j.f, d.tr.Size(j.f))
-		if hit {
-			j.finish()
+		j.stage = atFetched
+		if node.Cache.Access(j.f, d.tr.Size(j.f)) {
+			j.advance()
 		} else {
-			d.fetch(j.svc, j.f, j.skb, j.finish)
+			d.fetch(j.svc, j.f, j.skb, j.step)
 		}
-	}
-	j.finish = func() {
-		j.d.transmit(j.d.nodes[j.svc], j.skb, j.afterTransmit)
-	}
-	j.afterTransmit = func() {
-		d := j.d
-		d.nodes[j.svc].NIOut.Acquire(d.niOut(j.svc, j.skb), j.afterNIOut)
-	}
-	j.afterNIOut = func() {
-		j.d.net.RouterOut(j.skb, j.afterRouterOut)
-	}
-	j.afterRouterOut = func() {
-		d, n, f, t0 := j.d, j.svc, j.f, j.t0
+	case atFetched:
+		j.stage = atTransmitted
+		d.transmit(d.nodes[j.svc], j.skb, j.step)
+	case atTransmitted:
+		j.stage = atNIOut
+		d.nodes[j.svc].NIOut.Acquire(d.niOut(j.svc, j.skb), j.step)
+	case atNIOut:
+		j.stage = atDone
+		d.net.RouterOut(j.skb, j.step)
+	case atDone:
+		n, f, t0 := j.svc, j.f, j.t0
 		j.release()
 		d.complete(n, f, t0)
 	}
-	return j
 }
 
 func (j *requestJob) release() {
@@ -259,7 +306,7 @@ func (d *driver) getTransmitJob() *transmitJob {
 			cost += j.d.cfg.Costs.ReplyFixed
 			j.first = false
 		}
-		j.node.CPU.Acquire(j.d.cpu(j.node.ID, cost), j.step)
+		j.node.CPU.Acquire(j.node.CPUTime(cost), j.step)
 	}
 	return j
 }
@@ -507,36 +554,8 @@ func (d *driver) start(idx int) {
 	j.n0 = d.dist.Initial(f)
 	j.skb = float64(d.tr.Size(f)) / 1024
 	j.t0 = d.eng.Now()
-	d.net.RouterIn(d.cfg.Costs.ReqKB, j.afterRouterIn)
-}
-
-// consultDispatcher charges the decision query of a Dispatched policy (a
-// message round trip to the dispatcher plus its per-query CPU), then calls
-// decide. Policies without a dispatcher decide immediately.
-func (d *driver) consultDispatcher(n0 int, decide func()) {
-	if d.dispatched == nil {
-		decide()
-		return
-	}
-	disp, cpuSec := d.dispatched.Dispatcher()
-	if disp < 0 || disp == n0 || d.nodes[disp].Failed() {
-		if disp >= 0 && disp != n0 {
-			// Dispatcher down: the whole scheme stalls, like LARD's
-			// front-end; abort the request.
-			d.abortUnassigned()
-			return
-		}
-		decide()
-		return
-	}
-	node0 := d.nodes[n0]
-	d.net.Send(node0, d.nodes[disp], d.cfg.Costs.ReqKB, func() {
-		d.nodes[disp].CPU.Acquire(d.cpu(disp, cpuSec), func() {
-			d.net.Send(d.nodes[disp], node0, d.cfg.Costs.ReqKB, func() {
-				decide()
-			})
-		})
-	})
+	j.stage = atRouterIn
+	d.net.RouterIn(d.cfg.Costs.ReqKB, j.step)
 }
 
 // fetch brings a missed file into node n: from its local disk, or — with
@@ -545,19 +564,19 @@ func (d *driver) consultDispatcher(n0 int, decide func()) {
 func (d *driver) fetch(n int, f cache.FileID, skb float64, done func()) {
 	node := d.nodes[n]
 	if !d.cfg.DistributedFS {
-		node.Disk.Acquire(d.disk(n, d.cfg.Costs.DiskTime(skb)), done)
+		node.Disk.Acquire(node.DiskTime(d.cfg.Costs.DiskTime(skb)), done)
 		return
 	}
 	home := fileHome(f, len(d.nodes))
 	if home == n || d.nodes[home].Failed() {
-		node.Disk.Acquire(d.disk(n, d.cfg.Costs.DiskTime(skb)), done)
+		node.Disk.Acquire(node.DiskTime(d.cfg.Costs.DiskTime(skb)), done)
 		return
 	}
 	remote := d.nodes[home]
 	// Small read request to the home node, the disk read there, then the
 	// data crosses the cluster network (size-dependent NI and wire time).
 	d.net.Send(node, remote, d.cfg.Costs.ReqKB, func() {
-		remote.Disk.Acquire(d.disk(home, d.cfg.Costs.DiskTime(skb)), func() {
+		remote.Disk.Acquire(remote.DiskTime(d.cfg.Costs.DiskTime(skb)), func() {
 			remote.NIOut.Acquire(d.niOut(home, skb), func() {
 				wire := d.net.WireTime(remote, node, skb)
 				d.eng.Schedule(wire, func() {
@@ -568,23 +587,6 @@ func (d *driver) fetch(n int, f cache.FileID, skb float64, done func()) {
 			})
 		})
 	})
-}
-
-// cpu scales a CPU cost by node n's relative speed. The nil fast path and
-// the exactness of division by 1.0 keep homogeneous runs bit-identical.
-func (d *driver) cpu(n int, base float64) float64 {
-	if d.profiles == nil {
-		return base
-	}
-	return base / d.profiles[n].CPUSpeed
-}
-
-// disk scales a disk service time by node n's relative disk speed.
-func (d *driver) disk(n int, base float64) float64 {
-	if d.profiles == nil {
-		return base
-	}
-	return base / d.profiles[n].DiskSpeed
 }
 
 // niOut is the NI time to move a reply of skb kilobytes at node n's
