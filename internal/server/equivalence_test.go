@@ -51,6 +51,8 @@ func equivalenceCases() map[string]Config {
 		WithSeed(7), WithCacheBytes(2<<20), WithPersistent(5))
 	cases["mode/persistent-lard"] = NewConfig(LARDServer, 8,
 		WithSeed(7), WithCacheBytes(2<<20), WithPersistent(5))
+	cases["mode/persistent-dfs"] = NewConfig(L2SServer, 8,
+		WithSeed(23), WithCacheBytes(1<<20), WithPersistent(5), WithDistributedFS())
 	cases["mode/open-loop"] = NewConfig(L2SServer, 8,
 		WithSeed(11), WithCacheBytes(2<<20), WithArrivalRate(2000))
 	cases["mode/distributed-fs"] = NewConfig(L2SServer, 8,
