@@ -3,6 +3,7 @@ package server
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/policy"
 	"repro/internal/trace"
@@ -13,11 +14,16 @@ import (
 // allocates nothing. Every registered policy runs the same trace twice on 16
 // nodes, 20,000 and then 60,000 requests of it, and the second run may
 // allocate fewer than 0.05 objects per extra request; the catalogue fits in
-// every cache, so cache growth is not counted against the requests. The
-// closed loop, an open loop and a mid-run node failure are covered. Out of
-// scope: the persistent-connection path and the distributed file system's
-// remote fetch, which still build a closure chain per request.
+// the default caches, so cache growth is not counted against the requests.
+// The closed loop, an open loop, a mid-run node failure and persistent
+// connections are covered, and so are the distributed file system's
+// home-disk reads, on 1 MiB caches that keep missing.
 func TestRequestsAllocateNothing(t *testing.T) {
+	// 64 B is exactly one malloc size class; one more field would move
+	// every in-flight request to the 80 B class.
+	if size := unsafe.Sizeof(requestJob{}); size != 64 {
+		t.Errorf("requestJob is %d B, want 64", size)
+	}
 	if testing.Short() {
 		t.Skip("runs every policy over 80,000 requests per mode; the race detector also changes what is allocated")
 	}
@@ -34,6 +40,8 @@ func TestRequestsAllocateNothing(t *testing.T) {
 		{"closed", nil},
 		{"open", []Option{WithArrivalRate(2000)}},
 		{"failure", []Option{WithFailure(3, 0.5)}},
+		{"persistent", []Option{WithPersistent(5)}},
+		{"dfs", []Option{WithDistributedFS(), WithCacheBytes(1 << 20)}},
 	}
 	mallocs := func(cfg Config, tr *trace.Trace) uint64 {
 		var before, after runtime.MemStats

@@ -86,8 +86,6 @@ type Config struct {
 	// response time at a given offered load (and can be compared against
 	// the analytic model's M/M/1 Latency). WindowPerNode is ignored.
 	ArrivalRate float64
-	// ArrivalSeed seeds the Poisson process.
-	ArrivalSeed int64
 
 	// ArrivalSchedule, when non-empty, switches to an open-loop
 	// inhomogeneous Poisson process with this piecewise-constant rate
@@ -128,7 +126,6 @@ type Config struct {
 	// exactly this mechanism.
 	Persistent  bool
 	ReqsPerConn float64 // mean requests per connection (default 7)
-	PersistSeed int64   // RNG seed for connection lengths
 
 	// Profiles, when non-nil, gives each node a hardware profile — relative
 	// CPU and disk speeds, NI line rate, and cache size (see NodeProfile).
@@ -162,8 +159,8 @@ type Config struct {
 	// this Config. CustomPolicy, when also set, wins over Policy.
 	Policy string
 
-	// Seed is the run's base RNG seed. It fills ArrivalSeed and
-	// PersistSeed when those are zero and seeds seedable policies (e.g.
+	// Seed is the run's base RNG seed. It seeds the open-loop arrival
+	// process, persistent-connection lengths and seedable policies (e.g.
 	// random); sweep runners derive it per job so grid points are
 	// reproducible independent of execution order.
 	Seed int64

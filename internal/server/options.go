@@ -44,8 +44,7 @@ func NewConfig(system System, nodes int, opts ...Option) Config {
 }
 
 // WithSeed sets the run's base RNG seed: it seeds the open-loop arrival
-// process, persistent-connection lengths, and any seedable policy, except
-// where a more specific seed field was set explicitly.
+// process, persistent-connection lengths, and any seedable policy.
 func WithSeed(seed int64) Option {
 	return func(c *Config) { c.Seed = seed }
 }

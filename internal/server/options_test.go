@@ -84,27 +84,31 @@ func TestRunReturnsErrorNotPanic(t *testing.T) {
 	}
 }
 
-func TestSeedFillsArrivalAndPersistSeeds(t *testing.T) {
+// TestSeedReproducesRun checks that Seed alone drives the run's random
+// draws: the same Seed reproduces a run bit for bit, and a different one
+// perturbs both the open-loop arrivals and persistent-connection lengths.
+func TestSeedReproducesRun(t *testing.T) {
 	tr := testTrace(4000)
-	a := NewConfig(L2SServer, 4, WithSeed(7), WithArrivalRate(1500))
-	b := NewConfig(L2SServer, 4, WithSeed(7), WithArrivalRate(1500))
-	ra, err := Run(a, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := Run(b, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ra, rb) {
-		t.Error("same seed must reproduce the identical result")
-	}
-	c := NewConfig(L2SServer, 4, WithSeed(8), WithArrivalRate(1500))
-	rc, err := Run(c, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(ra, rc) {
-		t.Error("different seeds should perturb an open-loop run")
+	for _, mode := range []struct {
+		name string
+		opt  Option
+	}{
+		{"open loop", WithArrivalRate(1500)},
+		{"persistent", WithPersistent(5)},
+	} {
+		run := func(seed int64) Result {
+			r, err := Run(NewConfig(L2SServer, 4, WithSeed(seed), mode.opt), tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		ra, rb, rc := run(7), run(7), run(8)
+		if !reflect.DeepEqual(ra, rb) {
+			t.Errorf("%s: same seed must reproduce the identical result", mode.name)
+		}
+		if reflect.DeepEqual(ra, rc) {
+			t.Errorf("%s: different seeds should perturb the run", mode.name)
+		}
 	}
 }

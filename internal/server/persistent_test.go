@@ -56,6 +56,43 @@ func TestPersistentConservation(t *testing.T) {
 		if math.Abs(r.ReqsPerConn-5) > 1 {
 			t.Errorf("%v: measured %.1f requests/connection, want about 5", sys, r.ReqsPerConn)
 		}
+
+		// A node failure aborts connections mid-way; every request they
+		// had not served yet counts as aborted, so none goes missing.
+		cfg.FailNode, cfg.FailAtFrac = 2, 0.5
+		r, err = Run(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Aborted == 0 {
+			t.Errorf("%v: node failure aborted nothing", sys)
+		}
+		if got := r.Completed + r.Aborted; got != uint64(tr.NumRequests()) {
+			t.Errorf("%v with a failure: completed %d + aborted %d = %d, want %d",
+				sys, r.Completed, r.Aborted, got, tr.NumRequests())
+		}
+	}
+}
+
+// TestPersistentDispatcherQueries pins that lard-dispatch charges its query
+// round trip to every parsed request on a persistent connection, as it does
+// without persistence: a slow dispatcher must throttle the cluster.
+func TestPersistentDispatcherQueries(t *testing.T) {
+	tr := testTrace(10000)
+	run := func(query string) float64 {
+		cfg := NewConfig(CustomServer, 8, WithPolicy("lard-dispatch:query="+query),
+			WithSeed(3), WithPersistent(5))
+		r, err := Run(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Throughput
+	}
+	fast, slow := run("0.0001"), run("0.01")
+	t.Logf("lard-dispatch, persistent: %.1f req/s at query=0.0001, %.1f at query=0.01", fast, slow)
+	if slow >= fast/2 {
+		t.Errorf("a 100x slower dispatcher query left throughput at %.1f of %.1f req/s, want below half",
+			slow, fast)
 	}
 }
 

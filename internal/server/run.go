@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/cache"
@@ -113,36 +114,54 @@ func (d *driver) getLoadReportJob() *loadReportJob {
 	return j
 }
 
-// requestJob is the pooled state of one non-persistent request's lifecycle:
+// requestJob is the pooled state of one client connection's lifecycle:
 // router in, initial node NI and CPU, an optional dispatcher round trip,
-// distribution decision, optional hand-off, service, reply out. It is a
-// stage machine with one pre-bound callback: every hand-off to a resource
-// or the network sets the stage that runs next and passes step, so a pooled
-// job carries one method value instead of a closure per stage.
+// distribution decision, optional hand-off, then its requests one after
+// another — each read at src (a cache lookup, a disk or home-disk read on a
+// miss), shipped to svc if src is another node, and transmitted. Without
+// persistent connections a job carries one request. It is a stage machine
+// with one pre-bound callback: every hand-off to a resource or the network
+// sets the stage that runs next and passes step, so a pooled job carries
+// one method value instead of a closure per stage.
 type requestJob struct {
-	d       *driver
-	f       cache.FileID
-	stage   reqStage
-	skb     float64
-	t0      float64
-	n0, svc int     // initial and service node; svc names the dispatcher until the decision
-	dispCPU float64 // the dispatcher's CPU time for this request's query
-	step    func()  // pre-bound j.advance
+	d     *driver
+	step  func() // pre-bound j.advance
+	skb   float64
+	t0    float64
+	f     cache.FileID
+	n0    int32 // node the current request arrives at
+	svc   int32 // service node (the connection's owner); -1 until assigned
+	src   int32 // node that reads the file; names the dispatcher until the decision
+	first int32 // trace requests [first, end); next is being served
+	next  int32
+	end   int32
+	stage reqStage
 }
 
 // reqStage names what a requestJob does when its pending hand-off completes.
 type reqStage uint8
 
 const (
-	atRouterIn    reqStage = iota // through the router: NI-in at the initial node
-	atNIIn                        // accept and parse on the initial node's CPU
+	atRouterIn    reqStage = iota // through the router: NI-in at the arrival node
+	atNIIn                        // accept and parse on the arrival node's CPU
 	atParsed                      // query the dispatcher, if any, else decide
 	atDispatcher                  // query delivered: the dispatcher's CPU
-	atQueried                     // answer travels back to the initial node
-	atDecide                      // pick the service node; hand off if remote
+	atQueried                     // answer travels back to the arrival node
+	atDecide                      // pick the service node, or route a connection's request
 	atHandedOff                   // hand-off CPU done: the message to the service node
-	atServe                       // cache lookup at the service node, disk on a miss
-	atFetched                     // file in memory: chunked transmit
+	atConnFirst                   // connection at its owner: serve the already parsed first request
+	atConnNext                    // previous reply sent: the connection's next request arrives
+	atForwarded                   // back-end forward CPU done: the read request to src
+	atServe                       // cache lookup at src, disk on a miss
+	atHomeRead                    // read request at the file's home node: its disk
+	atHomeOut                     // home disk read done: NI-out at the home node
+	atHomeWire                    // the file crosses the wire to src
+	atHomeIn                      // NI-in at src
+	atHomeCPU                     // src's message CPU
+	atFetched                     // file in memory at src: ship it to svc, or transmit
+	atShipOut                     // NI-out at src
+	atShipWire                    // the file crosses the wire to svc
+	atShipIn                      // NI-in at svc
 	atTransmitted                 // NI-out at the service node
 	atNIOut                       // router out
 	atDone                        // reply left the cluster
@@ -163,105 +182,246 @@ func (d *driver) getRequestJob() *requestJob {
 // follows it at the same instant, up to the next hand-off. A hand-off is
 // the last thing a stage does: its callback may run before it returns (a
 // zero-byte transmit), and a released job may already carry the next
-// request.
+// connection.
 func (j *requestJob) advance() {
 	d := j.d
 	switch j.stage {
 	case atRouterIn:
 		node0 := d.nodes[j.n0]
 		if node0.Failed() {
-			j.release()
-			d.abortUnassigned()
+			j.abort()
 			return
 		}
 		j.stage = atNIIn
 		node0.NIIn.Acquire(d.niIn, j.step)
 	case atNIIn:
 		cpuCost := d.parse
-		if j.n0 == d.dist.FrontEnd() {
+		if int(j.n0) == d.dist.FrontEnd() {
 			cpuCost = d.cfg.FECostSec // the front-end's accept+parse+hand-off budget
 		}
 		node0 := d.nodes[j.n0]
 		j.stage = atParsed
 		node0.CPU.Acquire(node0.CPUTime(cpuCost), j.step)
 	case atParsed:
-		// A Dispatched policy charges its decision query: a message round
-		// trip to the dispatcher plus its per-query CPU.
-		disp, cpuSec := -1, 0.0
+		// A Dispatched policy charges every parsed request a decision query:
+		// a message round trip to the dispatcher plus its per-query CPU.
+		disp := -1
 		if d.dispatched != nil {
-			disp, cpuSec = d.dispatched.Dispatcher()
+			disp, _ = d.dispatched.Dispatcher()
 		}
 		switch {
-		case disp < 0 || disp == j.n0:
+		case disp < 0 || disp == int(j.n0):
 			j.stage = atDecide
 			j.advance()
 		case d.nodes[disp].Failed():
 			// Dispatcher down: the whole scheme stalls, like LARD's
-			// front-end; abort the request.
-			j.release()
-			d.abortUnassigned()
+			// front-end; abort the job.
+			j.abort()
 		default:
-			j.svc, j.dispCPU = disp, d.nodes[disp].CPUTime(cpuSec)
+			j.src = int32(disp)
 			j.stage = atDispatcher
 			d.net.Send(d.nodes[j.n0], d.nodes[disp], d.cfg.Costs.ReqKB, j.step)
 		}
 	case atDispatcher:
+		_, cpuSec := d.dispatched.Dispatcher()
+		disp := d.nodes[j.src]
 		j.stage = atQueried
-		d.nodes[j.svc].CPU.Acquire(j.dispCPU, j.step)
+		disp.CPU.Acquire(disp.CPUTime(cpuSec), j.step)
 	case atQueried:
 		j.stage = atDecide
-		d.net.Send(d.nodes[j.svc], d.nodes[j.n0], d.cfg.Costs.ReqKB, j.step)
+		d.net.Send(d.nodes[j.src], d.nodes[j.n0], d.cfg.Costs.ReqKB, j.step)
 	case atDecide:
-		j.svc = d.dist.Service(j.n0, j.f)
-		d.nodes[j.svc].AddConnection()
-		d.dist.OnAssign(j.svc)
-		d.assigned++
-		d.m.assigned.Inc()
-		if j.svc == j.n0 {
-			j.stage = atServe
+		if j.svc >= 0 {
+			// A request on a persistent connection: the owner reads it
+			// itself, or — back-end forwarding — the caching node reads it
+			// and ships it to the owner, which transmits it to the client.
+			src := d.dist.Service(int(j.svc), j.f)
+			if src == int(j.svc) || !d.Alive(src) {
+				j.src = j.svc
+				j.stage = atServe
+				j.advance()
+				return
+			}
+			d.forwarded++
+			d.m.forwarded.Inc()
+			j.src = int32(src)
+			owner := d.nodes[j.svc]
+			j.stage = atForwarded
+			owner.CPU.Acquire(owner.CPUTime(d.fwd), j.step)
+			return
+		}
+		svc := d.dist.Service(int(j.n0), j.f)
+		j.svc, j.src = int32(svc), int32(svc)
+		d.nodes[svc].AddConnection()
+		d.dist.OnAssign(svc)
+		// A persistent connection counts its requests as it serves them,
+		// and its one hand-off is not a request's forward.
+		persistent := d.cfg.Persistent
+		if !persistent {
+			d.assigned++
+			d.m.assigned.Inc()
+		}
+		if svc == int(j.n0) {
+			j.stage = d.atService()
 			j.advance()
 			return
 		}
-		d.forwarded++
-		d.m.forwarded.Inc()
+		if !persistent {
+			d.forwarded++
+			d.m.forwarded.Inc()
+		}
 		fwdCost := d.fwd
-		if j.n0 == d.dist.FrontEnd() {
+		if int(j.n0) == d.dist.FrontEnd() {
 			fwdCost = 0 // already inside the front-end budget
 		}
 		node0 := d.nodes[j.n0]
 		j.stage = atHandedOff
 		node0.CPU.Acquire(node0.CPUTime(fwdCost), j.step)
 	case atHandedOff:
-		j.stage = atServe
+		j.stage = d.atService()
 		d.net.Send(d.nodes[j.n0], d.nodes[j.svc], d.cfg.Costs.ReqKB, j.step)
+	case atConnFirst:
+		if d.nodes[j.svc].Failed() {
+			j.abort()
+			return
+		}
+		j.t0 = d.eng.Now()
+		d.assigned++
+		d.m.assigned.Inc()
+		j.stage = atDecide
+		j.advance()
+	case atConnNext:
+		// The request arrives over the open connection and is parsed at
+		// the owner.
+		j.f = d.tr.Requests[j.next]
+		j.skb = float64(d.tr.Size(j.f)) / 1024
+		j.t0 = d.eng.Now()
+		d.assigned++
+		d.m.assigned.Inc()
+		j.n0 = j.svc
+		j.stage = atRouterIn
+		d.net.RouterIn(d.cfg.Costs.ReqKB, j.step)
+	case atForwarded:
+		j.stage = atServe
+		d.net.Send(d.nodes[j.svc], d.nodes[j.src], d.cfg.Costs.ReqKB, j.step)
 	case atServe:
-		node := d.nodes[j.svc]
+		node := d.nodes[j.src]
 		if node.Failed() {
-			n, f := j.svc, j.f
-			j.release()
-			d.abortAssigned(n, f)
+			j.abort()
 			return
 		}
 		j.stage = atFetched
 		if node.Cache.Access(j.f, d.tr.Size(j.f)) {
 			j.advance()
-		} else {
-			d.fetch(j.svc, j.f, j.skb, j.step)
+			return
 		}
+		// A miss reads the local disk or, with an explicit distributed file
+		// system, the disk of the file's home node across the network.
+		if d.cfg.DistributedFS {
+			if home := d.nodes[fileHome(j.f, len(d.nodes))]; home != node && !home.Failed() {
+				j.stage = atHomeRead
+				d.net.Send(node, home, d.cfg.Costs.ReqKB, j.step)
+				return
+			}
+		}
+		node.Disk.Acquire(node.DiskTime(d.cfg.Costs.DiskTime(j.skb)), j.step)
+	case atHomeRead:
+		home := d.nodes[fileHome(j.f, len(d.nodes))]
+		j.stage = atHomeOut
+		home.Disk.Acquire(home.DiskTime(d.cfg.Costs.DiskTime(j.skb)), j.step)
+	case atHomeOut:
+		home := fileHome(j.f, len(d.nodes))
+		j.stage = atHomeWire
+		d.nodes[home].NIOut.Acquire(d.niOut(home, j.skb), j.step)
+	case atHomeWire:
+		home := d.nodes[fileHome(j.f, len(d.nodes))]
+		j.stage = atHomeIn
+		d.eng.Schedule(d.net.WireTime(home, d.nodes[j.src], j.skb), j.step)
+	case atHomeIn:
+		j.stage = atHomeCPU
+		d.nodes[j.src].NIIn.Acquire(d.niOut(int(j.src), j.skb), j.step)
+	case atHomeCPU:
+		j.stage = atFetched
+		d.nodes[j.src].CPU.Acquire(d.cfg.Net.MsgCPU, j.step)
 	case atFetched:
+		if j.src != j.svc {
+			// The read-and-ship work at the caching node.
+			j.stage = atShipOut
+			d.nodes[j.src].CPU.Acquire(d.cfg.Net.MsgCPU, j.step)
+			return
+		}
 		j.stage = atTransmitted
 		d.transmit(d.nodes[j.svc], j.skb, j.step)
+	case atShipOut:
+		j.stage = atShipWire
+		d.nodes[j.src].NIOut.Acquire(d.niOut(int(j.src), j.skb), j.step)
+	case atShipWire:
+		j.stage = atShipIn
+		d.eng.Schedule(d.net.WireTime(d.nodes[j.src], d.nodes[j.svc], j.skb), j.step)
+	case atShipIn:
+		// Once NI-in at svc is done the file is in memory there.
+		j.src = j.svc
+		j.stage = atFetched
+		d.nodes[j.svc].NIIn.Acquire(d.niOut(int(j.svc), j.skb), j.step)
 	case atTransmitted:
 		j.stage = atNIOut
-		d.nodes[j.svc].NIOut.Acquire(d.niOut(j.svc, j.skb), j.step)
+		d.nodes[j.svc].NIOut.Acquire(d.niOut(int(j.svc), j.skb), j.step)
 	case atNIOut:
 		j.stage = atDone
 		d.net.RouterOut(j.skb, j.step)
 	case atDone:
-		n, f, t0 := j.svc, j.f, j.t0
-		j.release()
-		d.complete(n, f, t0)
+		d.completed++
+		d.m.completed.Inc()
+		d.lastDone = d.eng.Now()
+		if d.measuring {
+			d.latency.Add(d.eng.Now() - j.t0)
+			d.m.latency.Observe(d.eng.Now() - j.t0)
+			d.recordTimeline()
+		}
+		j.next++
+		if j.next < j.end {
+			j.stage = atConnNext
+			j.advance()
+			return
+		}
+		j.close()
 	}
+}
+
+// atService is the stage a job enters at its service node: the cache
+// lookup of a single request, or a persistent connection's first request.
+func (d *driver) atService() reqStage {
+	if d.cfg.Persistent {
+		return atConnFirst
+	}
+	return atServe
+}
+
+// close retires a job whose requests were all served.
+func (j *requestJob) close() {
+	d, svc, f0, n := j.d, int(j.svc), j.d.tr.Requests[j.first], j.end-j.first
+	j.release()
+	d.nodes[svc].RemoveConnection()
+	d.dist.OnComplete(svc, f0)
+	if d.cfg.Persistent {
+		d.connections++
+		d.connReqs += uint64(n)
+	}
+	d.retire()
+}
+
+// abort drops a job at a failed node (or dispatcher), counting every request
+// it had not served: the current one and the rest of its connection.
+func (j *requestJob) abort() {
+	d, svc, f, lost := j.d, int(j.svc), j.f, uint64(j.end-j.next)
+	j.release()
+	if svc >= 0 {
+		d.nodes[svc].RemoveConnection()
+		d.dist.OnComplete(svc, f)
+	}
+	d.aborted += lost
+	d.m.aborted.Add(lost)
+	d.retire()
 }
 
 func (j *requestJob) release() {
@@ -338,14 +498,6 @@ func newDriver(cfg Config, tr *trace.Trace) (*driver, error) {
 	if cfg.Persistent && cfg.ReqsPerConn == 0 {
 		cfg.ReqsPerConn = 7
 	}
-	if cfg.Seed != 0 {
-		if cfg.ArrivalSeed == 0 {
-			cfg.ArrivalSeed = cfg.Seed
-		}
-		if cfg.PersistSeed == 0 {
-			cfg.PersistSeed = cfg.Seed
-		}
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -357,6 +509,9 @@ func newDriver(cfg Config, tr *trace.Trace) (*driver, error) {
 	}
 	if tr.NumRequests() == 0 {
 		return nil, fmt.Errorf("server: empty trace")
+	}
+	if tr.NumRequests() > math.MaxInt32 {
+		return nil, fmt.Errorf("server: %d requests, more than a job can index", tr.NumRequests())
 	}
 
 	d := &driver{
@@ -370,7 +525,7 @@ func newDriver(cfg Config, tr *trace.Trace) (*driver, error) {
 		latency: stats.NewHistogram(),
 	}
 	if cfg.Persistent {
-		d.connRNG = rand.New(rand.NewSource(cfg.PersistSeed + 1))
+		d.connRNG = rand.New(rand.NewSource(cfg.Seed + 1))
 	}
 	d.net = netsim.New(d.eng, cfg.Net)
 	d.profiles = cfg.resolvedProfiles()
@@ -441,7 +596,7 @@ func newDriver(cfg Config, tr *trace.Trace) (*driver, error) {
 		// Open loop: Poisson arrivals at the offered rate (constant, or the
 		// piecewise-constant schedule), independent of completions.
 		d.openLoop = true
-		d.arrivalRNG = rand.New(rand.NewSource(cfg.ArrivalSeed + 7))
+		d.arrivalRNG = rand.New(rand.NewSource(cfg.Seed + 7))
 		if len(cfg.ArrivalSchedule) > 0 {
 			d.schedRemain = cfg.ArrivalSchedule[0].Duration
 		}
@@ -512,13 +667,14 @@ func (d *driver) inject() {
 		!d.nodes[d.cfg.FailNode].Failed() {
 		d.nodes[d.cfg.FailNode].Fail()
 	}
-	if d.cfg.Persistent {
-		d.injectConnection()
-		return
-	}
-	idx := d.next
+	first := d.next
 	d.next++
-	d.start(idx)
+	if d.cfg.Persistent {
+		// A geometric run of consecutive trace requests rides one
+		// connection.
+		d.next = min(first+geometricLength(d.connRNG, d.cfg.ReqsPerConn), d.tr.NumRequests())
+	}
+	d.start(first, d.next)
 }
 
 func (d *driver) beginMeasurement() {
@@ -539,54 +695,24 @@ func (d *driver) beginMeasurement() {
 	}
 }
 
-// start runs the connection lifecycle: router in, initial node NI and CPU,
-// distribution decision, optional hand-off, service, reply out. The
-// lifecycle's stages live on a pooled requestJob, so steady-state request
-// processing allocates nothing in the driver.
-func (d *driver) start(idx int) {
+// start opens a connection carrying trace requests [first, end) and runs
+// its lifecycle on a pooled requestJob, so steady-state request processing
+// allocates nothing in the driver.
+func (d *driver) start(first, end int) {
 	d.inflight++
-	f := d.tr.Requests[idx]
+	f := d.tr.Requests[first]
 	if d.clientAware != nil {
-		d.clientAware.SetNextClient(d.tr.Client(idx))
+		d.clientAware.SetNextClient(d.tr.Client(first))
 	}
 	j := d.getRequestJob()
 	j.f = f
-	j.n0 = d.dist.Initial(f)
+	j.n0 = int32(d.dist.Initial(f))
+	j.svc = -1
+	j.first, j.next, j.end = int32(first), int32(first), int32(end)
 	j.skb = float64(d.tr.Size(f)) / 1024
 	j.t0 = d.eng.Now()
 	j.stage = atRouterIn
 	d.net.RouterIn(d.cfg.Costs.ReqKB, j.step)
-}
-
-// fetch brings a missed file into node n: from its local disk, or — with
-// an explicit distributed file system — from the file's home disk across
-// the cluster network.
-func (d *driver) fetch(n int, f cache.FileID, skb float64, done func()) {
-	node := d.nodes[n]
-	if !d.cfg.DistributedFS {
-		node.Disk.Acquire(node.DiskTime(d.cfg.Costs.DiskTime(skb)), done)
-		return
-	}
-	home := fileHome(f, len(d.nodes))
-	if home == n || d.nodes[home].Failed() {
-		node.Disk.Acquire(node.DiskTime(d.cfg.Costs.DiskTime(skb)), done)
-		return
-	}
-	remote := d.nodes[home]
-	// Small read request to the home node, the disk read there, then the
-	// data crosses the cluster network (size-dependent NI and wire time).
-	d.net.Send(node, remote, d.cfg.Costs.ReqKB, func() {
-		remote.Disk.Acquire(remote.DiskTime(d.cfg.Costs.DiskTime(skb)), func() {
-			remote.NIOut.Acquire(d.niOut(home, skb), func() {
-				wire := d.net.WireTime(remote, node, skb)
-				d.eng.Schedule(wire, func() {
-					node.NIIn.Acquire(d.niOut(n, skb), func() {
-						node.CPU.Acquire(d.cfg.Net.MsgCPU, done)
-					})
-				})
-			})
-		})
-	})
 }
 
 // niOut is the NI time to move a reply of skb kilobytes at node n's
@@ -628,18 +754,10 @@ func (d *driver) transmit(node *cluster.Node, skb float64, done func()) {
 	j.step()
 }
 
-func (d *driver) complete(n int, f cache.FileID, t0 float64) {
-	d.nodes[n].RemoveConnection()
-	d.dist.OnComplete(n, f)
+// retire closes the books on a finished or aborted job; in the closed loop
+// the freed connection slot takes the next request.
+func (d *driver) retire() {
 	d.inflight--
-	d.completed++
-	d.m.completed.Inc()
-	d.lastDone = d.eng.Now()
-	if d.measuring {
-		d.latency.Add(d.eng.Now() - t0)
-		d.m.latency.Observe(d.eng.Now() - t0)
-		d.recordTimeline()
-	}
 	if !d.openLoop {
 		d.inject()
 	}
@@ -656,30 +774,6 @@ func (d *driver) recordTimeline() {
 		d.buckets = append(d.buckets, 0)
 	}
 	d.buckets[idx]++
-}
-
-// abortUnassigned drops a request that died before a service node was
-// chosen (e.g. it arrived at a crashed node).
-func (d *driver) abortUnassigned() {
-	d.inflight--
-	d.aborted++
-	d.m.aborted.Inc()
-	if !d.openLoop {
-		d.inject()
-	}
-}
-
-// abortAssigned drops a request whose service node crashed after
-// assignment.
-func (d *driver) abortAssigned(n int, f cache.FileID) {
-	d.nodes[n].RemoveConnection()
-	d.dist.OnComplete(n, f)
-	d.inflight--
-	d.aborted++
-	d.m.aborted.Inc()
-	if !d.openLoop {
-		d.inject()
-	}
 }
 
 func (d *driver) result() Result {
