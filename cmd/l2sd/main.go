@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/native"
 	"repro/internal/policy"
@@ -216,14 +217,12 @@ func checkFlags(files int, avgKB, alpha float64, workers int) error {
 }
 
 // describe returns the served catalog's file count and mean size in KB.
-func describe(st native.Store) (files int, meanKB float64) {
-	paths := st.Paths()
+func describe(st *native.MemStore) (files int, meanKB float64) {
 	var total int64
-	for _, p := range paths {
-		b, _ := st.Get(p)
-		total += int64(len(b))
+	for i := range st.Len() {
+		total += int64(len(st.Body(cache.FileID(i))))
 	}
-	return len(paths), float64(total) / float64(len(paths)) / 1024
+	return st.Len(), float64(total) / float64(st.Len()) / 1024
 }
 
 func fatal(err error) {

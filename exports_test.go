@@ -17,7 +17,7 @@ import (
 // TestTestOnlyExports until it gains a caller or is deleted, and an entry
 // that is deleted or gains a non-test caller fails it until removed here.
 var testOnlyExports = []string{
-	"cache.Capacity", "cache.Evict", "cache.Measured", "cache.MostRecent", "cache.Used",
+	"cache.Capacity", "cache.Evict", "cache.Measured", "cache.MostRecent",
 	"core.NewWeighted", "core.ServerSet",
 	"native.WithRetry", "native.WithServePenalty",
 	"obs.Bounds", "obs.BucketCount", "obs.ParsePrometheus", "obs.WeightedMean",

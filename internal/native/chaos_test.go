@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/trace"
 )
 
@@ -26,16 +28,14 @@ func chaosRetry() RetryPolicy {
 }
 
 // setsExclude reports whether every server set known to the node avoids the
-// given member, returning an offending path for diagnostics.
-func setsExclude(n *Node, paths []string, member int) (bool, string) {
-	for _, p := range paths {
-		for _, m := range n.serverSet(p) {
-			if m == member {
-				return false, p
-			}
+// given member, returning an offending file for diagnostics.
+func setsExclude(n *Node, member int) (bool, cache.FileID) {
+	for f := range cache.FileID(n.cfg.Store.Len()) {
+		if slices.Contains(n.serverSet(f), member) {
+			return false, f
 		}
 	}
-	return true, ""
+	return true, 0
 }
 
 // TestChaosKillNodeMidReplay is the acceptance drill: 1 of 4 nodes is
@@ -97,7 +97,6 @@ func TestChaosKillNodeMidReplay(t *testing.T) {
 	}
 
 	// Quiesce: every survivor marks the victim dead and repairs its sets.
-	paths := c.cfg.store.Paths()
 	deadline := time.Now().Add(8 * time.Second)
 	for {
 		converged := true
@@ -111,8 +110,8 @@ func TestChaosKillNodeMidReplay(t *testing.T) {
 				converged, why = false, fmt.Sprintf("node %d has not marked %d dead", i, victim)
 				continue
 			}
-			if ok, p := setsExclude(n, paths, victim); !ok {
-				converged, why = false, fmt.Sprintf("node %d still routes %s to dead node %d", i, p, victim)
+			if ok, f := setsExclude(n, victim); !ok {
+				converged, why = false, fmt.Sprintf("node %d still routes file %d to dead node %d", i, f, victim)
 			}
 		}
 		if converged {
@@ -185,10 +184,9 @@ func TestChaosGossipDropDelayConverges(t *testing.T) {
 
 	// Faults cease; the cluster must reconverge on its own.
 	fi.Stop()
-	paths := c.cfg.store.Paths()
 	deadline := time.Now().Add(8 * time.Second)
 	for {
-		why := converged(c, paths)
+		why := converged(c)
 		if why == "" {
 			break
 		}
@@ -202,7 +200,7 @@ func TestChaosGossipDropDelayConverges(t *testing.T) {
 // converged checks full state agreement: all peers alive everywhere, every
 // load view zero, and identical server-set replicas on every node. It
 // returns "" on convergence, else a diagnostic.
-func converged(c *Cluster, paths []string) string {
+func converged(c *Cluster) string {
 	for i := 0; i < c.Len(); i++ {
 		n := c.Node(i)
 		for j := 0; j < c.Len(); j++ {
@@ -217,17 +215,11 @@ func converged(c *Cluster, paths []string) string {
 			}
 		}
 	}
-	for _, p := range paths {
-		ref := c.Node(0).serverSet(p)
+	for f := range cache.FileID(c.cfg.store.Len()) {
+		ref := c.Node(0).serverSet(f)
 		for i := 1; i < c.Len(); i++ {
-			got := c.Node(i).serverSet(p)
-			if len(got) != len(ref) {
-				return fmt.Sprintf("set %s differs: node 0 %v vs node %d %v", p, ref, i, got)
-			}
-			for k := range got {
-				if got[k] != ref[k] {
-					return fmt.Sprintf("set %s differs: node 0 %v vs node %d %v", p, ref, i, got)
-				}
+			if got := c.Node(i).serverSet(f); !slices.Equal(got, ref) {
+				return fmt.Sprintf("set of file %d differs: node 0 %v vs node %d %v", f, ref, i, got)
 			}
 		}
 	}
@@ -274,7 +266,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 	// Anti-entropy must hand the newcomer a server-set replica.
 	waitFor(t, 5*time.Second, "rejoined node never received state via anti-entropy", func() bool {
 		for i := 0; i < 32; i++ {
-			if len(c.Node(victim).serverSet(fmt.Sprintf("/f/%d", i))) > 0 {
+			if len(c.Node(victim).serverSet(cache.FileID(i))) > 0 {
 				return true
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/obs"
 )
 
@@ -24,12 +25,12 @@ type LoadUpdate struct {
 }
 
 // SetUpdate announces a modification to a file's server set. Version is a
-// per-path monotonic counter; replicas keep the highest version they have
+// per-file monotonic counter; replicas keep the highest version they have
 // seen (see state.applySet).
 type SetUpdate struct {
-	Path    string `json:"path"`
-	Nodes   []int  `json:"nodes"`
-	Version uint64 `json:"version"`
+	File    cache.FileID `json:"file"`
+	Nodes   []int        `json:"nodes"`
+	Version uint64       `json:"version"`
 }
 
 // Ping is the gossip heartbeat: proof of life plus a fresh load sample, so

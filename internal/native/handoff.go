@@ -7,12 +7,14 @@
 // 101 and hijacks the connection, so a cluster needs no second port per
 // node. From then on the connection carries frames, one exchange at a time:
 //
-//	request:  uint16 path length | path
-//	reply:    status byte | uint64 body length | body
+//	request:  uint32 FileID
+//	reply:    uint64 body length | body
 //
-// all integers big endian. The peer serves each frame from Node.lookup, the
-// same data path /files and /local/ use, and writes the reply header and the
-// cached body in one vectored write.
+// both big endian. Every node serves the same catalogue, and the entry node
+// resolved the path to its FileID before deciding, so a peer never lacks a
+// file and the reply needs no status. The peer serves each frame from
+// Node.lookup, the same data path /files and /local/ use, and writes the
+// reply header and the body in one vectored write.
 package native
 
 import (
@@ -26,15 +28,13 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/cache"
 )
 
 const (
 	handoffPath  = "/control/handoff"
 	handoffProto = "l2s-handoff"
-
-	// maxHandoffPath bounds a frame's path; /files refuses longer ones
-	// before deciding, so a frame over the bound is a protocol error.
-	maxHandoffPath = 4096
 
 	// handoffTimeout covers one exchange, dial and upgrade included.
 	handoffTimeout = 10 * time.Second
@@ -44,10 +44,8 @@ const (
 	// buffer without a copy.
 	peerBufSize = 32 << 10
 
-	replyHeaderLen = 1 + 8
-
-	handoffOK       byte = 0
-	handoffNotFound byte = 1
+	frameLen       = 4
+	replyHeaderLen = 8
 )
 
 var errNodeStopped = errors.New("native: node stopped")
@@ -109,7 +107,7 @@ func (s *connSet) closeAll() {
 type peerConn struct {
 	c     net.Conn
 	br    *bufio.Reader
-	frame []byte // request scratch
+	frame [frameLen]byte // request scratch
 }
 
 // peerPool holds the idle channels to one peer, most recently used last.
@@ -196,8 +194,8 @@ func (pc *peerConn) upgrade(host string) error {
 // handoffOnce relays the request to node svc over a pooled channel.
 // started reports whether any part of the reply reached the client (after
 // which a retry or fallback would corrupt it).
-func (n *Node) handoffOnce(svc int, path string, w http.ResponseWriter) (started bool, err error) {
-	if f := n.cfg.Faults; f != nil && f.refuses(svc) {
+func (n *Node) handoffOnce(svc int, f cache.FileID, w http.ResponseWriter) (started bool, err error) {
+	if fi := n.cfg.Faults; fi != nil && fi.refuses(svc) {
 		return false, errFaultKilled
 	}
 	pool := &n.handoffs.pools[svc]
@@ -209,7 +207,7 @@ func (n *Node) handoffOnce(svc int, path string, w http.ResponseWriter) (started
 				return false, err
 			}
 		}
-		if started, err = n.exchange(pc, svc, path, w); err == nil {
+		if started, err = n.exchange(pc, svc, f, w); err == nil {
 			pool.put(pc)
 			return started, nil
 		}
@@ -226,31 +224,25 @@ func (n *Node) handoffOnce(svc int, path string, w http.ResponseWriter) (started
 
 // exchange sends one frame and relays the reply to the client. A nil error
 // means the channel is in step and reusable.
-func (n *Node) exchange(pc *peerConn, svc int, path string, w http.ResponseWriter) (started bool, err error) {
+func (n *Node) exchange(pc *peerConn, svc int, f cache.FileID, w http.ResponseWriter) (started bool, err error) {
 	if err := pc.c.SetDeadline(time.Now().Add(handoffTimeout)); err != nil {
 		return false, err
 	}
-	pc.frame = binary.BigEndian.AppendUint16(pc.frame[:0], uint16(len(path)))
-	pc.frame = append(pc.frame, path...)
-	if _, err := pc.c.Write(pc.frame); err != nil {
+	binary.BigEndian.PutUint32(pc.frame[:], uint32(f))
+	if _, err := pc.c.Write(pc.frame[:]); err != nil {
 		return false, err
 	}
 	hdr, err := pc.br.Peek(replyHeaderLen)
 	if err != nil {
 		return false, err
 	}
-	status, length := hdr[0], int64(binary.BigEndian.Uint64(hdr[1:]))
+	length := int64(binary.BigEndian.Uint64(hdr))
 	_, _ = pc.br.Discard(replyHeaderLen) // just peeked
-
-	if status > handoffNotFound || length < 0 || (status == handoffNotFound && length != 0) {
-		return false, fmt.Errorf("native: bad hand-off reply from node %d (status %d, length %d)", svc, status, length)
+	if length < 0 {
+		return false, fmt.Errorf("native: bad hand-off reply from node %d (length %d)", svc, length)
 	}
 	h := w.Header()
 	h["X-Forwarded-By"] = n.idHeader[n.cfg.ID]
-	if status == handoffNotFound {
-		http.Error(w, "not found", http.StatusNotFound)
-		return true, nil
-	}
 	n.fileHeaders(h, svc, length)
 	w.WriteHeader(http.StatusOK)
 	for length > 0 {
@@ -296,48 +288,37 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	n.serveHandoffs(c, rw.Reader)
 }
 
-// readFrame reads one request frame and returns its path; buf is scratch it
-// may grow. Any error, a length outside (0, maxHandoffPath] included, ends
-// the channel: there is no way to find the next frame after a bad one.
-func readFrame(br *bufio.Reader, buf *[]byte) (string, error) {
-	var lenb [2]byte
-	if _, err := io.ReadFull(br, lenb[:]); err != nil {
-		return "", err
+// readFrame reads one request frame and returns its FileID. Any error, an ID
+// at or past files (the catalogue's size) included, ends the channel: a peer
+// that sends one is not in step with this node.
+func readFrame(br *bufio.Reader, files int) (cache.FileID, error) {
+	b, err := br.Peek(frameLen)
+	if err != nil {
+		return 0, err
 	}
-	size := int(binary.BigEndian.Uint16(lenb[:]))
-	if size == 0 || size > maxHandoffPath {
-		return "", fmt.Errorf("native: hand-off frame with path length %d", size)
+	id := binary.BigEndian.Uint32(b)
+	_, _ = br.Discard(frameLen) // just peeked
+	if id >= uint32(files) {
+		return 0, fmt.Errorf("native: hand-off frame for file %d of %d", id, files)
 	}
-	if cap(*buf) < size {
-		*buf = make([]byte, size)
-	}
-	b := (*buf)[:size]
-	if _, err := io.ReadFull(br, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return cache.FileID(id), nil
 }
 
 // serveHandoffs answers frames from c until reading or writing fails.
 func (n *Node) serveHandoffs(c net.Conn, br *bufio.Reader) {
 	var (
-		scratch []byte
-		hdr     [replyHeaderLen]byte
-		parts   [2][]byte
-		bufs    net.Buffers
+		hdr   [replyHeaderLen]byte
+		parts [2][]byte
+		bufs  net.Buffers
 	)
 	for {
-		path, err := readFrame(br, &scratch)
+		f, err := readFrame(br, n.cfg.Store.Len())
 		if err != nil {
 			return
 		}
 		n.metrics.received.Inc()
-		content, found := n.lookup(path)
-		hdr[0] = handoffOK
-		if !found {
-			hdr[0] = handoffNotFound
-		}
-		binary.BigEndian.PutUint64(hdr[1:], uint64(len(content)))
+		content := n.lookup(f)
+		binary.BigEndian.PutUint64(hdr[:], uint64(len(content)))
 		parts[0], parts[1] = hdr[:], content
 		bufs = parts[:] // WriteTo consumes bufs and parts; both are rebuilt per frame
 		if _, err := bufs.WriteTo(c); err != nil {

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/policy"
 	"repro/internal/policy/policytest"
 )
 
@@ -25,6 +25,9 @@ type lockStep struct {
 	ms    int64 // current time in whole milliseconds
 }
 
+// lockStepFiles is the catalogue both sides decide over.
+const lockStepFiles = 40
+
 func newLockStep(n int, opts core.Options) *lockStep {
 	opts.Oracle = true
 	ls := &lockStep{env: policytest.New(n), reps: make([]*state, n), t0: time.Unix(1e9, 0)}
@@ -32,7 +35,7 @@ func newLockStep(n int, opts core.Options) *lockStep {
 	ls.alive = func(i int) bool { return !ls.env.Dead[i] }
 	opts.Oracle = false
 	for i := range ls.reps {
-		ls.reps[i] = newState(i, n, opts)
+		ls.reps[i] = newState(i, n, lockStepFiles, opts)
 		ls.reps[i].now = func() time.Time { return ls.t0.Add(time.Duration(ls.ms) * time.Millisecond) }
 	}
 	return ls
@@ -41,7 +44,7 @@ func newLockStep(n int, opts core.Options) *lockStep {
 // step sets every node's load, advances both clocks to ms, decides one
 // request for file f entering at initial on both sides and gossips the
 // native change. It returns the two service nodes.
-func (ls *lockStep) step(initial, f int, loads []int, ms int64) (sim, native int) {
+func (ls *lockStep) step(initial int, f cache.FileID, loads []int, ms int64) (sim, native int) {
 	ls.ms = ms
 	ls.env.Clock = float64(ms) / 1000
 	copy(ls.env.Loads, loads)
@@ -51,8 +54,8 @@ func (ls *lockStep) step(initial, f int, loads []int, ms int64) (sim, native int
 			r.applyLoad(j, l)
 		}
 	}
-	sim = ls.sim.Service(initial, policy.FileID(f))
-	native, changed := ls.reps[initial].decide(lockStepPath(f), ls.alive)
+	sim = ls.sim.Service(initial, f)
+	native, changed := ls.reps[initial].decide(f, ls.alive)
 	if changed != nil {
 		for i, r := range ls.reps {
 			if i != initial {
@@ -63,8 +66,6 @@ func (ls *lockStep) step(initial, f int, loads []int, ms int64) (sim, native int
 	return sim, native
 }
 
-func lockStepPath(f int) string { return fmt.Sprintf("/f/%d", f) }
-
 // TestL2SLockStep feeds one random sequence of requests, loads and clock
 // steps to the simulator's L2S and to N native replicas: after every step
 // the service node and the file's member list, order included, must agree
@@ -73,7 +74,6 @@ func lockStepPath(f int) string { return fmt.Sprintf("/f/%d", f) }
 func TestL2SLockStep(t *testing.T) {
 	const (
 		T, lowT = 6, 3
-		files   = 40
 		steps   = 10000
 	)
 	// Half a millisecond off the clock's grid: the simulator's float seconds
@@ -92,17 +92,17 @@ func TestL2SLockStep(t *testing.T) {
 						loads[i] = rng.Intn(T + 4)
 					}
 					ms += int64(rng.Intn(8))
-					initial, f := rng.Intn(n), rng.Intn(files)
-					before := ls.sim.ServerSet(policy.FileID(f))
+					initial, f := rng.Intn(n), cache.FileID(rng.Intn(lockStepFiles))
+					before := ls.sim.ServerSet(f)
 
 					sim, native := ls.step(initial, f, loads, ms)
-					after := ls.sim.ServerSet(policy.FileID(f))
+					after := ls.sim.ServerSet(f)
 					if sim != native {
 						t.Fatalf("step %d (initial %d, file %d, loads %v): simulator serves at %d, native at %d",
 							s, initial, f, loads, sim, native)
 					}
 					for i, r := range ls.reps {
-						if got := r.serverSet(lockStepPath(f)); !slices.Equal(got, after) {
+						if got := r.serverSet(f); !slices.Equal(got, after) {
 							t.Fatalf("step %d (initial %d, file %d, loads %v): simulator set %v, replica %d set %v",
 								s, initial, f, loads, after, i, got)
 						}
@@ -152,7 +152,7 @@ func TestL2SLockStepDeadMember(t *testing.T) {
 		t.Fatalf("simulator set = %v, want the dead member kept: [0 1]", got)
 	}
 	for i, r := range ls.reps {
-		if got := r.serverSet(lockStepPath(7)); !slices.Equal(got, []int{1}) {
+		if got := r.serverSet(7); !slices.Equal(got, []int{1}) {
 			t.Fatalf("replica %d set = %v, want the dead member evicted: [1]", i, got)
 		}
 	}

@@ -75,7 +75,7 @@ func (n *Node) Metrics() *obs.Registry { return n.metrics.reg }
 // only time that matters.
 func (n *Node) WriteMetrics(w io.Writer) error {
 	n.metrics.load.Set(float64(n.Load()))
-	n.metrics.cacheUsed.Set(float64(n.cache.used()))
+	n.metrics.cacheUsed.Set(float64(n.cacheUsed()))
 	n.metrics.handoffConns.Set(float64(n.handoffs.outbound.len()))
 	return n.metrics.reg.WritePrometheus(w)
 }

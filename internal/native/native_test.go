@@ -9,16 +9,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/trace"
 )
 
 func testStore(files int) *MemStore {
-	m := make(map[string][]byte, files)
-	for i := 0; i < files; i++ {
-		m[fmt.Sprintf("/f/%d", i)] = []byte(fmt.Sprintf("content-of-%d", i))
+	bodies := make([][]byte, files)
+	for i := range bodies {
+		bodies[i] = []byte(fmt.Sprintf("content-of-%d", i))
 	}
-	return NewMemStore(m)
+	return NewMemStore(bodies)
 }
 
 func startTestCluster(t *testing.T, nodes int, opts core.Options) *Cluster {
@@ -26,7 +27,7 @@ func startTestCluster(t *testing.T, nodes int, opts core.Options) *Cluster {
 	c, err := Start(
 		WithNodes(nodes),
 		WithStore(testStore(64)),
-		WithCacheBytes(1<<20),
+		WithCacheMB(1),
 		WithL2S(opts),
 	)
 	if err != nil {
@@ -81,14 +82,14 @@ func TestNotFound(t *testing.T) {
 	}
 }
 
-// waitServerSetKnown blocks until all n nodes hold a server set for path.
+// waitServerSetKnown blocks until all n nodes hold a server set for file f.
 // The set reaches the other nodes by an asynchronous broadcast; an entry
 // node that has not heard it yet would elect itself.
-func waitServerSetKnown(t *testing.T, c *Cluster, n int, path string) {
+func waitServerSetKnown(t *testing.T, c *Cluster, n int, f cache.FileID) {
 	t.Helper()
-	waitFor(t, 5*time.Second, "server set of "+path+" did not reach every node", func() bool {
+	waitFor(t, 5*time.Second, fmt.Sprintf("server set of file %d did not reach every node", f), func() bool {
 		for i := 0; i < n; i++ {
-			if len(c.Node(i).serverSet(path)) == 0 {
+			if len(c.Node(i).serverSet(f)) == 0 {
 				return false
 			}
 		}
@@ -103,7 +104,7 @@ func TestLocalityStickiness(t *testing.T) {
 	// light load).
 	resp, _ := get(t, c.URLs()[0]+"/files/f/3")
 	servedBy := resp.Header.Get("X-Served-By")
-	waitServerSetKnown(t, c, 4, "/f/3")
+	waitServerSetKnown(t, c, 4, 3)
 	for i := 1; i < 8; i++ {
 		resp, _ := get(t, c.URLs()[i%4]+"/files/f/3")
 		if by := resp.Header.Get("X-Served-By"); by != servedBy {
@@ -117,7 +118,7 @@ func TestHandoffHappens(t *testing.T) {
 	// Prime the file at its first server via node 0.
 	resp, _ := get(t, c.URLs()[0]+"/files/f/5")
 	owner := resp.Header.Get("X-Served-By")
-	waitServerSetKnown(t, c, 4, "/f/5")
+	waitServerSetKnown(t, c, 4, 5)
 	// A request entering at a different node must be forwarded (header
 	// X-Forwarded-By set) yet still served by the owner.
 	var forwarded bool
@@ -204,12 +205,28 @@ func TestControlEndpointsValidate(t *testing.T) {
 	if got := c.Node(0).state.viewLoad(1); got < 0 {
 		t.Fatalf("node 0 installed load %d for node 1", got)
 	}
+	// A set update for a file outside the 64-file catalogue is accepted on
+	// the wire but installs nothing.
+	for _, doc := range []string{`{"file":64,"nodes":[1],"version":1}`, `{"file":-1,"nodes":[1],"version":1}`} {
+		resp, err := testClient.Post(c.URLs()[0]+setPath, "application/json", strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	n := c.Node(0)
+	n.state.mu.Lock()
+	sets := len(n.state.sets)
+	n.state.mu.Unlock()
+	if sets != 0 {
+		t.Fatalf("node 0 installed %d server sets for files outside the catalogue", sets)
+	}
 }
 
 func TestAppliedSetUpdateRedirectsTraffic(t *testing.T) {
 	c := startTestCluster(t, 3, core.DefaultOptions())
 	// Tell node 0 that file /f/9 lives on node 2.
-	c.Node(0).state.applySet(SetUpdate{Path: "/f/9", Nodes: []int{2}})
+	c.Node(0).state.applySet(SetUpdate{File: 9, Nodes: []int{2}})
 	resp, _ := get(t, c.URLs()[0]+"/files/f/9")
 	if by := resp.Header.Get("X-Served-By"); by != "2" {
 		t.Fatalf("served by %s, want node 2 per the installed set", by)
@@ -219,7 +236,7 @@ func TestAppliedSetUpdateRedirectsTraffic(t *testing.T) {
 func TestFailoverFallsBackLocally(t *testing.T) {
 	c := startTestCluster(t, 3, core.DefaultOptions())
 	// Route /f/4 to node 2, then crash node 2.
-	c.Node(0).state.applySet(SetUpdate{Path: "/f/4", Nodes: []int{2}})
+	c.Node(0).state.applySet(SetUpdate{File: 4, Nodes: []int{2}})
 	if err := c.Stop(2); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +263,7 @@ func TestReplicationUnderHotspot(t *testing.T) {
 	c, err := Start(
 		WithNodes(3),
 		WithStore(testStore(8)),
-		WithCacheBytes(1<<20),
+		WithCacheMB(1),
 		WithL2S(core.Options{T: 2, LowT: 1, BroadcastDelta: 1, ShrinkAfter: 60}),
 		WithServePenalty(10*time.Millisecond),
 	)
@@ -258,7 +275,7 @@ func TestReplicationUnderHotspot(t *testing.T) {
 	// Pin the hot file to node 0, then hammer it through node 0 itself so
 	// its open-request count rises past T and the algorithm replicates.
 	for i := 0; i < 3; i++ {
-		c.Node(i).state.applySet(SetUpdate{Path: "/f/0", Nodes: []int{0}})
+		c.Node(i).state.applySet(SetUpdate{File: 0, Nodes: []int{0}})
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 120; i++ {
@@ -276,7 +293,7 @@ func TestReplicationUnderHotspot(t *testing.T) {
 
 	grew := false
 	for i := 0; i < 3; i++ {
-		if len(c.Node(i).serverSet("/f/0")) > 1 {
+		if len(c.Node(i).serverSet(0)) > 1 {
 			grew = true
 		}
 	}
@@ -309,22 +326,36 @@ func TestClusterConfigValidation(t *testing.T) {
 	}
 }
 
-func TestContentCacheEviction(t *testing.T) {
-	cc := newContentCache(100)
-	cc.put("/a", make([]byte, 60))
-	cc.put("/b", make([]byte, 60)) // evicts /a
-	if _, ok := cc.get("/a"); ok {
-		t.Fatal("/a should have been evicted")
+// TestNodeCacheIsTheSimulatorsLRU replays a trace one request at a time
+// through a one-node cluster whose cache holds a fraction of the catalogue:
+// the node's hits, misses and resident bytes are exactly those of the
+// simulator's cache fed the same stream.
+func TestNodeCacheIsTheSimulatorsLRU(t *testing.T) {
+	tr := trace.MustGenerate(trace.GenSpec{
+		Name: "lru", Files: 400, AvgFileKB: 16, Requests: 4000, AvgReqKB: 12, Alpha: 0.8, Seed: 5,
+	})
+	c, err := Start(WithNodes(1), WithStore(StoreFromTrace(tr)), WithCacheMB(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := cc.get("/b"); !ok {
-		t.Fatal("/b missing")
+	defer c.Shutdown()
+	res, err := Replay(c, tr, 1)
+	if err != nil || res.Errors != 0 {
+		t.Fatalf("replay: %v, %d errors", err, res.Errors)
 	}
-	cc.put("/huge", make([]byte, 1000)) // larger than capacity: ignored
-	if _, ok := cc.get("/huge"); ok {
-		t.Fatal("oversize content cached")
+
+	lru := cache.NewLRU(1 << 20)
+	for _, f := range tr.Requests {
+		lru.Access(f, tr.Size(f))
 	}
-	if cc.used() != 60 {
-		t.Fatalf("used = %d, want 60", cc.used())
+	want := lru.Stats()
+	s := c.Node(0).Snapshot()
+	if s.Hits != want.Hits || s.Misses != want.Total-want.Hits || s.CacheUsed != lru.Used() {
+		t.Fatalf("node: %d hits, %d misses, %d B cached; simulator's LRU: %d, %d, %d B",
+			s.Hits, s.Misses, s.CacheUsed, want.Hits, want.Total-want.Hits, lru.Used())
+	}
+	if s.Misses <= uint64(tr.NumFiles()) {
+		t.Fatalf("%d misses over a %d-file catalogue: the cache never evicted", s.Misses, tr.NumFiles())
 	}
 }
 

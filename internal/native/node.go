@@ -1,7 +1,6 @@
 package native
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 )
 
@@ -20,7 +20,7 @@ import (
 type Config struct {
 	ID         int
 	Peers      []string // base URLs indexed by node id (self included)
-	Store      Store
+	Store      *MemStore
 	CacheBytes int64
 
 	// Opts are the L2S tunables; the zero value means core.DefaultOptions.
@@ -61,9 +61,14 @@ type Node struct {
 	cfg    Config
 	state  *state
 	gossip *gossiper
-	cache  *contentCache
 	health *healthTracker
 	rng    *lockedRand
+
+	// cache is the node's main-memory cache: the simulator's LRU, deciding
+	// hit or miss by FileID and size exactly as a simulated node's does.
+	// Bodies always come from the store; the cache only accounts for them.
+	cacheMu sync.Mutex
+	cache   *cache.LRU
 
 	// transport carries the node's control traffic and nothing else. It is
 	// the node's own, so that stopping the node can close its idle
@@ -138,9 +143,9 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:       cfg,
 		metrics:   m,
-		state:     newState(cfg.ID, len(cfg.Peers), cfg.Opts),
+		state:     newState(cfg.ID, len(cfg.Peers), cfg.Store.Len(), cfg.Opts),
 		gossip:    newGossiper(ctx, cfg.ID, cfg.Peers, cfg.Retry, control, rng, m),
-		cache:     newContentCache(cfg.CacheBytes),
+		cache:     cache.NewLRU(cfg.CacheBytes),
 		health:    newHealthTracker(cfg.ID, len(cfg.Peers), cfg.Health),
 		rng:       rng,
 		transport: transport,
@@ -149,6 +154,7 @@ func NewNode(cfg Config) (*Node, error) {
 		ctx:       ctx,
 		stop:      stop,
 	}
+	n.cache.SetMetrics(cache.Metrics{Hits: m.hits, Misses: m.misses})
 	for i := range n.idHeader {
 		n.idHeader[i] = []string{strconv.Itoa(i)}
 	}
@@ -265,7 +271,7 @@ func (n *Node) ID() int { return n.cfg.ID }
 func (n *Node) Load() int { return int(n.open.Load()) }
 
 // serverSet exposes the node's replica of a file's server set (tests).
-func (n *Node) serverSet(path string) []int { return n.state.serverSet(path) }
+func (n *Node) serverSet(f cache.FileID) []int { return n.state.serverSet(f) }
 
 // peerHealth exposes the node's belief about a peer (tests).
 func (n *Node) peerHealth(i int) PeerState { return n.health.state(i) }
@@ -273,31 +279,33 @@ func (n *Node) peerHealth(i int) PeerState { return n.health.state(i) }
 // alive reports whether this node believes peer i is up.
 func (n *Node) alive(i int) bool { return n.health.alive(i) }
 
-// handleFiles is the public entry point: run the distribution algorithm,
-// then serve locally or hand off.
+// handleFiles is the public entry point: resolve the path to its file, run
+// the distribution algorithm, then serve locally or hand off. A path that
+// names no file is refused here, before it can touch any state.
 func (n *Node) handleFiles(w http.ResponseWriter, r *http.Request) {
 	path := strings.TrimPrefix(r.URL.Path, "/files")
 	if path == "" || path == "/" {
 		http.Error(w, "missing file path", http.StatusBadRequest)
 		return
 	}
-	if len(path) > maxHandoffPath {
-		http.Error(w, "file path too long", http.StatusRequestURITooLong)
+	f, ok := n.cfg.Store.ID(path)
+	if !ok {
+		http.NotFound(w, r)
 		return
 	}
 	start := time.Now()
 	defer func() { n.metrics.request.Observe(time.Since(start).Seconds()) }()
-	svc, changed := n.state.decide(path, n.alive)
+	svc, changed := n.state.decide(f, n.alive)
 	if changed != nil {
 		go n.gossip.broadcast(setPath, changed, n.peerDead, 0)
 	}
 	if svc == n.cfg.ID {
 		n.metrics.served.Inc()
-		n.serveLocal(w, path)
+		n.serveLocal(w, f)
 		return
 	}
 	n.metrics.proxied.Inc()
-	if err := n.proxyWithRetry(svc, path, w); err != nil {
+	if err := n.proxyWithRetry(svc, f, w); err != nil {
 		if errors.Is(err, errProxyStarted) {
 			// The peer died mid-response: the status line is already on the
 			// wire, so nothing can be rewritten. The client sees a truncated
@@ -309,7 +317,7 @@ func (n *Node) handleFiles(w http.ResponseWriter, r *http.Request) {
 		// next decision rebuild the server set.
 		n.metrics.failovers.Inc()
 		n.metrics.served.Inc()
-		n.serveLocal(w, path)
+		n.serveLocal(w, f)
 	}
 }
 
@@ -317,44 +325,45 @@ func (n *Node) handleFiles(w http.ResponseWriter, r *http.Request) {
 // a hand-off frame asks of this node, reachable with curl. Peers use the
 // hand-off channel (handoff.go), not this endpoint.
 func (n *Node) handleLocal(w http.ResponseWriter, r *http.Request) {
-	path := strings.TrimPrefix(r.URL.Path, "/local")
+	f, ok := n.cfg.Store.ID(strings.TrimPrefix(r.URL.Path, "/local"))
+	if !ok {
+		http.NotFound(w, r)
+		return
+	}
 	n.metrics.received.Inc()
-	n.serveLocal(w, path)
+	n.serveLocal(w, f)
 }
 
-// lookup is the data path every serving endpoint shares: cache, store on a
-// miss, the configured penalties, counted as one open request while it runs.
-func (n *Node) lookup(path string) (content []byte, found bool) {
+// lookup is the data path every serving endpoint shares: the cache access,
+// the miss penalty when it misses, the serve penalty, counted as one open
+// request while it runs.
+func (n *Node) lookup(f cache.FileID) []byte {
 	n.trackLoad(1)
 	defer n.trackLoad(-1)
 
-	content, found = n.cache.get(path)
-	if found {
-		n.metrics.hits.Inc()
-	} else {
-		n.metrics.misses.Inc()
-		content, found = n.cfg.Store.Get(path)
-		if !found {
-			return nil, false
-		}
-		if n.cfg.MissPenalty > 0 {
-			time.Sleep(n.cfg.MissPenalty)
-		}
-		n.cache.put(path, content)
+	content := n.cfg.Store.Body(f)
+	n.cacheMu.Lock()
+	hit := n.cache.Access(f, int64(len(content)))
+	n.cacheMu.Unlock()
+	if !hit && n.cfg.MissPenalty > 0 {
+		time.Sleep(n.cfg.MissPenalty)
 	}
 	if n.cfg.ServePenalty > 0 {
 		time.Sleep(n.cfg.ServePenalty)
 	}
-	return content, true
+	return content
+}
+
+// cacheUsed returns the bytes the node's cache holds.
+func (n *Node) cacheUsed() int64 {
+	n.cacheMu.Lock()
+	defer n.cacheMu.Unlock()
+	return n.cache.Used()
 }
 
 // serveLocal answers the client from this node's own data path.
-func (n *Node) serveLocal(w http.ResponseWriter, path string) {
-	content, found := n.lookup(path)
-	if !found {
-		http.Error(w, "not found", http.StatusNotFound)
-		return
-	}
+func (n *Node) serveLocal(w http.ResponseWriter, f cache.FileID) {
+	content := n.lookup(f)
 	n.fileHeaders(w.Header(), n.cfg.ID, int64(len(content)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(content)
@@ -388,12 +397,12 @@ var errProxyStarted = errors.New("native: hand-off failed mid-response")
 // proxyWithRetry relays the request to the service node with bounded
 // exponential backoff + jitter, feeding every outcome to the failure
 // detector. It gives up early once the peer is declared dead.
-func (n *Node) proxyWithRetry(svc int, path string, w http.ResponseWriter) error {
+func (n *Node) proxyWithRetry(svc int, f cache.FileID, w http.ResponseWriter) error {
 	if n.cfg.Peers[svc] == "" {
 		return fmt.Errorf("native: no address for node %d", svc)
 	}
 	for attempt := 1; ; attempt++ {
-		started, err := n.handoffOnce(svc, path, w)
+		started, err := n.handoffOnce(svc, f, w)
 		if err == nil {
 			n.health.observeSuccess(svc)
 			return nil
@@ -530,7 +539,7 @@ func (n *Node) Snapshot() Stats {
 		Failovers:   n.metrics.failovers.Value(),
 		DeadPeers:   n.health.deadCount(),
 		HitRate:     rate,
-		CacheUsed:   n.cache.used(),
+		CacheUsed:   n.cacheUsed(),
 		GossipOut:   sent,
 		GossipFail:  failed,
 		GossipRetry: retried,
@@ -570,68 +579,4 @@ func (n *Node) ClusterSnapshot() ClusterView {
 func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(n.ClusterSnapshot())
-}
-
-// contentCache is a thread-safe byte-capacity LRU holding file contents.
-type contentCache struct {
-	mu       sync.Mutex
-	capacity int64
-	size     int64
-	order    *list.List
-	items    map[string]*list.Element
-}
-
-type contentEntry struct {
-	path string
-	body []byte
-}
-
-func newContentCache(capacity int64) *contentCache {
-	return &contentCache{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[string]*list.Element),
-	}
-}
-
-func (c *contentCache) get(path string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[path]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(contentEntry).body, true
-}
-
-func (c *contentCache) put(path string, body []byte) {
-	size := int64(len(body))
-	if size > c.capacity {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[path]; ok {
-		c.order.MoveToFront(el)
-		return
-	}
-	for c.size+size > c.capacity {
-		back := c.order.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(contentEntry)
-		c.order.Remove(back)
-		delete(c.items, e.path)
-		c.size -= int64(len(e.body))
-	}
-	c.items[path] = c.order.PushFront(contentEntry{path: path, body: body})
-	c.size += size
-}
-
-func (c *contentCache) used() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.size
 }

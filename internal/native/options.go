@@ -19,7 +19,7 @@ type Option func(*clusterConfig) error
 // clusterConfig is the resolved configuration Start builds nodes from.
 type clusterConfig struct {
 	nodes        int
-	store        Store
+	store        *MemStore
 	cacheBytes   int64
 	l2s          core.Options
 	missPenalty  time.Duration
@@ -53,23 +53,12 @@ func WithNodes(n int) Option {
 }
 
 // WithStore sets the backing content source (required).
-func WithStore(s Store) Option {
+func WithStore(s *MemStore) Option {
 	return func(c *clusterConfig) error {
 		if s == nil {
 			return errors.New("native: WithStore needs a non-nil store")
 		}
 		c.store = s
-		return nil
-	}
-}
-
-// WithCacheBytes sets the per-node main-memory cache capacity.
-func WithCacheBytes(bytes int64) Option {
-	return func(c *clusterConfig) error {
-		if bytes <= 0 {
-			return fmt.Errorf("native: cache capacity must be positive, got %d", bytes)
-		}
-		c.cacheBytes = bytes
 		return nil
 	}
 }

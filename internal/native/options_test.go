@@ -19,7 +19,7 @@ func TestStartValidation(t *testing.T) {
 		{"no store", []Option{WithNodes(2)}, "store"},
 		{"zero nodes", []Option{WithNodes(0), WithStore(st)}, "at least one node"},
 		{"nil store", []Option{WithStore(nil)}, "non-nil store"},
-		{"bad cache", []Option{WithStore(st), WithCacheBytes(0)}, "cache"},
+		{"bad cache", []Option{WithStore(st), WithCacheMB(0)}, "cache"},
 		{"bad cache mb", []Option{WithStore(st), WithCacheMB(-1)}, "cache"},
 		{"inverted thresholds", []Option{WithStore(st), WithL2S(core.Options{T: 5, LowT: 9, BroadcastDelta: 4})}, "thresholds"},
 		{"zero delta", []Option{WithStore(st), WithL2S(core.Options{T: 20, LowT: 10})}, "BroadcastDelta"},
@@ -124,7 +124,7 @@ func TestFaultInjectorKillRevive(t *testing.T) {
 	fi.kill(1)
 	// Node 0's hand-offs and gossip to node 1 now fail; requests entering
 	// node 0 must still succeed via failover.
-	c.Node(0).state.applySet(SetUpdate{Path: "/f/2", Nodes: []int{1}, Version: 1})
+	c.Node(0).state.applySet(SetUpdate{File: 2, Nodes: []int{1}, Version: 1})
 	resp, body := get(t, c.URLs()[0]+"/files/f/2")
 	if resp.StatusCode != http.StatusOK || string(body) != "content-of-2" {
 		t.Fatalf("request failed under injected kill: %d %q", resp.StatusCode, body)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 )
 
@@ -14,15 +15,16 @@ import (
 // last gossiped values) and its replica of the per-file server sets.
 // It applies the L2S rule of Section 4 (core.Decide) to them.
 type state struct {
-	mu   sync.Mutex
-	self int
-	n    int
-	opts core.Options // ShrinkAfter in seconds of the injectable clock
+	mu    sync.Mutex
+	self  int
+	n     int
+	files int          // catalogue size: file ids run over [0, files)
+	opts  core.Options // ShrinkAfter in seconds of the injectable clock
 
 	loads    []int // loads[self] authoritative, others gossiped
 	lastSent int   // own load at the last broadcast
 
-	sets map[string]*fileSet
+	sets map[cache.FileID]*fileSet
 
 	now func() time.Time // injectable clock for tests
 }
@@ -34,31 +36,32 @@ type fileSet struct {
 }
 
 // update renders the set as a gossipable full-state message.
-func (f *fileSet) update(path string) *SetUpdate {
-	return &SetUpdate{Path: path, Nodes: append([]int(nil), f.nodes...), Version: f.version}
+func (f *fileSet) update(file cache.FileID) *SetUpdate {
+	return &SetUpdate{File: file, Nodes: append([]int(nil), f.nodes...), Version: f.version}
 }
 
-func newState(self, n int, opts core.Options) *state {
+func newState(self, n, files int, opts core.Options) *state {
 	return &state{
 		self:  self,
 		n:     n,
+		files: files,
 		opts:  opts,
 		loads: make([]int, n),
-		sets:  make(map[string]*fileSet),
+		sets:  make(map[cache.FileID]*fileSet),
 		now:   time.Now,
 	}
 }
 
-// decide runs the L2S rule for a request for path, given the set of
+// decide runs the L2S rule for a request for file f, given the set of
 // currently live nodes: the node that must serve it, and the set change to
 // gossip (nil when the set was untouched). What it adds to core.Decide is
 // the replica's own bookkeeping: members this replica believes dead are
 // evicted first, and every change bumps the set's version.
-func (s *state) decide(path string, alive func(int) bool) (svc int, changed *SetUpdate) {
+func (s *state) decide(f cache.FileID, alive func(int) bool) (svc int, changed *SetUpdate) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	set := s.sets[path]
+	set := s.sets[f]
 	dirty := false
 	var members []int
 	if set != nil {
@@ -84,7 +87,7 @@ func (s *state) decide(path string, alive func(int) bool) (svc int, changed *Set
 	case core.Reset:
 		if set == nil {
 			set = &fileSet{}
-			s.sets[path] = set
+			s.sets[f] = set
 		}
 		set.nodes = []int{d.Service}
 	case core.Grow:
@@ -98,7 +101,7 @@ func (s *state) decide(path string, alive func(int) bool) (svc int, changed *Set
 		set.modified = s.now()
 		set.version++
 	}
-	return d.Service, set.update(path)
+	return d.Service, set.update(f)
 }
 
 // load is this replica's view of node n's load, as core.Decide reads it.
@@ -136,10 +139,11 @@ func (s *state) applyLoad(node, load int) {
 // version; an incoming update wins only when its version is newer, or when
 // versions tie and its member list orders strictly higher (a deterministic
 // tie-break, so concurrent same-version writers converge on one value).
-// An empty member list is a tombstone: the next decision for the path
-// rebuilds the set at a higher version.
+// An empty member list is a tombstone: the next decision for the file
+// rebuilds the set at a higher version. An update naming a file outside the
+// catalogue or a node outside the cluster is dropped.
 func (s *state) applySet(u SetUpdate) {
-	if u.Path == "" {
+	if u.File < 0 || int(u.File) >= s.files {
 		return
 	}
 	for _, n := range u.Nodes {
@@ -149,7 +153,7 @@ func (s *state) applySet(u SetUpdate) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cur := s.sets[u.Path]; cur != nil {
+	if cur := s.sets[u.File]; cur != nil {
 		if u.Version < cur.version {
 			return
 		}
@@ -157,7 +161,7 @@ func (s *state) applySet(u SetUpdate) {
 			return
 		}
 	}
-	s.sets[u.Path] = &fileSet{
+	s.sets[u.File] = &fileSet{
 		nodes:    append([]int(nil), u.Nodes...),
 		modified: s.now(),
 		version:  u.Version,
@@ -171,7 +175,7 @@ func (s *state) evictNode(dead int) []SetUpdate {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []SetUpdate
-	for path, set := range s.sets {
+	for f, set := range s.sets {
 		kept := keepAlive(set.nodes, func(n int) bool { return n != dead })
 		if len(kept) == len(set.nodes) {
 			continue
@@ -180,7 +184,7 @@ func (s *state) evictNode(dead int) []SetUpdate {
 		set.modified = s.now()
 		set.version++
 		if len(kept) > 0 {
-			out = append(out, *set.update(path))
+			out = append(out, *set.update(f))
 		}
 	}
 	return out
@@ -194,17 +198,17 @@ func (s *state) exportSets() []SetUpdate {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]SetUpdate, 0, len(s.sets))
-	for path, set := range s.sets {
-		out = append(out, *set.update(path))
+	for f, set := range s.sets {
+		out = append(out, *set.update(f))
 	}
 	return out
 }
 
-// serverSet returns a copy of the replica's set for a path.
-func (s *state) serverSet(path string) []int {
+// serverSet returns a copy of the replica's set for file f.
+func (s *state) serverSet(f cache.FileID) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	set := s.sets[path]
+	set := s.sets[f]
 	if set == nil {
 		return nil
 	}

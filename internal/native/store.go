@@ -13,34 +13,23 @@ package native
 
 import (
 	"math/rand"
-	"sort"
 	"strconv"
+	"strings"
+
+	"repro/internal/cache"
 )
 
-// Store is a node's backing content source — the distributed file system
-// of the paper's cluster, reduced to an interface. Implementations must be
-// safe for concurrent use.
-type Store interface {
-	// Get returns the content of a file, or false if it does not exist.
-	Get(path string) ([]byte, bool)
-	// Paths lists all stored paths, for catalog endpoints.
-	Paths() []string
-}
-
-// MemStore is an immutable in-memory Store: its map is never written after
+// MemStore is a node's backing content source — the distributed file system
+// of the paper's cluster, reduced to an immutable in-memory catalogue: file
+// i, its cache.FileID, is served at /f/<i>. The table is never written after
 // construction, so concurrent reads need no lock.
 type MemStore struct {
-	files map[string][]byte
+	bodies [][]byte
 }
 
-// NewMemStore builds a store from a path-to-content map.
-func NewMemStore(files map[string][]byte) *MemStore {
-	copied := make(map[string][]byte, len(files))
-	for k, v := range files {
-		copied[k] = v
-	}
-	return &MemStore{files: copied}
-}
+// NewMemStore builds a store serving bodies[i] at /f/<i>. The store keeps
+// the slice: neither it nor the bodies may be written afterwards.
+func NewMemStore(bodies [][]byte) *MemStore { return &MemStore{bodies: bodies} }
 
 // SyntheticStore generates a store with the given number of files whose
 // sizes follow the same popular-files-are-smaller shape as the trace
@@ -54,12 +43,12 @@ func SyntheticStore(files int, avgKB float64, seed int64) *MemStore {
 	return syntheticStore(sizes)
 }
 
-// syntheticStore serves a catalog of the given sizes as /f/<i>, byte j of
-// file i being 'a'+(i+j)%26. That content is a function of (id, offset), so
-// every body is a view of one read-only alphabet run as long as the largest
-// file, and the store does not grow with the catalog's bytes. Each view's
-// capacity ends at its length, so an append to a body copies instead of
-// writing into the shared run.
+// syntheticStore serves a catalog of the given sizes, byte j of file i being
+// 'a'+(i+j)%26. That content is a function of (id, offset), so every body is
+// a view of one read-only alphabet run as long as the largest file, and the
+// store does not grow with the catalog's bytes. Each view's capacity ends at
+// its length, so an append to a body copies instead of writing into the
+// shared run.
 func syntheticStore(sizes []int64) *MemStore {
 	var longest int64
 	for _, size := range sizes {
@@ -69,26 +58,54 @@ func syntheticStore(sizes []int64) *MemStore {
 	for j := range alphabet {
 		alphabet[j] = byte('a' + j%26)
 	}
-	files := make(map[string][]byte, len(sizes))
+	bodies := make([][]byte, len(sizes))
 	for i, size := range sizes {
 		from := int64(i % 26)
-		files["/f/"+strconv.Itoa(i)] = alphabet[from : from+size : from+size]
+		bodies[i] = alphabet[from : from+size : from+size]
 	}
-	return NewMemStore(files)
+	return NewMemStore(bodies)
 }
 
-// Get implements Store.
+// Len returns the number of files in the catalogue.
+func (s *MemStore) Len() int { return len(s.bodies) }
+
+// Body returns the content of file id, which must be in [0, Len()).
+func (s *MemStore) Body(id cache.FileID) []byte { return s.bodies[id] }
+
+// ID resolves a path to its file: only the canonical /f/<i> with i < Len()
+// names one — decimal digits, no sign, no leading zero.
+func (s *MemStore) ID(path string) (cache.FileID, bool) {
+	digits, ok := strings.CutPrefix(path, "/f/")
+	if !ok || digits == "" || (digits[0] == '0' && len(digits) > 1) {
+		return 0, false
+	}
+	i := 0
+	for _, d := range []byte(digits) {
+		if d < '0' || d > '9' {
+			return 0, false
+		}
+		// i stays below Len() after every digit, so this cannot overflow.
+		if i = 10*i + int(d-'0'); i >= len(s.bodies) {
+			return 0, false
+		}
+	}
+	return cache.FileID(i), true
+}
+
+// Get returns the content served at path, or false if it names no file.
 func (s *MemStore) Get(path string) ([]byte, bool) {
-	b, ok := s.files[path]
-	return b, ok
+	id, ok := s.ID(path)
+	if !ok {
+		return nil, false
+	}
+	return s.bodies[id], true
 }
 
-// Paths implements Store.
+// Paths lists every file's path, in FileID order.
 func (s *MemStore) Paths() []string {
-	out := make([]string, 0, len(s.files))
-	for k := range s.files {
-		out = append(out, k)
+	out := make([]string, len(s.bodies))
+	for i := range out {
+		out[i] = "/f/" + strconv.Itoa(i)
 	}
-	sort.Strings(out)
 	return out
 }

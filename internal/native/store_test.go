@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/trace"
 )
 
@@ -72,8 +73,8 @@ func TestSyntheticContent(t *testing.T) {
 
 // TestSyntheticStoreHeap builds 20,000 files of 256 KB mean, ≈ 5 GB if each
 // body had bytes of its own: the store may grow the live heap by its one
-// shared buffer, as long as the largest file, and 256 B per file for the
-// path and the map entry.
+// shared buffer, as long as the largest file, and 32 B per file for its
+// 24 B slice header in the FileID table.
 func TestSyntheticStoreHeap(t *testing.T) {
 	const files = 20_000
 	var ms runtime.MemStats
@@ -86,12 +87,11 @@ func TestSyntheticStoreHeap(t *testing.T) {
 	grew := int64(ms.HeapAlloc) - before
 
 	var longest int64
-	for _, p := range st.Paths() {
-		b, _ := st.Get(p)
-		longest = max(longest, int64(len(b)))
+	for i := range st.Len() {
+		longest = max(longest, int64(len(st.Body(cache.FileID(i)))))
 	}
-	if limit := longest + 256*files; grew >= limit {
-		t.Fatalf("live heap grew %d B, want under %d (largest file %d B + 256 B x %d files)", grew, limit, longest, files)
+	if limit := longest + 32*files; grew >= limit {
+		t.Fatalf("live heap grew %d B, want under %d (largest file %d B + 32 B x %d files)", grew, limit, longest, files)
 	}
 	t.Logf("live heap grew %d B; largest file %d B", grew, longest)
 }
