@@ -86,3 +86,18 @@ func TestBadValuesExit1(t *testing.T) {
 		}
 	}
 }
+
+// A churn spec whose expected realization passes the int32 request index
+// space exits 1 with one line, before anything is allocated for it, and
+// writes no file.
+func TestOversizedChurnExit1(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "x.trace")
+	code, stderr := runTracegen(t, "-spec", "churn:files=1000,filekb=16,reqs=1000,lifetime=10,docreqs=1e9", "-out", out)
+	if code != 1 || !strings.HasPrefix(stderr, "tracegen: ") || strings.Count(stderr, "\n") != 1 ||
+		!strings.Contains(stderr, "expected requests exceed") {
+		t.Errorf("exit %d, stderr %q; want exit 1 and one \"tracegen: ...\" line naming the size", code, stderr)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("output file: %v, want none written", err)
+	}
+}

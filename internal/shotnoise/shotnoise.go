@@ -108,11 +108,25 @@ func (p *Process) NumRequests() int { return len(p.Times) }
 
 // Generate realizes the process. The draw order is fixed — document
 // arrivals and weights first, then each document's request count and times
-// in document order — so a seed pins the output bytes exactly.
+// in document order — so a seed pins the output bytes exactly. A spec whose
+// realization cannot be indexed by DocOf's int32 is an error.
 func Generate(spec Spec) (*Process, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	p, err := emit(spec, math.MaxInt32)
+	if err != nil {
+		return nil, err
+	}
+	sortByTime(p)
+	return p, nil
+}
+
+// emit draws the documents and their requests in emission order (document
+// by document), refusing a realization of more than limit requests: before
+// any request is stored when the expected count is over it, and otherwise
+// as soon as the drawn count passes it.
+func emit(spec Spec, limit int) (*Process, error) {
 	rng := rand.New(rand.NewSource(spec.Seed))
 
 	docs := make([]Doc, 0, len(spec.Initial)+16)
@@ -128,21 +142,34 @@ func Generate(spec Spec) (*Process, error) {
 		}
 	}
 
-	p := &Process{Docs: docs}
+	// Requests within the horizon: the profile mass a document of age
+	// Horizon-Arrival has emitted is q = 1 - exp(-(Horizon-Arrival)/L), so
+	// the in-window count is Poisson(Weight*q) and each time is an
+	// inverse-CDF draw from the truncated exponential profile. The total
+	// is Poisson with mean sum(Weight*q), which sizes the stream up front
+	// with a 4-sigma margin; append absorbs a rarer overflow.
+	qs := make([]float64, len(docs))
+	mean := 0.0
 	for id, d := range docs {
-		// Requests within the horizon: the profile mass a document of age
-		// Horizon-Arrival has emitted is q = 1 - exp(-(Horizon-Arrival)/L),
-		// so the in-window count is Poisson(Weight*q) and each time is an
-		// inverse-CDF draw from the truncated exponential profile.
-		q := -math.Expm1(-(spec.Horizon - d.Arrival) / spec.Lifetime)
-		n := poisson(rng, d.Weight*q)
+		qs[id] = -math.Expm1(-(spec.Horizon - d.Arrival) / spec.Lifetime)
+		mean += d.Weight * qs[id]
+	}
+	if !(mean <= float64(limit)) {
+		return nil, fmt.Errorf("shotnoise: %.4g expected requests exceed the %d a realization can hold", mean, limit)
+	}
+	size := min(limit, int(mean+4*math.Sqrt(mean))+1)
+	p := &Process{Docs: docs, Times: make([]float64, 0, size), DocOf: make([]int32, 0, size)}
+	for id, d := range docs {
+		n := poisson(rng, d.Weight*qs[id])
+		if n > limit-len(p.Times) {
+			return nil, fmt.Errorf("shotnoise: realization passed the %d requests it can hold", limit)
+		}
 		for k := 0; k < n; k++ {
-			age := -spec.Lifetime * math.Log1p(-rng.Float64()*q)
+			age := -spec.Lifetime * math.Log1p(-rng.Float64()*qs[id])
 			p.Times = append(p.Times, d.Arrival+age)
 			p.DocOf = append(p.DocOf, int32(id))
 		}
 	}
-	sortByTime(p)
 	return p, nil
 }
 
@@ -205,29 +232,83 @@ func poisson(rng *rand.Rand, mean float64) int {
 	}
 }
 
-// sortByTime orders the request stream by (time, insertion order): ties —
-// measure-zero but possible in floating point — break deterministically.
+// bucketLoad is the mean number of requests per bucket of sortByTime, and
+// crowdedBucket the size above which a bucket is not insertion-sorted.
+const (
+	bucketLoad    = 8
+	crowdedBucket = 32
+)
+
+// sortByTime orders the request stream stably by time: requests with equal
+// times (-0 and +0 included) keep their emission order, so the result is
+// the unique ordering by (time, emission index). It is a bucket sort in
+// linear expected time: a monotone map sends time t to bucket
+// int(t*(nb/maxT)), clamped to [0, nb-1], with nb = n/bucketLoad + 1; a
+// counting scatter, stable by construction, moves every request into its
+// bucket; and each bucket is sorted stably by time alone. A crowded bucket
+// — a skewed stream, say one outlier far beyond the rest — goes through
+// slices.SortStableFunc instead of insertion, so no input sorts in
+// quadratic time. Times must not be NaN.
 func sortByTime(p *Process) {
-	idx := make([]int32, len(p.Times))
-	for i := range idx {
-		idx[i] = int32(i)
+	n := len(p.Times)
+	if n < 2 {
+		return
 	}
-	// (time, index) is a total order, so the unstable sort has exactly one
-	// result — the stable sort's.
-	slices.SortFunc(idx, func(a, b int32) int {
-		if ta, tb := p.Times[a], p.Times[b]; ta != tb {
-			if ta < tb {
-				return -1
-			}
-			return 1
+	maxT := 0.0
+	for _, t := range p.Times {
+		if t > maxT {
+			maxT = t
 		}
-		return cmp.Compare(a, b)
-	})
-	times := make([]float64, len(p.Times))
-	docs := make([]int32, len(p.DocOf))
-	for i, j := range idx {
-		times[i] = p.Times[j]
-		docs[i] = p.DocOf[j]
 	}
-	p.Times, p.DocOf = times, docs
+	nb := n/bucketLoad + 1
+	scale := float64(nb) / maxT
+	if !(scale <= math.MaxFloat64) { // maxT is 0 or subnormal: one bucket
+		nb, scale = 1, 0
+	}
+	bucket := func(t float64) int { return max(0, min(nb-1, int(t*scale))) }
+
+	// end[b] counts bucket b-1 and then, summed, is where bucket b starts;
+	// the scatter advances it to where bucket b ends.
+	end := make([]int32, nb+1)
+	for _, t := range p.Times {
+		end[bucket(t)+1]++
+	}
+	for b := 1; b <= nb; b++ {
+		end[b] += end[b-1]
+	}
+	reqs := make([]request, n)
+	for i, t := range p.Times {
+		b := bucket(t)
+		reqs[end[b]] = request{t, p.DocOf[i]}
+		end[b]++
+	}
+	lo := int32(0)
+	for _, hi := range end[:nb] {
+		if bk := reqs[lo:hi]; len(bk) > crowdedBucket {
+			slices.SortStableFunc(bk, func(a, b request) int { return cmp.Compare(a.t, b.t) })
+		} else {
+			insertionSort(bk)
+		}
+		lo = hi
+	}
+	for i, r := range reqs {
+		p.Times[i], p.DocOf[i] = r.t, r.doc
+	}
+}
+
+// request is one entry of the stream while sortByTime orders it.
+type request struct {
+	t   float64
+	doc int32
+}
+
+// insertionSort sorts a small bucket stably by time.
+func insertionSort(rs []request) {
+	for i := 1; i < len(rs); i++ {
+		r, j := rs[i], i
+		for ; j > 0 && r.t < rs[j-1].t; j-- {
+			rs[j] = rs[j-1]
+		}
+		rs[j] = r
+	}
 }

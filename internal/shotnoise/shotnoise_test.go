@@ -1,11 +1,14 @@
 package shotnoise
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -286,8 +289,8 @@ func meanCV2(xs []float64) (mean, cv2 float64) {
 	return m, v / (m * m)
 }
 
-// sortByTimeRef is the sort.SliceStable form sortByTime replaced, kept as
-// the differential reference.
+// sortByTimeRef is the differential reference for sortByTime: the plain
+// stable sort by time, sort.SliceStable over emission indices.
 func sortByTimeRef(p *Process) {
 	idx := make([]int32, len(p.Times))
 	for i := range idx {
@@ -321,28 +324,152 @@ func unsortedStream(n, distinct int, seed int64) *Process {
 	return p
 }
 
-// TestSortByTimeMatchesStableSort: sorting on the total order (time, index)
-// yields exactly the stable sort by time, ties and all.
+// TestSortByTimeMatchesStableSort: sortByTime yields exactly the stable sort
+// by time, ties and the sign of zero included.
 func TestSortByTimeMatchesStableSort(t *testing.T) {
 	for _, tc := range []struct{ n, distinct int }{{0, 1}, {1, 1}, {2, 1}, {100, 1}, {5000, 7}, {5000, 400}, {60000, 1 << 30}} {
 		got, want := unsortedStream(tc.n, tc.distinct, 5), unsortedStream(tc.n, tc.distinct, 5)
 		sortByTime(got)
 		sortByTimeRef(want)
-		if !reflect.DeepEqual(got, want) {
+		if !sameStream(got, want) {
 			t.Errorf("n=%d, %d distinct times: sortByTime differs from the stable sort", tc.n, tc.distinct)
 		}
 	}
 }
 
+// FuzzSortByTime: for any stream of non-NaN times, sortByTime matches the
+// stable reference bit for bit — DocOf order and every time's Float64bits,
+// so a -0 never trades places with a +0. The input is a little-endian
+// float64 sequence; DocOf[i] = i exposes the permutation.
+func FuzzSortByTime(f *testing.F) {
+	f.Add(floatBytes())
+	f.Add(floatBytes(3))
+	f.Add(floatBytes(2, 1))
+	f.Add(floatBytes(5, 5, 5, 5, 5, 5, 5, 5, 5))
+	f.Add(floatBytes(0, math.Copysign(0, -1), 1, 0, math.Copysign(0, -1), 1, 0))
+	// 48 times of a spread, then the same with one huge outlier (every
+	// other time falls in bucket 0, a crowded bucket), with three more
+	// copies of the maximum, and scaled to subnormals (nb/maxT overflows:
+	// one crowded bucket).
+	spread, subnormal := make([]float64, 48), make([]float64, 48)
+	for i := range spread {
+		spread[i] = float64((i*29)%48) / 7
+		subnormal[i] = float64((i*29)%5) * math.SmallestNonzeroFloat64
+	}
+	f.Add(floatBytes(spread...))
+	f.Add(floatBytes(append(spread, 1e300)...))
+	top := slices.Max(spread)
+	f.Add(floatBytes(append(spread, top, top, top)...))
+	f.Add(floatBytes(subnormal...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := &Process{}
+		for ; len(data) >= 8; data = data[8:] {
+			if x := math.Float64frombits(binary.LittleEndian.Uint64(data)); !math.IsNaN(x) {
+				p.Times = append(p.Times, x)
+				p.DocOf = append(p.DocOf, int32(len(p.DocOf)))
+			}
+		}
+		got, want := cloneStream(p), cloneStream(p)
+		sortByTime(got)
+		sortByTimeRef(want)
+		if !sameStream(got, want) {
+			t.Fatalf("sortByTime(%v) = %v, %v; stable sort %v, %v", p.Times, got.Times, got.DocOf, want.Times, want.DocOf)
+		}
+	})
+}
+
+func floatBytes(xs ...float64) []byte {
+	b := make([]byte, 0, 8*len(xs))
+	for _, x := range xs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	return b
+}
+
+func cloneStream(p *Process) *Process {
+	return &Process{Times: slices.Clone(p.Times), DocOf: slices.Clone(p.DocOf)}
+}
+
+// sameStream compares two streams bit for bit; reflect.DeepEqual would take
+// -0 for +0.
+func sameStream(a, b *Process) bool {
+	if len(a.Times) != len(b.Times) || !slices.Equal(a.DocOf, b.DocOf) {
+		return false
+	}
+	for i := range a.Times {
+		if math.Float64bits(a.Times[i]) != math.Float64bits(b.Times[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRequestLimit: a realization past the int32 index space is refused —
+// before anything is drawn when its expected size is over the limit, and
+// while drawing when the drawn count passes it.
+func TestRequestLimit(t *testing.T) {
+	huge := Spec{Rate: 2.25, Horizon: 400, MeanRequests: 1e9, Lifetime: 10, MaxDocs: 1000, Seed: 1}
+	if _, err := Generate(huge); err == nil || !strings.Contains(err.Error(), "expected requests exceed") {
+		t.Errorf("Generate(%+v) = %v, want the expected-size error", huge, err)
+	}
+	// One document expecting 1000 requests: a limit equal to its mean
+	// passes the pre-check, and the Poisson draw then passes the limit.
+	one := Spec{Rate: 0, Horizon: 1e6, Lifetime: 1, Initial: []Doc{{Weight: 1000}}}
+	refused := 0
+	for seed := int64(0); seed < 20; seed++ {
+		one.Seed = seed
+		p, err := emit(one, 1000)
+		switch {
+		case err != nil && !strings.Contains(err.Error(), "realization passed"):
+			t.Fatalf("seed %d: %v", seed, err)
+		case err != nil:
+			refused++
+		case p.NumRequests() > 1000:
+			t.Fatalf("seed %d: %d requests past the limit of 1000", seed, p.NumRequests())
+		}
+	}
+	if refused == 0 {
+		t.Error("no seed drew past the limit; the in-draw check went untested")
+	}
+}
+
+// observed16Spec is the shot-noise spec the observed16 bench workload
+// generates (churn:files=20000,filekb=16,reqs=1200000,lifetime=10): the
+// trace defaults horizon 400, document rate 0.9*files/horizon and the mean
+// weight that makes the realization 15 % longer than the request count.
+func observed16Spec() Spec {
+	const files, reqs, horizon, lifetime = 20000, 1_200_000, 400.0, 10.0
+	rate := 0.9 * files / horizon
+	eff := horizon + lifetime*math.Expm1(-horizon/lifetime)
+	return Spec{Rate: rate, Horizon: horizon, MeanRequests: 1.15 * reqs / (rate * eff),
+		Lifetime: lifetime, MaxDocs: files, Seed: 11}
+}
+
+func BenchmarkGenerate(b *testing.B) {
+	spec := observed16Spec()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Generate(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSortByTime sorts the emission-order stream of observed16Spec,
+// the input Generate hands to sortByTime.
 func BenchmarkSortByTime(b *testing.B) {
+	stream, err := emit(observed16Spec(), math.MaxInt32)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, bc := range []struct {
 		name string
 		sort func(*Process)
-	}{{"slices", sortByTime}, {"stable-ref", sortByTimeRef}} {
+	}{{"bucket", sortByTime}, {"stable-ref", sortByTimeRef}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				p := unsortedStream(1_200_000, 1<<40, 9)
+				p := cloneStream(stream)
 				b.StartTimer()
 				bc.sort(p)
 			}
