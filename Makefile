@@ -110,5 +110,6 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/policy
 	$(GO) test -run=^$$ -fuzz=FuzzParseGenSpec -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzRankPow -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzSolveBeta -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzHandoffFrame -fuzztime=$(FUZZTIME) ./internal/native
 	$(GO) test -run=^$$ -fuzz=FuzzSortByTime -fuzztime=$(FUZZTIME) ./internal/shotnoise

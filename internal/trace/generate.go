@@ -298,30 +298,11 @@ func generateStationary(spec GenSpec) (*Trace, error) {
 
 	// Popularity weights p_i over ranks.
 	pop := zipf.New(spec.Alpha, int64(spec.Files))
+	pEff, noise, logs := calibrationTables(spec, rng)
 
-	// Effective popularity including the head boost, used for size
-	// calibration: p_eff(i) = B/K for i <= K, plus (1-B)*p_zipf(i). It does
-	// not depend on beta, so it is tabulated once for the whole bisection.
-	pEff := make([]float64, spec.Files)
-	fillChunks(len(pEff), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := (1 - spec.HeadBoost) * pop.P(int64(i+1))
-			if i < spec.HeadFiles {
-				p += spec.HeadBoost / float64(spec.HeadFiles)
-			}
-			pEff[i] = p
-		}
-	})
-
-	// Lognormal noise with mean 1.
-	noise := make([]float64, spec.Files)
-	for i := range noise {
-		noise[i] = math.Exp(spec.SizeSigma*rng.NormFloat64() - spec.SizeSigma*spec.SizeSigma/2)
-	}
-
-	// shape is the bisection's term buffer; it is left holding the terms.
+	// shape is the calibration's term buffer; it is left holding the terms.
 	shape := make([]float64, spec.Files)
-	solveBeta(pEff, noise, shape, spec.AvgReqKB/spec.AvgFileKB)
+	solveBeta(pEff, noise, logs, shape, spec.AvgReqKB/spec.AvgFileKB)
 
 	// Scale to the catalog mean.
 	var mean float64
@@ -366,6 +347,40 @@ func generateStationary(spec GenSpec) (*Trace, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// calibrationTables returns solveBeta's inputs: the effective popularity
+// p_eff(i) = (1-B)*p_zipf(i), plus B/K on the K head ranks, with p_zipf(i)
+// = i^-alpha over the rank-order sum of those powers, as zipf.New sums them;
+// lognormal size noise with mean 1, its normals drawn serially from rng;
+// and math.Log of each rank.
+func calibrationTables(spec GenSpec, rng *rand.Rand) (pEff, noise, logs []float64) {
+	pEff, noise, logs = make([]float64, spec.Files), make([]float64, spec.Files), make([]float64, spec.Files)
+	for i := range noise {
+		noise[i] = rng.NormFloat64()
+	}
+	popPow := newRankPow(-spec.Alpha)
+	fillChunks(spec.Files, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			logs[i] = math.Log(float64(i + 1))
+			pEff[i] = popPow.pow(i+1, logs[i])
+			noise[i] = math.Exp(spec.SizeSigma*noise[i] - spec.SizeSigma*spec.SizeSigma/2)
+		}
+	})
+	var norm float64
+	for _, w := range pEff {
+		norm += w
+	}
+	fillChunks(spec.Files, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p := (1 - spec.HeadBoost) * (pEff[i] / norm)
+			if i < spec.HeadFiles {
+				p += spec.HeadBoost / float64(spec.HeadFiles)
+			}
+			pEff[i] = p
+		}
+	})
+	return pEff, noise, logs
 }
 
 // generateChurn synthesizes a shot-noise trace: documents arrive over the
@@ -505,59 +520,161 @@ func attachClients(t *Trace, spec GenSpec, rng *rand.Rand) {
 	t.Clients = clients
 }
 
-// solveBeta finds the size-rank exponent beta such that the ratio of the
-// popularity-weighted mean size to the unweighted mean size equals target.
-// The ratio is strictly decreasing in beta (larger beta inflates unpopular
-// high-rank files, which the uniform mean weights more heavily), so a
-// bisection converges. pEff is the tabulated effective popularity by rank;
-// terms is scratch of the same length, overwritten by every evaluation.
-//
-// After ~45 halvings rounding noise decides the comparisons, so the traces
-// are only reproducible if ratio returns the same float64 on every host:
-// the terms are computed in parallel, but the two sums accumulate serially
-// in rank order, which makes the result independent of the chunk count.
-// On return terms holds the terms at the returned beta.
-func solveBeta(pEff, noise, terms []float64, target float64) float64 {
-	// Log(rank) does not depend on beta: one table serves every evaluation.
-	logs := make([]float64, len(noise))
-	fillChunks(len(logs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			logs[i] = math.Log(float64(i + 1))
-		}
-	})
-	beta := bisectBeta(func(beta float64) float64 {
-		fillTerms(terms, noise, logs, beta)
-		var weighted, uniform float64
-		for i, s := range terms {
-			weighted += pEff[i] * s
-			uniform += s
-		}
-		uniform /= float64(len(noise))
-		return weighted / uniform
-	}, target)
-	fillTerms(terms, noise, logs, beta)
-	return beta
-}
-
-// bisectBeta returns the beta in [-3, 5] at which the decreasing function
-// ratio crosses target, saturating at either end.
-func bisectBeta(ratio func(beta float64) float64, target float64) float64 {
+// solveBeta finds the size-rank exponent beta at which ratio(beta), the
+// pEff-weighted mean of terms[i] = (i+1)^beta * noise[i] over their plain
+// mean, crosses target, with the bits of its specification (solveBetaRef
+// in the tests): saturation checks at -3 and 5, then 60 halvings on
+// ratio(mid) > target. A mid bracket proves takes its branch unevaluated;
+// every ratio evaluated is the specification's float64, terms filled in
+// parallel and summed serially in rank order. logs[i] must be
+// math.Log(i+1); terms is scratch, left holding the terms at beta.
+// evaluated lists the exponents ratio was evaluated at, in order.
+func solveBeta(pEff, noise, logs, terms []float64, target float64) (beta float64, evaluated []float64) {
+	c := &calibration{pEff: pEff, noise: noise, logs: logs, terms: terms, target: target}
+	ratio := func(beta float64) float64 { r, _, _, _ := c.eval(beta, false); return r }
 	lo, hi := -3.0, 5.0
 	if ratio(lo) < target { // even strongly inverted sizes cannot reach it
-		return lo
+		beta = lo
+	} else if ratio(hi) > target {
+		beta = hi
+	} else {
+		a, b := c.bracket()
+		for iter := 0; iter < 60; iter++ {
+			mid := (lo + hi) / 2
+			if mid <= a || mid < b && ratio(mid) > target {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		beta = (lo + hi) / 2
 	}
-	if ratio(hi) > target {
-		return hi
+	fillTerms(terms, noise, logs, beta)
+	return beta, c.evaluated
+}
+
+// calibration holds solveBeta's inputs and the exponents it has evaluated.
+type calibration struct {
+	pEff, noise, logs, terms []float64
+	target                   float64
+	evaluated                []float64
+}
+
+// eval fills the terms at beta and returns ratio(beta); with slope, a
+// second pass adds d and d2 ln ratio / d beta: E_w[ln n] - E_s[ln n] and
+// Var_w - Var_s, for w = pEff*s. safe reports both sums and r in
+// [2^-960, 2^960], where bracket's rounding bound holds.
+func (c *calibration) eval(beta float64, slope bool) (r, d, d2 float64, safe bool) {
+	c.evaluated = append(c.evaluated, beta)
+	fillTerms(c.terms, c.noise, c.logs, beta)
+	var weighted, uniform float64
+	for i, s := range c.terms {
+		weighted += c.pEff[i] * s
+		uniform += s
 	}
-	for iter := 0; iter < 60; iter++ {
-		mid := (lo + hi) / 2
-		if ratio(mid) > target {
-			lo = mid
-		} else {
-			hi = mid
+	if slope {
+		var wL, sL, wL2, sL2 float64
+		for i, s := range c.terms {
+			w, l := c.pEff[i]*s, c.logs[i]
+			wL, sL, wL2, sL2 = wL+w*l, sL+s*l, wL2+w*l*l, sL2+s*l*l
+		}
+		wL, sL = wL/weighted, sL/uniform
+		d, d2 = wL-sL, (wL2/weighted-wL*wL)-(sL2/uniform-sL*sL)
+	}
+	inRange := func(v float64) bool { return v >= 0x1p-960 && v <= 0x1p960 }
+	safe = inRange(weighted) && inRange(uniform)
+	uniform /= float64(len(c.noise))
+	r = weighted / uniform
+	return r, d, d2, safe && inRange(r)
+}
+
+// bracket returns a < b such that ratio(beta) > target for every beta <= a
+// and for no beta >= b. Unless pEff is non-negative and non-increasing and
+// noise in [2^-900, 2^900], it proves nothing: a and b lie just outside
+// [-3, 5].
+//
+// Proof (DESIGN.md, "Trace set-up"): the real ratio R is then
+// non-increasing in beta (Chebyshev's sum inequality), and the float r is
+// within a relative eta = (2n+256)*2^-53 of R, so r(x) > target*(1+3*eta)
+// gives r(beta) >= r(x)(1-eta)/(1+eta) > target for all beta <= x, and
+// r(x) < target*(1-3*eta) gives r(beta) < target for all beta >= x.
+//
+// Search: Halley steps on ln ratio from beta = 0, each evaluating a point
+// past the prediction by the step squared (to prove the far side), then
+// the prediction; once the step cubed or an evaluation is inside the band,
+// one evaluation either side at twice its half-width. An evaluation is
+// spent only while the spent ones number fewer than the halvings (a, b)
+// spares plus two, so solveBeta makes at most 62 + 2.
+func (c *calibration) bracket() (a, b float64) {
+	a, b = math.Nextafter(-3, -4), math.Nextafter(5, 6)
+	n := len(c.noise)
+	for i, x := range c.noise {
+		if n > 1<<32 || !(x >= 0x1p-900 && x <= 0x1p900 && c.pEff[i] >= 0) || i > 0 && !(c.pEff[i] <= c.pEff[i-1]) {
+			return a, b
 		}
 	}
-	return (lo + hi) / 2
+	eta := float64(2*n+256) * 0x1p-53
+	above, below := c.target*(1+3*eta), c.target*(1-3*eta)
+	spent := 0
+	// at evaluates ratio at x if x is in (a, b) and affordable, and narrows
+	// (a, b): side is +1 above the band, -1 below, 0 in it.
+	at := func(x float64, slope bool) (r, d, d2 float64, side int, ok bool) {
+		if !(a < x && x < b) || spent >= 60-uncertified(a, b, -3, 5, 0)+2 {
+			return 0, 0, 0, 0, false
+		}
+		spent++
+		if r, d, d2, ok = c.eval(x, slope); ok && r > above {
+			a, side = x, 1
+		} else if ok && r < below {
+			b, side = x, -1
+		}
+		return r, d, d2, side, ok
+	}
+	x := 0.0
+	r, d, d2, side, ok := at(x, true)
+	for ok {
+		halfBand := 2 * 3 * eta / math.Abs(d)
+		p := x
+		if side != 0 {
+			f := math.Log(r / c.target)
+			if p = x - 2*f*d/(2*d*d-f*d2); !(a < p && p < b) {
+				p = (a + b) / 2
+			}
+		}
+		step := math.Abs(p - x)
+		if !(step*step*step >= halfBand) {
+			at(p-halfBand, false)
+			at(p+halfBand, false)
+			break
+		}
+		// A far point short of the root, or in the band, is the next base.
+		q := p + float64(side)*min(step, step*step)
+		if rq, dq, d2q, sq, okq := at(q, true); okq && sq != -side {
+			x, r, d, d2, side = q, rq, dq, d2q, sq
+			continue
+		}
+		x = p
+		r, d, d2, side, ok = at(x, true)
+	}
+	return a, b
+}
+
+// uncertified bounds the halvings k..59 that still evaluate ratio, given
+// (a, b), from the bracket [lo, hi] of halving k: the most mids inside
+// (a, b) one run can meet, over every branch those mids could take.
+func uncertified(a, b, lo, hi float64, k int) int {
+	switch mid := (lo + hi) / 2; {
+	case k == 60 || hi <= a || lo >= b:
+		return 0
+	case a < lo && hi < b:
+		return 60 - k
+	case mid <= a:
+		return uncertified(a, b, mid, hi, k+1)
+	case mid >= b:
+		return uncertified(a, b, lo, mid, k+1)
+	default:
+		return 1 + max(uncertified(a, b, lo, mid, k+1), uncertified(a, b, mid, hi, k+1))
+	}
 }
 
 // fillTerms sets terms[i] to the unscaled size of rank i+1 under beta,

@@ -2,10 +2,7 @@ package trace
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-
-	"repro/internal/zipf"
 )
 
 // rankPowSeedBetas are the exponents where math.Pow's branches meet: the
@@ -25,53 +22,30 @@ func rankPowSeedBetas() []float64 {
 }
 
 // calibrationBetas returns every beta the size calibration of spec
-// evaluates, in order, from the inputs generateStationary builds and the
-// ratio solveBeta bisects.
+// evaluates, in order — Halley, straddle and halving steps — followed by
+// the popularity exponent -alpha its pEff table is raised to.
 func calibrationBetas(spec GenSpec) []float64 {
-	spec = spec.withDefaults()
-	pop := zipf.New(spec.Alpha, int64(spec.Files))
-	pEff, logs := make([]float64, spec.Files), make([]float64, spec.Files)
-	for i := range pEff {
-		pEff[i] = (1 - spec.HeadBoost) * pop.P(int64(i+1))
-		if i < spec.HeadFiles {
-			pEff[i] += spec.HeadBoost / float64(spec.HeadFiles)
-		}
-		logs[i] = math.Log(float64(i + 1))
-	}
-	rng := rand.New(rand.NewSource(spec.Seed))
-	noise := make([]float64, spec.Files)
-	for i := range noise {
-		noise[i] = math.Exp(spec.SizeSigma*rng.NormFloat64() - spec.SizeSigma*spec.SizeSigma/2)
-	}
-	terms := make([]float64, spec.Files)
-	var betas []float64
-	bisectBeta(func(beta float64) float64 {
-		betas = append(betas, beta)
-		fillTerms(terms, noise, logs, beta)
-		var weighted, uniform float64
-		for i, s := range terms {
-			weighted += pEff[i] * s
-			uniform += s
-		}
-		uniform /= float64(len(noise))
-		return weighted / uniform
-	}, spec.AvgReqKB/spec.AvgFileKB)
-	return betas
+	pEff, noise, logs, target := stationaryInputs(spec)
+	_, visited := solveBeta(pEff, noise, logs, make([]float64, len(noise)), target)
+	return append(visited, -spec.Alpha)
 }
 
 // TestRankPowMatchesMathPow holds the calibration's power kernel to
-// math.Pow bit for bit, at every exponent the bisection visits for the
-// pinned specs and for the miss16 benchmark catalogue (10^6 files, target
-// 5/6, seed 11), plus the seed set of FuzzRankPow, over ranks 1..10^6
-// (1..2·10^5 under -short).
+// math.Pow bit for bit, at every exponent the calibration visits for the
+// pinned specs and for the bench catalogues (miss16's 10^6 files at seed
+// 11, paper16's clarknet), their popularity exponents, and the seed set of
+// FuzzRankPow, over ranks 1..10^6 (1..2·10^5 under -short).
 func TestRankPowMatchesMathPow(t *testing.T) {
-	specs := append(stationaryGoldenSpecs(), GenSpec{Name: "miss16", Files: 1_000_000,
-		AvgFileKB: 6, AvgReqKB: 5, Alpha: 0.8, LocalityP: 0.3, Requests: 1, Seed: 11})
+	clarknet, err := PaperTrace("clarknet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := append(stationaryGoldenSpecs(), miss16Spec(11), clarknet)
 	betas := map[float64]bool{}
 	for _, spec := range specs {
 		visited := calibrationBetas(spec)
-		if len(visited) != 62 {
-			t.Errorf("%s: the bisection evaluated %d exponents, want 62", spec.Name, len(visited))
+		if len(visited) > 62+2+1 {
+			t.Errorf("%s: the calibration evaluated %d exponents, want at most 64", spec.Name, len(visited)-1)
 		}
 		for _, b := range visited {
 			betas[b] = true
