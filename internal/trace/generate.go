@@ -608,8 +608,11 @@ func (c *calibration) eval(beta float64, slope bool) (r, d, d2 float64, safe boo
 func (c *calibration) bracket() (a, b float64) {
 	a, b = math.Nextafter(-3, -4), math.Nextafter(5, 6)
 	n := len(c.noise)
+	if uint64(n) > 1<<32 {
+		return a, b
+	}
 	for i, x := range c.noise {
-		if n > 1<<32 || !(x >= 0x1p-900 && x <= 0x1p900 && c.pEff[i] >= 0) || i > 0 && !(c.pEff[i] <= c.pEff[i-1]) {
+		if !(x >= 0x1p-900 && x <= 0x1p900 && c.pEff[i] >= 0) || i > 0 && !(c.pEff[i] <= c.pEff[i-1]) {
 			return a, b
 		}
 	}

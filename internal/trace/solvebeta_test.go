@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"repro/internal/zipf"
 )
 
 // solveBetaRef is the serial calibration solveBeta replaced, kept verbatim:
@@ -66,13 +68,9 @@ func stationaryInputs(spec GenSpec) (pEff, noise, logs []float64, target float64
 }
 
 // zipfP is the Zipf probability of rank as the serial generator computed
-// it: rank^-alpha over the rank-order sum of those powers.
+// it, zipf.(*Dist).P: rank^-alpha over the rank-order sum of those powers.
 func zipfP(alpha float64, files int) func(rank int64) float64 {
-	var norm float64
-	for i := 0; i < files; i++ {
-		norm += math.Pow(float64(i+1), -alpha)
-	}
-	return func(rank int64) float64 { return math.Pow(float64(rank), -alpha) / norm }
+	return zipf.New(alpha, int64(files)).P
 }
 
 // referenceInputs builds the same inputs the way the serial generator did,

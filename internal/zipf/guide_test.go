@@ -99,6 +99,47 @@ func TestSampleMatchesReferenceStream(t *testing.T) {
 	}
 }
 
+// TestPTailPrecision is the regression test for the catastrophic
+// cancellation in the old adjacent-CDF-difference P: deep in the tail both
+// CDF values are within an ulp of 1 and the difference collapses to 0 or a
+// single ulp. The direct form must stay within a few ulps of the exact
+// ratio at every rank.
+func TestPTailPrecision(t *testing.T) {
+	const files = 1_000_000
+	for _, alpha := range []float64{0.8, 1, 2} {
+		d := New(alpha, files)
+		norm := Harmonic(alpha, files)
+		for _, rank := range []int64{1, 2, files / 2, files - 1, files} {
+			got := d.P(rank)
+			want := math.Pow(float64(rank), -alpha) / norm
+			if got <= 0 {
+				t.Fatalf("alpha=%v rank=%d: P collapsed to %v", alpha, rank, got)
+			}
+			if rel := math.Abs(got-want) / want; rel > 1e-9 {
+				t.Fatalf("alpha=%v rank=%d: P=%v want=%v rel=%v", alpha, rank, got, want, rel)
+			}
+		}
+		// The old formulation lost every significant digit here; make sure
+		// adjacent tail ranks still have strictly decreasing, positive mass.
+		if !(d.P(files-1) > d.P(files)) || d.P(files) <= 0 {
+			t.Fatalf("alpha=%v: tail not strictly decreasing: P(F-1)=%v P(F)=%v",
+				alpha, d.P(files-1), d.P(files))
+		}
+	}
+}
+
+// TestPSumsToOne checks the direct form still normalizes.
+func TestPSumsToOne(t *testing.T) {
+	d := New(0.8, 10_000)
+	var sum float64
+	for r := int64(d.F); r >= 1; r-- { // small terms first
+		sum += d.P(r)
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("sum of P = %v", sum)
+	}
+}
+
 // sampleRefBench draws via the binary-search reference, for the growth
 // comparison against the guide-table benches below.
 func sampleRefBench(b *testing.B, files int64) {

@@ -132,10 +132,12 @@ func SolveFiles(alpha float64, n int64, target float64) int64 {
 }
 
 // Dist is a concrete Zipf-like distribution over ranks 1..F, with a
-// precomputed CDF and guide table for O(1) expected sampling.
+// precomputed CDF and guide table for O(1) expected sampling and O(1)
+// popularity queries.
 type Dist struct {
 	Alpha float64
 	F     int64
+	norm  float64   // normalization constant: sum_{i=1..F} i^-alpha
 	cdf   []float64 // cdf[i] = P(rank <= i+1)
 
 	// guide is the cutpoint table of the inverse-CDF sampler: guide[j] is
@@ -165,7 +167,7 @@ func New(alpha float64, files int64) *Dist {
 		cdf[i] /= sum
 	}
 	cdf[files-1] = 1 // guard against rounding
-	d := &Dist{Alpha: alpha, F: files, cdf: cdf}
+	d := &Dist{Alpha: alpha, F: files, norm: sum, cdf: cdf}
 	d.buildGuide()
 	return d
 }
@@ -191,6 +193,17 @@ func (d *Dist) buildGuide() {
 	}
 	d.guide = guide
 	d.kscale = kscale
+}
+
+// P returns the probability of the file with popularity rank i (1-based).
+// It is computed directly from the law, i^-alpha / norm: the adjacent-CDF
+// difference it replaces cancels catastrophically in the deep tail, where
+// both CDF values have rounded to within an ulp of 1.
+func (d *Dist) P(rank int64) float64 {
+	if rank < 1 || rank > d.F {
+		return 0
+	}
+	return math.Pow(float64(rank), -d.Alpha) / d.norm
 }
 
 // CDF returns P(rank <= n).

@@ -152,6 +152,20 @@ func TestPropertySolveFilesApproximatesTarget(t *testing.T) {
 	}
 }
 
+func TestDistProbabilitiesSumToOne(t *testing.T) {
+	d := New(0.8, 1000)
+	var sum float64
+	for i := int64(1); i <= d.F; i++ {
+		sum += d.P(i)
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("probabilities sum to %v", sum)
+	}
+	if d.P(0) != 0 || d.P(d.F+1) != 0 {
+		t.Fatal("out-of-range ranks must have probability 0")
+	}
+}
+
 func TestDistCDFMatchesZ(t *testing.T) {
 	d := New(1.0, 5000)
 	for _, n := range []int64{1, 10, 100, 2500, 5000} {
@@ -173,8 +187,8 @@ func TestDistSampleFrequencies(t *testing.T) {
 	for i := 0; i < n; i++ {
 		counts[d.Sample(rng)]++
 	}
-	// Rank 1 should appear with probability 1/H(100).
-	want := 1 / Harmonic(1.0, 100)
+	// Rank 1 should appear with probability P(1) ~ 1/H(100).
+	want := d.P(1)
 	got := float64(counts[1]) / n
 	if math.Abs(got-want) > 0.01 {
 		t.Fatalf("rank-1 frequency = %v, want about %v", got, want)
