@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race chaos fmt vet bench cover fuzz profile
+.PHONY: all build test check race chaos fmt vet bench cover fuzz profile lines
 
 all: build
 
@@ -45,6 +45,11 @@ race:
 # drop/delay/duplicate, crash recovery) under the race detector, twice.
 chaos:
 	$(GO) test -race -count=2 -run 'TestChaos' ./internal/native/...
+
+# lines prints the module's line count of non-test Go: the measure the
+# project's code-size budget is counted in.
+lines:
+	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l
 
 # bench runs the repo benchmark (BENCHMARK.json): six workloads, end-to-end
 # and per-layer metrics; see bench/README.md for -workload, -seed, -compare.

@@ -21,7 +21,7 @@ import (
 // removed here.
 var testOnlyExports = []string{
 	"cache.Capacity", "cache.Evict", "cache.Measured", "cache.MostRecent",
-	"core.NewWeighted", "core.ServerSet",
+	"core.ServerSet",
 	"native.WithRetry", "native.WithServePenalty",
 	"obs.Bounds", "obs.BucketCount", "obs.ParsePrometheus", "obs.WeightedMean",
 	"policytest.Pending",

@@ -155,18 +155,14 @@ type L2S struct {
 	// published: every comparison divides by exactly 1.0.
 	weights []float64
 
-	// reporter is the environment's pooled load-broadcast delivery path,
-	// nil when the environment only offers closure-based BroadcastControl.
-	reporter policy.LoadReporter
-
 	rr *policy.RoundRobin
 
-	// seen[n] is the last load value node n broadcast; lastSent[n] is the
-	// value at the time of that broadcast (they differ only while a
-	// broadcast is in flight).
-	seen     []int
-	lastSent []int
-	inFlight []bool
+	// seen[n] is the last load value node n broadcast, as every other node
+	// sees it; gossip decides when a node broadcasts, and delivered[n],
+	// bound once per node, installs node n's broadcast when it arrives.
+	seen      []int
+	gossip    LoadGossip
+	delivered []func()
 
 	sets *policy.FileSets
 
@@ -182,33 +178,28 @@ func New(env policy.Env, opts Options) *L2S {
 		panic(err.Error())
 	}
 	n := env.N()
-	reporter, _ := env.(policy.LoadReporter)
-	return &L2S{
-		env:      env,
-		opts:     opts,
-		reporter: reporter,
-		rr:       policy.NewRoundRobin(env),
-		seen:     make([]int, n),
-		lastSent: make([]int, n),
-		inFlight: make([]bool, n),
-		sets:     policy.NewFileSets(0),
+	l := &L2S{
+		env:       env,
+		opts:      opts,
+		rr:        policy.NewRoundRobin(env),
+		seen:      make([]int, n),
+		gossip:    NewLoadGossip(n, opts.BroadcastDelta),
+		delivered: make([]func(), n),
+		sets:      policy.NewFileSets(0),
 	}
+	for i := range l.delivered {
+		l.delivered[i] = func() {
+			l.seen[i] = l.gossip.Delivered(i)
+			// Load may have drifted again while the broadcast was in flight.
+			l.maybeBroadcastLoad(i)
+		}
+	}
+	return l
 }
 
 // ReserveFiles sizes the per-file server-set index for FileIDs in [0, n),
 // so a catalogue-sized index is allocated once.
 func (l *L2S) ReserveFiles(n int) { l.sets.Reserve(n) }
-
-// NewWeighted builds L2S with capacity-weighted thresholds and server-set
-// selection. weights must have one entry per node, normalized to mean 1
-// (see policy.Options.Weights); nil degrades to plain L2S.
-func NewWeighted(env policy.Env, opts Options, weights []float64) *L2S {
-	l := New(env, opts)
-	if len(weights) == env.N() {
-		l.weights = weights
-	}
-	return l
-}
 
 // Name implements policy.Distributor.
 func (l *L2S) Name() string {
@@ -282,45 +273,15 @@ func (l *L2S) broadcastSetChange(from int) {
 	l.env.BroadcastControl(from, nil)
 }
 
-// maybeBroadcastLoad broadcasts node n's load if it has drifted by at least
-// BroadcastDelta connections since the last broadcast.
+// maybeBroadcastLoad broadcasts node n's load when LoadGossip says it is
+// due: a live node whose load drifted by BroadcastDelta connections since
+// its last broadcast, with none in flight.
 func (l *L2S) maybeBroadcastLoad(n int) {
-	if l.inFlight[n] || !l.env.Alive(n) {
+	if !l.env.Alive(n) || !l.gossip.Due(n, l.env.Load(n)) {
 		return
 	}
-	cur := l.env.Load(n)
-	drift := cur - l.lastSent[n]
-	if drift < 0 {
-		drift = -drift
-	}
-	if drift < l.opts.BroadcastDelta {
-		return
-	}
-	l.inFlight[n] = true
-	l.lastSent[n] = cur
 	l.loadBroadcasts++
-	if l.reporter != nil {
-		// Pooled delivery: the environment hands (n, cur) back through
-		// ApplyLoadReport, sparing a closure allocation per broadcast.
-		l.reporter.BroadcastLoadReport(n, cur, l)
-		return
-	}
-	l.env.BroadcastControl(n, func() {
-		l.seen[n] = cur
-		l.inFlight[n] = false
-		// Load may have drifted again while the broadcast was in flight.
-		l.maybeBroadcastLoad(n)
-	})
-}
-
-// ApplyLoadReport implements policy.LoadReportSink: the delivery half of a
-// load broadcast sent through the environment's LoadReporter path, with the
-// exact statements the closure path runs.
-func (l *L2S) ApplyLoadReport(n, load int) {
-	l.seen[n] = load
-	l.inFlight[n] = false
-	// Load may have drifted again while the broadcast was in flight.
-	l.maybeBroadcastLoad(n)
+	l.env.BroadcastControl(n, l.delivered[n])
 }
 
 // OnAssign implements policy.Distributor.
@@ -377,7 +338,4 @@ func (l *L2S) ServerSet(f policy.FileID) []int {
 	return out
 }
 
-var (
-	_ policy.Distributor    = (*L2S)(nil)
-	_ policy.LoadReportSink = (*L2S)(nil)
-)
+var _ policy.Distributor = (*L2S)(nil)

@@ -18,7 +18,8 @@ func TestWeightedL2SScalesOverloadThreshold(t *testing.T) {
 		return env
 	}
 
-	weighted := NewWeighted(mkEnv(), DefaultOptions(), []float64{4, 1})
+	weighted := New(mkEnv(), DefaultOptions())
+	weighted.weights = []float64{4, 1}
 	if weighted.Name() != "l2s-weighted" {
 		t.Fatalf("Name = %q", weighted.Name())
 	}
@@ -32,12 +33,16 @@ func TestWeightedL2SScalesOverloadThreshold(t *testing.T) {
 	}
 }
 
-// TestWeightedL2SNilWeightsIsPlainL2S: the nil-weight variant must be
-// byte-for-byte the published algorithm (the golden equivalence test
-// checks this end to end; here we check the name and a decision).
+// TestWeightedL2SNilWeightsIsPlainL2S: the weighted variant without
+// weights must be byte-for-byte the published algorithm (the golden
+// equivalence test checks this end to end; here we check the name and a
+// decision).
 func TestWeightedL2SNilWeightsIsPlainL2S(t *testing.T) {
 	env := policytest.New(3)
-	l := NewWeighted(env, DefaultOptions(), nil)
+	l, err := policy.MustParseSpec("l2s-weighted").Build(env, policy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if l.Name() != "l2s" {
 		t.Fatalf("Name = %q, want l2s for nil weights", l.Name())
 	}

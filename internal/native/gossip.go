@@ -18,7 +18,9 @@ import (
 // point-to-point broadcasts. Handlers are idempotent, so retried or
 // duplicated deliveries are harmless.
 
-// LoadUpdate announces a node's current open-request count.
+// LoadUpdate announces a node's current open-request count. Load
+// announcements and heartbeats both send it to loadPath, so every heartbeat
+// doubles as load anti-entropy.
 type LoadUpdate struct {
 	Node int `json:"node"`
 	Load int `json:"load"`
@@ -33,17 +35,9 @@ type SetUpdate struct {
 	Version uint64       `json:"version"`
 }
 
-// Ping is the gossip heartbeat: proof of life plus a fresh load sample, so
-// heartbeats double as load anti-entropy.
-type Ping struct {
-	Node int `json:"node"`
-	Load int `json:"load"`
-}
-
 const (
 	loadPath = "/control/load"
 	setPath  = "/control/set"
-	pingPath = "/control/ping"
 	syncPath = "/control/sync"
 )
 

@@ -80,7 +80,7 @@ func (h HealthOptions) validate() error {
 
 // healthTracker is one node's failure detector: consecutive delivery
 // failures move a peer alive -> suspect -> dead; any successful delivery or
-// received heartbeat moves it back to alive. Transitions fire callbacks
+// received load message (announcement or heartbeat) moves it back to alive. Transitions fire callbacks
 // (outside the lock) so the owner can repair server sets.
 type healthTracker struct {
 	mu     sync.Mutex
@@ -103,7 +103,7 @@ func newHealthTracker(self, n int, opts HealthOptions) *healthTracker {
 }
 
 // observeSuccess records direct evidence that a peer is up (a delivery
-// succeeded, or a heartbeat arrived from it).
+// succeeded, or a load message arrived from it).
 func (h *healthTracker) observeSuccess(peer int) {
 	if peer < 0 || peer >= len(h.states) || peer == h.self {
 		return

@@ -180,6 +180,91 @@ func TestGossipUpdatesPeerViews(t *testing.T) {
 	t.Fatal("node 1 never gossiped a load update")
 }
 
+// holdLoads is a control transport that holds every load announcement
+// until release is closed, tracking how many are outstanding per peer.
+type holdLoads struct {
+	base    http.RoundTripper
+	release chan struct{}
+
+	mu      sync.Mutex
+	out     map[string]int // outstanding load POSTs by peer address
+	total   int            // load POSTs seen
+	maxPeer int            // the most ever outstanding to one peer
+}
+
+func (h *holdLoads) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path != loadPath {
+		return h.base.RoundTrip(req)
+	}
+	peer := req.URL.Host
+	h.mu.Lock()
+	h.out[peer]++
+	h.total++
+	h.maxPeer = max(h.maxPeer, h.out[peer])
+	h.mu.Unlock()
+	defer func() {
+		h.mu.Lock()
+		h.out[peer]--
+		h.mu.Unlock()
+	}()
+	select {
+	case <-h.release:
+		return h.base.RoundTrip(req)
+	case <-req.Context().Done():
+		return nil, req.Context().Err()
+	}
+}
+
+func (h *holdLoads) seen() (total, maxPeer int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.total, h.maxPeer
+}
+
+// TestLoadGossipOneInFlight: a node has at most one load announcement in
+// flight. While the first is held, 20 more units of load start no second
+// POST to any peer; once it is released, the node announces again until
+// every peer's view reads its final load.
+func TestLoadGossipOneInFlight(t *testing.T) {
+	c, err := Start(WithNodes(3), WithStore(testStore(8)), WithCacheMB(1), WithHealth(noHeartbeat()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	n := c.Node(0)
+	hold := &holdLoads{base: n.gossip.client.Transport, release: make(chan struct{}), out: map[string]int{}}
+	n.gossip.client.Transport = hold
+
+	const final = 20
+	for i := 0; i < final; i++ {
+		n.trackLoad(1)
+	}
+	// Wait for the first announcement to reach the transport for both
+	// peers, then give any further ones time to arrive as well.
+	deadline := time.Now().Add(time.Second)
+	for total, _ := hold.seen(); total < 2; total, _ = hold.seen() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d load POSTs reached the transport, want one per peer", total)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if total, maxPeer := hold.seen(); maxPeer > 1 {
+		t.Fatalf("%d load POSTs sent while the first was held, up to %d outstanding to one peer; want at most 1", total, maxPeer)
+	}
+
+	close(hold.release)
+	deadline = time.Now().Add(2 * time.Second)
+	for _, peer := range []int{1, 2} {
+		for c.Node(peer).state.viewLoad(0) != final {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d sees node 0 at load %d, want the final %d", peer, c.Node(peer).state.viewLoad(0), final)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 func TestControlEndpointsValidate(t *testing.T) {
 	c := startTestCluster(t, 2, core.DefaultOptions())
 	resp, err := testClient.Post(c.URLs()[0]+loadPath, "application/json", nil)
@@ -190,17 +275,15 @@ func TestControlEndpointsValidate(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty control body accepted: %d", resp.StatusCode)
 	}
-	// A negative load would win every least-loaded choice: refused on both
-	// endpoints that carry one, and never installed.
-	for _, path := range []string{loadPath, pingPath} {
-		resp, err := testClient.Post(c.URLs()[0]+path, "application/json", strings.NewReader(`{"node":1,"load":-1000}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s accepted a negative load: %d", path, resp.StatusCode)
-		}
+	// A negative load would win every least-loaded choice: refused, and
+	// never installed.
+	resp, err = testClient.Post(c.URLs()[0]+loadPath, "application/json", strings.NewReader(`{"node":1,"load":-1000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("%s accepted a negative load: %d", loadPath, resp.StatusCode)
 	}
 	if got := c.Node(0).state.viewLoad(1); got < 0 {
 		t.Fatalf("node 0 installed load %d for node 1", got)

@@ -171,7 +171,6 @@ func NewNode(cfg Config) (*Node, error) {
 	mux.HandleFunc("/local/", n.handleLocal)
 	mux.HandleFunc(loadPath, n.handleLoadUpdate)
 	mux.HandleFunc(setPath, n.handleSetUpdate)
-	mux.HandleFunc(pingPath, n.handlePing)
 	mux.HandleFunc(syncPath, n.handleSync)
 	mux.HandleFunc(handoffPath, n.handleHandoff)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -222,7 +221,7 @@ func (n *Node) gossipLoop() {
 		case <-n.ctx.Done():
 			return
 		case <-hb.C:
-			n.gossip.broadcast(pingPath, &Ping{Node: n.cfg.ID, Load: n.Load()}, nil, 1)
+			n.gossip.broadcast(loadPath, &LoadUpdate{Node: n.cfg.ID, Load: n.Load()}, nil, 1)
 		case <-sync.C:
 			n.syncToPeer()
 		}
@@ -386,7 +385,16 @@ func (n *Node) fileHeaders(h http.Header, servedBy int, length int64) {
 func (n *Node) trackLoad(delta int64) {
 	v := int(n.open.Add(delta))
 	if n.state.setLocalLoad(v) {
-		go n.gossip.broadcast(loadPath, &LoadUpdate{Node: n.cfg.ID, Load: v}, n.peerDead, 0)
+		go n.gossipLoad(v)
+	}
+}
+
+// gossipLoad broadcasts load v, then keeps broadcasting while the load
+// keeps drifting. It is the node's only load broadcast in flight, so peers
+// receive its announcements in the order they were made.
+func (n *Node) gossipLoad(v int) {
+	for announce := true; announce; v, announce = n.state.loadDelivered() {
+		n.gossip.broadcast(loadPath, &LoadUpdate{Node: n.cfg.ID, Load: v}, n.peerDead, 0)
 	}
 }
 
@@ -423,6 +431,8 @@ func (n *Node) proxyWithRetry(svc int, f cache.FileID, w http.ResponseWriter) er
 // least-loaded choice in the cluster.
 const errNegativeLoad = "negative load"
 
+// handleLoadUpdate receives a load announcement or a heartbeat: proof the
+// sender is alive (the rejoin path for restarted nodes) plus its load.
 func (n *Node) handleLoadUpdate(w http.ResponseWriter, r *http.Request) {
 	var u LoadUpdate
 	if err := decodeJSON(r, &u, 1<<10); err != nil {
@@ -433,6 +443,7 @@ func (n *Node) handleLoadUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, errNegativeLoad, http.StatusBadRequest)
 		return
 	}
+	n.health.observeSuccess(u.Node)
 	n.state.applyLoad(u.Node, u.Load)
 	w.WriteHeader(http.StatusOK)
 }
@@ -458,23 +469,6 @@ func (n *Node) applyFilteredSet(u SetUpdate) {
 		}
 	}
 	n.state.applySet(u)
-}
-
-// handlePing receives a gossip heartbeat: proof the sender is alive (the
-// rejoin path for restarted nodes) plus a fresh load sample.
-func (n *Node) handlePing(w http.ResponseWriter, r *http.Request) {
-	var u Ping
-	if err := decodeJSON(r, &u, 1<<10); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if u.Load < 0 {
-		http.Error(w, errNegativeLoad, http.StatusBadRequest)
-		return
-	}
-	n.health.observeSuccess(u.Node)
-	n.state.applyLoad(u.Node, u.Load)
-	w.WriteHeader(http.StatusOK)
 }
 
 // handleSync receives a peer's full server-set state (anti-entropy) and

@@ -21,8 +21,8 @@ type state struct {
 	files int          // catalogue size: file ids run over [0, files)
 	opts  core.Options // ShrinkAfter in seconds of the injectable clock
 
-	loads    []int // loads[self] authoritative, others gossiped
-	lastSent int   // own load at the last broadcast
+	loads  []int           // loads[self] authoritative, others gossiped
+	gossip core.LoadGossip // when this node announces its own load
 
 	sets map[cache.FileID]*fileSet
 
@@ -42,13 +42,14 @@ func (f *fileSet) update(file cache.FileID) *SetUpdate {
 
 func newState(self, n, files int, opts core.Options) *state {
 	return &state{
-		self:  self,
-		n:     n,
-		files: files,
-		opts:  opts,
-		loads: make([]int, n),
-		sets:  make(map[cache.FileID]*fileSet),
-		now:   time.Now,
+		self:   self,
+		n:      n,
+		files:  files,
+		opts:   opts,
+		loads:  make([]int, n),
+		gossip: core.NewLoadGossip(n, opts.BroadcastDelta),
+		sets:   make(map[cache.FileID]*fileSet),
+		now:    time.Now,
 	}
 }
 
@@ -107,22 +108,24 @@ func (s *state) decide(f cache.FileID, alive func(int) bool) (svc int, changed *
 // load is this replica's view of node n's load, as core.Decide reads it.
 func (s *state) load(n int) float64 { return float64(s.loads[n]) }
 
-// setLocalLoad records this node's own load and reports whether the drift
-// since the last broadcast reached the gossip threshold (in which case the
-// caller must broadcast and the baseline resets).
-func (s *state) setLocalLoad(v int) (broadcast bool) {
+// setLocalLoad records this node's own load and reports whether the node
+// must announce it now (core.LoadGossip: drifted far enough, with no
+// announcement in flight).
+func (s *state) setLocalLoad(v int) (announce bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.loads[s.self] = v
-	drift := v - s.lastSent
-	if drift < 0 {
-		drift = -drift
-	}
-	if drift >= s.opts.BroadcastDelta {
-		s.lastSent = v
-		return true
-	}
-	return false
+	return s.gossip.Due(s.self, v)
+}
+
+// loadDelivered ends this node's load announcement in flight and reports
+// the next one: the current load, if it drifted while the last travelled.
+func (s *state) loadDelivered() (v int, announce bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.gossip.Delivered(s.self)
+	v = s.loads[s.self]
+	return v, s.gossip.Due(s.self, v)
 }
 
 // applyLoad installs a gossiped load value for a peer.

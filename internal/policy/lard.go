@@ -89,17 +89,6 @@ func NewLARD(env Env, opts LARDOptions) *LARD {
 // so a catalogue-sized index is allocated once.
 func (l *LARD) ReserveFiles(n int) { l.sets.Reserve(n) }
 
-// NewWeightedLARD builds LARD with capacity-weighted load comparisons and
-// imbalance triggers. weights must have one entry per node, normalized to
-// mean 1 (see Options.Weights); nil degrades to plain LARD.
-func NewWeightedLARD(env Env, opts LARDOptions, weights []float64) *LARD {
-	l := NewLARD(env, opts)
-	if len(weights) == env.N() {
-		l.weights = weights
-	}
-	return l
-}
-
 // Name implements Distributor.
 func (l *LARD) Name() string {
 	if l.weights != nil {

@@ -80,26 +80,6 @@ type ClientAware interface {
 	SetNextClient(c int32)
 }
 
-// LoadReportSink receives the payload of a load broadcast once the network
-// has delivered it: the reporting node and the load value it announced.
-// L2S implements it; see LoadReporter.
-type LoadReportSink interface {
-	ApplyLoadReport(node, load int)
-}
-
-// LoadReporter is optionally implemented by environments that can carry a
-// load broadcast's payload through a pooled delivery path: the environment
-// charges the same broadcast costs as BroadcastControl and, at delivery
-// time, hands (from, load) back to the sink instead of invoking a caller-
-// allocated closure. Policies that gossip a load value per broadcast — L2S
-// broadcasts one every BroadcastDelta connections of drift, hundreds of
-// thousands of times per large run — type-assert for it and fall back to
-// BroadcastControl with a closure when the environment does not implement
-// it. Delivery semantics are identical either way.
-type LoadReporter interface {
-	BroadcastLoadReport(from, load int, sink LoadReportSink)
-}
-
 // PairRater is optionally implemented by environments that know the
 // effective line rate between node pairs (the simulator derives it from the
 // per-node hardware profiles). Proximity-aware policies type-assert for it;

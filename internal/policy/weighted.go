@@ -83,7 +83,8 @@ func init() {
 		if err := l.Validate(); err != nil {
 			return nil, err
 		}
-		d := NewWeightedLARD(env, l, o.NodeWeights(env.N()))
+		d := NewLARD(env, l)
+		d.weights = o.NodeWeights(env.N())
 		d.ReserveFiles(o.Files)
 		return d, nil
 	})

@@ -64,7 +64,10 @@ func TestWeightedLARDScalesThresholds(t *testing.T) {
 	env := policytest.New(3)
 	opts := policy.DefaultLARDOptions()
 	// Node 2 has 4x capacity: its effective THigh is 4*65.
-	l := policy.NewWeightedLARD(env, opts, []float64{1, 1, 4})
+	l, err := policy.MustParseSpec("lard-weighted").Build(env, policy.Options{LARD: opts, Weights: []float64{1, 1, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if l.Name() != "lard-weighted" {
 		t.Fatalf("Name = %q", l.Name())
 	}

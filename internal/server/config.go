@@ -100,13 +100,6 @@ type Config struct {
 	// measurement begins, mirroring the paper's warm-up pass.
 	WarmFraction float64
 
-	// CPUChunkKB is the transmit-processing quantum: reply CPU work is
-	// charged in chunks of this many kilobytes so that transmissions
-	// interleave with request parsing and forwarding, as in the LARD
-	// paper's cost model (40 us per 512 bytes). Zero selects 8 KB; a large
-	// value degenerates to whole-reply FCFS occupancy.
-	CPUChunkKB float64
-
 	// MaxRequests truncates the trace when positive.
 	MaxRequests int
 

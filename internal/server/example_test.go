@@ -31,3 +31,39 @@ func ExampleRun() {
 	// forwarded some requests: true
 	// cache misses below 10%: true
 }
+
+// Crash one node halfway through the workload: the availability property
+// of Section 4. L2S has no single point of failure, so a crashed worker
+// costs only the requests in flight there; LARD's front-end is one, and
+// once it dies every later request is lost.
+func ExampleRun_failover() {
+	const nodes, requests = 8, 40000
+	workload := trace.MustGenerate(trace.GenSpec{
+		Name: "failover", Files: 3000, AvgFileKB: 25, Requests: requests,
+		AvgReqKB: 15, Alpha: 0.9, LocalityP: 0.3, Seed: 5,
+	})
+	run := func(sys server.System, fail int) server.Result {
+		cfg := server.DefaultConfig(sys, nodes)
+		cfg.FailNode, cfg.FailAtFrac = fail, 0.5
+		r, err := server.Run(cfg, workload)
+		if err != nil {
+			panic(err)
+		}
+		return r
+	}
+	// At most WindowPerNode connections per node are open at any time.
+	inFlight := uint64(server.DefaultConfig(server.L2SServer, nodes).WindowPerNode * nodes)
+
+	fmt.Printf("l2s, no crash: lost %d\n", run(server.L2SServer, -1).Aborted)
+	fmt.Printf("l2s, worker 3 crashes: lost only requests in flight: %v\n",
+		run(server.L2SServer, 3).Aborted <= inFlight)
+	fmt.Printf("lard, back-end 3 crashes: lost only requests in flight: %v\n",
+		run(server.LARDServer, 3).Aborted <= inFlight)
+	fmt.Printf("lard, front-end crashes: lost every request after the crash: %v\n",
+		run(server.LARDServer, 0).Aborted >= requests/2)
+	// Output:
+	// l2s, no crash: lost 0
+	// l2s, worker 3 crashes: lost only requests in flight: true
+	// lard, back-end 3 crashes: lost only requests in flight: true
+	// lard, front-end crashes: lost every request after the crash: true
+}

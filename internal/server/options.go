@@ -34,7 +34,6 @@ func NewConfig(system System, nodes int, opts ...Option) Config {
 		DispatchQuerySec: 0.0001,
 		WindowPerNode:    12,
 		WarmFraction:     0.4,
-		CPUChunkKB:       8,
 		FailNode:         -1,
 	}
 	for _, opt := range opts {

@@ -81,37 +81,6 @@ type driver struct {
 	// single-threaded, so plain stacks suffice.
 	reqPool []*requestJob
 	txPool  []*transmitJob
-	lrPool  []*loadReportJob
-}
-
-// loadReportJob is the pooled state of one in-flight load broadcast sent
-// through the policy.LoadReporter path: the reporting node, the announced
-// load, and the sink to hand them back to, with a single pre-bound deliver
-// method value instead of a closure per broadcast.
-type loadReportJob struct {
-	d       *driver
-	from    int
-	load    int
-	sink    policy.LoadReportSink
-	deliver func()
-}
-
-func (d *driver) getLoadReportJob() *loadReportJob {
-	if n := len(d.lrPool); n > 0 {
-		j := d.lrPool[n-1]
-		d.lrPool = d.lrPool[:n-1]
-		return j
-	}
-	j := &loadReportJob{d: d}
-	j.deliver = func() {
-		sink, from, load := j.sink, j.from, j.load
-		j.sink = nil
-		// Release before applying: the sink may immediately broadcast again
-		// (load drifted while in flight) and reuse this very job.
-		j.d.lrPool = append(j.d.lrPool, j)
-		sink.ApplyLoadReport(from, load)
-	}
-	return j
 }
 
 // requestJob is the pooled state of one client connection's lifecycle:
@@ -428,13 +397,18 @@ func (j *requestJob) release() {
 	j.d.reqPool = append(j.d.reqPool, j)
 }
 
+// cpuChunkKB is the transmit-processing quantum: reply CPU work is charged
+// in chunks of this many kilobytes, so transmissions interleave with request
+// parsing and forwarding as in the LARD paper's cost model (40 us per 512
+// bytes; see driver.transmit).
+const cpuChunkKB = 8
+
 // transmitJob is the pooled state of one reply's chunked CPU transmit
 // processing (see driver.transmit).
 type transmitJob struct {
 	d         *driver
 	node      *cluster.Node
 	remaining float64
-	chunk     float64
 	first     bool
 	done      func()
 
@@ -456,10 +430,7 @@ func (d *driver) getTransmitJob() *transmitJob {
 			done()
 			return
 		}
-		kb := j.chunk
-		if kb > j.remaining {
-			kb = j.remaining
-		}
+		kb := min(cpuChunkKB, j.remaining)
 		j.remaining -= kb
 		cost := kb / j.d.cfg.Costs.ReplyKBps
 		if j.first {
@@ -735,7 +706,7 @@ func fileHome(f cache.FileID, n int) int {
 }
 
 // transmit charges the CPU for reply transmit processing (mu_m) in
-// CPUChunkKB quanta. Each chunk re-enters the FCFS CPU queue, so concurrent
+// cpuChunkKB quanta. Each chunk re-enters the FCFS CPU queue, so concurrent
 // transmissions and request parsing interleave at chunk granularity — the
 // behavior implied by the per-512-byte transmit cost of the LARD paper the
 // parameters come from.
@@ -745,10 +716,6 @@ func (d *driver) transmit(node *cluster.Node, skb float64, done func()) {
 	j := d.getTransmitJob()
 	j.node = node
 	j.remaining = skb
-	j.chunk = d.cfg.CPUChunkKB
-	if j.chunk <= 0 {
-		j.chunk = 8
-	}
 	j.first = true
 	j.done = done
 	j.step()
@@ -882,18 +849,6 @@ func (d *driver) BroadcastControl(from int, onDeliver func()) {
 	d.gossip += uint64(d.net.Broadcast(d.nodes[from], d.nodes, 0.004, onDeliver))
 }
 
-// BroadcastLoadReport implements policy.LoadReporter: the same broadcast as
-// BroadcastControl, carrying (from, load) on a pooled job back to the sink
-// at delivery time instead of in a per-broadcast closure.
-func (d *driver) BroadcastLoadReport(from, load int, sink policy.LoadReportSink) {
-	if d.nodes[from].Failed() {
-		return
-	}
-	j := d.getLoadReportJob()
-	j.from, j.load, j.sink = from, load, sink
-	d.gossip += uint64(d.net.Broadcast(d.nodes[from], d.nodes, 0.004, j.deliver))
-}
-
 // PairRateKBps implements policy.PairRater for proximity-aware dispatch:
 // the effective line rate between two nodes, or the uncapped configured
 // link bandwidth for a node talking to itself (no wire is crossed).
@@ -905,7 +860,6 @@ func (d *driver) PairRateKBps(a, b int) float64 {
 }
 
 var (
-	_ policy.Env          = (*driver)(nil)
-	_ policy.PairRater    = (*driver)(nil)
-	_ policy.LoadReporter = (*driver)(nil)
+	_ policy.Env       = (*driver)(nil)
+	_ policy.PairRater = (*driver)(nil)
 )
