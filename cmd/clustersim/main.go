@@ -70,6 +70,9 @@ func main() {
 	if err := trace.CheckScale(*scale); err != nil {
 		fatalIf(fmt.Errorf("-scale: %w", err))
 	}
+	if *persist && !(*rpc >= 1) {
+		fatalIf(fmt.Errorf("-rpc: a persistent connection carries at least 1 request on average, got %v", *rpc))
+	}
 	if *seriesOut != "" || *chromeOut != "" {
 		if err := obs.CheckInterval(*seriesDt); err != nil {
 			fatalIf(fmt.Errorf("-seriesdt: %w", err))
@@ -108,9 +111,9 @@ func main() {
 
 	// Every policy is built by name through the registry; there is no
 	// per-system construction code here.
-	buildConfig := func(policyName string) server.Config {
+	buildConfig := func(spec string) server.Config {
 		opts := []server.Option{
-			server.WithPolicy(policyName),
+			server.WithPolicy(spec),
 			server.WithCacheBytes(*memMB << 20),
 			server.WithWindow(*window),
 			server.WithWarmFraction(*warm),

@@ -60,6 +60,8 @@ func TestBadValuesExit1(t *testing.T) {
 		{"-system", "l2s:T=0"},
 		{"-scale", "NaN"},
 		{"-seriesdt", "0", "-series", os.DevNull},
+		{"-persistent", "-rpc", "0"},
+		{"-persistent", "-rpc", "0.5"},
 		{"-profiles", "2x1/1"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {

@@ -16,7 +16,6 @@
 //	experiments -csv            # machine-readable figures
 //	experiments -progress       # report each finished simulation (and the
 //	                            # process heap high-water mark) on stderr
-//	experiments -series util.jsonl -trace trace.json   # instrumented run artifacts
 //
 // Simulations within an experiment run concurrently on a deterministic
 // worker pool (internal/runner): the figures are bit-identical for every
@@ -26,7 +25,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"slices"
@@ -62,10 +60,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "concurrent simulations (0: all cores, 1: sequential)")
 		progress = flag.Bool("progress", false, "report each finished simulation and the heap high-water mark on stderr")
 
-		seriesOut = flag.String("series", "", "write a time-series JSONL of an instrumented run to this file, then exit")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event file of an instrumented run to this file, then exit")
-		seriesDt  = flag.Float64("seriesdt", 0.01, "sampling interval in simulated seconds for -series/-trace")
-
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (taken at exit) to this file")
 	)
@@ -81,11 +75,6 @@ func main() {
 		stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
 		fatalIf(err)
 		defer func() { fatalIf(stopProfiles()) }()
-	}
-
-	if *seriesOut != "" || *traceOut != "" {
-		fatalIf(writeSeriesArtifacts(*seriesOut, *traceOut, *seriesDt, *scale))
-		return
 	}
 
 	opts := experiments.DefaultOptions()
@@ -370,52 +359,6 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "experiments: done in %v\n", time.Since(start).Round(time.Millisecond))
-}
-
-// writeSeriesArtifacts runs one instrumented simulation — the paper's
-// calgary workload under L2S on 16 nodes — and exports the sampled
-// time series as JSONL and/or Chrome trace_event JSON (load either into
-// chrome://tracing or Perfetto).
-func writeSeriesArtifacts(seriesOut, traceOut string, dt, scale float64) error {
-	if err := obs.CheckInterval(dt); err != nil {
-		return fmt.Errorf("-seriesdt: %w", err)
-	}
-	spec, err := trace.PaperTrace("calgary")
-	if err != nil {
-		return err
-	}
-	tr, err := trace.Generate(spec.Scaled(scale))
-	if err != nil {
-		return err
-	}
-	rec := obs.NewSeries(dt)
-	cfg := server.NewConfig(server.L2SServer, 16, server.WithSeed(1),
-		server.WithSeries(rec))
-	res, err := server.Run(cfg, tr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr,
-		"experiments: instrumented run: %s on %d nodes, %.0f req/s, %d samples at dt=%gs\n",
-		res.System, res.Nodes, res.Throughput, rec.Len(), dt)
-	write := func(path string, emit func(w io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(seriesOut, rec.WriteJSONL); err != nil {
-		return err
-	}
-	return write(traceOut, rec.WriteChromeTrace)
 }
 
 func fatalIf(err error) {

@@ -54,7 +54,6 @@ func TestBadValuesExit1(t *testing.T) {
 		{"-only", "nosuch"},
 		{"-only", "figure7x"},
 		{"-scale", "0"},
-		{"-seriesdt", "NaN", "-series", os.DevNull},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			code, stdout, stderr := runExperiments(t, append([]string{"-scale", "0.001"}, args...)...)

@@ -41,7 +41,7 @@ func main() {
 
 		var thr [3]float64
 		for i, sys := range []server.System{server.Traditional, server.LARDServer, server.L2SServer} {
-			cfg := server.DefaultConfig(sys, nodes)
+			cfg := server.NewConfig(sys, nodes)
 			r, err := server.Run(cfg, workload)
 			if err != nil {
 				log.Fatal(err)
@@ -72,7 +72,7 @@ func main() {
 	fmt.Printf("  %d files, %.1f GB total, %d requests\n",
 		ch.CatalogFiles, ch.CatalogMB/1024, ch.NumRequests)
 	for _, sys := range []server.System{server.Traditional, server.LARDServer, server.L2SServer} {
-		cfg := server.DefaultConfig(sys, nodes)
+		cfg := server.NewConfig(sys, nodes)
 		r, err := server.Run(cfg, merged)
 		if err != nil {
 			log.Fatal(err)

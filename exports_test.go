@@ -31,7 +31,6 @@ var testOnlyExports = []string{
 	"queuemodel.ObliviousForCatalog", "queuemodel.RequestRate",
 	"queuemodel.SaturatedTokenThroughput",
 	"server.DefaultNodeProfile", "server.Tiered", "server.UniformProfiles",
-	"server.WithCustomPolicy",
 	"stats.Stddev",
 	"zipf.CDF", "zipf.P",
 }

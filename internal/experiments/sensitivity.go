@@ -49,11 +49,11 @@ func L2SSensitivity(p *runner.Pool, tr *trace.Trace, nodes int) (map[string][]Se
 	groups := []string{"broadcast-delta", "messaging-overhead", "network",
 		"staleness", "thresholds", "window"}
 	variants := []sensitivityVariant{
-		{"broadcast-delta", "delta=1", func(c *server.Config) { c.L2S.BroadcastDelta = 1 }},
-		{"broadcast-delta", "delta=2", func(c *server.Config) { c.L2S.BroadcastDelta = 2 }},
+		{"broadcast-delta", "delta=1", server.WithPolicy("l2s:delta=1")},
+		{"broadcast-delta", "delta=2", server.WithPolicy("l2s:delta=2")},
 		{"broadcast-delta", "delta=4 (paper)", noop},
-		{"broadcast-delta", "delta=8", func(c *server.Config) { c.L2S.BroadcastDelta = 8 }},
-		{"broadcast-delta", "delta=16", func(c *server.Config) { c.L2S.BroadcastDelta = 16 }},
+		{"broadcast-delta", "delta=8", server.WithPolicy("l2s:delta=8")},
+		{"broadcast-delta", "delta=16", server.WithPolicy("l2s:delta=16")},
 
 		{"messaging-overhead", "0.5x", func(c *server.Config) { c.Net.MsgCPU /= 2; c.Net.MsgNI /= 2 }},
 		{"messaging-overhead", "1x (paper)", noop},
@@ -67,12 +67,12 @@ func L2SSensitivity(p *runner.Pool, tr *trace.Trace, nodes int) (map[string][]Se
 		{"network", "quarter bandwidth", func(c *server.Config) { c.Net.LinkKBps /= 4 }},
 
 		{"staleness", "gossip (paper)", noop},
-		{"staleness", "oracle loads", func(c *server.Config) { c.L2S.Oracle = true }},
+		{"staleness", "oracle loads", server.WithPolicy("l2s:oracle=true")},
 
-		{"thresholds", "T=10 t=5", func(c *server.Config) { c.L2S.T = 10; c.L2S.LowT = 5 }},
+		{"thresholds", "T=10 t=5", server.WithPolicy("l2s:T=10,t=5")},
 		{"thresholds", "T=20 t=10 (paper)", noop},
-		{"thresholds", "T=40 t=20", func(c *server.Config) { c.L2S.T = 40; c.L2S.LowT = 20 }},
-		{"thresholds", "T=80 t=40", func(c *server.Config) { c.L2S.T = 80; c.L2S.LowT = 40 }},
+		{"thresholds", "T=40 t=20", server.WithPolicy("l2s:T=40,t=20")},
+		{"thresholds", "T=80 t=40", server.WithPolicy("l2s:T=80,t=40")},
 
 		{"window", "w=6", func(c *server.Config) { c.WindowPerNode = 6 }},
 		{"window", "w=12 (default)", noop},

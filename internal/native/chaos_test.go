@@ -30,7 +30,7 @@ func chaosRetry() RetryPolicy {
 // setsExclude reports whether every server set known to the node avoids the
 // given member, returning an offending file for diagnostics.
 func setsExclude(n *Node, member int) (bool, cache.FileID) {
-	for f := range cache.FileID(n.cfg.Store.Len()) {
+	for f := range cache.FileID(n.cfg.store.Len()) {
 		if slices.Contains(n.serverSet(f), member) {
 			return false, f
 		}
@@ -125,7 +125,7 @@ func TestChaosKillNodeMidReplay(t *testing.T) {
 
 	// Fresh traffic is served by survivors only.
 	for i := 0; i < 20; i++ {
-		resp, err := testClient.Get(c.Node(0).cfg.Peers[0] + fmt.Sprintf("/files/f/%d", i))
+		resp, err := testClient.Get(c.Node(0).peers[0] + fmt.Sprintf("/files/f/%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,11 +59,7 @@ func Start(opts ...Option) (*Cluster, error) {
 	}
 
 	for i := 0; i < cfg.nodes; i++ {
-		node, err := c.newNode(i)
-		if err != nil {
-			c.closeListeners()
-			return nil, err
-		}
+		node := c.newNode(i)
 		srv := &http.Server{Handler: node.Handler()}
 		c.nodes = append(c.nodes, node)
 		c.servers = append(c.servers, srv)
@@ -73,23 +69,6 @@ func Start(opts ...Option) (*Cluster, error) {
 		}(srv, c.listeners[i])
 	}
 	return c, nil
-}
-
-// newNode builds node i from the cluster's resolved configuration.
-func (c *Cluster) newNode(i int) (*Node, error) {
-	return NewNode(Config{
-		ID:           i,
-		Peers:        c.urls,
-		Store:        c.cfg.store,
-		CacheBytes:   c.cfg.cacheBytes,
-		Opts:         c.cfg.l2s,
-		MissPenalty:  c.cfg.missPenalty,
-		ServePenalty: c.cfg.servePenalty,
-		Health:       c.cfg.health,
-		Retry:        c.cfg.retry,
-		Faults:       c.cfg.faults,
-		Seed:         c.cfg.seed + int64(i),
-	})
 }
 
 func (c *Cluster) closeListeners() {
@@ -152,11 +131,7 @@ func (c *Cluster) Restart(i int) error {
 	if err != nil {
 		return fmt.Errorf("native: restarting node %d: %w", i, err)
 	}
-	node, err := c.newNode(i)
-	if err != nil {
-		_ = ln.Close()
-		return err
-	}
+	node := c.newNode(i)
 	srv := &http.Server{Handler: node.Handler()}
 	c.listeners[i], c.nodes[i], c.servers[i] = ln, node, srv
 	node.startLoops()

@@ -28,7 +28,8 @@ type LoadUpdate struct {
 
 // SetUpdate announces a modification to a file's server set. Version is a
 // per-file monotonic counter; replicas keep the highest version they have
-// seen (see state.applySet).
+// seen (see state.applySet). Set changes travel to syncPath as a list: one
+// update after a decision, many after a death or in anti-entropy.
 type SetUpdate struct {
 	File    cache.FileID `json:"file"`
 	Nodes   []int        `json:"nodes"`
@@ -37,7 +38,6 @@ type SetUpdate struct {
 
 const (
 	loadPath = "/control/load"
-	setPath  = "/control/set"
 	syncPath = "/control/sync"
 )
 

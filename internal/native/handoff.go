@@ -155,7 +155,7 @@ func (h *handoffs) close() {
 // dialPeer opens a channel to node svc: TCP connect to the peer's HTTP
 // address, then the one-time upgrade.
 func (n *Node) dialPeer(svc int) (*peerConn, error) {
-	addr := strings.TrimPrefix(n.cfg.Peers[svc], "http://")
+	addr := strings.TrimPrefix(n.peers[svc], "http://")
 	c, err := net.DialTimeout("tcp", addr, handoffTimeout)
 	if err != nil {
 		return nil, err
@@ -195,7 +195,7 @@ func (pc *peerConn) upgrade(host string) error {
 // started reports whether any part of the reply reached the client (after
 // which a retry or fallback would corrupt it).
 func (n *Node) handoffOnce(svc int, f cache.FileID, w http.ResponseWriter) (started bool, err error) {
-	if fi := n.cfg.Faults; fi != nil && fi.refuses(svc) {
+	if fi := n.cfg.faults; fi != nil && fi.refuses(svc) {
 		return false, errFaultKilled
 	}
 	pool := &n.handoffs.pools[svc]
@@ -242,7 +242,7 @@ func (n *Node) exchange(pc *peerConn, svc int, f cache.FileID, w http.ResponseWr
 		return false, fmt.Errorf("native: bad hand-off reply from node %d (length %d)", svc, length)
 	}
 	h := w.Header()
-	h["X-Forwarded-By"] = n.idHeader[n.cfg.ID]
+	h["X-Forwarded-By"] = n.idHeader[n.id]
 	n.fileHeaders(h, svc, length)
 	w.WriteHeader(http.StatusOK)
 	for length > 0 {
@@ -312,7 +312,7 @@ func (n *Node) serveHandoffs(c net.Conn, br *bufio.Reader) {
 		bufs  net.Buffers
 	)
 	for {
-		f, err := readFrame(br, n.cfg.Store.Len())
+		f, err := readFrame(br, n.cfg.store.Len())
 		if err != nil {
 			return
 		}

@@ -362,13 +362,10 @@ func TestHandoffCutMidBody(t *testing.T) {
 		}
 	}()
 
-	n, err := NewNode(Config{
-		ID: 0, Peers: []string{"", "http://" + ln.Addr().String()},
-		Store: testStore(8), Health: noHeartbeat(), Retry: chaosRetry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := defaultClusterConfig()
+	cfg.store, cfg.health, cfg.retry = testStore(8), noHeartbeat(), chaosRetry()
+	c := &Cluster{cfg: cfg, urls: []string{"", "http://" + ln.Addr().String()}}
+	n := c.newNode(0)
 	defer n.closeConns()
 	n.state.applySet(SetUpdate{File: 1, Nodes: []int{1}, Version: 1})
 	srv := httptest.NewServer(n.Handler())

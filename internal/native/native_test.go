@@ -290,8 +290,8 @@ func TestControlEndpointsValidate(t *testing.T) {
 	}
 	// A set update for a file outside the 64-file catalogue is accepted on
 	// the wire but installs nothing.
-	for _, doc := range []string{`{"file":64,"nodes":[1],"version":1}`, `{"file":-1,"nodes":[1],"version":1}`} {
-		resp, err := testClient.Post(c.URLs()[0]+setPath, "application/json", strings.NewReader(doc))
+	for _, doc := range []string{`[{"file":64,"nodes":[1],"version":1}]`, `[{"file":-1,"nodes":[1],"version":1}]`} {
+		resp, err := testClient.Post(c.URLs()[0]+syncPath, "application/json", strings.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,9 +403,6 @@ func TestClusterConfigValidation(t *testing.T) {
 	}
 	if _, err := Start(WithNodes(1)); err == nil {
 		t.Fatal("nil store accepted")
-	}
-	if _, err := NewNode(Config{Store: testStore(1), Peers: nil}); err == nil {
-		t.Fatal("bad node id accepted")
 	}
 }
 

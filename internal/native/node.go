@@ -13,52 +13,16 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 )
-
-// Config configures one native node.
-type Config struct {
-	ID         int
-	Peers      []string // base URLs indexed by node id (self included)
-	Store      *MemStore
-	CacheBytes int64
-
-	// Opts are the L2S tunables; the zero value means core.DefaultOptions.
-	Opts core.Options
-
-	// MissPenalty is an artificial delay applied on every cache miss,
-	// standing in for the disk of the paper's nodes. Zero disables it
-	// (an in-memory store has no real disk to wait for).
-	MissPenalty time.Duration
-
-	// ServePenalty is an artificial delay applied on every local serve,
-	// standing in for reply transmit processing; it gives demo clusters a
-	// realistic load profile. Zero disables it.
-	ServePenalty time.Duration
-
-	// Health tunes failure detection; the zero value means
-	// DefaultHealthOptions.
-	Health HealthOptions
-
-	// Retry bounds hand-off and control-message delivery attempts; the
-	// zero value means DefaultRetryPolicy.
-	Retry RetryPolicy
-
-	// Faults, when non-nil, applies the fault-injection schedule to the
-	// node's outbound traffic: it wraps the control transport and is asked
-	// before every hand-off exchange whether the peer is killed.
-	Faults *FaultInjector
-
-	// Seed drives backoff jitter deterministically; zero derives one from
-	// the node id.
-	Seed int64
-}
 
 // Node is one cluster member: an HTTP server with its own cache, its own
 // replica of the distribution state, a gossip client, hand-off channels to
 // and from its peers, and a failure detector for them.
 type Node struct {
-	cfg    Config
+	id    int
+	peers []string // base URLs indexed by node id (self included)
+	cfg   *clusterConfig
+
 	state  *state
 	gossip *gossiper
 	health *healthTracker
@@ -99,58 +63,31 @@ type Node struct {
 	mux *http.ServeMux
 }
 
-// NewNode builds the node; Serve it with an http.Server (Cluster does this
-// for you).
-func NewNode(cfg Config) (*Node, error) {
-	if cfg.Store == nil {
-		return nil, errors.New("native: node needs a store")
-	}
-	if cfg.ID < 0 || cfg.ID >= len(cfg.Peers) {
-		return nil, fmt.Errorf("native: node id %d outside peer list of %d", cfg.ID, len(cfg.Peers))
-	}
-	if cfg.CacheBytes <= 0 {
-		cfg.CacheBytes = 32 << 20
-	}
-	if cfg.Opts == (core.Options{}) {
-		cfg.Opts = core.DefaultOptions()
-	}
-	if cfg.Health == (HealthOptions{}) {
-		cfg.Health = DefaultHealthOptions()
-	}
-	if cfg.Retry == (RetryPolicy{}) {
-		cfg.Retry = DefaultRetryPolicy()
-	}
-	if err := checkL2S(cfg.Opts); err != nil {
-		return nil, err
-	}
-	if err := cfg.Health.validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Retry.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = int64(cfg.ID) + 1
-	}
+// newNode builds node i of the cluster from its configuration, which the
+// options have already validated; the Cluster serves its Handler.
+func (c *Cluster) newNode(i int) *Node {
+	cfg := &c.cfg
 	transport := http.DefaultTransport.(*http.Transport).Clone()
 	var control http.RoundTripper = transport
-	if cfg.Faults != nil {
-		control = cfg.Faults.transport(transport)
+	if cfg.faults != nil {
+		control = cfg.faults.transport(transport)
 	}
-	rng := newLockedRand(cfg.Seed)
+	rng := newLockedRand(cfg.seed + int64(i))
 	m := newNodeMetrics()
 	ctx, stop := context.WithCancel(context.Background())
 	n := &Node{
+		id:        i,
+		peers:     c.urls,
 		cfg:       cfg,
 		metrics:   m,
-		state:     newState(cfg.ID, len(cfg.Peers), cfg.Store.Len(), cfg.Opts),
-		gossip:    newGossiper(ctx, cfg.ID, cfg.Peers, cfg.Retry, control, rng, m),
-		cache:     cache.NewLRU(cfg.CacheBytes),
-		health:    newHealthTracker(cfg.ID, len(cfg.Peers), cfg.Health),
+		state:     newState(i, len(c.urls), cfg.store.Len(), cfg.l2s),
+		gossip:    newGossiper(ctx, i, c.urls, cfg.retry, control, rng, m),
+		cache:     cache.NewLRU(cfg.cacheBytes),
+		health:    newHealthTracker(i, len(c.urls), cfg.health),
 		rng:       rng,
 		transport: transport,
-		handoffs:  handoffs{pools: make([]peerPool, len(cfg.Peers))},
-		idHeader:  make([][]string, len(cfg.Peers)),
+		handoffs:  handoffs{pools: make([]peerPool, len(c.urls))},
+		idHeader:  make([][]string, len(c.urls)),
 		ctx:       ctx,
 		stop:      stop,
 	}
@@ -170,7 +107,6 @@ func NewNode(cfg Config) (*Node, error) {
 	mux.HandleFunc("/files/", n.handleFiles)
 	mux.HandleFunc("/local/", n.handleLocal)
 	mux.HandleFunc(loadPath, n.handleLoadUpdate)
-	mux.HandleFunc(setPath, n.handleSetUpdate)
 	mux.HandleFunc(syncPath, n.handleSync)
 	mux.HandleFunc(handoffPath, n.handleHandoff)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -179,7 +115,7 @@ func NewNode(cfg Config) (*Node, error) {
 	mux.HandleFunc("/statsz", n.handleStats)
 	n.registerDebug(mux)
 	n.mux = mux
-	return n, nil
+	return n
 }
 
 // startLoops launches the heartbeat and anti-entropy goroutine; stopLoops
@@ -212,16 +148,16 @@ func (n *Node) closeConns() {
 // restarted node is re-detected), and each sync tick pushes the full
 // server-set state to one peer, round robin.
 func (n *Node) gossipLoop() {
-	hb := time.NewTicker(n.cfg.Health.HeartbeatEvery)
+	hb := time.NewTicker(n.cfg.health.HeartbeatEvery)
 	defer hb.Stop()
-	sync := time.NewTicker(n.cfg.Health.SyncEvery)
+	sync := time.NewTicker(n.cfg.health.SyncEvery)
 	defer sync.Stop()
 	for {
 		select {
 		case <-n.ctx.Done():
 			return
 		case <-hb.C:
-			n.gossip.broadcast(loadPath, &LoadUpdate{Node: n.cfg.ID, Load: n.Load()}, nil, 1)
+			n.gossip.broadcast(loadPath, &LoadUpdate{Node: n.id, Load: n.Load()}, nil, 1)
 		case <-sync.C:
 			n.syncToPeer()
 		}
@@ -233,14 +169,14 @@ func (n *Node) gossipLoop() {
 // recovers its state through exactly this path.
 func (n *Node) syncToPeer() {
 	sets := n.state.exportSets()
-	if len(sets) == 0 || len(n.cfg.Peers) < 2 {
+	if len(sets) == 0 || len(n.peers) < 2 {
 		return
 	}
 	n.syncMu.Lock()
-	peer := n.syncRR % len(n.cfg.Peers)
+	peer := n.syncRR % len(n.peers)
 	n.syncRR++
-	if peer == n.cfg.ID {
-		peer = n.syncRR % len(n.cfg.Peers)
+	if peer == n.id {
+		peer = n.syncRR % len(n.peers)
 		n.syncRR++
 	}
 	n.syncMu.Unlock()
@@ -264,7 +200,7 @@ func (n *Node) peerDead(i int) bool { return !n.health.alive(i) }
 func (n *Node) Handler() http.Handler { return n.mux }
 
 // ID returns the node's cluster id.
-func (n *Node) ID() int { return n.cfg.ID }
+func (n *Node) ID() int { return n.id }
 
 // Load returns the node's current open-request count.
 func (n *Node) Load() int { return int(n.open.Load()) }
@@ -287,7 +223,7 @@ func (n *Node) handleFiles(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing file path", http.StatusBadRequest)
 		return
 	}
-	f, ok := n.cfg.Store.ID(path)
+	f, ok := n.cfg.store.ID(path)
 	if !ok {
 		http.NotFound(w, r)
 		return
@@ -296,9 +232,9 @@ func (n *Node) handleFiles(w http.ResponseWriter, r *http.Request) {
 	defer func() { n.metrics.request.Observe(time.Since(start).Seconds()) }()
 	svc, changed := n.state.decide(f, n.alive)
 	if changed != nil {
-		go n.gossip.broadcast(setPath, changed, n.peerDead, 0)
+		go n.gossip.broadcast(syncPath, []SetUpdate{*changed}, n.peerDead, 0)
 	}
-	if svc == n.cfg.ID {
+	if svc == n.id {
 		n.metrics.served.Inc()
 		n.serveLocal(w, f)
 		return
@@ -324,7 +260,7 @@ func (n *Node) handleFiles(w http.ResponseWriter, r *http.Request) {
 // a hand-off frame asks of this node, reachable with curl. Peers use the
 // hand-off channel (handoff.go), not this endpoint.
 func (n *Node) handleLocal(w http.ResponseWriter, r *http.Request) {
-	f, ok := n.cfg.Store.ID(strings.TrimPrefix(r.URL.Path, "/local"))
+	f, ok := n.cfg.store.ID(strings.TrimPrefix(r.URL.Path, "/local"))
 	if !ok {
 		http.NotFound(w, r)
 		return
@@ -340,15 +276,15 @@ func (n *Node) lookup(f cache.FileID) []byte {
 	n.trackLoad(1)
 	defer n.trackLoad(-1)
 
-	content := n.cfg.Store.Body(f)
+	content := n.cfg.store.Body(f)
 	n.cacheMu.Lock()
 	hit := n.cache.Access(f, int64(len(content)))
 	n.cacheMu.Unlock()
-	if !hit && n.cfg.MissPenalty > 0 {
-		time.Sleep(n.cfg.MissPenalty)
+	if !hit && n.cfg.missPenalty > 0 {
+		time.Sleep(n.cfg.missPenalty)
 	}
-	if n.cfg.ServePenalty > 0 {
-		time.Sleep(n.cfg.ServePenalty)
+	if n.cfg.servePenalty > 0 {
+		time.Sleep(n.cfg.servePenalty)
 	}
 	return content
 }
@@ -363,7 +299,7 @@ func (n *Node) cacheUsed() int64 {
 // serveLocal answers the client from this node's own data path.
 func (n *Node) serveLocal(w http.ResponseWriter, f cache.FileID) {
 	content := n.lookup(f)
-	n.fileHeaders(w.Header(), n.cfg.ID, int64(len(content)))
+	n.fileHeaders(w.Header(), n.id, int64(len(content)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(content)
 }
@@ -394,7 +330,7 @@ func (n *Node) trackLoad(delta int64) {
 // receive its announcements in the order they were made.
 func (n *Node) gossipLoad(v int) {
 	for announce := true; announce; v, announce = n.state.loadDelivered() {
-		n.gossip.broadcast(loadPath, &LoadUpdate{Node: n.cfg.ID, Load: v}, n.peerDead, 0)
+		n.gossip.broadcast(loadPath, &LoadUpdate{Node: n.id, Load: v}, n.peerDead, 0)
 	}
 }
 
@@ -406,7 +342,7 @@ var errProxyStarted = errors.New("native: hand-off failed mid-response")
 // exponential backoff + jitter, feeding every outcome to the failure
 // detector. It gives up early once the peer is declared dead.
 func (n *Node) proxyWithRetry(svc int, f cache.FileID, w http.ResponseWriter) error {
-	if n.cfg.Peers[svc] == "" {
+	if n.peers[svc] == "" {
 		return fmt.Errorf("native: no address for node %d", svc)
 	}
 	for attempt := 1; ; attempt++ {
@@ -419,11 +355,11 @@ func (n *Node) proxyWithRetry(svc int, f cache.FileID, w http.ResponseWriter) er
 		if started {
 			return errProxyStarted
 		}
-		if attempt >= n.cfg.Retry.Attempts || !n.health.alive(svc) {
+		if attempt >= n.cfg.retry.Attempts || !n.health.alive(svc) {
 			return err
 		}
 		n.metrics.retries.Inc()
-		time.Sleep(n.cfg.Retry.backoff(attempt, n.rng))
+		time.Sleep(n.cfg.retry.backoff(attempt, n.rng))
 	}
 }
 
@@ -448,16 +384,6 @@ func (n *Node) handleLoadUpdate(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-func (n *Node) handleSetUpdate(w http.ResponseWriter, r *http.Request) {
-	var u SetUpdate
-	if err := decodeJSON(r, &u, 1<<16); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	n.applyFilteredSet(u)
-	w.WriteHeader(http.StatusOK)
-}
-
 // applyFilteredSet installs a gossiped set after dropping members this node
 // believes are dead; a filtered update gets a version bump so the local
 // repair outranks the stale original during anti-entropy.
@@ -471,8 +397,9 @@ func (n *Node) applyFilteredSet(u SetUpdate) {
 	n.state.applySet(u)
 }
 
-// handleSync receives a peer's full server-set state (anti-entropy) and
-// merges it version by version.
+// handleSync receives server-set updates and merges them version by
+// version: one changed set after a decision, the sets a dead peer left, or
+// a peer's full state (anti-entropy).
 func (n *Node) handleSync(w http.ResponseWriter, r *http.Request) {
 	var us []SetUpdate
 	if err := decodeJSON(r, &us, 1<<22); err != nil {
@@ -522,7 +449,7 @@ func (n *Node) Snapshot() Stats {
 	}
 	sent, failed, retried := n.gossip.stats()
 	return Stats{
-		ID:          n.cfg.ID,
+		ID:          n.id,
 		Load:        n.Load(),
 		Served:      n.metrics.served.Value(),
 		Proxied:     n.metrics.proxied.Value(),
@@ -562,7 +489,7 @@ func (n *Node) ClusterSnapshot() ClusterView {
 	states := n.health.snapshot()
 	view := ClusterView{Self: n.Snapshot(), Peers: make([]PeerView, 0, len(states))}
 	for i, s := range states {
-		if i == n.cfg.ID {
+		if i == n.id {
 			continue
 		}
 		view.Peers = append(view.Peers, PeerView{Node: i, State: s.String(), Load: n.state.viewLoad(i)})

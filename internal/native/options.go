@@ -16,7 +16,9 @@ import (
 // the first error.
 type Option func(*clusterConfig) error
 
-// clusterConfig is the resolved configuration Start builds nodes from.
+// clusterConfig is the resolved configuration Start builds nodes from:
+// the only copy of the defaults is defaultClusterConfig, and each option
+// validates its own value, so every node shares it as is.
 type clusterConfig struct {
 	nodes        int
 	store        *MemStore
@@ -79,19 +81,15 @@ func WithCacheMB(mb int64) Option {
 // since a live cluster has no true-load oracle.
 func WithL2S(o core.Options) Option {
 	return func(c *clusterConfig) error {
-		if err := checkL2S(o); err != nil {
+		if o.Oracle {
+			return errors.New("native: l2s oracle is simulator-only: a live cluster has no true-load oracle")
+		}
+		if err := o.Validate(); err != nil {
 			return err
 		}
 		c.l2s = o
 		return nil
 	}
-}
-
-func checkL2S(o core.Options) error {
-	if o.Oracle {
-		return errors.New("native: l2s oracle is simulator-only: a live cluster has no true-load oracle")
-	}
-	return o.Validate()
 }
 
 // WithMissPenalty sets the artificial per-miss disk delay.

@@ -155,10 +155,10 @@ func (p *Pool) runJob(i int, job Job) Result {
 	return out
 }
 
-// run guards one simulation: server.Run already converts model panics to
-// errors, but a panicking CustomPolicy callback or a nil trace would still
-// unwind here, and a sweep must not die with hundreds of sibling jobs in
-// flight.
+// run guards one simulation: server.Run already converts panics in the
+// model and in policy construction to errors, and this recover catches
+// anything else that unwinds, so a sweep does not die with hundreds of
+// sibling jobs in flight.
 func run(cfg server.Config, tr *trace.Trace) (res server.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {

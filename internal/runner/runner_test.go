@@ -11,6 +11,13 @@ import (
 	"repro/internal/trace"
 )
 
+// test-boom is a policy whose construction panics.
+func init() {
+	policy.Register("test-boom", func(policy.Env, policy.Options) (policy.Distributor, error) {
+		panic("boom")
+	})
+}
+
 func testTrace(t testing.TB) *trace.Trace {
 	t.Helper()
 	return trace.MustGenerate(trace.GenSpec{
@@ -123,8 +130,7 @@ func TestBadJobsAreIsolated(t *testing.T) {
 		{Key: "no-nodes", Config: server.NewConfig(server.L2SServer, 0), Trace: tr},
 		{Key: "bad-policy", Config: server.NewConfig(server.CustomServer, 4, server.WithPolicy("nope")), Trace: tr},
 		{Key: "no-trace", Config: server.NewConfig(server.L2SServer, 4)},
-		{Key: "panicky", Config: server.NewConfig(server.CustomServer, 4,
-			server.WithCustomPolicy(func(policy.Env) policy.Distributor { panic("boom") })), Trace: tr},
+		{Key: "panicky", Config: server.NewConfig(server.CustomServer, 4, server.WithPolicy("test-boom")), Trace: tr},
 		{Key: "also-good", Config: server.NewConfig(server.Traditional, 2), Trace: tr},
 	}
 	results := (&Pool{Workers: 4}).Run(jobs)

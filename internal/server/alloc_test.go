@@ -5,7 +5,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/policy"
 	"repro/internal/trace"
 )
 
@@ -53,7 +52,7 @@ func TestRequestsAllocateNothing(t *testing.T) {
 		return after.Mallocs - before.Mallocs
 	}
 	for _, mode := range modes {
-		for _, name := range policy.Names() {
+		for _, name := range publishedPolicies() {
 			cfg := NewConfig(CustomServer, 16, append([]Option{WithPolicy(name), WithSeed(7)}, mode.opts...)...)
 			perReq := (float64(mallocs(cfg, long)) - float64(mallocs(cfg, short))) / extra
 			t.Logf("%s (%s): %.4f allocations per extra request", name, mode.name, perReq)

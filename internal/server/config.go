@@ -31,7 +31,7 @@ const (
 	LARDServer
 	LARDDispatcher // Section 6's scalable LARD variant (Aron et al. 2000)
 	L2SServer
-	CustomServer // uses Config.CustomPolicy
+	CustomServer // no default policy: NewConfig needs WithPolicy
 )
 
 // String names the system.
@@ -53,7 +53,6 @@ func (s System) String() string {
 
 // Config describes one simulation run.
 type Config struct {
-	System     System
 	Nodes      int
 	CacheBytes int64 // per-node main memory (Section 5.1: 32 MB)
 
@@ -63,37 +62,25 @@ type Config struct {
 	// Net supplies the communication constants (M-VIA over Gigabit).
 	Net netsim.Config
 
-	L2S  core.Options
-	LARD policy.LARDOptions
-
 	// FECostSec is the front-end CPU time per request for LARD's accept,
 	// parse, and hand-off, calibrated to the ~5000 requests/second
-	// front-end ceiling both the paper and the LARD paper report.
+	// front-end ceiling both the paper and the LARD paper report. A policy
+	// with a front-end (Distributor.FrontEnd >= 0) needs it positive.
 	FECostSec float64
-
-	// DispatchQuerySec is the dispatcher CPU time per decision query for
-	// the LARDDispatcher system (its saturation point; Section 6 notes it
-	// is "much less serious" than the original front-end's).
-	DispatchQuerySec float64
 
 	// WindowPerNode is the per-node outstanding-connection budget that
 	// implements the saturation methodology.
 	WindowPerNode int
 
-	// ArrivalRate, when positive, switches from the paper's saturation
-	// methodology to an open-loop Poisson arrival process at this many
-	// requests per second. Latency then measures true client-perceived
-	// response time at a given offered load (and can be compared against
-	// the analytic model's M/M/1 Latency). WindowPerNode is ignored.
-	ArrivalRate float64
-
-	// ArrivalSchedule, when non-empty, switches to an open-loop
-	// inhomogeneous Poisson process with this piecewise-constant rate
-	// profile (in requests per second, segment durations in seconds). The
-	// schedule cycles when the trace outlasts it, so one diurnal period
-	// describes an arbitrarily long run. Mutually exclusive with
-	// ArrivalRate; DiurnalSchedule builds the sinusoidal profile of the
-	// trace package's diurnal mode.
+	// ArrivalSchedule, when non-empty, switches from the paper's
+	// saturation methodology to an open-loop inhomogeneous Poisson process
+	// with this piecewise-constant rate profile (in requests per second,
+	// segment durations in seconds); WindowPerNode is then ignored, and
+	// latency measures client-perceived response time at the offered load.
+	// The schedule cycles when the trace outlasts it, so one diurnal period
+	// describes an arbitrarily long run. WithArrivalRate builds the
+	// one-segment constant-rate schedule; DiurnalSchedule builds the
+	// sinusoidal profile of the trace package's diurnal mode.
 	ArrivalSchedule []RateSegment
 
 	// WarmFraction is the fraction of the trace used to warm caches before
@@ -109,16 +96,15 @@ type Config struct {
 	FailNode   int
 	FailAtFrac float64
 
-	// Persistent enables HTTP/1.1-style persistent connections: each
-	// connection carries several requests (geometrically distributed with
-	// mean ReqsPerConn) and stays bound to the node that accepted it.
-	// Requests whose content lives elsewhere are served by back-end
-	// forwarding in the style of Aron et al.: the caching node reads the
-	// file and ships it to the connection's node, which transmits it to
-	// the client. Section 4 of the paper defers persistent connections to
-	// exactly this mechanism.
-	Persistent  bool
-	ReqsPerConn float64 // mean requests per connection (default 7)
+	// ReqsPerConn, when positive (it must then be >= 1), enables
+	// HTTP/1.1-style persistent connections: each connection carries
+	// several requests (geometrically distributed with this mean) and
+	// stays bound to the node that accepted it. Requests whose content
+	// lives elsewhere are served by back-end forwarding in the style of
+	// Aron et al.: the caching node reads the file and ships it to the
+	// connection's node, which transmits it to the client. Section 4 of
+	// the paper defers persistent connections to exactly this mechanism.
+	ReqsPerConn float64
 
 	// Profiles, when non-nil, gives each node a hardware profile — relative
 	// CPU and disk speeds, NI line rate, and cache size (see NodeProfile).
@@ -140,16 +126,11 @@ type Config struct {
 	// failure experiments (Result.Timeline).
 	TimelineBucket float64
 
-	// CustomPolicy builds the distributor when System == CustomServer.
-	CustomPolicy func(env policy.Env) policy.Distributor
-
-	// Policy, when non-empty, selects a registered distribution policy
-	// instead of the System's default; it takes precedence over System for
-	// distributor construction and is the CLI-facing route into the policy
-	// registry. It accepts a full policy spec — a name plus per-family
-	// parameters, e.g. "chash:vnodes=256,load=1.25" (see policy.ParseSpec);
-	// spec parameters are applied on top of the tunables assembled from
-	// this Config. CustomPolicy, when also set, wins over Policy.
+	// Policy is the distributor, as a registered policy spec: a name plus
+	// per-family parameters, e.g. "l2s:delta=8" or
+	// "chash:vnodes=256,load=1.25" (see policy.ParseSpec). Keys a spec
+	// leaves out take the family's published defaults. NewConfig sets it
+	// to the system's name; it is the only way to choose or tune a policy.
 	Policy string
 
 	// Seed is the run's base RNG seed. It seeds the open-loop arrival
@@ -174,12 +155,6 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// DefaultConfig returns the paper's simulation setup for the given system
-// and cluster size; it is NewConfig with no options.
-func DefaultConfig(system System, nodes int) Config {
-	return NewConfig(system, nodes)
-}
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
@@ -191,20 +166,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("server: window per node must be >= 1, got %d", c.WindowPerNode)
 	case c.WarmFraction < 0 || c.WarmFraction > 0.95:
 		return fmt.Errorf("server: warm fraction %v outside [0, 0.95]", c.WarmFraction)
-	case c.System == LARDServer && c.FECostSec <= 0:
-		return fmt.Errorf("server: LARD needs a positive front-end cost")
-	case c.System == CustomServer && c.CustomPolicy == nil && c.Policy == "":
-		return fmt.Errorf("server: CustomServer needs a CustomPolicy or a Policy name")
+	case c.Policy == "":
+		return fmt.Errorf("server: no policy (CustomServer needs WithPolicy)")
 	case c.Net.RouterKBps <= 0 || c.Net.LinkKBps <= 0:
 		return fmt.Errorf("server: network rates must be positive: %+v", c.Net)
 	case c.FailNode >= c.Nodes:
 		return fmt.Errorf("server: fail node %d outside cluster of %d", c.FailNode, c.Nodes)
-	case c.Persistent && c.ReqsPerConn < 1:
+	case c.ReqsPerConn != 0 && !(c.ReqsPerConn >= 1):
 		return fmt.Errorf("server: persistent connections need ReqsPerConn >= 1, got %v", c.ReqsPerConn)
-	case c.ArrivalRate < 0:
-		return fmt.Errorf("server: negative arrival rate %v", c.ArrivalRate)
-	case c.ArrivalRate > 0 && len(c.ArrivalSchedule) > 0:
-		return fmt.Errorf("server: ArrivalRate and ArrivalSchedule are mutually exclusive")
 	}
 	if len(c.ArrivalSchedule) > 0 {
 		anyPositive := false
@@ -231,49 +200,18 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	// Bad policy tunables used to surface as constructor panics mid-run;
-	// validating them here lets one bad grid point fail with an error
-	// instead of killing a whole parallel sweep. Zero values are legal:
-	// construction replaces them with the published defaults.
-	if c.System == L2SServer && c.L2S != (core.Options{}) {
-		if err := c.L2S.Validate(); err != nil {
-			return err
-		}
-	}
-	if (c.System == LARDServer || c.System == LARDDispatcher) && c.LARD != (policy.LARDOptions{}) {
-		if err := c.LARD.Validate(); err != nil {
-			return err
-		}
-	}
 	// Policy is a full spec string; parse it eagerly so an unknown name or
 	// out-of-range parameter fails the grid point, not the whole sweep.
-	if c.Policy != "" {
-		if _, err := policy.ParseSpec(c.Policy); err != nil {
-			return fmt.Errorf("server: %w", err)
-		}
+	// Tunables that only conflict with each other (l2s:T=5,t=10) are
+	// rejected by the factory when Run builds the policy.
+	if _, err := policy.ParseSpec(c.Policy); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
 	return nil
 }
 
-// policyName returns the registry name of the distributor this Config
-// selects: the explicit Policy override when set, the System's name
-// otherwise.
-func (c Config) policyName() string {
-	if c.Policy != "" {
-		return c.Policy
-	}
-	return c.System.String()
-}
-
-// policyOptions assembles the registry options from the Config's fields.
-func (c Config) policyOptions() policy.Options {
-	return policy.Options{
-		LARD:             c.LARD,
-		DispatchQuerySec: c.DispatchQuerySec,
-		Seed:             c.Seed,
-		L2S:              c.L2S,
-	}
-}
+// persistent reports whether connections carry several requests.
+func (c *Config) persistent() bool { return c.ReqsPerConn > 0 }
 
 // Result reports what one run measured (all statistics cover only the
 // post-warm-up measurement interval).
@@ -304,7 +242,7 @@ type Result struct {
 	LatencyP50  float64
 	LatencyP99  float64
 
-	// Persistent-connection statistics (Persistent mode only).
+	// Persistent-connection statistics (ReqsPerConn > 0 only).
 	Connections uint64  // connections completed
 	ReqsPerConn float64 // measured requests per connection
 
@@ -323,5 +261,5 @@ type Result struct {
 	Timeline       []float64
 	TimelineBucket float64
 
-	L2S *core.Stats // control-plane stats when System == L2SServer
+	L2S *core.Stats // control-plane stats of an L2S-family policy
 }

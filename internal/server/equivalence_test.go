@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/policy"
 	"repro/internal/trace"
 )
 
@@ -43,7 +42,7 @@ func equivalenceTrace() *trace.Trace {
 // policy at 8 nodes, plus one case per optional simulator mode.
 func equivalenceCases() map[string]Config {
 	cases := make(map[string]Config)
-	for _, name := range policy.Names() {
+	for _, name := range publishedPolicies() {
 		cases["policy/"+name] = NewConfig(CustomServer, 8,
 			WithPolicy(name), WithSeed(42), WithCacheBytes(2<<20))
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/policy"
 	"repro/internal/trace"
 )
 
@@ -40,7 +39,7 @@ func flattenTrace() *trace.Trace {
 func flatGoldenCases() map[string]Config {
 	cases := make(map[string]Config)
 	for _, n := range []int{64, 256} {
-		for _, name := range policy.Names() {
+		for _, name := range publishedPolicies() {
 			cases[fmt.Sprintf("n%d/policy/%s", n, name)] = NewConfig(CustomServer, n,
 				WithPolicy(name), WithSeed(42), WithCacheBytes(2<<20))
 		}

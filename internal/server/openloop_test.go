@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -20,8 +21,7 @@ func uniformTrace(sizes []int64, requests int) *trace.Trace {
 
 func TestOpenLoopThroughputTracksOfferedLoad(t *testing.T) {
 	tr := testTrace(30000)
-	cfg := DefaultConfig(L2SServer, 8)
-	cfg.ArrivalRate = 500 // well under capacity (~3000 req/s at 8 nodes)
+	cfg := NewConfig(L2SServer, 8, WithArrivalRate(500)) // well under capacity (~3000 req/s at 8 nodes)
 	r, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -39,8 +39,7 @@ func TestOpenLoopThroughputTracksOfferedLoad(t *testing.T) {
 func TestOpenLoopLatencyGrowsWithLoad(t *testing.T) {
 	tr := testTrace(30000)
 	latencyAt := func(rate float64) float64 {
-		cfg := DefaultConfig(L2SServer, 8)
-		cfg.ArrivalRate = rate
+		cfg := NewConfig(L2SServer, 8, WithArrivalRate(rate))
 		r, err := Run(cfg, tr)
 		if err != nil {
 			t.Fatal(err)
@@ -67,8 +66,7 @@ func TestOpenLoopLatencyNearModelAtLightLoad(t *testing.T) {
 	}
 	tr := uniformTrace(sizes, 20000)
 
-	cfg := DefaultConfig(Traditional, 1)
-	cfg.ArrivalRate = 20 // ~4% utilization
+	cfg := NewConfig(Traditional, 1, WithArrivalRate(20)) // ~4% utilization
 	r, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +82,7 @@ func TestOpenLoopLatencyNearModelAtLightLoad(t *testing.T) {
 
 func TestOpenLoopDeterministic(t *testing.T) {
 	tr := testTrace(10000)
-	cfg := DefaultConfig(Traditional, 4)
-	cfg.ArrivalRate = 400
+	cfg := NewConfig(Traditional, 4, WithArrivalRate(400))
 	a, _ := Run(cfg, tr)
 	b, _ := Run(cfg, tr)
 	if a.Throughput != b.Throughput || a.LatencyMean != b.LatencyMean {
@@ -95,9 +92,9 @@ func TestOpenLoopDeterministic(t *testing.T) {
 
 func TestOpenLoopValidation(t *testing.T) {
 	tr := testTrace(100)
-	cfg := DefaultConfig(Traditional, 2)
-	cfg.ArrivalRate = -1
-	if _, err := Run(cfg, tr); err == nil {
-		t.Fatal("negative arrival rate accepted")
+	for _, rate := range []float64{-1, 0, math.NaN()} {
+		if _, err := Run(NewConfig(Traditional, 2, WithArrivalRate(rate)), tr); err == nil {
+			t.Errorf("arrival rate %v accepted", rate)
+		}
 	}
 }

@@ -7,10 +7,10 @@
 package server
 
 import (
-	"repro/internal/core"
+	"math"
+
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/policy"
 	"repro/internal/queuemodel"
 )
 
@@ -18,23 +18,23 @@ import (
 type Option func(*Config)
 
 // NewConfig returns the paper's simulation setup for the given system and
-// cluster size — 32 MB caches, Table 1 costs, M-VIA messaging, L2S with
-// T=20/t=10/delta=4, LARD with the published parameters, and a 5000
-// request/s front-end — with the given options applied on top.
+// cluster size — 32 MB caches, Table 1 costs, M-VIA messaging, the
+// system's policy with its published tunables (L2S T=20/t=10/delta=4), and
+// a 5000 request/s front-end — with the given options applied on top.
+// CustomServer names no policy: it needs WithPolicy.
 func NewConfig(system System, nodes int, opts ...Option) Config {
 	cfg := Config{
-		System:           system,
-		Nodes:            nodes,
-		CacheBytes:       32 << 20,
-		Costs:            queuemodel.DefaultParams(),
-		Net:              netsim.DefaultConfig(),
-		L2S:              core.DefaultOptions(),
-		LARD:             policy.DefaultLARDOptions(),
-		FECostSec:        0.0002,
-		DispatchQuerySec: 0.0001,
-		WindowPerNode:    12,
-		WarmFraction:     0.4,
-		FailNode:         -1,
+		Nodes:         nodes,
+		CacheBytes:    32 << 20,
+		Costs:         queuemodel.DefaultParams(),
+		Net:           netsim.DefaultConfig(),
+		FECostSec:     0.0002,
+		WindowPerNode: 12,
+		WarmFraction:  0.4,
+		FailNode:      -1,
+	}
+	if system != CustomServer {
+		cfg.Policy = system.String()
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -70,9 +70,9 @@ func WithWarmFraction(f float64) Option {
 }
 
 // WithArrivalRate switches to an open-loop Poisson arrival process at the
-// given requests per second.
+// given requests per second: a schedule of one segment that never ends.
 func WithArrivalRate(rate float64) Option {
-	return func(c *Config) { c.ArrivalRate = rate }
+	return WithArrivalSchedule([]RateSegment{{Duration: math.MaxFloat64, Rate: rate}})
 }
 
 // WithArrivalSchedule switches to an open-loop inhomogeneous Poisson
@@ -83,9 +83,9 @@ func WithArrivalSchedule(sched []RateSegment) Option {
 }
 
 // WithPersistent enables HTTP/1.1-style persistent connections with the
-// given mean requests per connection.
+// given mean requests per connection (>= 1; 0 turns them off).
 func WithPersistent(reqsPerConn float64) Option {
-	return func(c *Config) { c.Persistent, c.ReqsPerConn = true, reqsPerConn }
+	return func(c *Config) { c.ReqsPerConn = reqsPerConn }
 }
 
 // WithDistributedFS models the distributed file system explicitly: cache
@@ -100,23 +100,13 @@ func WithTimelineBucket(seconds float64) Option {
 	return func(c *Config) { c.TimelineBucket = seconds }
 }
 
-// WithL2S replaces the L2S tunables.
-func WithL2S(opts core.Options) Option {
-	return func(c *Config) { c.L2S = opts }
-}
-
-// WithPolicy runs a registered distribution policy by name (see
-// policy.Names): the system becomes CustomServer and the distributor is
-// built by policy.New at run time, configured from the Config's LARD, L2S,
-// Seed, and DispatchQuerySec fields and then the spec's own keys. Unknown
-// names surface from Run as an error listing the valid ones.
-func WithPolicy(name string) Option {
-	return func(c *Config) { c.System, c.Policy = CustomServer, name }
-}
-
-// WithCustomPolicy runs a caller-supplied distributor.
-func WithCustomPolicy(mk func(env policy.Env) policy.Distributor) Option {
-	return func(c *Config) { c.System, c.CustomPolicy = CustomServer, mk }
+// WithPolicy runs a registered distribution policy given by its spec (see
+// policy.ParseSpec), e.g. "lard" or "l2s:T=10,t=5": the distributor is
+// built through the registry at run time, with the Config's Seed and then
+// the spec's own keys on top of the family's defaults. Unknown names fail
+// Validate with an error listing the valid ones.
+func WithPolicy(spec string) Option {
+	return func(c *Config) { c.Policy = spec }
 }
 
 // WithSeries attaches a time-series recorder: per-resource utilization,

@@ -1,20 +1,11 @@
 package server
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/policy"
 )
-
-func TestNewConfigMatchesDefaultConfig(t *testing.T) {
-	if got, want := NewConfig(L2SServer, 8), DefaultConfig(L2SServer, 8); got.CacheBytes != want.CacheBytes ||
-		got.WindowPerNode != want.WindowPerNode || got.WarmFraction != want.WarmFraction ||
-		got.FailNode != want.FailNode || got.L2S != want.L2S || got.LARD != want.LARD {
-		t.Errorf("NewConfig without options diverges from DefaultConfig:\n%+v\n%+v", got, want)
-	}
-}
 
 func TestOptionsApply(t *testing.T) {
 	cfg := NewConfig(LARDServer, 4,
@@ -29,16 +20,17 @@ func TestOptionsApply(t *testing.T) {
 	)
 	if cfg.Seed != 99 || cfg.CacheBytes != 128<<20 || cfg.FailNode != 2 ||
 		cfg.FailAtFrac != 0.25 || cfg.WindowPerNode != 20 || cfg.WarmFraction != 0.1 ||
-		!cfg.Persistent || cfg.ReqsPerConn != 5 || cfg.ArrivalRate != 1200 ||
-		!cfg.DistributedFS {
+		cfg.ReqsPerConn != 5 || !cfg.persistent() || !cfg.DistributedFS ||
+		!reflect.DeepEqual(cfg.ArrivalSchedule, []RateSegment{{Duration: math.MaxFloat64, Rate: 1200}}) ||
+		cfg.Policy != "lard" {
 		t.Errorf("options not applied: %+v", cfg)
 	}
 }
 
-func TestWithPolicySetsCustomSystem(t *testing.T) {
+func TestWithPolicyReplacesSystemPolicy(t *testing.T) {
 	cfg := NewConfig(Traditional, 4, WithPolicy("hashing"))
-	if cfg.System != CustomServer || cfg.Policy != "hashing" {
-		t.Errorf("WithPolicy: system=%v policy=%q", cfg.System, cfg.Policy)
+	if cfg.Policy != "hashing" {
+		t.Errorf("WithPolicy: policy=%q", cfg.Policy)
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("named-policy config must validate: %v", err)
@@ -48,7 +40,7 @@ func TestWithPolicySetsCustomSystem(t *testing.T) {
 func TestValidateRejectsUnnamedCustom(t *testing.T) {
 	cfg := NewConfig(CustomServer, 4)
 	if err := cfg.Validate(); err == nil {
-		t.Error("CustomServer without Policy or CustomPolicy must fail validation")
+		t.Error("CustomServer without WithPolicy must fail validation")
 	}
 }
 
@@ -61,26 +53,18 @@ func TestRunReturnsErrorNotPanic(t *testing.T) {
 		t.Errorf("unknown policy should list valid names, got %v", err)
 	}
 
-	// Bad L2S thresholds fail Validate instead of panicking inside New.
-	bad := NewConfig(L2SServer, 4)
-	bad.L2S.LowT = bad.L2S.T + 1
-	if _, err := Run(bad, tr); err == nil {
-		t.Error("inverted L2S thresholds must return an error")
+	// Tunables that conflict with each other are rejected by the policy's
+	// factory instead of panicking inside its constructor.
+	for _, spec := range []string{"l2s:T=20,t=21", "lard:tlow=80,thigh=40"} {
+		if _, err := Run(NewConfig(CustomServer, 4, WithPolicy(spec)), tr); err == nil {
+			t.Errorf("%s must return an error", spec)
+		}
 	}
 
-	// Bad LARD thresholds likewise.
-	badLard := NewConfig(LARDServer, 4)
-	badLard.LARD.TLow = -1
-	if _, err := Run(badLard, tr); err == nil {
-		t.Error("negative LARD threshold must return an error")
-	}
-
-	// A panicking custom policy is recovered and reported, not propagated.
-	boom := NewConfig(CustomServer, 4, WithCustomPolicy(func(policy.Env) policy.Distributor {
-		panic("boom")
-	}))
-	if _, err := Run(boom, tr); err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("panicking CustomPolicy should become an error, got %v", err)
+	// A panicking policy is recovered and reported, not propagated.
+	if _, err := Run(NewConfig(CustomServer, 4, WithPolicy("test-boom")), tr); err == nil ||
+		!strings.Contains(err.Error(), "boom") {
+		t.Errorf("panicking policy should become an error, got %v", err)
 	}
 }
 

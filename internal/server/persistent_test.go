@@ -5,15 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/policy"
 	"repro/internal/trace"
 )
 
 func persistentConfig(sys System, nodes int) Config {
-	cfg := DefaultConfig(sys, nodes)
-	cfg.Persistent = true
-	cfg.ReqsPerConn = 5
-	return cfg
+	return NewConfig(sys, nodes, WithPersistent(5))
 }
 
 func TestGeometricLengthMean(t *testing.T) {
@@ -104,7 +100,7 @@ func TestPersistentRaisesLARDCeiling(t *testing.T) {
 		Name: "tiny", Files: 400, AvgFileKB: 4, Requests: 60000,
 		AvgReqKB: 3, Alpha: 1.0, LocalityP: 0.3, Seed: 7,
 	})
-	plain, err := Run(DefaultConfig(LARDServer, 16), tr)
+	plain, err := Run(NewConfig(LARDServer, 16), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +116,7 @@ func TestPersistentRaisesLARDCeiling(t *testing.T) {
 
 func TestPersistentReducesForwardingAndLatency(t *testing.T) {
 	tr := testTrace(30000)
-	plain, err := Run(DefaultConfig(L2SServer, 8), tr)
+	plain, err := Run(NewConfig(L2SServer, 8), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +139,7 @@ func TestPersistentReducesForwardingAndLatency(t *testing.T) {
 
 func TestPersistentTraditionalUnaffected(t *testing.T) {
 	tr := testTrace(20000)
-	plain, _ := Run(DefaultConfig(Traditional, 8), tr)
+	plain, _ := Run(NewConfig(Traditional, 8), tr)
 	persistent, _ := Run(persistentConfig(Traditional, 8), tr)
 	// The traditional server never forwards, so persistence only removes
 	// per-request establishment costs; throughput stays within 15%.
@@ -173,17 +169,16 @@ func TestPersistentDeterministic(t *testing.T) {
 
 func TestPersistentValidation(t *testing.T) {
 	tr := testTrace(100)
-	cfg := DefaultConfig(L2SServer, 2)
-	cfg.Persistent = true
-	cfg.ReqsPerConn = 0.5
-	if _, err := Run(cfg, tr); err == nil {
-		t.Fatal("ReqsPerConn below 1 must be rejected")
+	for _, rpc := range []float64{0.5, -1, math.NaN()} {
+		if _, err := Run(NewConfig(L2SServer, 2, WithPersistent(rpc)), tr); err == nil {
+			t.Errorf("ReqsPerConn %v must be rejected", rpc)
+		}
 	}
 }
 
 func TestLatencyMetricsPopulated(t *testing.T) {
 	tr := testTrace(20000)
-	r, err := Run(DefaultConfig(L2SServer, 4), tr)
+	r, err := Run(NewConfig(L2SServer, 4), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,24 +199,15 @@ func TestClientAwarePolicyReceivesClients(t *testing.T) {
 		AvgReqKB: 12, Alpha: 0.9, Clients: 40, Seed: 3,
 	}
 	tr := trace.MustGenerate(spec)
-	cfg := DefaultConfig(CustomServer, 8)
-	cfg.CustomPolicy = newCachedDNSFactory(50)
-	r, err := Run(cfg, tr)
+	r, err := Run(NewConfig(CustomServer, 8, WithPolicy("cached-dns:ttl=50")), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 40 Zipf-active clients pinned by DNS caching over 8 nodes must show
 	// measurable imbalance compared to fewest-connections.
-	base, _ := Run(DefaultConfig(Traditional, 8), tr)
+	base, _ := Run(NewConfig(Traditional, 8), tr)
 	if r.LoadImbalance <= base.LoadImbalance {
 		t.Errorf("cached DNS imbalance %v not above traditional %v",
 			r.LoadImbalance, base.LoadImbalance)
-	}
-}
-
-// newCachedDNSFactory adapts policy.NewCachedDNS to a CustomPolicy.
-func newCachedDNSFactory(ttl int) func(env policy.Env) policy.Distributor {
-	return func(env policy.Env) policy.Distributor {
-		return policy.NewCachedDNS(env, ttl)
 	}
 }

@@ -56,9 +56,8 @@ type driver struct {
 	connections uint64
 	connReqs    uint64
 
-	// Open-loop arrival state. A non-empty schedule replaces the constant
-	// ArrivalRate with a piecewise-constant profile; schedIdx/schedRemain
-	// track the position inside the (cycling) schedule.
+	// Open-loop arrival state: schedIdx/schedRemain track the position
+	// inside the (cycling) ArrivalSchedule.
 	openLoop    bool
 	arrivalRNG  *rand.Rand
 	arrivalFn   func() // pre-bound inject-and-reschedule callback
@@ -225,7 +224,7 @@ func (j *requestJob) advance() {
 		d.dist.OnAssign(svc)
 		// A persistent connection counts its requests as it serves them,
 		// and its one hand-off is not a request's forward.
-		persistent := d.cfg.Persistent
+		persistent := d.cfg.persistent()
 		if !persistent {
 			d.assigned++
 			d.m.assigned.Inc()
@@ -360,7 +359,7 @@ func (j *requestJob) advance() {
 // atService is the stage a job enters at its service node: the cache
 // lookup of a single request, or a persistent connection's first request.
 func (d *driver) atService() reqStage {
-	if d.cfg.Persistent {
+	if d.cfg.persistent() {
 		return atConnFirst
 	}
 	return atServe
@@ -372,7 +371,7 @@ func (j *requestJob) close() {
 	j.release()
 	d.nodes[svc].RemoveConnection()
 	d.dist.OnComplete(svc, f0)
-	if d.cfg.Persistent {
+	if d.cfg.persistent() {
 		d.connections++
 		d.connReqs += uint64(n)
 	}
@@ -449,7 +448,7 @@ func (d *driver) getTransmitJob() *transmitJob {
 func Run(cfg Config, tr *trace.Trace) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = Result{}, fmt.Errorf("server: %s on %d nodes: %v", cfg.policyName(), cfg.Nodes, r)
+			res, err = Result{}, fmt.Errorf("server: %s on %d nodes: %v", cfg.Policy, cfg.Nodes, r)
 		}
 	}()
 	d, err := newDriver(cfg, tr)
@@ -466,9 +465,6 @@ func Run(cfg Config, tr *trace.Trace) (res Result, err error) {
 // and the policy, and primes the first arrivals; the run itself is then
 // d.eng.Run().
 func newDriver(cfg Config, tr *trace.Trace) (*driver, error) {
-	if cfg.Persistent && cfg.ReqsPerConn == 0 {
-		cfg.ReqsPerConn = 7
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -495,7 +491,7 @@ func newDriver(cfg Config, tr *trace.Trace) (*driver, error) {
 		fwd:     cfg.Costs.ForwardTime(),
 		latency: stats.NewHistogram(),
 	}
-	if cfg.Persistent {
+	if cfg.persistent() {
 		d.connRNG = rand.New(rand.NewSource(cfg.Seed + 1))
 	}
 	d.net = netsim.New(d.eng, cfg.Net)
@@ -525,28 +521,23 @@ func newDriver(cfg Config, tr *trace.Trace) (*driver, error) {
 	// (pinned by TestFlatGolden).
 	d.net.RegisterFleet(d.nodes)
 
-	popts := cfg.policyOptions()
-	popts.Files = tr.NumFiles()
+	popts := policy.Options{Seed: cfg.Seed, Files: tr.NumFiles()}
 	if d.profiles != nil {
 		// Weighted policies scale their thresholds and selections by
 		// relative node capacity; unweighted ones ignore this.
 		popts.Weights = capacityWeights(d.profiles, cfg.Costs, tr)
 	}
-	if cfg.System == CustomServer && cfg.CustomPolicy != nil {
-		d.dist = cfg.CustomPolicy(d)
-	} else {
-		// The policy name is a full spec ("chash:vnodes=256,load=1.25"):
-		// parsed parameters are applied on top of the Options assembled
-		// above, so a plain name hands the factory exactly those Options.
-		spec, err := policy.ParseSpec(cfg.policyName())
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		dist, err := spec.Build(d, popts)
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		d.dist = dist
+	// The policy is a full spec ("chash:vnodes=256,load=1.25"): its
+	// parameters are applied on top of the family's defaults.
+	spec, err := policy.ParseSpec(cfg.Policy)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
+	if d.dist, err = spec.Build(d, popts); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
+	if d.dist.FrontEnd() >= 0 && !(cfg.FECostSec > 0) {
+		return nil, fmt.Errorf("server: %s has a front-end, which needs a positive FECostSec, got %v", d.dist.Name(), cfg.FECostSec)
 	}
 	d.clientAware, _ = d.dist.(policy.ClientAware)
 	d.dispatched, _ = d.dist.(policy.Dispatched)
@@ -563,14 +554,12 @@ func newDriver(cfg Config, tr *trace.Trace) (*driver, error) {
 		d.beginMeasurement()
 	}
 
-	if cfg.ArrivalRate > 0 || len(cfg.ArrivalSchedule) > 0 {
-		// Open loop: Poisson arrivals at the offered rate (constant, or the
-		// piecewise-constant schedule), independent of completions.
+	if len(cfg.ArrivalSchedule) > 0 {
+		// Open loop: Poisson arrivals at the scheduled rate, independent of
+		// completions.
 		d.openLoop = true
 		d.arrivalRNG = rand.New(rand.NewSource(cfg.Seed + 7))
-		if len(cfg.ArrivalSchedule) > 0 {
-			d.schedRemain = cfg.ArrivalSchedule[0].Duration
-		}
+		d.schedRemain = cfg.ArrivalSchedule[0].Duration
 		d.scheduleArrival()
 	} else {
 		// Closed loop at saturation: prime the connection window; every
@@ -597,17 +586,15 @@ func (d *driver) scheduleArrival() {
 	d.eng.Schedule(d.nextArrivalGap(), d.arrivalFn)
 }
 
-// nextArrivalGap draws the time to the next open-loop arrival. With a
-// constant rate this is one exponential; with a schedule it walks a
+// nextArrivalGap draws the time to the next open-loop arrival: it walks a
 // unit-rate exponential across the piecewise-constant profile (the standard
 // inversion for an inhomogeneous Poisson process), cycling the schedule so
 // a one-period profile covers any run length. Zero-rate segments absorb no
-// work and are skipped whole.
+// work and are skipped whole. A constant rate (WithArrivalRate) is one
+// segment of duration MaxFloat64, from which a gap never visibly subtracts,
+// so each gap is exactly one exponential over the rate.
 func (d *driver) nextArrivalGap() float64 {
 	sched := d.cfg.ArrivalSchedule
-	if len(sched) == 0 {
-		return d.arrivalRNG.ExpFloat64() / d.cfg.ArrivalRate
-	}
 	e := d.arrivalRNG.ExpFloat64() // unit-rate exponential "work"
 	gap := 0.0
 	for {
@@ -640,7 +627,7 @@ func (d *driver) inject() {
 	}
 	first := d.next
 	d.next++
-	if d.cfg.Persistent {
+	if d.cfg.persistent() {
 		// A geometric run of consecutive trace requests rides one
 		// connection.
 		d.next = min(first+geometricLength(d.connRNG, d.cfg.ReqsPerConn), d.tr.NumRequests())

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cache"
 	"testing"
 
-	"repro/internal/policy"
 	"repro/internal/qnet"
 	"repro/internal/trace"
 )
@@ -24,7 +23,7 @@ func testTrace(requests int) *trace.Trace {
 func TestRunConservation(t *testing.T) {
 	tr := testTrace(20000)
 	for _, sys := range []System{Traditional, LARDServer, L2SServer} {
-		cfg := DefaultConfig(sys, 4)
+		cfg := NewConfig(sys, 4)
 		cfg.WarmFraction = 0 // measure everything
 		r, err := Run(cfg, tr)
 		if err != nil {
@@ -45,7 +44,7 @@ func TestRunConservation(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	tr := testTrace(10000)
-	cfg := DefaultConfig(L2SServer, 8)
+	cfg := NewConfig(L2SServer, 8)
 	a, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +63,7 @@ func TestSingleNodeSystemsCoincide(t *testing.T) {
 	tr := testTrace(15000)
 	var thr []float64
 	for _, sys := range []System{Traditional, LARDServer, L2SServer} {
-		r, err := Run(DefaultConfig(sys, 1), tr)
+		r, err := Run(NewConfig(sys, 1), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,21 +81,21 @@ func TestSingleNodeSystemsCoincide(t *testing.T) {
 
 func TestForwardingFractions(t *testing.T) {
 	tr := testTrace(20000)
-	trad, err := Run(DefaultConfig(Traditional, 8), tr)
+	trad, err := Run(NewConfig(Traditional, 8), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if trad.ForwardedFrac != 0 {
 		t.Errorf("traditional forwarded %.1f%%, want 0", trad.ForwardedFrac*100)
 	}
-	lard, err := Run(DefaultConfig(LARDServer, 8), tr)
+	lard, err := Run(NewConfig(LARDServer, 8), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lard.ForwardedFrac != 1 {
 		t.Errorf("LARD forwarded %.1f%%, want 100%%", lard.ForwardedFrac*100)
 	}
-	l2s, err := Run(DefaultConfig(L2SServer, 8), tr)
+	l2s, err := Run(NewConfig(L2SServer, 8), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +110,9 @@ func TestForwardingFractions(t *testing.T) {
 
 func TestLocalityConsciousMissRatesLower(t *testing.T) {
 	tr := testTrace(30000)
-	trad, _ := Run(DefaultConfig(Traditional, 8), tr)
-	l2s, _ := Run(DefaultConfig(L2SServer, 8), tr)
-	lard, _ := Run(DefaultConfig(LARDServer, 8), tr)
+	trad, _ := Run(NewConfig(Traditional, 8), tr)
+	l2s, _ := Run(NewConfig(L2SServer, 8), tr)
+	lard, _ := Run(NewConfig(LARDServer, 8), tr)
 	if l2s.MissRate >= trad.MissRate {
 		t.Errorf("L2S miss %.1f%% not below traditional %.1f%%",
 			l2s.MissRate*100, trad.MissRate*100)
@@ -126,9 +125,9 @@ func TestLocalityConsciousMissRatesLower(t *testing.T) {
 
 func TestL2SOutperformsAtScale(t *testing.T) {
 	tr := testTrace(40000)
-	trad, _ := Run(DefaultConfig(Traditional, 16), tr)
-	lard, _ := Run(DefaultConfig(LARDServer, 16), tr)
-	l2s, _ := Run(DefaultConfig(L2SServer, 16), tr)
+	trad, _ := Run(NewConfig(Traditional, 16), tr)
+	lard, _ := Run(NewConfig(LARDServer, 16), tr)
+	l2s, _ := Run(NewConfig(L2SServer, 16), tr)
 	if l2s.Throughput <= lard.Throughput {
 		t.Errorf("L2S %v not above LARD %v at 16 nodes", l2s.Throughput, lard.Throughput)
 	}
@@ -144,7 +143,7 @@ func TestLARDFrontEndCeiling(t *testing.T) {
 		Name: "tiny", Files: 400, AvgFileKB: 4, Requests: 40000,
 		AvgReqKB: 3, Alpha: 1.0, LocalityP: 0.3, Seed: 7,
 	})
-	r, err := Run(DefaultConfig(LARDServer, 16), tr)
+	r, err := Run(NewConfig(LARDServer, 16), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +163,7 @@ func TestThroughputScalesWithNodes(t *testing.T) {
 	tr := testTrace(30000)
 	prev := 0.0
 	for _, n := range []int{1, 4, 16} {
-		r, err := Run(DefaultConfig(L2SServer, n), tr)
+		r, err := Run(NewConfig(L2SServer, n), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,8 +176,8 @@ func TestThroughputScalesWithNodes(t *testing.T) {
 
 func TestL2SNodeFailureDegradesGracefully(t *testing.T) {
 	tr := testTrace(30000)
-	base, _ := Run(DefaultConfig(L2SServer, 8), tr)
-	cfg := DefaultConfig(L2SServer, 8)
+	base, _ := Run(NewConfig(L2SServer, 8), tr)
+	cfg := NewConfig(L2SServer, 8)
 	cfg.FailNode = 3
 	cfg.FailAtFrac = 0.5
 	r, err := Run(cfg, tr)
@@ -199,7 +198,7 @@ func TestL2SNodeFailureDegradesGracefully(t *testing.T) {
 
 func TestLARDFrontEndFailureIsFatal(t *testing.T) {
 	tr := testTrace(30000)
-	cfg := DefaultConfig(LARDServer, 8)
+	cfg := NewConfig(LARDServer, 8)
 	cfg.FailNode = 0 // the front-end
 	cfg.FailAtFrac = 0.5
 	r, err := Run(cfg, tr)
@@ -215,9 +214,9 @@ func TestLARDFrontEndFailureIsFatal(t *testing.T) {
 
 func TestWarmFractionReducesMissRate(t *testing.T) {
 	tr := testTrace(30000)
-	cold := DefaultConfig(Traditional, 4)
+	cold := NewConfig(Traditional, 4)
 	cold.WarmFraction = 0
-	warm := DefaultConfig(Traditional, 4)
+	warm := NewConfig(Traditional, 4)
 	warm.WarmFraction = 0.5
 	rc, _ := Run(cold, tr)
 	rw, _ := Run(warm, tr)
@@ -229,7 +228,7 @@ func TestWarmFractionReducesMissRate(t *testing.T) {
 
 func TestMaxRequestsTruncates(t *testing.T) {
 	tr := testTrace(30000)
-	cfg := DefaultConfig(Traditional, 2)
+	cfg := NewConfig(Traditional, 2)
 	cfg.MaxRequests = 5000
 	cfg.WarmFraction = 0
 	r, err := Run(cfg, tr)
@@ -241,13 +240,12 @@ func TestMaxRequestsTruncates(t *testing.T) {
 	}
 }
 
-func TestCustomPolicy(t *testing.T) {
+// TestExternallyRegisteredPolicy runs a distributor registered outside
+// package policy (testpolicies_test.go) through the spec route every policy
+// takes.
+func TestExternallyRegisteredPolicy(t *testing.T) {
 	tr := testTrace(5000)
-	cfg := DefaultConfig(CustomServer, 4)
-	cfg.CustomPolicy = func(env policy.Env) policy.Distributor {
-		return policy.NewFewestConnections(env)
-	}
-	r, err := Run(cfg, tr)
+	r, err := Run(NewConfig(CustomServer, 4, WithPolicy("test-fewest")), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +256,7 @@ func TestCustomPolicy(t *testing.T) {
 
 func TestL2SStatsExposed(t *testing.T) {
 	tr := testTrace(20000)
-	r, err := Run(DefaultConfig(L2SServer, 8), tr)
+	r, err := Run(NewConfig(L2SServer, 8), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +273,7 @@ func TestL2SStatsExposed(t *testing.T) {
 
 func TestMeanLoadWithinWindow(t *testing.T) {
 	tr := testTrace(20000)
-	cfg := DefaultConfig(L2SServer, 4)
+	cfg := NewConfig(L2SServer, 4)
 	r, _ := Run(cfg, tr)
 	if r.MeanLoad <= 0 || r.MeanLoad > float64(cfg.WindowPerNode)+1 {
 		t.Fatalf("MeanLoad = %v, window per node = %d", r.MeanLoad, cfg.WindowPerNode)
@@ -285,7 +283,7 @@ func TestMeanLoadWithinWindow(t *testing.T) {
 func TestUtilizationsBounded(t *testing.T) {
 	tr := testTrace(20000)
 	for _, sys := range []System{Traditional, LARDServer, L2SServer} {
-		r, _ := Run(DefaultConfig(sys, 8), tr)
+		r, _ := Run(NewConfig(sys, 8), tr)
 		if r.MeanCPUUtil < 0 || r.MeanCPUUtil > 1+1e-9 {
 			t.Errorf("%v: CPU util %v", sys, r.MeanCPUUtil)
 		}
@@ -300,13 +298,17 @@ func TestUtilizationsBounded(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	tr := testTrace(100)
+	freeFrontEnd := func(c *Config) { c.FECostSec = 0 }
 	bad := []Config{
-		{System: Traditional, Nodes: 0, WindowPerNode: 1},
-		{System: Traditional, Nodes: 2, WindowPerNode: 0},
-		{System: Traditional, Nodes: 2, WindowPerNode: 1, WarmFraction: 0.99},
-		{System: LARDServer, Nodes: 2, WindowPerNode: 1, FECostSec: 0},
-		{System: CustomServer, Nodes: 2, WindowPerNode: 1},
-		{System: Traditional, Nodes: 2, WindowPerNode: 1, FailNode: 5},
+		{Policy: "traditional", Nodes: 0, WindowPerNode: 1},
+		{Policy: "traditional", Nodes: 2, WindowPerNode: 0},
+		{Policy: "traditional", Nodes: 2, WindowPerNode: 1, WarmFraction: 0.99},
+		{Nodes: 2, WindowPerNode: 1},
+		{Policy: "traditional", Nodes: 2, WindowPerNode: 1, FailNode: 5},
+		// A front-end needs a cost, whichever way the policy is named.
+		NewConfig(LARDServer, 4, freeFrontEnd),
+		NewConfig(CustomServer, 4, WithPolicy("lard"), freeFrontEnd),
+		NewConfig(CustomServer, 4, WithPolicy("lard-basic"), freeFrontEnd),
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg, tr); err == nil {
@@ -342,7 +344,7 @@ func TestSimulatorMatchesModelCPUBound(t *testing.T) {
 	}
 	tr := &trace.Trace{Name: "uniform", Sizes: sizes, Requests: reqs}
 
-	cfg := DefaultConfig(Traditional, 4)
+	cfg := NewConfig(Traditional, 4)
 	cfg.WindowPerNode = 24 // enough concurrency to saturate
 	r, err := Run(cfg, tr)
 	if err != nil {
@@ -371,11 +373,11 @@ func TestDistributedFSCostsThroughput(t *testing.T) {
 		Name: "missy", Files: 5000, AvgFileKB: 30, Requests: 30000,
 		AvgReqKB: 25, Alpha: 0.6, Seed: 4,
 	})
-	local, err := Run(DefaultConfig(Traditional, 8), tr)
+	local, err := Run(NewConfig(Traditional, 8), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(Traditional, 8)
+	cfg := NewConfig(Traditional, 8)
 	cfg.DistributedFS = true
 	dfs, err := Run(cfg, tr)
 	if err != nil {
@@ -419,7 +421,7 @@ func TestFileHomeSpreads(t *testing.T) {
 
 func TestHeterogeneousCPUs(t *testing.T) {
 	tr := testTrace(30000)
-	base, err := Run(DefaultConfig(L2SServer, 4), tr)
+	base, err := Run(NewConfig(L2SServer, 4), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +462,7 @@ func TestCPUProfileValidation(t *testing.T) {
 
 func TestTimelineShowsFailureDip(t *testing.T) {
 	tr := testTrace(30000)
-	cfg := DefaultConfig(L2SServer, 8)
+	cfg := NewConfig(L2SServer, 8)
 	cfg.TimelineBucket = 0.5
 	cfg.FailNode = 3
 	cfg.FailAtFrac = 0.7
@@ -485,7 +487,7 @@ func TestTimelineShowsFailureDip(t *testing.T) {
 
 func TestTimelineDisabledByDefault(t *testing.T) {
 	tr := testTrace(5000)
-	r, err := Run(DefaultConfig(Traditional, 2), tr)
+	r, err := Run(NewConfig(Traditional, 2), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,11 +505,11 @@ func TestLARDDispatcherScalesPastFrontEnd(t *testing.T) {
 		Name: "tiny", Files: 400, AvgFileKB: 4, Requests: 60000,
 		AvgReqKB: 3, Alpha: 1.0, LocalityP: 0.3, Seed: 7,
 	})
-	lard, err := Run(DefaultConfig(LARDServer, 16), tr)
+	lard, err := Run(NewConfig(LARDServer, 16), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disp, err := Run(DefaultConfig(LARDDispatcher, 16), tr)
+	disp, err := Run(NewConfig(LARDDispatcher, 16), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +517,7 @@ func TestLARDDispatcherScalesPastFrontEnd(t *testing.T) {
 		t.Fatalf("dispatcher variant %v should outscale the front-end %v",
 			disp.Throughput, lard.Throughput)
 	}
-	l2s, err := Run(DefaultConfig(L2SServer, 16), tr)
+	l2s, err := Run(NewConfig(L2SServer, 16), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +533,7 @@ func TestLARDDispatcherScalesPastFrontEnd(t *testing.T) {
 
 func TestLARDDispatcherSinglePointOfFailure(t *testing.T) {
 	tr := testTrace(30000)
-	cfg := DefaultConfig(LARDDispatcher, 8)
+	cfg := NewConfig(LARDDispatcher, 8)
 	cfg.FailNode = 0 // the dispatcher
 	cfg.FailAtFrac = 0.5
 	r, err := Run(cfg, tr)
@@ -546,7 +548,7 @@ func TestLARDDispatcherSinglePointOfFailure(t *testing.T) {
 
 func TestLARDDispatcherSingleNode(t *testing.T) {
 	tr := testTrace(5000)
-	r, err := Run(DefaultConfig(LARDDispatcher, 1), tr)
+	r, err := Run(NewConfig(LARDDispatcher, 1), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +570,7 @@ func TestWindowThroughputMatchesMVA(t *testing.T) {
 	}
 	tr := uniformTrace(sizes, 40000)
 
-	costs := DefaultConfig(Traditional, 1).Costs
+	costs := NewConfig(Traditional, 1).Costs
 	const skb = 16.0
 	closed := &qnet.ClosedNetwork{
 		Demands: []float64{
@@ -579,7 +581,7 @@ func TestWindowThroughputMatchesMVA(t *testing.T) {
 		},
 	}
 	for _, w := range []int{1, 2, 4, 8, 16} {
-		cfg := DefaultConfig(Traditional, 1)
+		cfg := NewConfig(Traditional, 1)
 		cfg.WindowPerNode = w
 		r, err := Run(cfg, tr)
 		if err != nil {

@@ -163,11 +163,7 @@ func TestScheduleArrivals(t *testing.T) {
 		t.Error("open-loop run reported no latency")
 	}
 
-	// Mutual exclusion and malformed schedules fail Validate.
-	bad := NewConfig(Traditional, 4, WithArrivalRate(100), WithArrivalSchedule(sched))
-	if err := bad.Validate(); err == nil {
-		t.Error("ArrivalRate + ArrivalSchedule must fail Validate")
-	}
+	// Malformed schedules fail Validate.
 	for i, s := range [][]RateSegment{
 		{{Duration: 0, Rate: 10}},
 		{{Duration: 1, Rate: -1}},

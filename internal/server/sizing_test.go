@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/policy"
 	"repro/internal/trace"
 )
 
@@ -31,39 +30,25 @@ func sizingConfig(family string) Config {
 		WithProfiles(profiles...))
 }
 
-// TestIndexCapacityIsNotAnInput runs each family twice through the same
-// construction path — an empty index that grows as FileIDs arrive, and one
-// sized for the catalogue as Run sizes it — and once through Run's own path,
-// and requires identical Results: the index's size never reaches a
-// decision, so changing how it is sized cannot change a result.
+// TestIndexCapacityIsNotAnInput runs each family twice — through Run's own
+// path, which sizes its index for the catalogue, and through a registered
+// twin (testpolicies_test.go) that hands the same factory an unknown
+// catalogue size, so its index grows as FileIDs arrive — and requires
+// identical Results: the index's size never reaches a decision, so
+// changing how it is sized cannot change a result.
 func TestIndexCapacityIsNotAnInput(t *testing.T) {
 	tr := sizingTrace()
 	for _, family := range indexedFamilies {
-		cfg := sizingConfig(family)
-		want, err := Run(cfg, tr)
+		want, err := Run(sizingConfig(family), tr)
 		if err != nil {
 			t.Fatalf("%s: %v", family, err)
 		}
-		for _, hint := range []int{0, tr.NumFiles()} {
-			hinted := cfg
-			hinted.Policy = ""
-			hinted.CustomPolicy = func(env policy.Env) policy.Distributor {
-				popts := cfg.policyOptions()
-				popts.Files = hint
-				popts.Weights = capacityWeights(cfg.resolvedProfiles(), cfg.Costs, tr)
-				dist, err := policy.MustParseSpec(family).Build(env, popts)
-				if err != nil {
-					panic(err) // Run reports it as an error
-				}
-				return dist
-			}
-			got, err := Run(hinted, tr)
-			if err != nil {
-				t.Fatalf("%s, hint %d: %v", family, hint, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: hint %d changed the result\n got %+v\nwant %+v", family, hint, got, want)
-			}
+		got, err := Run(sizingConfig(unsizedPrefix+family), tr)
+		if err != nil {
+			t.Fatalf("%s, unsized: %v", family, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: an unsized index changed the result\n got %+v\nwant %+v", family, got, want)
 		}
 	}
 }
