@@ -222,31 +222,41 @@ func writeSeries(rec *obs.Series, seriesOut, chromeOut string) error {
 }
 
 // compare runs every named policy over the same workload on the parallel
-// sweep runner and prints the Section 5 metrics side by side.
+// sweep runner and prints the Section 5 metrics side by side, one row per
+// spec as given (two tunings of one policy stay apart). It exits 1 after
+// the table if any simulation failed.
 func compare(names []string, buildConfig func(string) server.Config, tr *trace.Trace, workers int, memMB int64) {
 	jobs := make([]runner.Job, len(names))
+	width := len("system")
 	for i, n := range names {
 		jobs[i] = runner.Job{Key: n, Config: buildConfig(n), Trace: tr}
+		width = max(width, len(n))
 	}
 	start := time.Now()
 	results := runner.NewPool(workers).Run(jobs)
 
 	fmt.Printf("comparison on %s (%d requests), %d nodes, %d MB per node\n",
 		tr.Name, tr.NumRequests(), jobs[0].Config.Nodes, memMB)
-	fmt.Printf("  %-14s %10s %8s %8s %10s %8s %12s\n",
-		"system", "req/s", "miss%", "fwd%", "imbalance", "idle%", "p50 ms")
+	fmt.Printf("  %-*s %10s %8s %8s %10s %8s %12s %12s %10s\n", width,
+		"system", "req/s", "miss%", "fwd%", "imbalance", "idle%", "p50 ms", "ctrl msgs", "gossip")
+	failed := 0
 	for _, jr := range results {
 		if jr.Err != nil {
-			fmt.Printf("  %-14s failed: %v\n", jr.Key, jr.Err)
+			fmt.Printf("  %-*s failed: %v\n", width, jr.Key, jr.Err)
+			failed++
 			continue
 		}
 		r := jr.Result
-		fmt.Printf("  %-14s %10.0f %8.1f %8.1f %10.2f %8.1f %12.2f\n",
-			r.System, r.Throughput, r.MissRate*100, r.ForwardedFrac*100,
-			r.LoadImbalance, r.CPUIdle*100, r.LatencyP50*1000)
+		fmt.Printf("  %-*s %10.0f %8.1f %8.1f %10.2f %8.1f %12.2f %12d %10d\n", width,
+			jr.Key, r.Throughput, r.MissRate*100, r.ForwardedFrac*100,
+			r.LoadImbalance, r.CPUIdle*100, r.LatencyP50*1000,
+			r.ControlMessages, r.GossipMessages)
 	}
 	fmt.Fprintf(os.Stderr, "clustersim: %d simulations in %v\n",
 		len(jobs), time.Since(start).Round(time.Millisecond))
+	if failed > 0 {
+		fatalIf(fmt.Errorf("%d of %d simulations failed", failed, len(jobs)))
+	}
 }
 
 func fatalIf(err error) {

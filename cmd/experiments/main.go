@@ -12,7 +12,6 @@
 //	experiments -only scalefigs # Figure 7-10 families at N up to 1024 (runs only when named)
 //	experiments -only churn     # shot-noise churn + diurnal study (runs only when named)
 //	experiments -only flash     # flash-crowd study (runs only when named)
-//	experiments -policy chash:vnodes=64,load=1.25,lard   # compare policy specs, then exit
 //	experiments -csv            # machine-readable figures
 //	experiments -progress       # report each finished simulation (and the
 //	                            # process heap high-water mark) on stderr
@@ -34,7 +33,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/policy"
 	"repro/internal/runner"
 	"repro/internal/server"
 	"repro/internal/trace"
@@ -54,7 +52,6 @@ func main() {
 		scale    = flag.Float64("scale", 0.2, "request-count scale for the simulation figures")
 		only     = flag.String("only", "", "run a single experiment (table1, figures3to6, table2, figure7..figure10, section5.2, sensitivity, memory, policies, persistent, failover, section6, heterogeneous, twotier, slownode, latency; chash, scalefigs, churn, and flash — the web-scale sweeps and the non-stationary workload studies — run only when named explicitly)")
 		profiles = flag.String("profiles", "", "per-node hardware spec, e.g. 4xfast:2.0/1.5/125000/64MB,12xslow:1.0/1.0/125000/32MB: run the weighted-policy comparison on that cluster, then exit")
-		policies = flag.String("policy", "", "comma-separated policy specs, e.g. chash:vnodes=64,load=1.25,lard:thigh=80: compare them on the clarknet workload, then exit")
 		csv      = flag.Bool("csv", false, "emit figures as CSV instead of tables")
 		chart    = flag.Bool("chart", false, "draw figures as ASCII charts too")
 		workers  = flag.Int("workers", 0, "concurrent simulations (0: all cores, 1: sequential)")
@@ -111,18 +108,6 @@ func main() {
 		tr, err := trace.Generate(spec.Scaled(opts.Scale / 2))
 		fatalIf(err)
 		_, text, err := experiments.ProfileStudy(pool, tr, specs)
-		fatalIf(err)
-		fmt.Println(text)
-		return
-	}
-
-	if *policies != "" {
-		specs := policy.SplitSpecs(*policies)
-		spec, err := trace.PaperTrace("clarknet")
-		fatalIf(err)
-		tr, err := trace.Generate(spec.Scaled(opts.Scale / 2))
-		fatalIf(err)
-		_, text, err := experiments.SpecStudy(pool, tr, specs, 16)
 		fatalIf(err)
 		fmt.Println(text)
 		return

@@ -48,7 +48,8 @@ func TestOnlyTable1(t *testing.T) {
 }
 
 // Bad values exit 1 before any experiment runs, with one line naming the
-// command; an unknown -only name lists the valid ones.
+// command; an unknown -only name lists the valid ones. The -policy flag
+// clustersim's comparison mode replaced is gone (exit 2, unknown flag).
 func TestBadValuesExit1(t *testing.T) {
 	for _, args := range [][]string{
 		{"-only", "nosuch"},
@@ -67,5 +68,8 @@ func TestBadValuesExit1(t *testing.T) {
 				t.Errorf("stderr %q does not list the valid names", stderr)
 			}
 		})
+	}
+	if code, _, _ := runExperiments(t, "-policy", "l2s,lard"); code != 2 {
+		t.Errorf("experiments -policy: exit %d, want 2 (the flag is gone; use clustersim -system l2s,lard)", code)
 	}
 }

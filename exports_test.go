@@ -25,7 +25,6 @@ var testOnlyExports = []string{
 	"native.WithRetry", "native.WithServePenalty",
 	"obs.Bounds", "obs.BucketCount", "obs.ParsePrometheus", "obs.WeightedMean",
 	"policytest.Pending",
-	"qnet.AsymptoticBounds", "qnet.Capacity", "qnet.MVA",
 	"queuemodel.ConsciousForCatalog", "queuemodel.LRUMiss",
 	"queuemodel.LRUZipfMissAsymptotic", "queuemodel.LRUZipfMissChe",
 	"queuemodel.ObliviousForCatalog", "queuemodel.RequestRate",

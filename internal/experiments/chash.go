@@ -109,41 +109,3 @@ func ChashScaleStudy(p *runner.Pool, nodesList []int, files, requests int) (Figu
 	}
 	return fig, rows, b.String(), nil
 }
-
-// SpecStudy runs caller-supplied policy specs (the cmd/experiments -policy
-// flag) side by side on one workload, so any parameterization reachable
-// through policy.ParseSpec — "chash:vnodes=64,load=1.5,d=2",
-// "lard:thigh=80", "l2s:delta=8" — can be compared without editing code.
-func SpecStudy(p *runner.Pool, tr *trace.Trace, specs []string, nodes int) ([]ChashScaleRow, string, error) {
-	jobs := make([]runner.Job, len(specs))
-	for i, spec := range specs {
-		jobs[i] = runner.Job{
-			Key: fmt.Sprintf("spec/%s/n=%d", spec, nodes),
-			Config: server.NewConfig(server.CustomServer, nodes,
-				server.WithPolicy(spec)),
-			Trace: tr,
-		}
-	}
-	var rows []ChashScaleRow
-	for i, jr := range p.Run(jobs) {
-		if jr.Err != nil {
-			return nil, "", fmt.Errorf("experiments: %s: %w", jr.Key, jr.Err)
-		}
-		rows = append(rows, ChashScaleRow{
-			Nodes:    nodes,
-			Row:      policyRow(specs[i], jr.Result),
-			Messages: jr.Result.ControlMessages,
-			Gossip:   jr.Result.GossipMessages,
-		})
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "policy specs on %s, %d nodes\n", tr.Name, nodes)
-	fmt.Fprintf(&b, "  %-36s %10s %8s %8s %10s %12s %10s\n",
-		"spec", "req/s", "miss%", "fwd%", "imbalance", "ctrl msgs", "gossip")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-36s %10.0f %8.1f %8.1f %10.2f %12d %10d\n",
-			r.Row.Policy, r.Row.Throughput, r.Row.MissRate*100,
-			r.Row.Forwarded*100, r.Row.Imbalance, r.Messages, r.Gossip)
-	}
-	return rows, b.String(), nil
-}

@@ -39,3 +39,23 @@ func ExampleParams_HitRates() {
 	// Output:
 	// Hlo=0.70 -> Hlc=0.88, replicated-file hit h=0.57, forwarded Q=0.40
 }
+
+// Cluster scaling of the locality-conscious bound at an 80% single-node
+// hit rate and 32 KB files: the bound grows with the cluster, moving from
+// the disk to the CPUs, until the one shared router saturates and adding
+// nodes buys nothing.
+func ExampleParams_Conscious_scaling() {
+	p := queuemodel.DefaultParams()
+	p.AvgFileKB = 32
+	for _, n := range []int{1, 4, 16, 64, 256} {
+		p.Nodes = n
+		r := p.Conscious(0.8)
+		fmt.Printf("N=%3d: %5.0f req/s (%s-bound)\n", n, r.RequestsPerSec, r.Bottleneck)
+	}
+	// Output:
+	// N=  1:   160 req/s (disk-bound)
+	// N=  4:  1333 req/s (cpu-bound)
+	// N= 16:  5300 req/s (cpu-bound)
+	// N= 64: 15385 req/s (router-bound)
+	// N=256: 15385 req/s (router-bound)
+}

@@ -1,12 +1,11 @@
 package queuemodel
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/qnet"
 )
 
 func params(sizeKB float64) Params {
@@ -317,6 +316,27 @@ func TestLatencyBehavior(t *testing.T) {
 	}
 }
 
+// Latency is the M/M/1 closed form summed over the centers: each center
+// with per-request demand D at utilization rho adds D / (1 - rho), with
+// rho taken from Utilizations at the same load.
+func TestLatencyIsSumOfMM1Residences(t *testing.T) {
+	p := params(16)
+	r := p.Conscious(0.8)
+	for _, load := range []float64{0.1, 0.5, 0.9, 0.99} {
+		lambda := load * r.RequestsPerSec
+		utils := p.Utilizations(lambda, r.Hit, r.Forward)
+		var want float64
+		for c := Center(0); c < numCenters; c++ {
+			if d := r.Demands.PerRequest[c]; d > 0 {
+				want += d / (1 - utils[c])
+			}
+		}
+		if got := p.Latency(lambda, r.Hit, r.Forward); math.Abs(got-want) > 1e-12*want {
+			t.Errorf("at %.0f%% of the bound: latency %v, want %v", load*100, got, want)
+		}
+	}
+}
+
 func TestCenterString(t *testing.T) {
 	if CPU.String() != "cpu" || Router.String() != "router" {
 		t.Fatal("center names wrong")
@@ -430,49 +450,119 @@ func TestDemandArithmetic(t *testing.T) {
 	}
 }
 
-// Cross-validation against the general Jackson-network solver: encode the
-// Figure 2 cluster as a qnet network (one aggregated M/M/N station per
-// center type, service rate = 1/per-request demand) and check that its
-// capacity equals this package's bottleneck throughput.
-func TestBoundMatchesQnetCapacity(t *testing.T) {
+// Cross-check the bound against its definition: the Figure 2 cluster is an
+// open network with one aggregated station per center type (N servers,
+// one for the router), no routing between them and one visit per request,
+// so its capacity is the smallest servers/demand over the centers.
+func TestBoundMatchesStationCapacity(t *testing.T) {
 	for _, tc := range []struct {
 		hlo  float64
 		size float64
 	}{{0.5, 8}, {0.8, 32}, {0.95, 4}, {0.3, 96}} {
-		p := params(tc.size)
-		r := p.Conscious(tc.hlo)
-		d := r.Demands
+		t.Run(fmt.Sprintf("Hlo=%v/S=%v", tc.hlo, tc.size), func(t *testing.T) {
+			p := params(tc.size)
+			r := p.Conscious(tc.hlo)
 
-		var stations []qnet.Station
-		var arrivals []float64
-		for c := Center(0); c < numCenters; c++ {
-			demand := d.PerRequest[c]
-			if demand <= 0 {
-				continue
+			capacity := math.Inf(1)
+			for c := Center(0); c < numCenters; c++ {
+				demand := r.Demands.PerRequest[c]
+				if demand <= 0 {
+					continue
+				}
+				servers := p.Nodes
+				if c == Router {
+					servers = 1
+				}
+				capacity = math.Min(capacity, float64(servers)/demand)
 			}
-			servers := p.Nodes
-			if c == Router {
-				servers = 1
+			if math.Abs(capacity-r.RequestsPerSec)/r.RequestsPerSec > 1e-9 {
+				t.Errorf("station capacity %v != model bound %v", capacity, r.RequestsPerSec)
 			}
-			stations = append(stations, qnet.Station{
-				Name:    c.String(),
-				Rate:    1 / demand,
-				Servers: servers,
-			})
-			arrivals = append(arrivals, 1) // one visit per request
+		})
+	}
+}
+
+// Property: the bound is the critical load. Offered exactly the bound,
+// the named bottleneck sits at utilization 1 and no center exceeds it,
+// for either server, any cluster size, hit rate and file size.
+func TestPropertyCapacityIsCritical(t *testing.T) {
+	for _, server := range []struct {
+		name  string
+		bound func(Params, float64) Throughput
+	}{{"oblivious", Params.Oblivious}, {"conscious", Params.Conscious}} {
+		t.Run(server.name, func(t *testing.T) {
+			prop := func(hRaw, sRaw uint16, nRaw uint8) bool {
+				p := params(4 + 124*float64(sRaw)/65535)
+				p.Nodes = int(nRaw) + 1
+				r := server.bound(p, float64(hRaw)/65535)
+				utils := p.Utilizations(r.RequestsPerSec, r.Hit, r.Forward)
+				if math.Abs(utils[r.Bottleneck]-1) > 1e-9 {
+					return false
+				}
+				for _, u := range utils {
+					if u > 1+1e-9 {
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// Property: adding a node never lowers the locality-conscious bound. The
+// node adds memory to the cluster cache and a share of every replicated
+// center; the extra forwarding it causes never outweighs that.
+func TestPropertyConsciousMonotoneInNodes(t *testing.T) {
+	prop := func(hRaw, sRaw uint16, nRaw uint8) bool {
+		p := params(4 + 124*float64(sRaw)/65535)
+		p.Nodes = int(nRaw) + 1
+		h := float64(hRaw) / 65535
+		base := p.Conscious(h).RequestsPerSec
+		p.Nodes++
+		return p.Conscious(h).RequestsPerSec >= base*(1-1e-12)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The model's hosting curve: 16 nodes with 32 MB each serving 30 KB files
+// from a growing catalogue. While the catalogue fits one node's memory the
+// locality-conscious server only pays for forwarding (gain below 1). Past
+// that the gain grows with the catalogue while the cluster-wide cache
+// keeps the conscious server off its disks, and it falls once the
+// catalogue is large enough to make that server disk-bound too.
+func TestConsciousGainPeaksBeforeDiskBound(t *testing.T) {
+	p := params(30)
+	p.CacheBytes = 32 << 20
+	var gains []float64
+	var bottlenecks []Center
+	for f := int64(1000); f <= 1024000; f *= 2 {
+		c := p.ConsciousForCatalog(f)
+		gains = append(gains, c.RequestsPerSec/p.ObliviousForCatalog(f).RequestsPerSec)
+		bottlenecks = append(bottlenecks, c.Bottleneck)
+	}
+	if gains[0] >= 1 {
+		t.Errorf("1,000 files fit one node, yet the gain is %.2f", gains[0])
+	}
+	peak := 0
+	for i, g := range gains {
+		if g > gains[peak] {
+			peak = i
 		}
-		routing := make([][]float64, len(stations))
-		for i := range routing {
-			routing[i] = make([]float64, len(stations))
-		}
-		n := &qnet.Network{Stations: stations, Routing: routing, Arrivals: arrivals}
-		cap, err := n.Capacity()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(cap-r.RequestsPerSec)/r.RequestsPerSec > 1e-9 {
-			t.Errorf("Hlo=%v S=%v: qnet capacity %v != model bound %v",
-				tc.hlo, tc.size, cap, r.RequestsPerSec)
+	}
+	if bottlenecks[peak] == Disk || peak+1 == len(gains) || bottlenecks[peak+1] != Disk {
+		t.Errorf("gain peaks at %d files (%v-bound); want the last catalogue before the conscious server is disk-bound (gains %.2f, bottlenecks %v)",
+			1000<<peak, bottlenecks[peak], gains, bottlenecks)
+	}
+	for i := range gains[1:] {
+		if falls := gains[i+1] < gains[i]; falls != (i >= peak) {
+			t.Errorf("gain %.2f -> %.2f from %d to %d files; want it never falling up to the peak at %d files and falling after",
+				gains[i], gains[i+1], 1000<<i, 1000<<(i+1), 1000<<peak)
 		}
 	}
 }

@@ -94,3 +94,44 @@ func ExampleRun_failover() {
 	// lard, back-end 3 crashes: lost only requests in flight: true
 	// lard, front-end crashes: lost every request after the crash: true
 }
+
+// A hosting service, the case the paper's introduction motivates: many
+// renters' pages make a working set far larger than one node's memory.
+// Grow the catalogue on 16 nodes with 32 MB each (a 512 MB cluster cache)
+// and compare L2S with the traditional server. L2S gains nothing while
+// the catalogue fits one node (0.9x at 1,000 files of 30 KB), gains most
+// once it outgrows one node but still fits the cluster cache (5.0x at
+// 4,000 files, 7.8x at 16,000) and gains less once it outgrows the
+// cluster cache too (3.4x at 48,000 files, 1.4 GB): there L2S misses 19%
+// of requests, its disks are 99% busy and it serves 2,656 requests/s
+// where it served 7,338.
+func ExampleRun_hosting() {
+	gain, l2sDisk := map[int]float64{}, map[int]float64{}
+	for _, files := range []int{1000, 4000, 16000, 48000} {
+		workload := trace.MustGenerate(trace.GenSpec{
+			Name: "hosting", Files: files, AvgFileKB: 30, Requests: 150000,
+			AvgReqKB: 18, Alpha: 0.8, LocalityP: 0.25, Seed: 9,
+		})
+		run := func(sys server.System) server.Result {
+			r, err := server.Run(server.NewConfig(sys, 16), workload)
+			if err != nil {
+				panic(err)
+			}
+			return r
+		}
+		l2s := run(server.L2SServer)
+		gain[files] = l2s.Throughput / run(server.Traditional).Throughput
+		l2sDisk[files] = l2s.MeanDiskUtil
+	}
+	fmt.Printf("fits one node (1,000 files): no gain: %v\n", gain[1000] < 1)
+	fmt.Printf("outgrows one node (4,000 files): over 4x: %v\n", gain[4000] > 4)
+	fmt.Printf("gain peaks at 16,000 files (0.5 GB): %v\n",
+		gain[16000] > gain[4000] && gain[16000] > gain[48000])
+	fmt.Printf("outgrows the cluster cache (48,000 files): l2s disk-bound, gain under half the peak: %v\n",
+		l2sDisk[48000] > 0.95 && gain[48000] < gain[16000]/2)
+	// Output:
+	// fits one node (1,000 files): no gain: true
+	// outgrows one node (4,000 files): over 4x: true
+	// gain peaks at 16,000 files (0.5 GB): true
+	// outgrows the cluster cache (48,000 files): l2s disk-bound, gain under half the peak: true
+}

@@ -1,13 +1,14 @@
 package server
 
 import (
-	"math/rand"
-
+	"fmt"
 	"math"
-	"repro/internal/cache"
+	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 
-	"repro/internal/qnet"
+	"repro/internal/cache"
 	"repro/internal/trace"
 )
 
@@ -572,13 +573,11 @@ func TestWindowThroughputMatchesMVA(t *testing.T) {
 
 	costs := NewConfig(Traditional, 1).Costs
 	const skb = 16.0
-	closed := &qnet.ClosedNetwork{
-		Demands: []float64{
-			costs.RouterTime(costs.ReqKB) + costs.RouterTime(skb), // router in+out
-			costs.NIInTime(),
-			costs.ParseTime() + costs.ReplyTime(skb), // CPU
-			costs.NIOutTime(skb),
-		},
+	demands := []float64{
+		costs.RouterTime(costs.ReqKB) + costs.RouterTime(skb), // router in+out
+		costs.NIInTime(),
+		costs.ParseTime() + costs.ReplyTime(skb), // CPU
+		costs.NIOutTime(skb),
 	}
 	for _, w := range []int{1, 2, 4, 8, 16} {
 		cfg := NewConfig(Traditional, 1)
@@ -587,18 +586,138 @@ func TestWindowThroughputMatchesMVA(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mva, err := closed.MVA(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		upper := closed.AsymptoticBounds(w)
-		if r.Throughput < mva.Throughput*0.98 {
+		mva := mvaThroughput(demands, w)
+		upper := asymptoticBound(demands, w)
+		if r.Throughput < mva*0.98 {
 			t.Errorf("window %d: simulated %v below the MVA prediction %v",
-				w, r.Throughput, mva.Throughput)
+				w, r.Throughput, mva)
 		}
 		if r.Throughput > upper*1.02 {
 			t.Errorf("window %d: simulated %v above the asymptotic bound %v",
 				w, r.Throughput, upper)
 		}
+	}
+}
+
+// mvaThroughput is exact Mean Value Analysis of a closed network of
+// single-server FCFS stations with no think time: the throughput of n
+// customers cycling through stations with the given per-cycle demands.
+func mvaThroughput(demands []float64, n int) float64 {
+	queue := make([]float64, len(demands)) // mean queue lengths at pop-1
+	var x float64
+	for pop := 1; pop <= n; pop++ {
+		var cycle float64
+		for i, d := range demands {
+			cycle += d * (1 + queue[i])
+		}
+		x = float64(pop) / cycle
+		for i, d := range demands {
+			queue[i] = x * d * (1 + queue[i]) // Little's law per station
+		}
+	}
+	return x
+}
+
+// asymptoticBound is the classic bound on the same network's throughput:
+// min(n / sum of demands, 1 / largest demand).
+func asymptoticBound(demands []float64, n int) float64 {
+	var sum, dmax float64
+	for _, d := range demands {
+		sum += d
+		dmax = max(dmax, d)
+	}
+	return min(float64(n)/sum, 1/dmax)
+}
+
+// One customer never queues: X(1) = 1 / (sum of demands), one station
+// or several.
+func TestMVASingleStationSingleCustomer(t *testing.T) {
+	for _, demands := range [][]float64{{0.1}, {0.2, 0.1}, {0.004, 0.002, 0.0005}} {
+		var sum float64
+		for _, d := range demands {
+			sum += d
+		}
+		if got := mvaThroughput(demands, 1); math.Abs(got-1/sum) > 1e-12/sum {
+			t.Errorf("demands %v: X(1) = %v, want %v", demands, got, 1/sum)
+		}
+	}
+}
+
+// One station is saturated from the first customer on: X = 1/D at every
+// population.
+func TestMVASingleStationSaturates(t *testing.T) {
+	for _, n := range []int{1, 2, 50} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			if got := mvaThroughput([]float64{0.1}, n); math.Abs(got-10) > 1e-12*10 {
+				t.Errorf("X(%d) = %v, want 10", n, got)
+			}
+		})
+	}
+}
+
+// The textbook two-station network D = (0.2, 0.1): n = 1 gives R = 0.3
+// and X = 10/3 with queues (2/3, 1/3); n = 2 gives R = 0.2(1 + 2/3) +
+// 0.1(1 + 1/3) = 7/15 and X = 30/7.
+func TestMVAKnownTwoStation(t *testing.T) {
+	two := []float64{0.2, 0.1}
+	for n, want := range map[int]float64{1: 10.0 / 3, 2: 30.0 / 7} {
+		if got := mvaThroughput(two, n); math.Abs(got-want) > 1e-12*want {
+			t.Errorf("X(%d) = %v, want %v", n, got, want)
+		}
+	}
+}
+
+// As the population grows, MVA converges to the open network's capacity
+// for the same demands, 1 / the largest demand: the saturation bound of
+// the paper's model.
+func TestMVAConvergesToOpenCapacity(t *testing.T) {
+	for _, demands := range [][]float64{{0.2, 0.1}, {0.004, 0.002, 0.0005}} {
+		want := 1 / slices.Max(demands)
+		if got := mvaThroughput(demands, 200); math.Abs(got-want) > 0.01*want {
+			t.Errorf("demands %v: X(200) = %v, want about %v", demands, got, want)
+		}
+	}
+}
+
+// The asymptotic bound is n / (sum of demands) while that is below
+// 1 / the largest demand, and 1 / the largest demand after: for
+// D = (0.2, 0.1), 10/3 at one customer and 5 from two on.
+func TestAsymptoticBound(t *testing.T) {
+	two := []float64{0.2, 0.1}
+	for n, want := range map[int]float64{1: 10.0 / 3, 2: 5, 100: 5} {
+		if got := asymptoticBound(two, n); math.Abs(got-want) > 1e-12*want {
+			t.Errorf("bound(%d) = %v, want %v", n, got, want)
+		}
+	}
+}
+
+// Property: MVA throughput never falls as customers are added, never
+// exceeds the asymptotic bound, and never falls below the pessimistic
+// bound n / (sum of demands + (n-1) x the largest demand), which is what
+// a customer would see if it queued behind every other at the bottleneck.
+func TestPropertyMVAInvariants(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		demands := make([]float64, 1+rng.Intn(5))
+		var sum float64
+		for i := range demands {
+			demands[i] = 0.01 + rng.Float64()*0.5
+			sum += demands[i]
+		}
+		dmax := slices.Max(demands)
+		prev := 0.0
+		for n := 1; n <= 30; n++ {
+			x := mvaThroughput(demands, n)
+			if x < prev-1e-12 ||
+				x > asymptoticBound(demands, n)*(1+1e-9) ||
+				x < float64(n)/(sum+float64(n-1)*dmax)*(1-1e-9) {
+				return false
+			}
+			prev = x
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

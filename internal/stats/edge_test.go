@@ -5,25 +5,8 @@ import (
 	"testing"
 )
 
-// Edge-of-contract behavior: empty merges, pre-measurement reads, and
-// quantile requests at and beyond the sampled range.
-
-func TestMeanMergeEmptySides(t *testing.T) {
-	var a, b Mean
-	a.Add(3)
-	a.Add(5)
-	before := a
-
-	a.Merge(&b) // empty other: no-op
-	if a != before {
-		t.Fatalf("merging an empty Mean changed the receiver: %+v -> %+v", before, a)
-	}
-
-	b.Merge(&a) // empty receiver: becomes a copy
-	if b.N() != 2 || b.Mean() != 4 || b.Min() != 3 || b.Max() != 5 {
-		t.Fatalf("merge into empty Mean: n=%d mean=%v min=%v max=%v", b.N(), b.Mean(), b.Min(), b.Max())
-	}
-}
+// Edge-of-contract behavior: pre-measurement reads and quantile requests
+// at and beyond the sampled range.
 
 func TestTimeWeightedValueAndEarlyAverage(t *testing.T) {
 	var w TimeWeighted

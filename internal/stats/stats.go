@@ -64,29 +64,6 @@ func (m *Mean) Max() float64 { return m.max }
 // Sum returns the total of all samples.
 func (m *Mean) Sum() float64 { return m.mean * float64(m.n) }
 
-// Merge folds other into m, as if all of other's samples had been added.
-func (m *Mean) Merge(other *Mean) {
-	if other.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = *other
-		return
-	}
-	n := m.n + other.n
-	delta := other.mean - m.mean
-	mean := m.mean + delta*float64(other.n)/float64(n)
-	m.m2 += other.m2 + delta*delta*float64(m.n)*float64(other.n)/float64(n)
-	m.mean = mean
-	m.n = n
-	if other.min < m.min {
-		m.min = other.min
-	}
-	if other.max > m.max {
-		m.max = other.max
-	}
-}
-
 // TimeWeighted tracks the time average of a piecewise-constant signal, such
 // as the number of open connections at a node.
 type TimeWeighted struct {
@@ -270,10 +247,4 @@ func (r *Ratio) Value() float64 {
 		return 0
 	}
 	return float64(r.Hits) / float64(r.Total)
-}
-
-// Merge folds other into r.
-func (r *Ratio) Merge(other Ratio) {
-	r.Hits += other.Hits
-	r.Total += other.Total
 }

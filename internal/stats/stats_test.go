@@ -65,32 +65,6 @@ func TestPropertyMeanMatchesNaive(t *testing.T) {
 	}
 }
 
-// Property: merging two accumulators equals accumulating the concatenation.
-func TestPropertyMeanMerge(t *testing.T) {
-	prop := func(seed int64, na, nb uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var a, b, all Mean
-		for i := 0; i < int(na%50)+1; i++ {
-			x := rng.Float64() * 100
-			a.Add(x)
-			all.Add(x)
-		}
-		for i := 0; i < int(nb%50)+1; i++ {
-			x := rng.Float64() * 100
-			b.Add(x)
-			all.Add(x)
-		}
-		a.Merge(&b)
-		return a.N() == all.N() &&
-			math.Abs(a.Mean()-all.Mean()) < 1e-9 &&
-			math.Abs(a.Var()-all.Var()) < 1e-6 &&
-			a.Min() == all.Min() && a.Max() == all.Max()
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTimeWeighted(t *testing.T) {
 	var w TimeWeighted
 	w.Set(2, 0)  // value 2 over [0, 10)
@@ -226,11 +200,5 @@ func TestRatio(t *testing.T) {
 	r.Observe(false)
 	if math.Abs(r.Value()-2.0/3.0) > 1e-12 {
 		t.Fatalf("Value = %v, want 2/3", r.Value())
-	}
-	var other Ratio
-	other.Observe(false)
-	r.Merge(other)
-	if r.Total != 4 || r.Hits != 2 {
-		t.Fatalf("after merge: %+v", r)
 	}
 }
