@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race chaos fmt vet bench cover fuzz profile lines
+.PHONY: all build test check race chaos fmt vet bench cover fuzz profile lines archive
 
 all: build
 
@@ -118,3 +118,17 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzSolveBeta -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzHandoffFrame -fuzztime=$(FUZZTIME) ./internal/native
 	$(GO) test -run=^$$ -fuzz=FuzzSortByTime -fuzztime=$(FUZZTIME) ./internal/shotnoise
+	$(GO) test -run=^$$ -fuzz=FuzzSeriesRoundTrip -fuzztime=$(FUZZTIME) ./internal/obs
+
+# archive rewrites the experiments archive: the default experiments pass,
+# then the churn and flash studies, all at -scale 0.05 (~15 s on 2 vCPUs).
+# The output does not depend on -workers or GOMAXPROCS; CI regenerates it
+# and fails on any byte that differs from the committed file, so a change
+# that moves a number commits the new file and says why.
+ARCHIVE = results/experiments-scale0.05.txt
+
+archive:
+	{ $(GO) run ./cmd/experiments -scale 0.05 && \
+	  $(GO) run ./cmd/experiments -scale 0.05 -only churn && \
+	  $(GO) run ./cmd/experiments -scale 0.05 -only flash; } > $(ARCHIVE).tmp
+	mv $(ARCHIVE).tmp $(ARCHIVE)

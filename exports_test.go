@@ -23,7 +23,7 @@ var testOnlyExports = []string{
 	"cache.Capacity", "cache.Evict", "cache.Measured", "cache.MostRecent",
 	"core.ServerSet",
 	"native.WithRetry", "native.WithServePenalty",
-	"obs.Bounds", "obs.BucketCount", "obs.ParsePrometheus", "obs.WeightedMean",
+	"obs.Bounds", "obs.BucketCount", "obs.ParsePrometheus",
 	"policytest.Pending",
 	"queuemodel.ConsciousForCatalog", "queuemodel.LRUMiss",
 	"queuemodel.LRUZipfMissAsymptotic", "queuemodel.LRUZipfMissChe",

@@ -3,10 +3,12 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -32,16 +34,19 @@ const ClusterWide = -1
 // Series is a valid no-op sink.
 //
 // Storage is a column store (DESIGN.md section 13): samples sharing (t, dt)
-// form a tick with one header, values sit in pointer-free float64 chunks,
-// and a tick's (node, metric) sequence — its shape — is shared with the
-// previous tick while the probe keeps its column order: 8 bytes per sample
-// and no lookup in the steady state.
+// form a tick with one header, a tick's (node, metric) sequence — its
+// shape — is shared with the previous tick while the probe keeps its column
+// order, and each value is stored XORed with the previous value of its own
+// column as a header byte plus the XOR's significant bytes. Ticks and values
+// sit in pointer-free chunks that are never copied once written.
 type Series struct {
 	interval float64
-	n        int         // samples recorded
-	ticks    []tick      // in recording order
-	vals     [][]float64 // sample i is vals[i/valChunk][i%valChunk]
-	cols     []column    // interned (node, metric) pairs
+	n        int      // samples recorded
+	nt       int      // ticks recorded
+	ticks    [][]tick // tick k is ticks[k/tickChunk][k%tickChunk]
+	vals     [][]byte // coded values in recording order, in valChunk-byte chunks
+	cols     []column // interned (node, metric) pairs
+	last     []uint64 // per column id: the bits of its latest value
 	colID    map[column]int32
 	shapes   [][]int32 // column-id sequences; a tick uses a prefix of one
 }
@@ -60,9 +65,16 @@ type tick struct {
 	shape int32
 }
 
-// valChunk is the number of values per storage chunk (32 KB): growing
-// allocates one more chunk and never copies what is already recorded.
-const valChunk = 1 << 12
+const (
+	// tickChunk is the number of tick headers per storage chunk (8 KB).
+	tickChunk = 1 << 8
+	// valChunk is the size of a value chunk in bytes (32 KB). A value is
+	// started only where its longest code fits — a header byte and eight,
+	// which is also how many bytes put writes and each reads after the
+	// header — so it never straddles two chunks.
+	valChunk = 1 << 15
+	maxCode  = 1 + 8
+)
 
 // CheckInterval reports whether dt can be a sampling interval; the error
 // names what is wanted, for a caller to prefix with where dt came from.
@@ -90,53 +102,92 @@ func (s *Series) Interval() float64 {
 	return s.interval
 }
 
+// tick returns tick k's header.
+func (s *Series) tick(k int) *tick {
+	return &s.ticks[k/tickChunk][k%tickChunk]
+}
+
 // Record appends one sample. The nil Series discards it.
 func (s *Series) Record(t, dt float64, node int, metric string, v float64) {
 	if s == nil {
 		return
 	}
-	k := len(s.ticks) - 1
+	var tk *tick
+	if s.nt > 0 {
+		tk = s.tick(s.nt - 1)
+	}
 	// Bit comparison: -0 and 0 are different timestamps in the artifacts.
-	if k < 0 || math.Float64bits(s.ticks[k].t) != math.Float64bits(t) ||
-		math.Float64bits(s.ticks[k].dt) != math.Float64bits(dt) {
+	if tk == nil || math.Float64bits(tk.t) != math.Float64bits(t) ||
+		math.Float64bits(tk.dt) != math.Float64bits(dt) {
 		var shape int32
-		if k >= 0 {
-			shape = s.ticks[k].shape
+		if tk != nil {
+			shape = tk.shape
 		}
-		s.ticks = append(s.ticks, tick{t: t, dt: dt, off: s.n, shape: shape})
-		k++
+		if s.nt%tickChunk == 0 {
+			s.ticks = append(s.ticks, make([]tick, tickChunk))
+		}
+		tk = s.tick(s.nt)
+		*tk = tick{t: t, dt: dt, off: s.n, shape: shape}
+		s.nt++
 	}
-	tk := &s.ticks[k]
 	pos := s.n - tk.off
-	if sh := s.shapes[tk.shape]; pos >= len(sh) || s.cols[sh[pos]] != (column{node, metric}) {
-		s.diverge(tk, pos, column{node, metric})
+	sh := s.shapes[tk.shape]
+	var id int32
+	if pos < len(sh) && s.cols[sh[pos]] == (column{node, metric}) {
+		id = sh[pos]
+	} else {
+		id = s.diverge(tk, pos, column{node, metric})
 	}
-	if s.n%valChunk == 0 {
-		s.vals = append(s.vals, make([]float64, 0, valChunk))
-	}
-	last := &s.vals[len(s.vals)-1]
-	*last = append(*last, v)
+	s.put(id, math.Float64bits(v))
 	s.n++
 }
 
-// diverge gives the tick a shape whose position pos is column c. Past the
-// end of its shape the shape grows in place — the ticks sharing it read only
-// their own prefix — and inside it the tick forks a copy of the prefix it
-// matched. Either way the tick's samples keep their recording order.
-func (s *Series) diverge(tk *tick, pos int, c column) {
+// put appends value bits b of column id, coded against the column's
+// previous value: x = b XOR previous is stored as one header byte, holding
+// x's count of significant bytes n (0 when the value repeats) and of
+// trailing zero bytes, then those n bytes, low first. The leading zero
+// bytes are the rest of the eight.
+func (s *Series) put(id int32, b uint64) {
+	x := b ^ s.last[id]
+	s.last[id] = b
+	var n, trail int
+	if x != 0 {
+		trail = bits.TrailingZeros64(x) >> 3
+		n = 8 - bits.LeadingZeros64(x)>>3 - trail
+		x >>= 8 * trail
+	}
+	if len(s.vals) == 0 || len(s.vals[len(s.vals)-1])+maxCode > valChunk {
+		s.vals = append(s.vals, make([]byte, 0, valChunk))
+	}
+	c := &s.vals[len(s.vals)-1]
+	i := len(*c)
+	buf := (*c)[:i+maxCode]
+	buf[i] = byte(n<<3 | trail)
+	binary.LittleEndian.PutUint64(buf[i+1:], x)
+	*c = buf[:i+1+n]
+}
+
+// diverge gives the tick a shape whose position pos is column c and
+// returns c's id. Past the end of its shape the shape grows in place — the
+// ticks sharing it read only their own prefix — and inside it the tick
+// forks a copy of the prefix it matched. Either way the tick's samples keep
+// their recording order.
+func (s *Series) diverge(tk *tick, pos int, c column) int32 {
 	id, ok := s.colID[c]
 	if !ok {
 		id = int32(len(s.cols))
 		s.cols = append(s.cols, c)
+		s.last = append(s.last, 0)
 		s.colID[c] = id
 	}
 	sh := s.shapes[tk.shape]
 	if pos == len(sh) {
 		s.shapes[tk.shape] = append(sh, id)
-		return
+		return id
 	}
 	tk.shape = int32(len(s.shapes))
 	s.shapes = append(s.shapes, append(sh[:pos:pos], id))
+	return id
 }
 
 // Len returns the number of recorded samples.
@@ -147,28 +198,36 @@ func (s *Series) Len() int {
 	return s.n
 }
 
-// end returns one past the last sample of tick k.
-func (s *Series) end(k int) int {
-	if k+1 < len(s.ticks) {
-		return s.ticks[k+1].off
-	}
-	return s.n
-}
-
 // each calls fn on every sample in recording order, reusing one Sample,
-// and stops at the first error.
+// and stops at the first error. It decodes the values in the order put
+// coded them, keeping one last value per column.
 func (s *Series) each(fn func(*Sample) error) error {
 	if s == nil {
 		return nil
 	}
 	var sm Sample
-	for k := range s.ticks {
-		tk := &s.ticks[k]
+	last := make([]uint64, len(s.cols))
+	chunk, at := 0, 0
+	for k := 0; k < s.nt; k++ {
+		tk := s.tick(k)
+		end := s.n
+		if k+1 < s.nt {
+			end = s.tick(k + 1).off
+		}
 		sh := s.shapes[tk.shape]
 		sm.T, sm.Dt = tk.t, tk.dt
-		for i, end := tk.off, s.end(k); i < end; i++ {
-			c := &s.cols[sh[i-tk.off]]
-			sm.Node, sm.Metric, sm.V = c.node, c.metric, s.vals[i/valChunk][i%valChunk]
+		for _, id := range sh[:end-tk.off] {
+			c := s.vals[chunk]
+			if at == len(c) {
+				chunk, at, c = chunk+1, 0, s.vals[chunk+1]
+			}
+			h := int(c[at])
+			n, trail := h>>3, h&7
+			x := binary.LittleEndian.Uint64(c[at+1:at+maxCode]) & (1<<(8*n) - 1)
+			at += 1 + n
+			last[id] ^= x << (8 * trail)
+			col := &s.cols[id]
+			sm.Node, sm.Metric, sm.V = col.node, col.metric, math.Float64frombits(last[id])
 			if err := fn(&sm); err != nil {
 				return err
 			}
@@ -189,44 +248,6 @@ func (s *Series) Samples() []Sample {
 		return nil
 	})
 	return out
-}
-
-// WeightedMean returns the dt-weighted mean of one (node, metric) series —
-// the time average of the sampled signal. It returns 0 when no matching
-// samples exist. It costs one step per tick, plus one scan per shape change.
-func (s *Series) WeightedMean(node int, metric string) float64 {
-	if s == nil {
-		return 0
-	}
-	id, ok := s.colID[column{node, metric}]
-	if !ok {
-		return 0
-	}
-	var num, den float64
-	var at []int // positions of the column in the current shape
-	shape := int32(-1)
-	for k := range s.ticks {
-		tk := &s.ticks[k]
-		if tk.shape != shape {
-			shape, at = tk.shape, at[:0]
-			for p, c := range s.shapes[shape] {
-				if c == id {
-					at = append(at, p)
-				}
-			}
-		}
-		end := s.end(k)
-		for _, p := range at {
-			if i := tk.off + p; i < end {
-				num += s.vals[i/valChunk][i%valChunk] * tk.dt
-				den += tk.dt
-			}
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }
 
 // Metrics returns the distinct metric names recorded, sorted.

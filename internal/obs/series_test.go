@@ -1,26 +1,28 @@
-package obs
+package obs_test
 
 import (
 	"encoding/json"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestSeriesRecordAndWeightedMean(t *testing.T) {
-	s := NewSeries(0.5)
+	s := obs.NewSeries(0.5)
 	if s.Interval() != 0.5 {
 		t.Fatalf("interval = %v", s.Interval())
 	}
 	// Signal 1 for 1s, then 3 for 1s: time average 2.
 	s.Record(1, 1, 0, "util", 1)
 	s.Record(2, 1, 0, "util", 3)
-	s.Record(2, 1, 1, "util", 10)        // other node must not mix in
-	s.Record(2, 1, ClusterWide, "tp", 5) // other metric must not mix in
-	if got := s.WeightedMean(0, "util"); got != 2 {
+	s.Record(2, 1, 1, "util", 10)            // other node must not mix in
+	s.Record(2, 1, obs.ClusterWide, "tp", 5) // other metric must not mix in
+	if got := weightedMean(s.Samples(), 0, "util"); got != 2 {
 		t.Fatalf("weighted mean = %v, want 2", got)
 	}
-	if got := s.WeightedMean(0, "absent"); got != 0 {
+	if got := weightedMean(s.Samples(), 0, "absent"); got != 0 {
 		t.Fatalf("weighted mean of absent series = %v, want 0", got)
 	}
 	if s.Len() != 4 {
@@ -32,9 +34,9 @@ func TestSeriesRecordAndWeightedMean(t *testing.T) {
 }
 
 func TestSeriesNil(t *testing.T) {
-	var s *Series
+	var s *obs.Series
 	s.Record(1, 1, 0, "m", 2)
-	if s.Len() != 0 || s.Samples() != nil || s.Interval() != 0 || s.WeightedMean(0, "m") != 0 || s.Metrics() != nil {
+	if s.Len() != 0 || s.Samples() != nil || s.Interval() != 0 || s.Metrics() != nil {
 		t.Fatalf("nil series is not inert")
 	}
 	var sb strings.Builder
@@ -54,29 +56,29 @@ func TestNewSeriesPanics(t *testing.T) {
 					t.Errorf("NewSeries(%v) did not panic", iv)
 				}
 			}()
-			NewSeries(iv)
+			obs.NewSeries(iv)
 		}()
 	}
 }
 
 func TestCheckInterval(t *testing.T) {
 	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		err := CheckInterval(bad)
+		err := obs.CheckInterval(bad)
 		if err == nil || !strings.Contains(err.Error(), "want a positive, finite number of simulated seconds") {
 			t.Errorf("CheckInterval(%v) = %v, want an error naming what is wanted", bad, err)
 		}
 	}
 	for _, good := range []float64{1e-9, 0.1} {
-		if err := CheckInterval(good); err != nil {
+		if err := obs.CheckInterval(good); err != nil {
 			t.Errorf("CheckInterval(%v) = %v, want nil", good, err)
 		}
 	}
 }
 
 func TestWriteJSONL(t *testing.T) {
-	s := NewSeries(1)
+	s := obs.NewSeries(1)
 	s.Record(0.25, 0.25, 2, "cpu_util", 0.75)
-	s.Record(0.5, 0.25, ClusterWide, "throughput", 123)
+	s.Record(0.5, 0.25, obs.ClusterWide, "throughput", 123)
 	var sb strings.Builder
 	if err := s.WriteJSONL(&sb); err != nil {
 		t.Fatal(err)
@@ -85,20 +87,20 @@ func TestWriteJSONL(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines, want 2:\n%s", len(lines), sb.String())
 	}
-	var got Sample
+	var got obs.Sample
 	if err := json.Unmarshal([]byte(lines[0]), &got); err != nil {
 		t.Fatal(err)
 	}
-	want := Sample{T: 0.25, Dt: 0.25, Node: 2, Metric: "cpu_util", V: 0.75}
+	want := obs.Sample{T: 0.25, Dt: 0.25, Node: 2, Metric: "cpu_util", V: 0.75}
 	if got != want {
 		t.Fatalf("sample = %+v, want %+v", got, want)
 	}
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	s := NewSeries(1)
+	s := obs.NewSeries(1)
 	s.Record(1, 1, 0, "cpu_util", 0.5)
-	s.Record(1, 1, ClusterWide, "throughput", 42)
+	s.Record(1, 1, obs.ClusterWide, "throughput", 42)
 	s.Record(2, 1, 0, "cpu_util", 0.75)
 	var sb strings.Builder
 	if err := s.WriteChromeTrace(&sb); err != nil {
