@@ -48,8 +48,10 @@ func TestOnlyTable1(t *testing.T) {
 }
 
 // Bad values exit 1 before any experiment runs, with one line naming the
-// command; an unknown -only name lists the valid ones. The -policy flag
-// clustersim's comparison mode replaced is gone (exit 2, unknown flag).
+// command; an unknown -only name lists the valid ones. The deleted flags
+// exit 2 (unknown flag): -policy and -profiles, which clustersim's
+// comparison mode replaced (-system a,b and -system ... -profiles), and
+// -csv and -chart.
 func TestBadValuesExit1(t *testing.T) {
 	for _, args := range [][]string{
 		{"-only", "nosuch"},
@@ -69,7 +71,14 @@ func TestBadValuesExit1(t *testing.T) {
 			}
 		})
 	}
-	if code, _, _ := runExperiments(t, "-policy", "l2s,lard"); code != 2 {
-		t.Errorf("experiments -policy: exit %d, want 2 (the flag is gone; use clustersim -system l2s,lard)", code)
+	for _, args := range [][]string{
+		{"-policy", "l2s,lard"},
+		{"-profiles", "2x2/8,6x1/1"},
+		{"-csv"},
+		{"-chart"},
+	} {
+		if code, _, _ := runExperiments(t, append(args, "-only", "table1", "-scale", "0.001")...); code != 2 {
+			t.Errorf("experiments %s: exit %d, want 2 (the flag is gone)", strings.Join(args, " "), code)
+		}
 	}
 }

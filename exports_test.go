@@ -29,7 +29,7 @@ var testOnlyExports = []string{
 	"queuemodel.LRUZipfMissAsymptotic", "queuemodel.LRUZipfMissChe",
 	"queuemodel.ObliviousForCatalog", "queuemodel.RequestRate",
 	"queuemodel.SaturatedTokenThroughput",
-	"server.DefaultNodeProfile", "server.Tiered", "server.UniformProfiles",
+	"server.DefaultNodeProfile",
 	"stats.Stddev",
 	"zipf.CDF", "zipf.P",
 }

@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/cache"
@@ -67,25 +68,35 @@ type Figure struct {
 	ID     string // e.g. "figure7"
 	Title  string
 	XLabel string
-	YLabel string
 	X      []float64
 	Series []Series
 }
 
 // Render draws the figure as an aligned text table.
 func (f Figure) Render() string {
+	return fmt.Sprintf("%s: %s\n", f.ID, f.Title) + f.table("%-12s", "%14s", "%-12g", "%14.1f")
+}
+
+// CSV renders the figure as comma-separated values.
+func (f Figure) CSV() string {
+	return f.table("%s", ",%s", "%g", ",%.2f")
+}
+
+// table prints the X label and each series label on a header line, then
+// one line per X value with each series' value at that point, formatting
+// them with the given verbs.
+func (f Figure) table(xHead, head, x, value string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %s\n", f.ID, f.Title)
-	fmt.Fprintf(&b, "%-12s", f.XLabel)
+	fmt.Fprintf(&b, xHead, f.XLabel)
 	for _, s := range f.Series {
-		fmt.Fprintf(&b, "%14s", s.Label)
+		fmt.Fprintf(&b, head, s.Label)
 	}
 	b.WriteByte('\n')
-	for i, x := range f.X {
-		fmt.Fprintf(&b, "%-12g", x)
+	for i, xv := range f.X {
+		fmt.Fprintf(&b, x, xv)
 		for _, s := range f.Series {
 			if i < len(s.Values) {
-				fmt.Fprintf(&b, "%14.1f", s.Values[i])
+				fmt.Fprintf(&b, value, s.Values[i])
 			}
 		}
 		b.WriteByte('\n')
@@ -93,25 +104,92 @@ func (f Figure) Render() string {
 	return b.String()
 }
 
-// CSV renders the figure as comma-separated values.
-func (f Figure) CSV() string {
-	var b strings.Builder
-	b.WriteString(f.XLabel)
-	for _, s := range f.Series {
-		b.WriteByte(',')
-		b.WriteString(s.Label)
+// chartMarks give each series a distinct plotting glyph.
+var chartMarks = []byte{'*', 'o', '+', 'x', '#', '@'}
+
+// Chart renders the figure as an ASCII scatter/line chart of the given
+// plot-area dimensions — enough to eyeball the curves of Figures 7-10 in a
+// terminal without leaving the repository.
+func (f Figure) Chart(width, height int) string {
+	if width < 8 {
+		width = 8
 	}
-	b.WriteByte('\n')
-	for i, x := range f.X {
-		fmt.Fprintf(&b, "%g", x)
-		for _, s := range f.Series {
-			if i < len(s.Values) {
-				fmt.Fprintf(&b, ",%.2f", s.Values[i])
+	if height < 4 {
+		height = 4
+	}
+	if len(f.X) == 0 || len(f.Series) == 0 {
+		return f.ID + ": (no data)\n"
+	}
+
+	xmin, xmax := minMax(f.X)
+	var ymin, ymax float64 = math.Inf(1), math.Inf(-1)
+	for _, s := range f.Series {
+		lo, hi := minMax(s.Values)
+		ymin = math.Min(ymin, lo)
+		ymax = math.Max(ymax, hi)
+	}
+	if ymin > 0 {
+		ymin = 0 // anchor throughput-like charts at zero
+	}
+	if xmax == xmin {
+		xmax = xmin + 1
+	}
+	if ymax == ymin {
+		ymax = ymin + 1
+	}
+
+	grid := make([][]byte, height)
+	for r := range grid {
+		grid[r] = []byte(strings.Repeat(" ", width))
+	}
+	plot := func(x, y float64, mark byte) {
+		col := int(math.Round((x - xmin) / (xmax - xmin) * float64(width-1)))
+		row := int(math.Round((y - ymin) / (ymax - ymin) * float64(height-1)))
+		row = height - 1 - row // origin at the bottom
+		if col >= 0 && col < width && row >= 0 && row < height && grid[row][col] == ' ' {
+			// First series wins coincident cells, so every curve stays
+			// visible in legend order.
+			grid[row][col] = mark
+		}
+	}
+	for si, s := range f.Series {
+		mark := chartMarks[si%len(chartMarks)]
+		for i, v := range s.Values {
+			if i < len(f.X) {
+				plot(f.X[i], v, mark)
 			}
 		}
-		b.WriteByte('\n')
 	}
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s: %s\n", f.ID, f.Title)
+	for r, row := range grid {
+		label := "          "
+		switch r {
+		case 0:
+			label = fmt.Sprintf("%10.4g", ymax)
+		case height - 1:
+			label = fmt.Sprintf("%10.4g", ymin)
+		}
+		fmt.Fprintf(&b, "%s |%s\n", label, row)
+	}
+	fmt.Fprintf(&b, "%s +%s\n", strings.Repeat(" ", 10), strings.Repeat("-", width))
+	fmt.Fprintf(&b, "%s  %-*g%*g\n", strings.Repeat(" ", 10), width/2, xmin, width-width/2, xmax)
+	b.WriteString(strings.Repeat(" ", 12))
+	for si, s := range f.Series {
+		fmt.Fprintf(&b, "%c=%s  ", chartMarks[si%len(chartMarks)], s.Label)
+	}
+	b.WriteByte('\n')
 	return b.String()
+}
+
+func minMax(xs []float64) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, x := range xs {
+		lo = math.Min(lo, x)
+		hi = math.Max(hi, x)
+	}
+	return lo, hi
 }
 
 // Table1 renders the model parameters and their default values, the
@@ -158,37 +236,17 @@ func Table2(opts Options) ([]trace.Characteristics, string) {
 	return out, b.String()
 }
 
-// HitRateAtCapacity measures the warm LRU hit rate of the trace at a given
-// cache capacity, after warming on the first third; at 32 MB its complement
-// is the sequential miss rate Section 5.1 calibrates against (9-28%). The
-// model curves of Figures 7-10 use it to instantiate the paper's hit-rate
-// algebra with the workload's true behavior: Hlo at one node's memory, Hlc
-// at the cluster-wide cache Clc = N(1-R)C + RC, and h at the replicated
-// slice RC. (The paper's closed-form z(n, F) assumes independent Zipf
-// references; real and realistic traces also carry temporal locality, which
-// an LRU pass captures and a z-evaluation would miss, so anchoring on
-// measured hit rates keeps the model an upper bound.)
-func HitRateAtCapacity(tr *trace.Trace, cacheBytes int64) float64 {
-	if cacheBytes <= 0 {
-		return 0
-	}
-	c := cache.NewLRU(cacheBytes)
-	warm := tr.NumRequests() / 3
-	for i, id := range tr.Requests {
-		if i < warm {
-			c.Warm(id, tr.Size(id))
-		} else {
-			c.Access(id, tr.Size(id))
-		}
-	}
-	return c.HitRate()
-}
-
 // ReuseCurve computes the trace's byte-granular LRU miss-ratio curve in a
 // single pass (Mattson's stack algorithm), warmed on the first third:
 // Curve.HitRate(C) then equals a direct LRU simulation at any capacity
 // larger than the biggest file, so one pass anchors the model's hit rates
-// for every cluster size at once.
+// for every cluster size at once. At 32 MB its miss rate is the sequential
+// miss rate Section 5.1 calibrates against (9-28%). The model curves use it
+// to instantiate the paper's hit-rate algebra with the workload's true
+// behavior: the paper's closed-form z(n, F) assumes independent Zipf
+// references, while real and realistic traces also carry temporal locality,
+// which an LRU pass captures and a z-evaluation would miss, so anchoring on
+// measured hit rates keeps the model an upper bound.
 func ReuseCurve(tr *trace.Trace) *cache.Curve {
 	b := cache.NewCurveBuilder(tr.NumRequests())
 	warm := tr.NumRequests() / 3
@@ -202,18 +260,19 @@ func ReuseCurve(tr *trace.Trace) *cache.Curve {
 	return b.Curve()
 }
 
-// modelBound computes the per-trace "model" curve of Figures 7-10: the
-// locality-conscious throughput bound with 15% replication, with all three
-// hit rates measured on the workload itself (via its reuse curve).
-func modelBound(curve *cache.Curve, ch trace.Characteristics, nodes int, opts Options) float64 {
-	p := queuemodel.DefaultParams()
+// modelAt instantiates the locality-conscious model for a characterized
+// workload on nodes nodes with the options' memory and replication, and
+// anchors it on the workload: hitRate(c) is its warm LRU hit rate at
+// capacity c, read at the cluster-wide cache (Hlc) and at the replicated
+// slice (h, which sets the forward fraction q). The model curve of Figures
+// 7-10 is p.Bound(hlc, q).
+func modelAt(ch trace.Characteristics, nodes int, opts Options, hitRate func(int64) float64) (p queuemodel.Params, hlc, q float64) {
+	p = queuemodel.DefaultParams()
 	p.Nodes = nodes
 	p.CacheBytes = opts.CacheBytes
 	p.Replication = opts.Replication
 	p.AvgFileKB = ch.AvgReqKB
-
-	clc := p.TotalConsciousCache()
-	hlc := curve.HitRate(int64(clc))
-	h := curve.HitRate(int64(opts.Replication * float64(opts.CacheBytes)))
-	return p.Bound(hlc, p.ForwardFraction(h)).RequestsPerSec
+	hlc = hitRate(int64(p.TotalConsciousCache()))
+	q = p.ForwardFraction(hitRate(int64(opts.Replication * float64(opts.CacheBytes))))
+	return p, hlc, q
 }

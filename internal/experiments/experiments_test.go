@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/runner"
+	"repro/internal/server"
 	"repro/internal/trace"
 )
 
@@ -29,6 +32,25 @@ func fastTrace(t *testing.T, name string, scale float64) *trace.Trace {
 		t.Fatal(err)
 	}
 	return trace.MustGenerate(spec.Scaled(scale))
+}
+
+// lruHitRate is the direct measurement ReuseCurve replaces: the warm LRU
+// hit rate of the trace at one cache capacity, after warming on the first
+// third.
+func lruHitRate(tr *trace.Trace, cacheBytes int64) float64 {
+	if cacheBytes <= 0 {
+		return 0
+	}
+	c := cache.NewLRU(cacheBytes)
+	warm := tr.NumRequests() / 3
+	for i, id := range tr.Requests {
+		if i < warm {
+			c.Warm(id, tr.Size(id))
+		} else {
+			c.Access(id, tr.Size(id))
+		}
+	}
+	return c.HitRate()
 }
 
 func TestTable1Renders(t *testing.T) {
@@ -102,7 +124,7 @@ func TestReplicationSweepTradeoffs(t *testing.T) {
 func TestSequentialMissRateBands(t *testing.T) {
 	for _, name := range []string{"calgary", "nasa"} {
 		tr := fastTrace(t, name, 0.1)
-		m := 1 - HitRateAtCapacity(tr, 32<<20)
+		m := 1 - lruHitRate(tr, 32<<20)
 		if m < 0.03 || m > 0.35 {
 			t.Errorf("%s: sequential miss %.1f%% far outside the paper band", name, m*100)
 		}
@@ -112,12 +134,12 @@ func TestSequentialMissRateBands(t *testing.T) {
 // Figures 7-10: every paper trace sweeps without error and yields the four
 // curves over every cluster size, in the paper's shape.
 func TestRunTraceProducesAllSeries(t *testing.T) {
-	for _, name := range []string{"calgary", "clarknet", "nasa", "rutgers"} {
-		run, err := RunTrace(name, fastOptions())
+	for i, name := range []string{"calgary", "clarknet", "nasa", "rutgers"} {
+		run, err := RunWorkload(fastTrace(t, name, fastOptions().Scale), fastOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		fig := run.ThroughputFigure(FigureIDs[name])
+		fig := run.ThroughputFigure(fmt.Sprintf("figure%d", 7+i))
 		if len(fig.Series) != 4 {
 			t.Fatalf("%s: want 4 series (model/l2s/lard/trad), got %d", name, len(fig.Series))
 		}
@@ -160,7 +182,7 @@ func TestRunTraceProducesAllSeries(t *testing.T) {
 
 func TestFigureRenderAndCSV(t *testing.T) {
 	fig := Figure{
-		ID: "x", Title: "t", XLabel: "n", YLabel: "v",
+		ID: "x", Title: "t", XLabel: "n",
 		X:      []float64{1, 2},
 		Series: []Series{{Label: "a", Values: []float64{3, 4}}},
 	}
@@ -202,10 +224,19 @@ func TestL2SSensitivityRobust(t *testing.T) {
 	// The threshold and window ablations are expected to matter — the
 	// paper's values should be at (or near) the best of each sweep.
 	for _, group := range []string{"thresholds", "window"} {
+		var names []string
+		for _, v := range sensitivityVariants {
+			if v.group == group {
+				names = append(names, v.name)
+			}
+		}
 		rows := results[group]
+		if len(rows) != len(names) {
+			t.Fatalf("group %s: %d rows for %d variants", group, len(rows), len(names))
+		}
 		var paper, best float64
-		for _, r := range rows {
-			if strings.Contains(r.Variant, "paper") || strings.Contains(r.Variant, "default") {
+		for i, r := range rows {
+			if strings.Contains(names[i], "paper") || strings.Contains(names[i], "default") {
 				paper = r.Throughput
 			}
 			if r.Throughput > best {
@@ -223,7 +254,9 @@ func TestL2SSensitivityRobust(t *testing.T) {
 
 func TestMemoryScalingHelpsTraditionalMost(t *testing.T) {
 	tr := fastTrace(t, "calgary", 0.2)
-	figs, text, err := MemoryScaling(testPool(), tr, []int{4, 8})
+	opts := fastOptions()
+	opts.Nodes = []int{4, 8}
+	figs, text, err := MemoryScaling(tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +289,7 @@ func TestMemoryScalingHelpsTraditionalMost(t *testing.T) {
 
 func TestFailoverStudy(t *testing.T) {
 	tr := fastTrace(t, "calgary", 0.05)
-	text, err := FailoverStudy(testPool(), tr, 8)
+	_, text, err := FailoverStudy(testPool(), tr, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,16 +306,16 @@ func TestPolicyComparisonOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]PolicyRow{}
+	byName := map[string]server.Result{}
 	for _, r := range rows {
-		byName[r.Policy] = r
+		byName[r.System] = r
 	}
 	if byName["l2s"].Throughput <= byName["random"].Throughput {
 		t.Error("L2S must beat random arrival")
 	}
-	if byName["hashing"].Imbalance <= byName["l2s"].Imbalance {
+	if byName["hashing"].LoadImbalance <= byName["l2s"].LoadImbalance {
 		t.Errorf("strict hashing (%.2f) should balance worse than L2S (%.2f)",
-			byName["hashing"].Imbalance, byName["l2s"].Imbalance)
+			byName["hashing"].LoadImbalance, byName["l2s"].LoadImbalance)
 	}
 	if byName["cached-dns"].Throughput > byName["traditional"].Throughput*1.1 {
 		t.Error("cached DNS should not beat an ideal least-connections switch")
@@ -303,14 +336,15 @@ func TestPersistentStudyEffects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(system, mode string) PersistentRow {
-		for _, r := range rows {
-			if r.System == system && r.Mode == mode {
+	// Rows alternate http/1.0 and http/1.1 per system.
+	get := func(system, mode string) server.Result {
+		for i, r := range rows {
+			if r.System == system && (i%2 == 1) == (mode == "http/1.1") {
 				return r
 			}
 		}
 		t.Fatalf("row %s/%s missing", system, mode)
-		return PersistentRow{}
+		return server.Result{}
 	}
 	if get("lard", "http/1.1").Throughput <= get("lard", "http/1.0").Throughput {
 		t.Error("persistence should lift LARD's front-end ceiling")
@@ -352,7 +386,7 @@ func TestLatencyStudyShape(t *testing.T) {
 
 func TestChartRendering(t *testing.T) {
 	fig := Figure{
-		ID: "c", Title: "chart", XLabel: "x", YLabel: "y",
+		ID: "c", Title: "chart", XLabel: "x",
 		X: []float64{1, 2, 3, 4},
 		Series: []Series{
 			{Label: "up", Values: []float64{10, 20, 30, 40}},
@@ -401,7 +435,7 @@ func TestHeterogeneousStudy(t *testing.T) {
 		homog, het := rows[i], rows[i+1]
 		if het.Throughput > homog.Throughput*1.02 {
 			t.Errorf("%s: heterogeneous %v beats homogeneous %v",
-				het.Policy, het.Throughput, homog.Throughput)
+				het.System, het.Throughput, homog.Throughput)
 		}
 	}
 	if !strings.Contains(text, "heterogeneous cluster") {
@@ -450,7 +484,7 @@ func TestReuseCurveMatchesLRUPasses(t *testing.T) {
 	curve := ReuseCurve(tr)
 	for _, capMB := range []int64{5, 32, 128, 440} {
 		c := capMB << 20
-		direct := HitRateAtCapacity(tr, c)
+		direct := lruHitRate(tr, c)
 		fast := curve.HitRate(c)
 		if direct != fast {
 			t.Errorf("capacity %dMB: curve %v != LRU %v", capMB, fast, direct)

@@ -10,78 +10,23 @@ import (
 	"repro/internal/trace"
 )
 
-// PolicyRow is one line of the arrival/distribution policy comparison.
-type PolicyRow struct {
-	Policy     string
-	Throughput float64
-	MissRate   float64
-	Forwarded  float64
-	Imbalance  float64
-	CPUIdle    float64
-}
-
-// policyRow condenses a result into the comparison columns.
-func policyRow(name string, r server.Result) PolicyRow {
-	return PolicyRow{
-		Policy:     name,
-		Throughput: r.Throughput,
-		MissRate:   r.MissRate,
-		Forwarded:  r.ForwardedFrac,
-		Imbalance:  r.LoadImbalance,
-		CPUIdle:    r.CPUIdle,
-	}
-}
-
-// runRows executes one job per row label and condenses the results.
-func runRows(p *runner.Pool, jobs []runner.Job, label func(i int, r server.Result) string) ([]PolicyRow, error) {
-	var rows []PolicyRow
-	for i, jr := range p.Run(jobs) {
-		if jr.Err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", jr.Key, jr.Err)
-		}
-		rows = append(rows, policyRow(label(i, jr.Result), jr.Result))
-	}
-	return rows, nil
-}
-
 // PolicyComparison contrasts the full policy spectrum on one workload: the
 // three servers of the paper's evaluation plus the strawmen its earlier
 // sections discuss — strict locality by hashing (Section 1: "can produce
 // severe load imbalance"), random arrival, and round-robin DNS with
 // translation caching (Section 2: "can cause significant load imbalance").
 // Every policy is constructed through the policy registry.
-func PolicyComparison(p *runner.Pool, tr *trace.Trace, nodes int) ([]PolicyRow, string, error) {
-	names := []string{"l2s", "lard", "traditional", "hashing", "random", "cached-dns"}
-	jobs := make([]runner.Job, len(names))
-	for i, name := range names {
-		jobs[i] = runner.Job{
-			Key:    fmt.Sprintf("policies/%s/n=%d", name, nodes),
-			Config: server.NewConfig(server.CustomServer, nodes, server.WithPolicy(name)),
-			Trace:  tr,
-		}
+func PolicyComparison(p *runner.Pool, tr *trace.Trace, nodes int) ([]server.Result, string, error) {
+	s := study{
+		title: fmt.Sprintf("policy comparison on %s, %d nodes", tr.Name, nodes),
+		trace: tr,
+		cols:  []column{label("policy", 12), reqPerSec, missPct, fwdPct, imbalance, idlePct},
 	}
-	rows, err := runRows(p, jobs, func(i int, _ server.Result) string { return names[i] })
-	if err != nil {
-		return nil, "", err
+	for _, name := range []string{"l2s", "lard", "traditional", "hashing", "random", "cached-dns"} {
+		s.rows = append(s.rows, row{fmt.Sprintf("policies/%s/n=%d", name, nodes), name,
+			server.NewConfig(server.CustomServer, nodes, server.WithPolicy(name))})
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "policy comparison on %s, %d nodes\n", tr.Name, nodes)
-	fmt.Fprintf(&b, "  %-12s %10s %8s %8s %10s %8s\n",
-		"policy", "req/s", "miss%", "fwd%", "imbalance", "idle%")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-12s %10.0f %8.1f %8.1f %10.2f %8.1f\n",
-			r.Policy, r.Throughput, r.MissRate*100, r.Forwarded*100, r.Imbalance, r.CPUIdle*100)
-	}
-	return rows, b.String(), nil
-}
-
-// PersistentRow is one line of the HTTP/1.0-versus-HTTP/1.1 study.
-type PersistentRow struct {
-	System     string
-	Mode       string
-	Throughput float64
-	Forwarded  float64
-	LatencyP50 float64
+	return s.run(p)
 }
 
 // PersistentStudy contrasts per-request connections (HTTP/1.0, the paper's
@@ -90,55 +35,23 @@ type PersistentRow struct {
 // The headline effect: persistence multiplies LARD's front-end ceiling by
 // the requests-per-connection factor, while L2S — which has no per-request
 // front-end cost to amortize — holds its throughput and halves latency.
-func PersistentStudy(p *runner.Pool, tr *trace.Trace, nodes int, reqsPerConn float64) ([]PersistentRow, string, error) {
-	type study struct {
-		sys        server.System
-		persistent bool
+// Rows alternate http/1.0 and http/1.1 for l2s, lard and traditional.
+func PersistentStudy(p *runner.Pool, tr *trace.Trace, nodes int, reqsPerConn float64) ([]server.Result, string, error) {
+	s := study{
+		title: fmt.Sprintf("persistent connections on %s, %d nodes, mean %.0f requests/connection",
+			tr.Name, nodes, reqsPerConn),
+		trace: tr,
+		cols: []column{
+			{"system", "%-12s", func(r server.Result) any { return r.System }},
+			label("mode", 9), reqPerSec, fwdPct,
+			{"p50 latency", "%9.2f ms", func(r server.Result) any { return r.LatencyP50 * 1000 }},
+		},
 	}
-	var cases []study
-	var jobs []runner.Job
 	for _, sys := range []server.System{server.L2SServer, server.LARDServer, server.Traditional} {
-		for _, persistent := range []bool{false, true} {
-			opts := []server.Option{}
-			mode := "http/1.0"
-			if persistent {
-				opts = append(opts, server.WithPersistent(reqsPerConn))
-				mode = "http/1.1"
-			}
-			cases = append(cases, study{sys, persistent})
-			jobs = append(jobs, runner.Job{
-				Key:    fmt.Sprintf("persistent/%s/%s", sys, mode),
-				Config: server.NewConfig(sys, nodes, opts...),
-				Trace:  tr,
-			})
-		}
+		s.add("persistent/"+sys.String(), "http/1.0", server.NewConfig(sys, nodes))
+		s.add("persistent/"+sys.String(), "http/1.1", server.NewConfig(sys, nodes, server.WithPersistent(reqsPerConn)))
 	}
-	var rows []PersistentRow
-	for i, jr := range p.Run(jobs) {
-		if jr.Err != nil {
-			return nil, "", fmt.Errorf("experiments: %s: %w", jr.Key, jr.Err)
-		}
-		mode := "http/1.0"
-		if cases[i].persistent {
-			mode = "http/1.1"
-		}
-		rows = append(rows, PersistentRow{
-			System:     jr.Result.System,
-			Mode:       mode,
-			Throughput: jr.Result.Throughput,
-			Forwarded:  jr.Result.ForwardedFrac,
-			LatencyP50: jr.Result.LatencyP50,
-		})
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "persistent connections on %s, %d nodes, mean %.0f requests/connection\n",
-		tr.Name, nodes, reqsPerConn)
-	fmt.Fprintf(&b, "  %-12s %-9s %10s %8s %12s\n", "system", "mode", "req/s", "fwd%", "p50 latency")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-12s %-9s %10.0f %8.1f %9.2f ms\n",
-			r.System, r.Mode, r.Throughput, r.Forwarded*100, r.LatencyP50*1000)
-	}
-	return rows, b.String(), nil
+	return s.run(p)
 }
 
 // LatencyStudy drives the simulator in open-loop mode across offered loads
@@ -148,52 +61,27 @@ func PersistentStudy(p *runner.Pool, tr *trace.Trace, nodes int, reqsPerConn flo
 // latencies dwarf server latencies; this study validates the simulator
 // against the model's queueing formulas anyway).
 func LatencyStudy(p *runner.Pool, tr *trace.Trace, nodes int, rates []float64) (Figure, string, error) {
-	ch := trace.Characterize(tr)
-	opts := DefaultOptions()
-	params := queuemodelParams(ch, nodes, opts)
-	hlc := HitRateAtCapacity(tr, int64(params.TotalConsciousCache()))
-	h := HitRateAtCapacity(tr, int64(opts.Replication*float64(opts.CacheBytes)))
-
-	jobs := make([]runner.Job, len(rates))
-	for i, rate := range rates {
-		jobs[i] = runner.Job{
-			Key:    fmt.Sprintf("latency/l2s/rate=%g", rate),
-			Config: server.NewConfig(server.L2SServer, nodes, server.WithArrivalRate(rate)),
-			Trace:  tr,
-		}
+	params, hlc, q := modelAt(trace.Characterize(tr), nodes, DefaultOptions(), ReuseCurve(tr).HitRate)
+	s := &study{trace: tr}
+	for _, rate := range rates {
+		s.add("latency/l2s", fmt.Sprintf("rate=%g", rate), server.NewConfig(server.L2SServer, nodes, server.WithArrivalRate(rate)))
 	}
-
+	res, err := runStudies(p, s)
+	if err != nil {
+		return Figure{}, "", err
+	}
 	fig := Figure{
 		ID:     "latency-" + tr.Name,
 		Title:  fmt.Sprintf("mean response time vs offered load, %s, %d nodes (ms)", tr.Name, nodes),
 		XLabel: "req/s",
-		YLabel: "latency ms",
+		X:      rates,
+		Series: []Series{{Label: "simulated"}, {Label: "model"}},
 	}
-	var sim, model []float64
-	for i, jr := range p.Run(jobs) {
-		if jr.Err != nil {
-			return Figure{}, "", fmt.Errorf("experiments: %s: %w", jr.Key, jr.Err)
-		}
-		rate := rates[i]
-		fig.X = append(fig.X, rate)
-		sim = append(sim, jr.Result.LatencyMean*1000)
-		model = append(model, params.Latency(rate, hlc, params.ForwardFraction(h))*1000)
-	}
-	fig.Series = []Series{
-		{Label: "simulated", Values: sim},
-		{Label: "model", Values: model},
+	for i, rate := range rates {
+		fig.Series[0].Values = append(fig.Series[0].Values, res[0][i].LatencyMean*1000)
+		fig.Series[1].Values = append(fig.Series[1].Values, params.Latency(rate, hlc, q)*1000)
 	}
 	return fig, fig.Render(), nil
-}
-
-// queuemodelParams instantiates the model for a characterized workload.
-func queuemodelParams(ch trace.Characteristics, nodes int, opts Options) queuemodel.Params {
-	p := queuemodel.DefaultParams()
-	p.Nodes = nodes
-	p.CacheBytes = opts.CacheBytes
-	p.Replication = opts.Replication
-	p.AvgFileKB = ch.AvgReqKB
-	return p
 }
 
 // HeterogeneousStudy relaxes the paper's "all cluster nodes are equally
@@ -201,118 +89,47 @@ func queuemodelParams(ch trace.Characteristics, nodes int, opts Options) queuemo
 // given fraction. Connection-count load balancing adapts automatically —
 // slower nodes hold their T-connection budget longer, so new work drifts
 // to the fast nodes — which is why both L2S and LARD degrade gracefully
-// while a speed-oblivious policy would track the slowest node.
-func HeterogeneousStudy(p *runner.Pool, tr *trace.Trace, nodes int, slowFactor float64) ([]PolicyRow, string, error) {
-	profiles := make([]server.NodeProfile, nodes)
-	for i := range profiles {
-		profiles[i] = server.NodeProfile{CPUSpeed: 1, DiskSpeed: 1}
-		if i >= nodes/2 {
-			profiles[i].CPUSpeed = slowFactor
-		}
+// while a speed-oblivious policy would track the slowest node. Rows
+// alternate homogeneous and heterogeneous for l2s, lard and traditional.
+func HeterogeneousStudy(p *runner.Pool, tr *trace.Trace, nodes int, slowFactor float64) ([]server.Result, string, error) {
+	half := server.Tiered(server.NodeProfile{CPUSpeed: 1, DiskSpeed: 1},
+		server.NodeProfile{CPUSpeed: slowFactor, DiskSpeed: 1}, nodes/2)
+	s := study{
+		title: fmt.Sprintf("heterogeneous cluster on %s, %d nodes", tr.Name, nodes),
+		trace: tr,
+		cols:  []column{label("configuration", 24), reqPerSec, imbalance},
 	}
-	var names []string
-	var jobs []runner.Job
 	for _, sys := range []server.System{server.L2SServer, server.LARDServer, server.Traditional} {
-		for _, het := range []bool{false, true} {
-			opts := []server.Option{}
-			name := sys.String() + "/homogeneous"
-			if het {
-				opts = append(opts, server.WithProfiles(profiles...))
-				name = fmt.Sprintf("%s/half at %.0f%%", sys, slowFactor*100)
-			}
-			names = append(names, name)
-			jobs = append(jobs, runner.Job{
-				Key:    "heterogeneous/" + name,
-				Config: server.NewConfig(sys, nodes, opts...),
-				Trace:  tr,
-			})
-		}
+		s.add("heterogeneous", sys.String()+"/homogeneous", server.NewConfig(sys, nodes))
+		s.add("heterogeneous", fmt.Sprintf("%s/half at %.0f%%", sys, slowFactor*100),
+			server.NewConfig(sys, nodes, half))
 	}
-	rows, err := runRows(p, jobs, func(i int, _ server.Result) string { return names[i] })
-	if err != nil {
-		return nil, "", err
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "heterogeneous cluster on %s, %d nodes\n", tr.Name, nodes)
-	fmt.Fprintf(&b, "  %-24s %10s %10s\n", "configuration", "req/s", "imbalance")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-24s %10.0f %10.2f\n", r.Policy, r.Throughput, r.Imbalance)
-	}
-	return rows, b.String(), nil
+	return s.run(p)
 }
 
 // TwoTierStudy models a common upgrade path the paper's homogeneity
 // assumption excludes: a small tier of fast machines with SSD-class disks
 // and extra memory in front of a larger tier of older disk-bound nodes.
 // Each paper policy runs next to its capacity-weighted variant on the same
-// tiered cluster, so the table isolates what speed-awareness in the
-// distribution decision is worth. The header reports the heterogeneous
-// model bound for the tiered hardware as the capacity yardstick.
-func TwoTierStudy(p *runner.Pool, tr *trace.Trace, nodes, fastNodes int) ([]PolicyRow, string, error) {
+// tiered cluster, so the table isolates
+// what speed-awareness in the distribution decision is worth. The header
+// reports the heterogeneous model bound for the tiered hardware as the
+// capacity yardstick.
+func TwoTierStudy(p *runner.Pool, tr *trace.Trace, nodes, fastNodes int) ([]server.Result, string, error) {
 	if fastNodes < 1 || fastNodes >= nodes {
 		return nil, "", fmt.Errorf("experiments: two-tier split %d of %d nodes", fastNodes, nodes)
 	}
-	fast := server.NodeProfile{CPUSpeed: 2, DiskSpeed: 8, CacheBytes: 64 << 20}
-	slow := server.NodeProfile{CPUSpeed: 1, DiskSpeed: 1, CacheBytes: 32 << 20}
-	profiles := make([]server.NodeProfile, nodes)
-	for i := range profiles {
-		if i < fastNodes {
-			profiles[i] = fast
-		} else {
-			profiles[i] = slow
-		}
+	tiers := server.Tiered(server.NodeProfile{CPUSpeed: 2, DiskSpeed: 8, CacheBytes: 64 << 20},
+		server.NodeProfile{CPUSpeed: 1, DiskSpeed: 1, CacheBytes: 32 << 20}, fastNodes)
+	s := study{trace: tr, cols: []column{label("policy", 16), reqPerSec, missPct, fwdPct, imbalance}}
+	for _, name := range []string{"l2s", "l2s-weighted", "lard", "lard-weighted", "traditional", "wlc"} {
+		s.add("twotier", name, server.NewConfig(server.CustomServer, nodes, server.WithPolicy(name), tiers))
 	}
-
-	rows, err := weightedPolicyRows(p, tr, "twotier", profiles)
-	if err != nil {
-		return nil, "", err
-	}
-
-	bound := profileBound(tr, profiles)
-	var b strings.Builder
-	fmt.Fprintf(&b, "two-tier cluster on %s: %d fast (2x cpu, 8x disk, 64 MB) + %d slow nodes\n",
-		tr.Name, fastNodes, nodes-fastNodes)
-	fmt.Fprintf(&b, "  model bound %.0f req/s (hit %.2f, bottleneck %v)\n",
-		bound.RequestsPerSec, bound.Hit, bound.Bottleneck)
-	b.WriteString(weightedPolicyTable(rows))
-	return rows, b.String(), nil
-}
-
-// ProfileStudy runs each paper policy next to its capacity-weighted
-// variant on caller-supplied hardware (the cmd/experiments -profiles
-// flag): the profile set fixes the cluster size.
-func ProfileStudy(p *runner.Pool, tr *trace.Trace, profiles []server.NodeProfile) ([]PolicyRow, string, error) {
-	if len(profiles) == 0 {
-		return nil, "", fmt.Errorf("experiments: profile study needs at least one node profile")
-	}
-	rows, err := weightedPolicyRows(p, tr, "profiles", profiles)
-	if err != nil {
-		return nil, "", err
-	}
-	bound := profileBound(tr, profiles)
-	var b strings.Builder
-	fmt.Fprintf(&b, "profiled cluster on %s, %d nodes\n", tr.Name, len(profiles))
-	fmt.Fprintf(&b, "  model bound %.0f req/s (hit %.2f, bottleneck %v)\n",
-		bound.RequestsPerSec, bound.Hit, bound.Bottleneck)
-	b.WriteString(weightedPolicyTable(rows))
-	return rows, b.String(), nil
-}
-
-// weightedPolicyRows runs the paper policies and their capacity-weighted
-// variants on one profiled cluster.
-func weightedPolicyRows(p *runner.Pool, tr *trace.Trace, prefix string, profiles []server.NodeProfile) ([]PolicyRow, error) {
-	policies := []string{"l2s", "l2s-weighted", "lard", "lard-weighted", "traditional", "wlc"}
-	jobs := make([]runner.Job, len(policies))
-	for i, name := range policies {
-		jobs[i] = runner.Job{
-			Key: prefix + "/" + name,
-			Config: server.NewConfig(server.CustomServer, len(profiles),
-				server.WithPolicy(name),
-				server.WithProfiles(profiles...)),
-			Trace: tr,
-		}
-	}
-	return runRows(p, jobs, func(i int, _ server.Result) string { return policies[i] })
+	bound := profileBound(tr, s.rows[0].cfg.Profiles)
+	s.title = fmt.Sprintf("two-tier cluster on %s: %d fast (2x cpu, 8x disk, 64 MB) + %d slow nodes\n"+
+		"  model bound %.0f req/s (hit %.2f, bottleneck %v)",
+		tr.Name, fastNodes, nodes-fastNodes, bound.RequestsPerSec, bound.Hit, bound.Bottleneck)
+	return s.run(p)
 }
 
 // profileBound evaluates the heterogeneous locality-conscious model bound
@@ -325,68 +142,35 @@ func profileBound(tr *trace.Trace, profiles []server.NodeProfile) queuemodel.Het
 	return params.HeterogeneousConsciousForCatalog(profiles, int64(ch.CatalogFiles))
 }
 
-func weightedPolicyTable(rows []PolicyRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "  %-16s %10s %8s %8s %10s\n", "policy", "req/s", "miss%", "fwd%", "imbalance")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-16s %10.0f %8.1f %8.1f %10.2f\n",
-			r.Policy, r.Throughput, r.MissRate*100, r.Forwarded*100, r.Imbalance)
-	}
-	return b.String()
-}
-
 // SlowNodeStudy measures how far one degraded machine drags a cluster: a
 // uniform baseline, the same cluster with node `slowNode` at the given
 // speed fraction, and — reusing the fault injector — the degraded node
 // crashing mid-run, which for a weighted policy should *recover* capacity
 // because the failover redistribution stops routing to the straggler.
-func SlowNodeStudy(p *runner.Pool, tr *trace.Trace, nodes, slowNode int, slowFactor float64) ([]PolicyRow, string, error) {
+// Rows are the three scenarios for each of l2s, l2s-weighted and wlc.
+func SlowNodeStudy(p *runner.Pool, tr *trace.Trace, nodes, slowNode int, slowFactor float64) ([]server.Result, string, error) {
 	if slowNode < 0 || slowNode >= nodes {
 		return nil, "", fmt.Errorf("experiments: slow node %d of %d", slowNode, nodes)
 	}
-	profiles := make([]server.NodeProfile, nodes)
-	for i := range profiles {
-		profiles[i] = server.NodeProfile{CPUSpeed: 1, DiskSpeed: 1}
-	}
+	profiles := server.UniformProfiles(nodes, server.NodeProfile{CPUSpeed: 1, DiskSpeed: 1})
 	profiles[slowNode] = server.NodeProfile{CPUSpeed: slowFactor, DiskSpeed: slowFactor}
 
-	scenarios := []struct {
-		name string
-		opts []server.Option
-	}{
-		{"uniform", nil},
-		{"one slow node", []server.Option{server.WithProfiles(profiles...)}},
-		{"slow node crashes", []server.Option{
-			server.WithProfiles(profiles...),
-			server.WithFailure(slowNode, 0.5),
-		}},
+	s := study{
+		title: fmt.Sprintf("slow-node study on %s, %d nodes: node %d at %.0f%% speed",
+			tr.Name, nodes, slowNode, slowFactor*100),
+		trace: tr,
+		cols:  []column{label("configuration", 30), reqPerSec, imbalance, fwdPct},
 	}
-	var names []string
-	var jobs []runner.Job
 	for _, policy := range []string{"l2s", "l2s-weighted", "wlc"} {
-		for _, sc := range scenarios {
-			opts := append([]server.Option{server.WithPolicy(policy)}, sc.opts...)
-			names = append(names, policy+"/"+sc.name)
-			jobs = append(jobs, runner.Job{
-				Key:    "slownode/" + policy + "/" + sc.name,
-				Config: server.NewConfig(server.CustomServer, nodes, opts...),
-				Trace:  tr,
-			})
+		cfg := func(opts ...server.Option) server.Config {
+			return server.NewConfig(server.CustomServer, nodes, append([]server.Option{server.WithPolicy(policy)}, opts...)...)
 		}
+		s.add("slownode", policy+"/uniform", cfg())
+		s.add("slownode", policy+"/one slow node", cfg(server.WithProfiles(profiles...)))
+		s.add("slownode", policy+"/slow node crashes",
+			cfg(server.WithProfiles(profiles...), server.WithFailure(slowNode, 0.5)))
 	}
-	rows, err := runRows(p, jobs, func(i int, _ server.Result) string { return names[i] })
-	if err != nil {
-		return nil, "", err
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "slow-node study on %s, %d nodes: node %d at %.0f%% speed\n",
-		tr.Name, nodes, slowNode, slowFactor*100)
-	fmt.Fprintf(&b, "  %-30s %10s %10s %8s\n", "configuration", "req/s", "imbalance", "fwd%")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-30s %10.0f %10.2f %8.1f\n",
-			r.Policy, r.Throughput, r.Imbalance, r.Forwarded*100)
-	}
-	return rows, b.String(), nil
+	return s.run(p)
 }
 
 // FailoverTimeline records throughput over time while one L2S node
@@ -405,42 +189,127 @@ func FailoverTimeline(tr *trace.Trace, nodes, failNode int) (Figure, error) {
 		ID:     "failover-timeline",
 		Title:  fmt.Sprintf("L2S throughput while node %d crashes (%s, %d nodes)", failNode, tr.Name, nodes),
 		XLabel: "time_s",
-		YLabel: "req/s",
 	}
-	vals := make([]float64, len(r.Timeline))
-	copy(vals, r.Timeline)
-	for i := range vals {
+	for i := range r.Timeline {
 		fig.X = append(fig.X, float64(i)*bucket)
 	}
-	fig.Series = []Series{{Label: "l2s", Values: vals}}
+	fig.Series = []Series{{Label: "l2s", Values: r.Timeline}}
 	return fig, nil
 }
 
 // Section6Study compares the original LARD front-end, the dispatcher-based
 // variant of Aron et al. (USENIX 2000) that the paper's Section 6
-// discusses, and L2S. The dispatcher escapes the accept/parse ceiling but
-// keeps a central chokepoint; the paper's argument — "L2S has none of
-// these problems" — shows up as the ordering of the three columns.
-func Section6Study(p *runner.Pool, tr *trace.Trace, nodes int) ([]PolicyRow, string, error) {
-	sys := []server.System{server.LARDServer, server.LARDDispatcher, server.L2SServer}
-	jobs := make([]runner.Job, len(sys))
-	for i, s := range sys {
-		jobs[i] = runner.Job{
-			Key:    fmt.Sprintf("section6/%s", s),
-			Config: server.NewConfig(s, nodes),
-			Trace:  tr,
-		}
+// discusses, and L2S, in that row order. The dispatcher escapes the
+// accept/parse ceiling but keeps a central chokepoint; the paper's
+// argument — "L2S has none of these problems" — shows up as the ordering
+// of the three rows.
+func Section6Study(p *runner.Pool, tr *trace.Trace, nodes int) ([]server.Result, string, error) {
+	s := study{
+		title: fmt.Sprintf("section 6: front-end LARD vs dispatcher LARD vs L2S (%s, %d nodes)", tr.Name, nodes),
+		trace: tr,
+		cols:  []column{label("system", 14), reqPerSec, missPct, fwdPct, idlePct},
 	}
-	rows, err := runRows(p, jobs, func(_ int, r server.Result) string { return r.System })
+	for _, sys := range []server.System{server.LARDServer, server.LARDDispatcher, server.L2SServer} {
+		s.add("section6", sys.String(), server.NewConfig(sys, nodes))
+	}
+	return s.run(p)
+}
+
+// sensitivityVariant is one grid point of the ablation: a group, a label,
+// and the configuration delta it applies on top of the paper's L2S setup.
+type sensitivityVariant struct {
+	group, name string
+	opt         server.Option
+}
+
+// noop leaves the paper's configuration untouched.
+func noop(*server.Config) {}
+
+// sensitivityVariants are the ablation's rows, grouped into its tables in
+// print order.
+var sensitivityVariants = []sensitivityVariant{
+	{"broadcast-delta", "delta=1", server.WithPolicy("l2s:delta=1")},
+	{"broadcast-delta", "delta=2", server.WithPolicy("l2s:delta=2")},
+	{"broadcast-delta", "delta=4 (paper)", noop},
+	{"broadcast-delta", "delta=8", server.WithPolicy("l2s:delta=8")},
+	{"broadcast-delta", "delta=16", server.WithPolicy("l2s:delta=16")},
+
+	{"messaging-overhead", "0.5x", func(c *server.Config) { c.Net.MsgCPU /= 2; c.Net.MsgNI /= 2 }},
+	{"messaging-overhead", "1x (paper)", noop},
+	{"messaging-overhead", "2x", func(c *server.Config) { c.Net.MsgCPU *= 2; c.Net.MsgNI *= 2 }},
+	{"messaging-overhead", "4x", func(c *server.Config) { c.Net.MsgCPU *= 4; c.Net.MsgNI *= 4 }},
+
+	{"network", "1us switch (paper)", noop},
+	{"network", "10us switch", func(c *server.Config) { c.Net.SwitchLatency = 10e-6 }},
+	{"network", "100us switch", func(c *server.Config) { c.Net.SwitchLatency = 100e-6 }},
+	{"network", "half bandwidth", func(c *server.Config) { c.Net.LinkKBps /= 2 }},
+	{"network", "quarter bandwidth", func(c *server.Config) { c.Net.LinkKBps /= 4 }},
+
+	{"staleness", "gossip (paper)", noop},
+	{"staleness", "oracle loads", server.WithPolicy("l2s:oracle=true")},
+
+	{"thresholds", "T=10 t=5", server.WithPolicy("l2s:T=10,t=5")},
+	{"thresholds", "T=20 t=10 (paper)", noop},
+	{"thresholds", "T=40 t=20", server.WithPolicy("l2s:T=40,t=20")},
+	{"thresholds", "T=80 t=40", server.WithPolicy("l2s:T=80,t=40")},
+
+	{"window", "w=6", func(c *server.Config) { c.WindowPerNode = 6 }},
+	{"window", "w=12 (default)", noop},
+	{"window", "w=18", func(c *server.Config) { c.WindowPerNode = 18 }},
+	{"window", "w=24", func(c *server.Config) { c.WindowPerNode = 24 }},
+}
+
+// L2SSensitivity reproduces the Section 5.2 summary — "the performance of
+// L2S is only slightly affected by reasonable parameters of frequency of
+// broadcasts, messaging overhead, and network latency and bandwidth" — and
+// the design-choice ablations called out in DESIGN.md (gossip staleness,
+// thresholds, saturation window). Each group is one study; all of them run
+// as one flat grid on the pool. The results map each group to its rows'
+// results, in sensitivityVariants order.
+func L2SSensitivity(p *runner.Pool, tr *trace.Trace, nodes int) (map[string][]server.Result, string, error) {
+	var studies []*study
+	for _, v := range sensitivityVariants {
+		if len(studies) == 0 || studies[len(studies)-1].title != "sensitivity/"+v.group {
+			studies = append(studies, &study{
+				title: "sensitivity/" + v.group,
+				trace: tr,
+				cols: []column{label("variant", 24),
+					{"req/s", "%12.0f", func(r server.Result) any { return r.Throughput }},
+					missPct, fwdPct,
+					{"messages", "%10d", func(r server.Result) any { return r.ControlMessages }}},
+			})
+		}
+		studies[len(studies)-1].add("sensitivity/"+v.group, v.name, server.NewConfig(server.L2SServer, nodes, v.opt))
+	}
+	results, err := runStudies(p, studies...)
 	if err != nil {
 		return nil, "", err
 	}
+	out := make(map[string][]server.Result)
 	var b strings.Builder
-	fmt.Fprintf(&b, "section 6: front-end LARD vs dispatcher LARD vs L2S (%s, %d nodes)\n", tr.Name, nodes)
-	fmt.Fprintf(&b, "  %-14s %10s %8s %8s %8s\n", "system", "req/s", "miss%", "fwd%", "idle%")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-14s %10.0f %8.1f %8.1f %8.1f\n",
-			r.Policy, r.Throughput, r.MissRate*100, r.Forwarded*100, r.CPUIdle*100)
+	for i, s := range studies {
+		out[strings.TrimPrefix(s.title, "sensitivity/")] = results[i]
+		b.WriteString(s.render(results[i]))
 	}
-	return rows, b.String(), nil
+	return out, b.String(), nil
+}
+
+// FailoverStudy quantifies the availability claim of Section 4: crash one
+// node mid-run and compare how much service survives under L2S (any node)
+// versus LARD (the front-end).
+func FailoverStudy(p *runner.Pool, tr *trace.Trace, nodes int) ([]server.Result, string, error) {
+	s := study{
+		title: "failover: one node crashes halfway through the run",
+		trace: tr,
+		cols: []column{label("", 26),
+			{"", "served=%5.1f%%", func(r server.Result) any {
+				return float64(r.Completed) / float64(r.Completed+r.Aborted) * 100
+			}},
+			{"", " aborted=%d", func(r server.Result) any { return r.Aborted }},
+			{"", " throughput=%.0f", func(r server.Result) any { return r.Throughput }}},
+	}
+	s.add("failover", "l2s, node 3 fails", server.NewConfig(server.L2SServer, nodes, server.WithFailure(3, 0.5)))
+	s.add("failover", "lard, back-end 3 fails", server.NewConfig(server.LARDServer, nodes, server.WithFailure(3, 0.5)))
+	s.add("failover", "lard, front-end fails", server.NewConfig(server.LARDServer, nodes, server.WithFailure(0, 0.5)))
+	return s.run(p)
 }

@@ -16,9 +16,9 @@ func TestTwoTierStudy(t *testing.T) {
 	if len(rows) != 6 {
 		t.Fatalf("want 6 rows, got %d", len(rows))
 	}
-	byName := map[string]PolicyRow{}
+	byName := map[string]server.Result{}
 	for _, r := range rows {
-		byName[r.Policy] = r
+		byName[r.System] = r
 	}
 	// Capacity weighting must not lose throughput on tiered hardware.
 	if w, u := byName["l2s-weighted"], byName["l2s"]; w.Throughput < u.Throughput*0.98 {
@@ -41,13 +41,10 @@ func TestSlowNodeStudy(t *testing.T) {
 	if len(rows) != 9 {
 		t.Fatalf("want 9 rows, got %d", len(rows))
 	}
-	byName := map[string]PolicyRow{}
-	for _, r := range rows {
-		byName[r.Policy] = r
-	}
 	// A slow node must not make the cluster faster than uniform hardware.
-	for _, policy := range []string{"l2s", "l2s-weighted", "wlc"} {
-		slow, uniform := byName[policy+"/one slow node"], byName[policy+"/uniform"]
+	// Rows are uniform, one slow node, slow node crashes, per policy.
+	for i, policy := range []string{"l2s", "l2s-weighted", "wlc"} {
+		uniform, slow := rows[3*i], rows[3*i+1]
 		if slow.Throughput > uniform.Throughput*1.02 {
 			t.Errorf("%s: slow-node cluster %v beats uniform %v", policy, slow.Throughput, uniform.Throughput)
 		}
@@ -57,26 +54,5 @@ func TestSlowNodeStudy(t *testing.T) {
 	}
 	if _, _, err := SlowNodeStudy(testPool(), tr, 8, 8, 0.5); err == nil {
 		t.Error("out-of-range slow node accepted")
-	}
-}
-
-func TestProfileStudy(t *testing.T) {
-	tr := fastTrace(t, "calgary", 0.05)
-	profiles, err := server.ParseProfiles("2xfast:2/8//64MB,6xslow:1/1//32MB")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, text, err := ProfileStudy(testPool(), tr, profiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("want 6 rows, got %d", len(rows))
-	}
-	if !strings.Contains(text, "profiled cluster") || !strings.Contains(text, "8 nodes") {
-		t.Errorf("render incomplete:\n%s", text)
-	}
-	if _, _, err := ProfileStudy(testPool(), tr, nil); err == nil {
-		t.Error("empty profile set accepted")
 	}
 }

@@ -25,7 +25,6 @@ func Figure6(fig5 queuemodel.Surface) Figure {
 		ID:     "figure6",
 		Title:  "throughput increase due to locality (side view)",
 		XLabel: "hit_rate",
-		YLabel: "max increase",
 		X:      fig5.HitRates,
 		Series: []Series{{Label: "increase", Values: fig5.SideView()}},
 	}
@@ -52,7 +51,6 @@ func MemorySweep() Figure {
 		ID:     "model-memory",
 		Title:  "locality gain vs per-node memory (section 3.2)",
 		XLabel: "memory_mb",
-		YLabel: "gain",
 	}
 	var peaks, means []float64
 	for _, m := range mems {
@@ -87,7 +85,6 @@ func ReplicationSweep() Figure {
 		ID:     "model-replication",
 		Title:  "replication study at Hlo=0.7, S=8KB (section 3.2)",
 		XLabel: "replication",
-		YLabel: "value",
 	}
 	var thr, hlcs, qs []float64
 	for _, r := range []float64{0, 0.05, 0.15, 0.30, 0.50, 1.0} {

@@ -12,12 +12,11 @@ func TestModelAnchorConsistency(t *testing.T) {
 	opts := DefaultOptions()
 	ch := trace.Characterize(tr)
 	for _, n := range []int{1, 8, 16} {
-		viaCurve := modelBound(curve, ch, n, opts)
+		p, hlc, q := modelAt(ch, n, opts, curve.HitRate)
+		viaCurve := p.Bound(hlc, q).RequestsPerSec
 		// Recompute with direct LRU passes.
-		p := queuemodelParams(ch, n, opts)
-		hlc := HitRateAtCapacity(tr, int64(p.TotalConsciousCache()))
-		h := HitRateAtCapacity(tr, int64(opts.Replication*float64(opts.CacheBytes)))
-		direct := p.Bound(hlc, p.ForwardFraction(h)).RequestsPerSec
+		p, hlc, q = modelAt(ch, n, opts, func(c int64) float64 { return lruHitRate(tr, c) })
+		direct := p.Bound(hlc, q).RequestsPerSec
 		if viaCurve != direct {
 			t.Errorf("n=%d: curve %v != direct %v", n, viaCurve, direct)
 		}

@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/cache"
-
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/server"
@@ -24,77 +23,30 @@ import (
 // three systems plus the consistent-hashing family of PR 8.
 var nonstationaryPolicies = []string{"traditional", "lard", "l2s", "chash", "chash-bounded"}
 
-// ChurnRow is one policy's line of the churn study: the usual comparison
-// columns on the shot-noise trace, plus the adaptation lag after an abrupt
-// hot-set rotation — the simulated seconds between the rotation cratering
-// the cluster hit rate and the hit rate recovering to 90% of its
-// pre-rotation mean.
-type ChurnRow struct {
-	Row      PolicyRow
-	AdaptLag float64
-}
-
 // ChurnStudy runs the policy comparison on a shot-noise churned workload,
-// measures per-policy adaptation lag after a hot-set rotation, and drives a
-// diurnal open-loop day through the piecewise arrival schedule. scale
-// scales request counts like the figure experiments (1 = full size).
-func ChurnStudy(p *runner.Pool, scale float64) ([]ChurnRow, string, error) {
+// measures per-policy adaptation lag after a hot-set rotation — the
+// simulated seconds between the rotation cratering the cluster hit rate
+// and the hit rate recovering to 90% of its pre-rotation mean — and drives
+// a diurnal open-loop day through the piecewise arrival schedule. scale
+// scales request counts like the figure experiments (1 = full size). It
+// returns the saturation results and adaptation lags, both aligned with
+// nonstationaryPolicies.
+func ChurnStudy(p *runner.Pool, scale float64) ([]server.Result, []float64, string, error) {
 	churnTr, err := trace.Generate(trace.GenSpec{
 		Name: "churn", Mode: trace.ModeChurn,
 		Files: 12000, AvgFileKB: 16, Requests: reqCount(600_000, scale),
 		Horizon: 300, DocLifetime: 12, Seed: 41,
 	})
 	if err != nil {
-		return nil, "", err
+		return nil, nil, "", err
 	}
-
-	// Phase 1: the comparison table at saturation on the churned trace.
-	jobs := make([]runner.Job, len(nonstationaryPolicies))
-	for i, name := range nonstationaryPolicies {
-		jobs[i] = runner.Job{
-			Key: "churn/" + name,
-			Config: server.NewConfig(server.CustomServer, 8,
-				server.WithPolicy(name), server.WithSeed(5)),
-			Trace: churnTr,
-		}
-	}
-	table, err := runRows(p, jobs, func(i int, r server.Result) string { return nonstationaryPolicies[i] })
-	if err != nil {
-		return nil, "", err
-	}
-
-	// Phase 2: adaptation lag after an abrupt rotation. Each job gets its
-	// own series recorder (a Series must not be shared across parallel
-	// runs); the lag is read off the recorded cluster hit-rate timeline.
 	// The rotation catalog (24000 files x ~16KB per half, ~375MB) exceeds
 	// the 8-node aggregate cache, so the rotation genuinely craters the
 	// cluster hit rate rather than being absorbed by spare capacity.
 	rotTr, err := rotationTrace(24000, reqCount(400_000, scale), 47)
 	if err != nil {
-		return nil, "", err
+		return nil, nil, "", err
 	}
-	recs := make([]*obs.Series, len(nonstationaryPolicies))
-	rotJobs := make([]runner.Job, len(nonstationaryPolicies))
-	for i, name := range nonstationaryPolicies {
-		recs[i] = obs.NewSeries(0.1)
-		rotJobs[i] = runner.Job{
-			Key: "rotate/" + name,
-			Config: server.NewConfig(server.CustomServer, 8,
-				server.WithPolicy(name), server.WithSeed(5),
-				server.WithWarmFraction(0.1), server.WithSeries(recs[i])),
-			Trace: rotTr,
-		}
-	}
-	rows := make([]ChurnRow, len(nonstationaryPolicies))
-	for i, jr := range p.Run(rotJobs) {
-		if jr.Err != nil {
-			return nil, "", fmt.Errorf("experiments: %s: %w", jr.Key, jr.Err)
-		}
-		rows[i] = ChurnRow{Row: table[i], AdaptLag: adaptationLag(recs[i])}
-	}
-
-	// Phase 3: a diurnal day, open loop — the offered rate follows the
-	// sinusoidal schedule and latency is true client-perceived time.
 	diurnalSpec := trace.GenSpec{
 		Name: "diurnal", Mode: trace.ModeDiurnal,
 		Files: 8000, AvgFileKB: 16, Requests: reqCount(400_000, scale),
@@ -103,50 +55,55 @@ func ChurnStudy(p *runner.Pool, scale float64) ([]ChurnRow, string, error) {
 	}
 	diurnalTr, err := trace.Generate(diurnalSpec)
 	if err != nil {
-		return nil, "", err
+		return nil, nil, "", err
+	}
+
+	// The comparison table at saturation on the churned trace; its lag
+	// column is read off the rotation runs once they are done.
+	lags := make([]float64, len(nonstationaryPolicies))
+	table := &study{
+		title: fmt.Sprintf("shot-noise churn on %s (%d docs realized, %d requests): policies at saturation",
+			churnTr.Name, len(churnTr.Sizes), len(churnTr.Requests)),
+		trace: churnTr,
+		cols: []column{label("policy", 14), reqPerSec, missPct, fwdPct, imbalance,
+			{"adapt-lag s", "%12.1f", func(r server.Result) any { return lags[slices.Index(nonstationaryPolicies, r.System)] }}},
+	}
+	for _, name := range nonstationaryPolicies {
+		table.add("churn", name, server.NewConfig(server.CustomServer, 8,
+			server.WithPolicy(name), server.WithSeed(5)))
+	}
+	// The lag is read off each rotation run's cluster hit-rate timeline.
+	rotate := &study{trace: rotTr}
+	recs := recordedRows(rotate, "rotate", 0.1)
+	// A diurnal day, open loop: the offered rate follows the sinusoidal
+	// schedule and latency is true client-perceived time.
+	diurnal := &study{
+		title: fmt.Sprintf("diurnal open loop (mean 2000 req/s, amplitude %.0f%%, 16 nodes)", diurnalSpec.DiurnalAmp*100),
+		trace: diurnalTr,
+		cols: []column{label("policy", 14), reqPerSec,
+			{"mean ms", "%12.2f", func(r server.Result) any { return r.LatencyMean * 1000 }},
+			{"p99 ms", "%12.2f", func(r server.Result) any { return r.LatencyP99 * 1000 }}},
 	}
 	sched := server.DiurnalSchedule(2000, diurnalSpec.DiurnalAmp, 30, 12)
-	dPolicies := []string{"lard", "l2s"}
-	dJobs := make([]runner.Job, len(dPolicies))
-	for i, name := range dPolicies {
-		dJobs[i] = runner.Job{
-			Key: "diurnal/" + name,
-			Config: server.NewConfig(server.CustomServer, 16,
-				server.WithPolicy(name), server.WithSeed(5),
-				server.WithArrivalSchedule(sched)),
-			Trace: diurnalTr,
-		}
+	for _, name := range []string{"lard", "l2s"} {
+		diurnal.add("diurnal", name, server.NewConfig(server.CustomServer, 16,
+			server.WithPolicy(name), server.WithSeed(5), server.WithArrivalSchedule(sched)))
 	}
-	dResults := p.Run(dJobs)
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "shot-noise churn on %s (%d docs realized, %d requests): policies at saturation\n",
-		churnTr.Name, len(churnTr.Sizes), len(churnTr.Requests))
-	fmt.Fprintf(&b, "  %-14s %10s %8s %8s %10s %12s\n",
-		"policy", "req/s", "miss%", "fwd%", "imbalance", "adapt-lag s")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-14s %10.0f %8.1f %8.1f %10.2f %12.1f\n",
-			r.Row.Policy, r.Row.Throughput, r.Row.MissRate*100,
-			r.Row.Forwarded*100, r.Row.Imbalance, r.AdaptLag)
+	res, err := runStudies(p, table, rotate, diurnal)
+	if err != nil {
+		return nil, nil, "", err
 	}
-	fmt.Fprintf(&b, "\ndiurnal open loop (mean 2000 req/s, amplitude %.0f%%, 16 nodes)\n",
-		diurnalSpec.DiurnalAmp*100)
-	fmt.Fprintf(&b, "  %-14s %10s %12s %12s\n", "policy", "req/s", "mean ms", "p99 ms")
-	for i, jr := range dResults {
-		if jr.Err != nil {
-			return nil, "", fmt.Errorf("experiments: %s: %w", jr.Key, jr.Err)
-		}
-		fmt.Fprintf(&b, "  %-14s %10.0f %12.2f %12.2f\n", dPolicies[i],
-			jr.Result.Throughput, jr.Result.LatencyMean*1000, jr.Result.LatencyP99*1000)
+	for i, rec := range recs {
+		lags[i] = adaptationLag(rec)
 	}
-	return rows, b.String(), nil
+	return res[0], lags, table.render(res[0]) + "\n" + diurnal.render(res[2]), nil
 }
 
-// FlashRow is one policy's line of the flash-crowd study: the comparison
-// columns plus the forwarding fraction inside versus outside the crowd
-// window and the peak instantaneous load imbalance while the crowd burns.
+// FlashRow is one policy's series-derived line of the flash-crowd study:
+// the forwarding fraction inside versus outside the crowd window and the
+// peak instantaneous load imbalance while the crowd burns.
 type FlashRow struct {
-	Row           PolicyRow
 	FwdIn, FwdOut float64
 	PeakImbalance float64
 }
@@ -154,8 +111,9 @@ type FlashRow struct {
 // FlashStudy replays a flash-crowd trace — one cold file spiking to 60% of
 // traffic for 15% of the stream — through every policy, reading the
 // in-window forwarding spike (LARD's replication thrash, chash-bounded's
-// spill) and the peak load imbalance off per-run series recordings.
-func FlashStudy(p *runner.Pool, scale float64) ([]FlashRow, string, error) {
+// spill) and the peak load imbalance off per-run series recordings. The
+// results and rows align with nonstationaryPolicies.
+func FlashStudy(p *runner.Pool, scale float64) ([]server.Result, []FlashRow, string, error) {
 	spec := trace.GenSpec{
 		Name: "flash", Mode: trace.ModeFlash,
 		Files: 8000, AvgFileKB: 16, Requests: reqCount(400_000, scale),
@@ -164,40 +122,45 @@ func FlashStudy(p *runner.Pool, scale float64) ([]FlashRow, string, error) {
 	}
 	tr, err := trace.Generate(spec)
 	if err != nil {
-		return nil, "", err
+		return nil, nil, "", err
 	}
+	rows := make([]FlashRow, len(nonstationaryPolicies))
+	row := func(r server.Result) FlashRow { return rows[slices.Index(nonstationaryPolicies, r.System)] }
+	s := study{
+		title: fmt.Sprintf("flash crowd on %s: one cold file takes %.0f%% of traffic over [%.0f%%, %.0f%%) of the stream",
+			tr.Name, spec.FlashFrac*100, spec.FlashStart*100, (spec.FlashStart+spec.FlashDur)*100),
+		trace: tr,
+		cols: []column{label("policy", 14), reqPerSec, missPct,
+			{"fwd-in%", "%10.1f", func(r server.Result) any { return row(r).FwdIn * 100 }},
+			{"fwd-out%", "%10.1f", func(r server.Result) any { return row(r).FwdOut * 100 }},
+			imbalance,
+			{"peak-imbal", "%12.2f", func(r server.Result) any { return row(r).PeakImbalance }}},
+	}
+	recs := recordedRows(&s, "flash", 0.5)
+	res, err := runStudies(p, &s)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	for i, rec := range recs {
+		r := &rows[i]
+		r.FwdIn, r.FwdOut, r.PeakImbalance = flashWindowStats(rec, spec.FlashStart, spec.FlashDur)
+	}
+	return res[0], rows, s.render(res[0]), nil
+}
+
+// recordedRows adds one row per nonstationary policy to s, on 8 nodes after
+// a 10% warm-up, each with its own series recorder sampling every dt
+// simulated seconds (a Series must not be shared across parallel runs),
+// and returns the recorders in row order.
+func recordedRows(s *study, key string, dt float64) []*obs.Series {
 	recs := make([]*obs.Series, len(nonstationaryPolicies))
-	jobs := make([]runner.Job, len(nonstationaryPolicies))
 	for i, name := range nonstationaryPolicies {
-		recs[i] = obs.NewSeries(0.5)
-		jobs[i] = runner.Job{
-			Key: "flash/" + name,
-			Config: server.NewConfig(server.CustomServer, 8,
-				server.WithPolicy(name), server.WithSeed(5),
-				server.WithWarmFraction(0.1), server.WithSeries(recs[i])),
-			Trace: tr,
-		}
+		recs[i] = obs.NewSeries(dt)
+		s.add(key, name, server.NewConfig(server.CustomServer, 8,
+			server.WithPolicy(name), server.WithSeed(5),
+			server.WithWarmFraction(0.1), server.WithSeries(recs[i])))
 	}
-	var rows []FlashRow
-	for i, jr := range p.Run(jobs) {
-		if jr.Err != nil {
-			return nil, "", fmt.Errorf("experiments: %s: %w", jr.Key, jr.Err)
-		}
-		row := FlashRow{Row: policyRow(nonstationaryPolicies[i], jr.Result)}
-		row.FwdIn, row.FwdOut, row.PeakImbalance = flashWindowStats(recs[i], spec.FlashStart, spec.FlashDur)
-		rows = append(rows, row)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "flash crowd on %s: one cold file takes %.0f%% of traffic over [%.0f%%, %.0f%%) of the stream\n",
-		tr.Name, spec.FlashFrac*100, spec.FlashStart*100, (spec.FlashStart+spec.FlashDur)*100)
-	fmt.Fprintf(&b, "  %-14s %10s %8s %10s %10s %10s %12s\n",
-		"policy", "req/s", "miss%", "fwd-in%", "fwd-out%", "imbalance", "peak-imbal")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-14s %10.0f %8.1f %10.1f %10.1f %10.2f %12.2f\n",
-			r.Row.Policy, r.Row.Throughput, r.Row.MissRate*100,
-			r.FwdIn*100, r.FwdOut*100, r.Row.Imbalance, r.PeakImbalance)
-	}
-	return rows, b.String(), nil
+	return recs
 }
 
 // reqCount scales a full-size request budget, with a floor that keeps the

@@ -13,25 +13,25 @@ import (
 // their physical ranges.
 
 func TestChurnStudy(t *testing.T) {
-	rows, text, err := ChurnStudy(testPool(), 0.01)
+	rows, lags, text, err := ChurnStudy(testPool(), 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(nonstationaryPolicies) {
-		t.Fatalf("got %d rows, want %d", len(rows), len(nonstationaryPolicies))
+	if len(rows) != len(nonstationaryPolicies) || len(lags) != len(rows) {
+		t.Fatalf("got %d rows and %d lags, want %d", len(rows), len(lags), len(nonstationaryPolicies))
 	}
 	for i, r := range rows {
-		if r.Row.Policy != nonstationaryPolicies[i] {
-			t.Errorf("row %d: policy %q, want %q", i, r.Row.Policy, nonstationaryPolicies[i])
+		if r.System != nonstationaryPolicies[i] {
+			t.Errorf("row %d: policy %q, want %q", i, r.System, nonstationaryPolicies[i])
 		}
-		if r.Row.Throughput <= 0 {
-			t.Errorf("%s: throughput %v", r.Row.Policy, r.Row.Throughput)
+		if r.Throughput <= 0 {
+			t.Errorf("%s: throughput %v", r.System, r.Throughput)
 		}
-		if r.Row.MissRate <= 0 || r.Row.MissRate > 1 {
-			t.Errorf("%s: miss rate %v outside (0,1]", r.Row.Policy, r.Row.MissRate)
+		if r.MissRate <= 0 || r.MissRate > 1 {
+			t.Errorf("%s: miss rate %v outside (0,1]", r.System, r.MissRate)
 		}
-		if r.AdaptLag < 0 {
-			t.Errorf("%s: negative adaptation lag %v", r.Row.Policy, r.AdaptLag)
+		if lags[i] < 0 {
+			t.Errorf("%s: negative adaptation lag %v", r.System, lags[i])
 		}
 	}
 	for _, want := range []string{"shot-noise churn", "adapt-lag", "diurnal open loop", "lard", "l2s"} {
@@ -42,22 +42,23 @@ func TestChurnStudy(t *testing.T) {
 }
 
 func TestFlashStudy(t *testing.T) {
-	rows, text, err := FlashStudy(testPool(), 0.01)
+	results, rows, text, err := FlashStudy(testPool(), 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(nonstationaryPolicies) {
-		t.Fatalf("got %d rows, want %d", len(rows), len(nonstationaryPolicies))
+	if len(results) != len(nonstationaryPolicies) || len(rows) != len(results) {
+		t.Fatalf("got %d results and %d rows, want %d", len(results), len(rows), len(nonstationaryPolicies))
 	}
-	for _, r := range rows {
-		if r.Row.Throughput <= 0 {
-			t.Errorf("%s: throughput %v", r.Row.Policy, r.Row.Throughput)
+	for i, r := range rows {
+		name := nonstationaryPolicies[i]
+		if results[i].Throughput <= 0 {
+			t.Errorf("%s: throughput %v", name, results[i].Throughput)
 		}
 		if r.FwdIn < 0 || r.FwdIn > 1 || r.FwdOut < 0 || r.FwdOut > 1 {
-			t.Errorf("%s: forwarding fractions %v/%v outside [0,1]", r.Row.Policy, r.FwdIn, r.FwdOut)
+			t.Errorf("%s: forwarding fractions %v/%v outside [0,1]", name, r.FwdIn, r.FwdOut)
 		}
 		if r.PeakImbalance < 1 {
-			t.Errorf("%s: peak imbalance %v below 1", r.Row.Policy, r.PeakImbalance)
+			t.Errorf("%s: peak imbalance %v below 1", name, r.PeakImbalance)
 		}
 	}
 	if !strings.Contains(text, "flash crowd") || !strings.Contains(text, "peak-imbal") {
