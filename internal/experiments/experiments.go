@@ -10,6 +10,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/cache"
@@ -74,26 +75,26 @@ type Figure struct {
 
 // Render draws the figure as an aligned text table.
 func (f Figure) Render() string {
-	return fmt.Sprintf("%s: %s\n", f.ID, f.Title) + f.table("%-12s", "%14s", "%-12g", "%14.1f")
+	return fmt.Sprintf("%s: %s\n", f.ID, f.Title) + f.table("%-12s", "%14s", "%14.1f")
 }
 
 // CSV renders the figure as comma-separated values.
 func (f Figure) CSV() string {
-	return f.table("%s", ",%s", "%g", ",%.2f")
+	return f.table("%s", ",%s", ",%.2f")
 }
 
 // table prints the X label and each series label on a header line, then
-// one line per X value with each series' value at that point, formatting
-// them with the given verbs.
-func (f Figure) table(xHead, head, x, value string) string {
+// one line per X value with each series' value at that point: x formats
+// the X label and values, head the series labels, value their values.
+func (f Figure) table(x, head, value string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, xHead, f.XLabel)
+	fmt.Fprintf(&b, x, f.XLabel)
 	for _, s := range f.Series {
 		fmt.Fprintf(&b, head, s.Label)
 	}
 	b.WriteByte('\n')
 	for i, xv := range f.X {
-		fmt.Fprintf(&b, x, xv)
+		fmt.Fprintf(&b, x, axisValue(xv))
 		for _, s := range f.Series {
 			if i < len(s.Values) {
 				fmt.Fprintf(&b, value, s.Values[i])
@@ -190,6 +191,16 @@ func minMax(xs []float64) (lo, hi float64) {
 		hi = math.Max(hi, x)
 	}
 	return lo, hi
+}
+
+// axisValue prints an X value as %g does after rounding it to 12
+// significant digits. An axis built by repeated addition carries rounding
+// noise (Figure 6's hit rates step by 0.05 and reach 0.15000000000000002),
+// which the rounding drops while any two grid points stay apart; a value
+// without such noise prints exactly as %g prints it.
+func axisValue(x float64) string {
+	r, _ := strconv.ParseFloat(strconv.FormatFloat(x, 'g', 12, 64), 64)
+	return strconv.FormatFloat(r, 'g', -1, 64)
 }
 
 // Table1 renders the model parameters and their default values, the

@@ -98,6 +98,26 @@ func TestModelSurfacesShape(t *testing.T) {
 	}
 }
 
+// Figure 6's hit-rate axis is built by adding 0.05 twenty times; its
+// labels print rounded (0.15, not 0.15000000000000002), so every row keeps
+// the table's 26-character width, and the CSV carries the same labels.
+func TestFigure6AxisAligned(t *testing.T) {
+	_, _, fig5 := ModelSurfaces()
+	fig := Figure6(fig5)
+	lines := strings.Split(strings.TrimSuffix(fig.Render(), "\n"), "\n")[2:]
+	if len(lines) != len(fig.X) {
+		t.Fatalf("%d rows for %d hit rates", len(lines), len(fig.X))
+	}
+	for i, line := range lines {
+		if len(line) != 26 {
+			t.Errorf("row %d is %d characters, want 26: %q", i, len(line), line)
+		}
+	}
+	if !strings.HasPrefix(lines[3], "0.15 ") || !strings.Contains(fig.CSV(), "\n0.15,") {
+		t.Errorf("hit rate 0.15 printed as %q", lines[3])
+	}
+}
+
 func TestMemorySweepMonotone(t *testing.T) {
 	fig := MemorySweep()
 	means := fig.Series[1].Values
