@@ -55,17 +55,15 @@ func main() {
 	)
 	opts := experiments.DefaultOptions()
 	all := experimentList(&opts)
-	var names, eager, named []string
+	var names, named []string
 	for _, e := range all {
 		names = append(names, e.name)
 		if e.named {
 			named = append(named, e.name)
-		} else {
-			eager = append(eager, e.name)
 		}
 	}
-	flag.Lookup("only").Usage = fmt.Sprintf("run a single experiment (%s; %s — the web-scale sweeps and the non-stationary workload studies — run only when named explicitly)",
-		strings.Join(eager, ", "), strings.Join(named, ", "))
+	flag.Lookup("only").Usage = fmt.Sprintf("run a single experiment, one of %s; %s run only when named",
+		strings.Join(names, ", "), strings.Join(named, ", "))
 	flag.Parse()
 
 	if err := trace.CheckScale(*scale); err != nil {
@@ -129,16 +127,15 @@ func experimentList(opts *experiments.Options) []experiment {
 	// Figures 7-10 and Section 5.2 share one sweep per trace.
 	runs := map[string]*experiments.TraceRun{}
 	traceRun := func(name string) (*experiments.TraceRun, error) {
-		if runs[name] == nil {
-			tr, err := paper(name, 1)
-			if err != nil {
-				return nil, err
-			}
-			if runs[name], err = experiments.RunWorkload(tr, *opts); err != nil {
-				return nil, err
-			}
+		if runs[name] != nil {
+			return runs[name], nil
 		}
-		return runs[name], nil
+		tr, err := paper(name, 1)
+		if err != nil {
+			return nil, err
+		}
+		runs[name], err = experiments.RunWorkload(tr, *opts)
+		return runs[name], err
 	}
 	figure := func(id, name string) func() (string, error) {
 		return func() (string, error) {
@@ -224,12 +221,7 @@ func experimentList(opts *experiments.Options) []experiment {
 			return textOf(experiments.PersistentStudy(opts.Pool(), tr, 16, 7))
 		}},
 		{"failover", false, onHalf("calgary", func(tr *trace.Trace) (string, error) {
-			_, text, err := experiments.FailoverStudy(opts.Pool(), tr, 16)
-			if err != nil {
-				return "", err
-			}
-			fig, err := experiments.FailoverTimeline(tr, 16, 3)
-			return text + "\n" + fig.Chart(60, 12), err
+			return textOf(experiments.FailoverStudy(opts.Pool(), tr, 16))
 		})},
 		{"section6", false, onHalf("clarknet", func(tr *trace.Trace) (string, error) {
 			return textOf(experiments.Section6Study(opts.Pool(), tr, 16))

@@ -112,12 +112,8 @@ var chartMarks = []byte{'*', 'o', '+', 'x', '#', '@'}
 // plot-area dimensions — enough to eyeball the curves of Figures 7-10 in a
 // terminal without leaving the repository.
 func (f Figure) Chart(width, height int) string {
-	if width < 8 {
-		width = 8
-	}
-	if height < 4 {
-		height = 4
-	}
+	width = max(width, 8)
+	height = max(height, 4)
 	if len(f.X) == 0 || len(f.Series) == 0 {
 		return f.ID + ": (no data)\n"
 	}
@@ -129,9 +125,7 @@ func (f Figure) Chart(width, height int) string {
 		ymin = math.Min(ymin, lo)
 		ymax = math.Max(ymax, hi)
 	}
-	if ymin > 0 {
-		ymin = 0 // anchor throughput-like charts at zero
-	}
+	ymin = min(ymin, 0) // anchor throughput-like charts at zero
 	if xmax == xmin {
 		xmax = xmin + 1
 	}
@@ -252,12 +246,9 @@ func Table2(opts Options) ([]trace.Characteristics, string) {
 // Curve.HitRate(C) then equals a direct LRU simulation at any capacity
 // larger than the biggest file, so one pass anchors the model's hit rates
 // for every cluster size at once. At 32 MB its miss rate is the sequential
-// miss rate Section 5.1 calibrates against (9-28%). The model curves use it
-// to instantiate the paper's hit-rate algebra with the workload's true
-// behavior: the paper's closed-form z(n, F) assumes independent Zipf
-// references, while real and realistic traces also carry temporal locality,
-// which an LRU pass captures and a z-evaluation would miss, so anchoring on
-// measured hit rates keeps the model an upper bound.
+// miss rate Section 5.1 calibrates against (9-28%). The paper's closed-form
+// z(n, F) assumes independent Zipf references; measured hit rates also
+// carry the traces' temporal locality, which keeps the model an upper bound.
 func ReuseCurve(tr *trace.Trace) *cache.Curve {
 	b := cache.NewCurveBuilder(tr.NumRequests())
 	warm := tr.NumRequests() / 3

@@ -463,17 +463,18 @@ func TestHeterogeneousStudy(t *testing.T) {
 	}
 }
 
+// The L2S failover run charts its throughput over time under the table.
 func TestFailoverTimeline(t *testing.T) {
 	tr := fastTrace(t, "calgary", 0.05)
-	fig, err := FailoverTimeline(tr, 8, 3)
+	results, text, err := FailoverStudy(testPool(), tr, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.X) < 4 || len(fig.Series[0].Values) != len(fig.X) {
-		t.Fatalf("timeline shape wrong: %d points", len(fig.X))
+	if n := len(results[0].Timeline); n < 4 {
+		t.Fatalf("timeline shape wrong: %d points", n)
 	}
-	if !strings.Contains(fig.Chart(40, 8), "l2s") {
-		t.Error("chart legend missing")
+	if !strings.Contains(text, "failover-timeline") || !strings.Contains(text, "*=l2s") {
+		t.Errorf("chart missing:\n%s", text)
 	}
 }
 

@@ -173,30 +173,6 @@ func SlowNodeStudy(p *runner.Pool, tr *trace.Trace, nodes, slowNode int, slowFac
 	return s.run(p)
 }
 
-// FailoverTimeline records throughput over time while one L2S node
-// crashes mid-run, producing the time series behind the availability
-// claim (rendered with Figure.Chart in cmd/experiments).
-func FailoverTimeline(tr *trace.Trace, nodes, failNode int) (Figure, error) {
-	const bucket = 0.25
-	cfg := server.NewConfig(server.L2SServer, nodes,
-		server.WithFailure(failNode, 0.5),
-		server.WithTimelineBucket(bucket))
-	r, err := server.Run(cfg, tr)
-	if err != nil {
-		return Figure{}, err
-	}
-	fig := Figure{
-		ID:     "failover-timeline",
-		Title:  fmt.Sprintf("L2S throughput while node %d crashes (%s, %d nodes)", failNode, tr.Name, nodes),
-		XLabel: "time_s",
-	}
-	for i := range r.Timeline {
-		fig.X = append(fig.X, float64(i)*bucket)
-	}
-	fig.Series = []Series{{Label: "l2s", Values: r.Timeline}}
-	return fig, nil
-}
-
 // Section6Study compares the original LARD front-end, the dispatcher-based
 // variant of Aron et al. (USENIX 2000) that the paper's Section 6
 // discusses, and L2S, in that row order. The dispatcher escapes the
@@ -296,8 +272,11 @@ func L2SSensitivity(p *runner.Pool, tr *trace.Trace, nodes int) (map[string][]se
 
 // FailoverStudy quantifies the availability claim of Section 4: crash one
 // node mid-run and compare how much service survives under L2S (any node)
-// versus LARD (the front-end).
+// versus LARD (the front-end). The L2S run also counts its completions in
+// 0.25 s buckets, charted under the table: the time series behind the
+// claim.
 func FailoverStudy(p *runner.Pool, tr *trace.Trace, nodes int) ([]server.Result, string, error) {
+	const bucket = 0.25
 	s := study{
 		title: "failover: one node crashes halfway through the run",
 		trace: tr,
@@ -308,8 +287,22 @@ func FailoverStudy(p *runner.Pool, tr *trace.Trace, nodes int) ([]server.Result,
 			{"", " aborted=%d", func(r server.Result) any { return r.Aborted }},
 			{"", " throughput=%.0f", func(r server.Result) any { return r.Throughput }}},
 	}
-	s.add("failover", "l2s, node 3 fails", server.NewConfig(server.L2SServer, nodes, server.WithFailure(3, 0.5)))
+	s.add("failover", "l2s, node 3 fails", server.NewConfig(server.L2SServer, nodes,
+		server.WithFailure(3, 0.5), server.WithTimelineBucket(bucket)))
 	s.add("failover", "lard, back-end 3 fails", server.NewConfig(server.LARDServer, nodes, server.WithFailure(3, 0.5)))
 	s.add("failover", "lard, front-end fails", server.NewConfig(server.LARDServer, nodes, server.WithFailure(0, 0.5)))
-	return s.run(p)
+	res, text, err := s.run(p)
+	if err != nil {
+		return nil, "", err
+	}
+	fig := Figure{
+		ID:     "failover-timeline",
+		Title:  fmt.Sprintf("L2S throughput while node 3 crashes (%s, %d nodes)", tr.Name, nodes),
+		XLabel: "time_s",
+		Series: []Series{{Label: "l2s", Values: res[0].Timeline}},
+	}
+	for i := range res[0].Timeline {
+		fig.X = append(fig.X, float64(i)*bucket)
+	}
+	return res, text + "\n" + fig.Chart(60, 12), nil
 }

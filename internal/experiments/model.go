@@ -59,16 +59,14 @@ func MemorySweep() Figure {
 		s := queuemodel.IncreaseSurface(p, hits, sizes)
 		peak, _, _ := s.Max()
 		var sum float64
-		var n int
 		for _, row := range s.Values {
 			for _, v := range row {
 				sum += v
-				n++
 			}
 		}
 		fig.X = append(fig.X, float64(m>>20))
 		peaks = append(peaks, peak)
-		means = append(means, sum/float64(n))
+		means = append(means, sum/float64(len(hits)*len(sizes)))
 	}
 	fig.Series = []Series{
 		{Label: "peak gain", Values: peaks},

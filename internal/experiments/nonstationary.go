@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/cache"
 	"repro/internal/obs"
@@ -142,16 +142,14 @@ func FlashStudy(p *runner.Pool, scale float64) ([]server.Result, []FlashRow, str
 		return nil, nil, "", err
 	}
 	for i, rec := range recs {
-		r := &rows[i]
-		r.FwdIn, r.FwdOut, r.PeakImbalance = flashWindowStats(rec, spec.FlashStart, spec.FlashDur)
+		rows[i] = flashWindowStats(rec, spec.FlashStart, spec.FlashDur)
 	}
 	return res[0], rows, s.render(res[0]), nil
 }
 
-// recordedRows adds one row per nonstationary policy to s, on 8 nodes after
-// a 10% warm-up, each with its own series recorder sampling every dt
-// simulated seconds (a Series must not be shared across parallel runs),
-// and returns the recorders in row order.
+// recordedRows adds one row per nonstationary policy to s (8 nodes, 10%
+// warm-up), each with its own series recorder sampling every dt seconds (a
+// Series must not be shared across parallel runs), and returns them.
 func recordedRows(s *study, key string, dt float64) []*obs.Series {
 	recs := make([]*obs.Series, len(nonstationaryPolicies))
 	for i, name := range nonstationaryPolicies {
@@ -166,11 +164,7 @@ func recordedRows(s *study, key string, dt float64) []*obs.Series {
 // reqCount scales a full-size request budget, with a floor that keeps the
 // series-based measurements meaningful at test scales.
 func reqCount(full int, scale float64) int {
-	n := int(float64(full) * scale)
-	if n < 5000 {
-		n = 5000
-	}
-	return n
+	return max(int(float64(full)*scale), 5000)
 }
 
 // rotationTrace builds the abrupt hot-set rotation: two stationary Zipf
@@ -215,10 +209,7 @@ func clusterHitTimeline(rec *obs.Series) (ts, hits []float64) {
 		sum[s.T] += s.V
 		n[s.T]++
 	}
-	for t := range sum {
-		ts = append(ts, t)
-	}
-	sort.Float64s(ts)
+	ts = slices.Sorted(maps.Keys(sum))
 	for _, t := range ts {
 		hits = append(hits, sum[t]/float64(n[t]))
 	}
@@ -282,13 +273,11 @@ func adaptationLag(rec *obs.Series) float64 {
 // inside the window. The window is located by time fraction — at
 // saturation, completions accrue near-uniformly, so the request-index
 // window maps onto the same fraction of the run.
-func flashWindowStats(rec *obs.Series, fstart, fdur float64) (fwdIn, fwdOut, peakImbal float64) {
+func flashWindowStats(rec *obs.Series, fstart, fdur float64) (f FlashRow) {
 	samples := rec.Samples() // a copy: materialise once
 	var tEnd float64
 	for _, s := range samples {
-		if s.T > tEnd {
-			tEnd = s.T
-		}
+		tEnd = max(tEnd, s.T)
 	}
 	inWin := func(t float64) bool { return t >= fstart*tEnd && t < (fstart+fdur)*tEnd }
 	preWin := func(t float64) bool { return t >= 0.05*tEnd && t < (fstart-0.02)*tEnd }
@@ -312,24 +301,19 @@ func flashWindowStats(rec *obs.Series, fstart, fdur float64) (fwdIn, fwdOut, pea
 		}
 	}
 	if inDt > 0 {
-		fwdIn = inSum / inDt
+		f.FwdIn = inSum / inDt
 	}
 	if outDt > 0 {
-		fwdOut = outSum / outDt
+		f.FwdOut = outSum / outDt
 	}
 	for _, ls := range loads {
-		var sum, max float64
+		var sum float64
 		for _, v := range ls {
 			sum += v
-			if v > max {
-				max = v
-			}
 		}
 		if sum > 0 {
-			if imbal := max * float64(len(ls)) / sum; imbal > peakImbal {
-				peakImbal = imbal
-			}
+			f.PeakImbalance = max(f.PeakImbalance, slices.Max(ls)*float64(len(ls))/sum)
 		}
 	}
-	return fwdIn, fwdOut, peakImbal
+	return f
 }

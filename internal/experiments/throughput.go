@@ -35,25 +35,23 @@ func RunWorkload(tr *trace.Trace, opts Options) (*TraceRun, error) {
 		Nodes:   opts.Nodes,
 		Results: make(map[string][]server.Result),
 	}
-	var jobs []runner.Job
+	s := &study{trace: tr}
 	for _, n := range opts.Nodes {
 		p, hlc, q := modelAt(run.Char, n, opts, curve.HitRate)
 		run.Model = append(run.Model, p.Bound(hlc, q).RequestsPerSec)
 		for _, sys := range systems {
-			jobs = append(jobs, runner.Job{
-				Key:    fmt.Sprintf("%s/%s/n=%d", tr.Name, sys, n),
-				Config: server.NewConfig(sys, n, server.WithCacheBytes(opts.CacheBytes)),
-				Trace:  tr,
-			})
+			s.add(tr.Name+"/"+sys.String(), fmt.Sprintf("n=%d", n),
+				server.NewConfig(sys, n, server.WithCacheBytes(opts.CacheBytes)))
 		}
 	}
-	// Submission order is (node, system)-major, so reassembling in that
-	// order rebuilds each per-system slice aligned with opts.Nodes.
-	for _, jr := range opts.Pool().Run(jobs) {
-		if jr.Err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", jr.Key, jr.Err)
-		}
-		run.Results[jr.Result.System] = append(run.Results[jr.Result.System], jr.Result)
+	res, err := runStudies(opts.Pool(), s)
+	if err != nil {
+		return nil, err
+	}
+	// Rows are (node, system)-major, so reassembling in that order
+	// rebuilds each per-system slice aligned with opts.Nodes.
+	for _, r := range res[0] {
+		run.Results[r.System] = append(run.Results[r.System], r)
 	}
 	return run, nil
 }
@@ -212,14 +210,8 @@ func scaleSweep(p *runner.Pool, key string, traces []scaleTrace, nodesList []int
 // counts beyond any broadcast budget).
 func ChashScaleStudy(p *runner.Pool, nodesList []int, files, requests int) (string, error) {
 	tr, err := trace.Generate(trace.GenSpec{
-		Name:      fmt.Sprintf("chash-scale-F%d", files),
-		Files:     files,
-		AvgFileKB: 6,
-		Requests:  requests,
-		AvgReqKB:  5,
-		Alpha:     0.8,
-		LocalityP: 0.3,
-		Seed:      11,
+		Name: fmt.Sprintf("chash-scale-F%d", files), Files: files, AvgFileKB: 6,
+		Requests: requests, AvgReqKB: 5, Alpha: 0.8, LocalityP: 0.3, Seed: 11,
 	})
 	if err != nil {
 		return "", err
