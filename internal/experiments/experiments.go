@@ -10,6 +10,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -118,12 +119,13 @@ func (f Figure) Chart(width, height int) string {
 		return f.ID + ": (no data)\n"
 	}
 
-	xmin, xmax := minMax(f.X)
-	var ymin, ymax float64 = math.Inf(1), math.Inf(-1)
+	xmin, xmax := slices.Min(f.X), slices.Max(f.X)
+	ymin, ymax := math.Inf(1), math.Inf(-1)
 	for _, s := range f.Series {
-		lo, hi := minMax(s.Values)
-		ymin = math.Min(ymin, lo)
-		ymax = math.Max(ymax, hi)
+		if len(s.Values) > 0 {
+			ymin = min(ymin, slices.Min(s.Values))
+			ymax = max(ymax, slices.Max(s.Values))
+		}
 	}
 	ymin = min(ymin, 0) // anchor throughput-like charts at zero
 	if xmax == xmin {
@@ -176,15 +178,6 @@ func (f Figure) Chart(width, height int) string {
 	}
 	b.WriteByte('\n')
 	return b.String()
-}
-
-func minMax(xs []float64) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, x := range xs {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	return lo, hi
 }
 
 // axisValue prints an X value as %g does after rounding it to 12
@@ -246,9 +239,12 @@ func Table2(opts Options) ([]trace.Characteristics, string) {
 // Curve.HitRate(C) then equals a direct LRU simulation at any capacity
 // larger than the biggest file, so one pass anchors the model's hit rates
 // for every cluster size at once. At 32 MB its miss rate is the sequential
-// miss rate Section 5.1 calibrates against (9-28%). The paper's closed-form
-// z(n, F) assumes independent Zipf references; measured hit rates also
-// carry the traces' temporal locality, which keeps the model an upper bound.
+// miss rate Section 5.1 calibrates against (9-28%). The model curves use it
+// to instantiate the paper's hit-rate algebra with the workload's true
+// behavior: the paper's closed-form z(n, F) assumes independent Zipf
+// references, while real and realistic traces also carry temporal locality,
+// which an LRU pass captures and a z-evaluation would miss, so anchoring on
+// measured hit rates keeps the model an upper bound.
 func ReuseCurve(tr *trace.Trace) *cache.Curve {
 	b := cache.NewCurveBuilder(tr.NumRequests())
 	warm := tr.NumRequests() / 3

@@ -191,19 +191,16 @@ func Section6Study(p *runner.Pool, tr *trace.Trace, nodes int) ([]server.Result,
 	return s.run(p)
 }
 
-// sensitivityVariant is one grid point of the ablation: a group, a label,
-// and the configuration delta it applies on top of the paper's L2S setup.
-type sensitivityVariant struct {
-	group, name string
-	opt         server.Option
-}
-
 // noop leaves the paper's configuration untouched.
 func noop(*server.Config) {}
 
-// sensitivityVariants are the ablation's rows, grouped into its tables in
-// print order.
-var sensitivityVariants = []sensitivityVariant{
+// sensitivityVariants are the ablation's grid points, grouped into its
+// tables in print order: a group, a label, and the configuration delta
+// each applies on top of the paper's L2S setup.
+var sensitivityVariants = []struct {
+	group, name string
+	opt         server.Option
+}{
 	{"broadcast-delta", "delta=1", server.WithPolicy("l2s:delta=1")},
 	{"broadcast-delta", "delta=2", server.WithPolicy("l2s:delta=2")},
 	{"broadcast-delta", "delta=4 (paper)", noop},

@@ -147,9 +147,10 @@ func FlashStudy(p *runner.Pool, scale float64) ([]server.Result, []FlashRow, str
 	return res[0], rows, s.render(res[0]), nil
 }
 
-// recordedRows adds one row per nonstationary policy to s (8 nodes, 10%
-// warm-up), each with its own series recorder sampling every dt seconds (a
-// Series must not be shared across parallel runs), and returns them.
+// recordedRows adds one row per nonstationary policy to s, on 8 nodes after
+// a 10% warm-up, each with its own series recorder sampling every dt
+// simulated seconds (a Series must not be shared across parallel runs),
+// and returns the recorders in row order.
 func recordedRows(s *study, key string, dt float64) []*obs.Series {
 	recs := make([]*obs.Series, len(nonstationaryPolicies))
 	for i, name := range nonstationaryPolicies {
@@ -171,17 +172,16 @@ func reqCount(full int, scale float64) int {
 // halves over disjoint catalogs, concatenated. At the midpoint every
 // popular document goes cold at once — the hardest realization of churn.
 func rotationTrace(files, requests int, seed int64) (*trace.Trace, error) {
-	half := requests / 2
-	a, err := trace.Generate(trace.GenSpec{Name: "rotate-a", Files: files, AvgFileKB: 16,
-		Requests: half, AvgReqKB: 12, Alpha: 1.0, LocalityP: 0.2, Seed: seed})
-	if err != nil {
-		return nil, err
+	var halves []*trace.Trace
+	for i, n := range []int{requests / 2, requests - requests/2} {
+		h, err := trace.Generate(trace.GenSpec{Name: fmt.Sprintf("rotate-%c", 'a'+i), Files: files,
+			AvgFileKB: 16, Requests: n, AvgReqKB: 12, Alpha: 1.0, LocalityP: 0.2, Seed: seed + int64(i)})
+		if err != nil {
+			return nil, err
+		}
+		halves = append(halves, h)
 	}
-	b, err := trace.Generate(trace.GenSpec{Name: "rotate-b", Files: files, AvgFileKB: 16,
-		Requests: requests - half, AvgReqKB: 12, Alpha: 1.0, LocalityP: 0.2, Seed: seed + 1})
-	if err != nil {
-		return nil, err
-	}
+	a, b := halves[0], halves[1]
 	t := &trace.Trace{
 		Name:     "rotate",
 		Alpha:    a.Alpha,

@@ -13,7 +13,6 @@ import (
 // the raw material of Figures 7-10 and the Section 5.2 metrics.
 type TraceRun struct {
 	Trace   string
-	Char    trace.Characteristics
 	SeqMiss float64 // sequential-server miss rate at 32 MB
 	Nodes   []int
 
@@ -28,16 +27,16 @@ var systems = []server.System{server.L2SServer, server.LARDServer, server.Tradit
 // cluster size in opts and computes the per-size model bound.
 func RunWorkload(tr *trace.Trace, opts Options) (*TraceRun, error) {
 	curve := ReuseCurve(tr)
+	ch := trace.Characterize(tr)
 	run := &TraceRun{
 		Trace:   tr.Name,
-		Char:    trace.Characterize(tr),
 		SeqMiss: curve.MissRate(opts.CacheBytes),
 		Nodes:   opts.Nodes,
 		Results: make(map[string][]server.Result),
 	}
 	s := &study{trace: tr}
 	for _, n := range opts.Nodes {
-		p, hlc, q := modelAt(run.Char, n, opts, curve.HitRate)
+		p, hlc, q := modelAt(ch, n, opts, curve.HitRate)
 		run.Model = append(run.Model, p.Bound(hlc, q).RequestsPerSec)
 		for _, sys := range systems {
 			s.add(tr.Name+"/"+sys.String(), fmt.Sprintf("n=%d", n),
@@ -210,8 +209,14 @@ func scaleSweep(p *runner.Pool, key string, traces []scaleTrace, nodesList []int
 // counts beyond any broadcast budget).
 func ChashScaleStudy(p *runner.Pool, nodesList []int, files, requests int) (string, error) {
 	tr, err := trace.Generate(trace.GenSpec{
-		Name: fmt.Sprintf("chash-scale-F%d", files), Files: files, AvgFileKB: 6,
-		Requests: requests, AvgReqKB: 5, Alpha: 0.8, LocalityP: 0.3, Seed: 11,
+		Name:      fmt.Sprintf("chash-scale-F%d", files),
+		Files:     files,
+		AvgFileKB: 6,
+		Requests:  requests,
+		AvgReqKB:  5,
+		Alpha:     0.8,
+		LocalityP: 0.3,
+		Seed:      11,
 	})
 	if err != nil {
 		return "", err
