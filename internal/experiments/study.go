@@ -51,8 +51,7 @@ var (
 	idlePct   = column{"idle%", "%8.1f", func(r server.Result) any { return r.CPUIdle * 100 }}
 )
 
-// add appends a row whose job key is the study's key prefix, a slash and
-// the label.
+// add appends a row whose job key is prefix, a slash and the label.
 func (s *study) add(prefix, label string, cfg server.Config) {
 	s.rows = append(s.rows, row{prefix + "/" + label, label, cfg})
 }

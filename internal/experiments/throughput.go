@@ -65,7 +65,8 @@ func nodesAsFloats(nodes []int) []float64 {
 
 // overNodes is the figure of one metric over the run's cluster sizes: get
 // read off each system's results, one series per label; labels name the
-// first len(labels) of systems, in order. title takes the trace name.
+// first len(labels) of systems, in order. title is a format taking the
+// trace name.
 func (tr *TraceRun) overNodes(id, title string, get func(server.Result) float64, labels ...string) Figure {
 	fig := Figure{ID: id, Title: fmt.Sprintf(title, tr.Trace), XLabel: "nodes", X: nodesAsFloats(tr.Nodes)}
 	for i, l := range labels {
