@@ -7,9 +7,12 @@
 // therefore rotates continuously — the regime the paper's stationary Zipf
 // evaluation could not reach.
 //
-// Generation is deterministic and seedable like internal/zipf: one
-// math/rand source consumed in a fixed order, so the same Spec produces a
-// byte-identical Process on every run and under any GOMAXPROCS. The
+// Generation is deterministic and seedable like internal/zipf: serial
+// draws, chunked transforms. One math/rand source is consumed in a fixed
+// order, and only the work on each element after its draws (a request's
+// time from its uniform, the sort within disjoint time buckets) runs in
+// chunks on several cores, so the same Spec produces a byte-identical
+// Process on every run and under any GOMAXPROCS. The
 // matching analytic miss probability lives in internal/queuemodel
 // (ShotNoise.LRUMiss), which conformance tests pin against simulated runs
 // over traces synthesized here.
@@ -21,6 +24,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+
+	"repro/internal/chunk"
 )
 
 // Doc is one document of the process: its arrival time and its weight V —
@@ -165,11 +170,20 @@ func emit(spec Spec, limit int) (*Process, error) {
 			return nil, fmt.Errorf("shotnoise: realization passed the %d requests it can hold", limit)
 		}
 		for k := 0; k < n; k++ {
-			age := -spec.Lifetime * math.Log1p(-rng.Float64()*qs[id])
-			p.Times = append(p.Times, d.Arrival+age)
+			p.Times = append(p.Times, rng.Float64())
 			p.DocOf = append(p.DocOf, int32(id))
 		}
 	}
+	// Times holds each request's uniform u; its age is the inverse CDF of
+	// the truncated profile, -L*log1p(-u*q). That transform needs no draw,
+	// so it runs in chunks after the serial draws.
+	chunk.Fill(len(p.Times), func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			id := p.DocOf[k]
+			age := -spec.Lifetime * math.Log1p(-p.Times[k]*qs[id])
+			p.Times[k] = docs[id].Arrival + age
+		}
+	})
 	return p, nil
 }
 
@@ -235,7 +249,7 @@ func poisson(rng *rand.Rand, mean float64) int {
 // bucketLoad is the mean number of requests per bucket of sortByTime, and
 // crowdedBucket the size above which a bucket is not insertion-sorted.
 const (
-	bucketLoad    = 8
+	bucketLoad    = 4
 	crowdedBucket = 32
 )
 
@@ -245,7 +259,8 @@ const (
 // linear expected time: a monotone map sends time t to bucket
 // int(t*(nb/maxT)), clamped to [0, nb-1], with nb = n/bucketLoad + 1; a
 // counting scatter, stable by construction, moves every request into its
-// bucket; and each bucket is sorted stably by time alone. A crowded bucket
+// bucket; and each bucket is sorted stably by time alone and copied back,
+// ranges of buckets in chunks on several cores. A crowded bucket
 // — a skewed stream, say one outlier far beyond the rest — goes through
 // slices.SortStableFunc instead of insertion, so no input sorts in
 // quadratic time. Times must not be NaN.
@@ -282,18 +297,26 @@ func sortByTime(p *Process) {
 		reqs[end[b]] = request{t, p.DocOf[i]}
 		end[b]++
 	}
-	lo := int32(0)
-	for _, hi := range end[:nb] {
-		if bk := reqs[lo:hi]; len(bk) > crowdedBucket {
-			slices.SortStableFunc(bk, func(a, b request) int { return cmp.Compare(a.t, b.t) })
-		} else {
-			insertionSort(bk)
+	// Buckets are disjoint, so a range of them sorts and copies back on its
+	// own, while its requests are still in cache.
+	chunk.Fill(nb, func(blo, bhi int) {
+		first := int32(0)
+		if blo > 0 {
+			first = end[blo-1]
 		}
-		lo = hi
-	}
-	for i, r := range reqs {
-		p.Times[i], p.DocOf[i] = r.t, r.doc
-	}
+		lo := first
+		for _, hi := range end[blo:bhi] {
+			if bk := reqs[lo:hi]; len(bk) > crowdedBucket {
+				slices.SortStableFunc(bk, func(a, b request) int { return cmp.Compare(a.t, b.t) })
+			} else {
+				insertionSort(bk)
+			}
+			lo = hi
+		}
+		for i := first; i < lo; i++ {
+			p.Times[i], p.DocOf[i] = reqs[i].t, reqs[i].doc
+		}
+	})
 }
 
 // request is one entry of the stream while sortByTime orders it.

@@ -23,7 +23,7 @@ func baseSpec() Spec {
 }
 
 // TestDeterminism: same seed, byte-identical process across repeated runs
-// and across GOMAXPROCS settings — generation is strictly sequential.
+// and across GOMAXPROCS settings — serial draws, chunked transforms.
 func TestDeterminism(t *testing.T) {
 	ref := MustGenerate(baseSpec())
 	for run := 0; run < 3; run++ {

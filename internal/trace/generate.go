@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/cache"
+	"repro/internal/chunk"
 	"repro/internal/shotnoise"
 	"repro/internal/zipf"
 )
@@ -360,7 +359,7 @@ func calibrationTables(spec GenSpec, rng *rand.Rand) (pEff, noise, logs []float6
 		noise[i] = rng.NormFloat64()
 	}
 	popPow := newRankPow(-spec.Alpha)
-	fillChunks(spec.Files, func(lo, hi int) {
+	chunk.Fill(spec.Files, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			logs[i] = math.Log(float64(i + 1))
 			pEff[i] = popPow.pow(i+1, logs[i])
@@ -371,7 +370,7 @@ func calibrationTables(spec GenSpec, rng *rand.Rand) (pEff, noise, logs []float6
 	for _, w := range pEff {
 		norm += w
 	}
-	fillChunks(spec.Files, func(lo, hi int) {
+	chunk.Fill(spec.Files, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			p := (1 - spec.HeadBoost) * (pEff[i] / norm)
 			if i < spec.HeadFiles {
@@ -684,32 +683,9 @@ func uncertified(a, b, lo, hi float64, k int) int {
 // math.Pow(i+1, beta) * noise[i]; logs[i] must be math.Log(i+1).
 func fillTerms(terms, noise, logs []float64, beta float64) {
 	k := newRankPow(beta)
-	fillChunks(len(terms), func(lo, hi int) {
+	chunk.Fill(len(terms), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			terms[i] = k.pow(i+1, logs[i]) * noise[i]
 		}
 	})
-}
-
-// minFillChunk is the smallest share of a fill worth a goroutine of its
-// own: a few thousand powers, ~0.05 ms.
-const minFillChunk = 4096
-
-// fillChunks calls fill on disjoint contiguous ranges that cover [0, n), on
-// up to GOMAXPROCS goroutines, and returns when all of them have. fill must
-// compute element i from i alone, so that the chunking cannot show in the
-// result.
-func fillChunks(n int, fill func(lo, hi int)) {
-	chunks := max(1, min(runtime.GOMAXPROCS(0), n/minFillChunk))
-	var wg sync.WaitGroup
-	for c := 1; c < chunks; c++ {
-		lo, hi := c*n/chunks, (c+1)*n/chunks
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fill(lo, hi)
-		}()
-	}
-	fill(0, n/chunks)
-	wg.Wait()
 }

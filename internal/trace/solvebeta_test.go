@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/chunk"
 	"repro/internal/zipf"
 )
 
@@ -232,15 +233,15 @@ func FuzzSolveBeta(f *testing.F) {
 }
 
 // setProcs sets GOMAXPROCS for the rest of the test. More procs than CPUs
-// still yields that many fill chunks, which is what the tests vary.
+// still start that many fill goroutines, which is what the tests vary.
 func setProcs(t *testing.T, n int) {
 	prev := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func TestSolveBetaMatchesSerialReference(t *testing.T) {
-	sizes := []int{1, 2, minFillChunk - 1, minFillChunk, minFillChunk + 1,
-		2*minFillChunk - 1, 2 * minFillChunk, 3*minFillChunk + 1, 35885}
+	sizes := []int{1, 2, chunk.Min - 1, chunk.Min, chunk.Min + 1,
+		2*chunk.Min - 1, 2 * chunk.Min, 3*chunk.Min + 1, 35885}
 	if !testing.Short() {
 		sizes = append(sizes, 200000)
 	}
@@ -287,27 +288,8 @@ func TestSolveBetaMatchesSerialReference(t *testing.T) {
 	}
 }
 
-func TestFillChunksCoversEveryIndexOnce(t *testing.T) {
-	for _, procs := range []int{1, 2, 3, 8} {
-		setProcs(t, procs)
-		for _, n := range []int{0, 1, minFillChunk - 1, minFillChunk, 2 * minFillChunk, 3*minFillChunk + 7, 100003} {
-			seen := make([]int32, n)
-			fillChunks(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					seen[i]++
-				}
-			})
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("procs=%d n=%d: index %d filled %d times", procs, n, i, c)
-				}
-			}
-		}
-	}
-}
-
-// The clarknet catalogue (35 885 files) splits into 1, 2 and 8 fill chunks
-// at these settings; the trace must not be able to tell.
+// The clarknet catalogue (35 885 files) is 8 fill pieces, taken by 1, 2 and
+// 8 goroutines at these settings; the trace must not be able to tell.
 func TestGenerateIndependentOfGOMAXPROCS(t *testing.T) {
 	spec, err := PaperTrace("clarknet")
 	if err != nil {
@@ -328,19 +310,28 @@ func TestGenerateIndependentOfGOMAXPROCS(t *testing.T) {
 }
 
 // BenchmarkGenerate times trace set-up at the spec of the bench workloads
-// miss16, gossip1024 and chash1024 (F1e6) and at a tenth of their catalogue,
-// seed 11. Run it at -cpu 1,2: the calibration fill uses GOMAXPROCS goroutines.
+// miss16, gossip1024 and chash1024 (F1e6), at a tenth of their catalogue,
+// and at observed16's shot-noise churn spec, seed 11. Run it at -cpu 1,2:
+// the calibration fill, the Zipf table and the churn times and sort use
+// GOMAXPROCS goroutines.
 func BenchmarkGenerate(b *testing.B) {
+	stationary := func(files int) GenSpec {
+		return GenSpec{Files: files, AvgFileKB: 6, AvgReqKB: 5, Alpha: 0.8,
+			LocalityP: 0.3, Requests: 600_000, Seed: 11}
+	}
+	churn, err := ParseGenSpec("churn:files=20000,filekb=16,reqs=1200000,lifetime=10")
+	if err != nil {
+		b.Fatal(err)
+	}
+	churn.Seed = 11
 	for _, bc := range []struct {
-		name  string
-		files int
-	}{{"F1e5", 100_000}, {"F1e6", 1_000_000}} {
+		name string
+		spec GenSpec
+	}{{"F1e5", stationary(100_000)}, {"F1e6", stationary(1_000_000)}, {"churn-observed16", churn}} {
 		b.Run(bc.name, func(b *testing.B) {
-			spec := GenSpec{Files: bc.files, AvgFileKB: 6, AvgReqKB: 5, Alpha: 0.8,
-				LocalityP: 0.3, Requests: 600_000, Seed: 11}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Generate(spec); err != nil {
+				if _, err := Generate(bc.spec); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -15,6 +15,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"repro/internal/chunk"
 )
 
 // exactLimit is the largest n for which Harmonic sums term by term; beyond
@@ -157,15 +159,24 @@ func New(alpha float64, files int64) *Dist {
 	if alpha < 0 {
 		panic(fmt.Sprintf("zipf: alpha must be >= 0, got %v", alpha))
 	}
+	// The powers and the normalisation run in chunks; the prefix sum stays
+	// serial, so every CDF bit and norm match the one-loop sum.
 	cdf := make([]float64, files)
+	chunk.Fill(len(cdf), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			cdf[i] = math.Pow(float64(i+1), -alpha)
+		}
+	})
 	var sum float64
-	for i := int64(0); i < files; i++ {
-		sum += math.Pow(float64(i+1), -alpha)
+	for i, w := range cdf {
+		sum += w
 		cdf[i] = sum
 	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
+	chunk.Fill(len(cdf), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			cdf[i] /= sum
+		}
+	})
 	cdf[files-1] = 1 // guard against rounding
 	d := &Dist{Alpha: alpha, F: files, norm: sum, cdf: cdf}
 	d.buildGuide()

@@ -3,6 +3,8 @@ package zipf
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -250,5 +252,57 @@ func BenchmarkSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Sample(rng)
+	}
+}
+
+// newSerialRef is New as one serial loop, the form every pinned trace was
+// generated with: each power added to the running sum as it is computed,
+// then every entry divided by the total.
+func newSerialRef(alpha float64, files int64) *Dist {
+	cdf := make([]float64, files)
+	var sum float64
+	for i := int64(0); i < files; i++ {
+		sum += math.Pow(float64(i+1), -alpha)
+		cdf[i] = sum
+	}
+	for i := range cdf {
+		cdf[i] /= sum
+	}
+	cdf[files-1] = 1
+	d := &Dist{Alpha: alpha, F: files, norm: sum, cdf: cdf}
+	d.buildGuide()
+	return d
+}
+
+// TestNewMatchesSerialReference: New's chunked powers and normalisation
+// leave every CDF bit, the guide table, norm and P as the serial loop has
+// them, whatever GOMAXPROCS. 50 000 files are 12 pieces, taken by 1, 2 and
+// 8 goroutines at these settings.
+func TestNewMatchesSerialReference(t *testing.T) {
+	const files = 50_000
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, alpha := range []float64{0, 0.6, 0.78, 1, 1.5} {
+		want := newSerialRef(alpha, files)
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			got := New(alpha, files)
+			if math.Float64bits(got.norm) != math.Float64bits(want.norm) {
+				t.Fatalf("alpha=%v procs=%d: norm %v, serial %v", alpha, procs, got.norm, want.norm)
+			}
+			for i := range want.cdf {
+				if math.Float64bits(got.cdf[i]) != math.Float64bits(want.cdf[i]) {
+					t.Fatalf("alpha=%v procs=%d: cdf[%d] = %v, serial %v", alpha, procs, i, got.cdf[i], want.cdf[i])
+				}
+			}
+			if !slices.Equal(got.guide, want.guide) {
+				t.Fatalf("alpha=%v procs=%d: guide table differs from the serial one", alpha, procs)
+			}
+			for r := int64(1); r <= files; r++ {
+				if math.Float64bits(got.P(r)) != math.Float64bits(want.P(r)) {
+					t.Fatalf("alpha=%v procs=%d: P(%d) = %v, serial %v", alpha, procs, r, got.P(r), want.P(r))
+				}
+			}
+		}
 	}
 }
