@@ -109,10 +109,12 @@ func (e *Engine) Schedule(delay Time, fn func()) {
 	e.At(e.now+delay, fn)
 }
 
-// At runs fn at absolute simulated time t, which must not be in the past.
+// At runs fn at absolute simulated time t, which must not be in the past
+// nor NaN (a NaN entry compares false both ways and would be filed
+// unordered, and the clock would turn NaN when it fired).
 func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
+	if !(t >= e.now) {
+		panic(fmt.Sprintf("sim: schedule at invalid time %v (now %v)", t, e.now))
 	}
 	e.push(heapEntry{when: t, done: fn})
 }

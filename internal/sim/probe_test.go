@@ -93,6 +93,30 @@ func TestProbePanics(t *testing.T) {
 	}()
 }
 
+// TestSchedulePanicsOnInvalidTime: At refuses a time in the past or NaN,
+// and Schedule a negative or NaN delay, before anything enters the calendar.
+func TestSchedulePanicsOnInvalidTime(t *testing.T) {
+	e := NewEngine()
+	e.At(2, func() {})
+	e.Run()
+	mustPanic := func(what string, schedule func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		schedule()
+	}
+	mustPanic("At(NaN)", func() { e.At(math.NaN(), func() {}) })
+	mustPanic("At(1) at now 2", func() { e.At(1, func() {}) })
+	mustPanic("Schedule(NaN)", func() { e.Schedule(math.NaN(), func() {}) })
+	mustPanic("Schedule(-1)", func() { e.Schedule(-1, func() {}) })
+	if e.Step() || e.Now() != 2 {
+		t.Errorf("a refused schedule entered the calendar: clock at %v, want 2", e.Now())
+	}
+}
+
 // TestProbeAllocFree: steady-state probe dispatch must not allocate (the
 // zero-cost requirement extends to the enabled path's dispatch machinery;
 // what the callback itself does is the caller's business).
