@@ -124,7 +124,8 @@ func experimentList(opts *experiments.Options) []experiment {
 		}
 		return trace.Generate(spec.Scaled(opts.Scale * share))
 	}
-	// Figures 7-10 and Section 5.2 share one sweep per trace.
+	// Figures 7-10, Section 5.2 and the 32 MB half of memory share one
+	// sweep per trace.
 	runs := map[string]*experiments.TraceRun{}
 	traceRun := func(name string) (*experiments.TraceRun, error) {
 		if runs[name] != nil {
@@ -192,11 +193,15 @@ func experimentList(opts *experiments.Options) []experiment {
 		{"memory", false, func() (string, error) {
 			var texts []string
 			for _, name := range []string{"calgary", "nasa"} {
+				run, err := traceRun(name)
+				if err != nil {
+					return "", err
+				}
 				tr, err := paper(name, 1)
 				if err != nil {
 					return "", err
 				}
-				_, text, err := experiments.MemoryScaling(tr, *opts)
+				_, text, err := experiments.MemoryScaling(tr, run, *opts)
 				if err != nil {
 					return "", err
 				}

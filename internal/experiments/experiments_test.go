@@ -276,7 +276,11 @@ func TestMemoryScalingHelpsTraditionalMost(t *testing.T) {
 	tr := fastTrace(t, "calgary", 0.2)
 	opts := fastOptions()
 	opts.Nodes = []int{4, 8}
-	figs, text, err := MemoryScaling(tr, opts)
+	run, err := RunWorkload(tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	figs, text, err := MemoryScaling(tr, run, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

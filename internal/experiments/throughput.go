@@ -12,9 +12,10 @@ import (
 // TraceRun holds everything measured for one trace across cluster sizes —
 // the raw material of Figures 7-10 and the Section 5.2 metrics.
 type TraceRun struct {
-	Trace   string
-	SeqMiss float64 // sequential-server miss rate at 32 MB
-	Nodes   []int
+	Trace      string
+	CacheBytes int64   // per-node cache of every run
+	SeqMiss    float64 // sequential-server miss rate at CacheBytes
+	Nodes      []int
 
 	Model   []float64                  // model bound per cluster size
 	Results map[string][]server.Result // system name -> per-cluster-size results
@@ -29,10 +30,11 @@ func RunWorkload(tr *trace.Trace, opts Options) (*TraceRun, error) {
 	curve := ReuseCurve(tr)
 	ch := trace.Characterize(tr)
 	run := &TraceRun{
-		Trace:   tr.Name,
-		SeqMiss: curve.MissRate(opts.CacheBytes),
-		Nodes:   opts.Nodes,
-		Results: make(map[string][]server.Result),
+		Trace:      tr.Name,
+		CacheBytes: opts.CacheBytes,
+		SeqMiss:    curve.MissRate(opts.CacheBytes),
+		Nodes:      opts.Nodes,
+		Results:    make(map[string][]server.Result),
 	}
 	s := &study{trace: tr}
 	for _, n := range opts.Nodes {
@@ -112,18 +114,21 @@ func (tr *TraceRun) ForwardingFigure() Figure {
 // barely move L2S, and can never lift LARD past its front-end ceiling —
 // "for some of our traces, the throughput of the traditional server becomes
 // higher than that of the LARD server for larger memories (128 MB) and
-// numbers of nodes (8 or more)". It sweeps opts.Nodes at 32 and 128 MB.
-func MemoryScaling(tr *trace.Trace, opts Options) ([]Figure, string, error) {
+// numbers of nodes (8 or more)". It compares run, RunWorkload's sweep of tr
+// at 32 MB (in a full pass, the Figure 7 or 9 sweep, reused rather than
+// simulated twice), with the same sweep of opts.Nodes at 128 MB.
+func MemoryScaling(tr *trace.Trace, run *TraceRun, opts Options) ([]Figure, string, error) {
+	opts.CacheBytes = 128 << 20
+	large, err := RunWorkload(tr, opts)
+	if err != nil {
+		return nil, "", err
+	}
 	var figs []Figure
 	var b strings.Builder
-	for _, mem := range []int64{32 << 20, 128 << 20} {
-		opts.CacheBytes = mem
-		run, err := RunWorkload(tr, opts)
-		if err != nil {
-			return nil, "", err
-		}
-		fig := run.overNodes(fmt.Sprintf("memory-%dmb-%s", mem>>20, tr.Name),
-			"throughputs for %s with "+fmt.Sprint(mem>>20)+" MB caches", throughput, "l2s", "lard", "traditional")
+	for _, r := range []*TraceRun{run, large} {
+		mb := r.CacheBytes >> 20
+		fig := r.overNodes(fmt.Sprintf("memory-%dmb-%s", mb, tr.Name),
+			"throughputs for %s with "+fmt.Sprint(mb)+" MB caches", throughput, "l2s", "lard", "traditional")
 		figs = append(figs, fig)
 		b.WriteString(fig.Render())
 	}
