@@ -29,16 +29,18 @@ check: fmt vet build test
 # race exercises the deterministic sweep runner and the simulator under the
 # race detector — the parallel-equals-sequential guarantee is only as good
 # as its synchronization — plus the pooled simulation core, the live
-# native cluster (gossip, failure detection, hand-off retry), the policies
-# and the shot-noise synthesizer (their determinism tests switch GOMAXPROCS),
-# the obs instruments (every native node hits the Registry's counters
-# concurrently) and, under -short, the trace generator's chunked calibration fill (the
-# 200 000-file case of TestSolveBetaMatchesSerialReference, ~40 s under the
-# detector — nearly all of it the serial math.Pow reference — starts no
-# goroutine the small ones do not) and the server (TestScaleGridCounts keeps
-# its F=10^4 column and skips the 10^6- and 10^7-file traces).
+# native cluster (gossip, failure detection, hand-off retry), the policies,
+# the chunk helper and its chunked passes in the shot-noise synthesizer
+# (times and bucket sort) and the Zipf table (their determinism tests
+# switch GOMAXPROCS), the obs instruments (every native node hits the
+# Registry's counters concurrently) and, under -short, the trace
+# generator's chunked calibration fill (the 200 000-file case of
+# TestSolveBetaMatchesSerialReference, ~40 s under the detector — nearly
+# all of it the serial math.Pow reference — starts no goroutine the small
+# ones do not) and the server (TestScaleGridCounts keeps its F=10^4 column
+# and skips the 10^6- and 10^7-file traces).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/cache/... ./internal/netsim/... ./internal/runner/... ./internal/native/... ./internal/policy/... ./internal/shotnoise/... ./internal/obs/...
+	$(GO) test -race ./internal/sim/... ./internal/cache/... ./internal/netsim/... ./internal/runner/... ./internal/native/... ./internal/policy/... ./internal/chunk/... ./internal/shotnoise/... ./internal/zipf/... ./internal/obs/...
 	$(GO) test -race -short ./internal/trace/... ./internal/server/...
 
 # chaos runs the fault-injection tests (node kill mid-replay, seeded gossip
@@ -69,7 +71,7 @@ profile: build
 # infrastructure packages (commands are exercised end to end, not unit by
 # unit, so they are exempt).
 COVER_MIN ?= 60
-COVER_PKGS = ./internal/cache ./internal/cluster ./internal/core \
+COVER_PKGS = ./internal/cache ./internal/chunk ./internal/cluster ./internal/core \
              ./internal/experiments ./internal/native \
              ./internal/netsim ./internal/obs ./internal/policy \
              ./internal/queuemodel ./internal/runner ./internal/server \
@@ -121,8 +123,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzSeriesRoundTrip -fuzztime=$(FUZZTIME) ./internal/obs
 
 # archive rewrites the experiments archives: the default experiments pass,
-# then the churn and flash studies, all at -scale 0.05 (~15 s on 2 vCPUs),
-# and the default pass at -scale 0.2 (~60 s), the scale EXPERIMENTS.md
+# then the churn and flash studies, all at -scale 0.05 (~13 s on 2 vCPUs),
+# and the default pass at -scale 0.2 (~50 s), the scale EXPERIMENTS.md
 # reports. The output does not depend on -workers or GOMAXPROCS; CI
 # regenerates both and fails on any byte that differs from the committed
 # files, so a change that moves a number commits the new files and says why.
