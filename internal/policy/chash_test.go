@@ -347,6 +347,66 @@ func TestRingSortMatchesReference(t *testing.T) {
 	}
 }
 
+// TestRingIndexMatchesSearch: the prefix jump table finds the same ring
+// index as a binary search over the whole ring, on built rings of every
+// table size (a weighted one included) and on a crafted ring whose hashes
+// crowd a few prefixes, collide and sit at both ends of the key space.
+func TestRingIndexMatchesSearch(t *testing.T) {
+	rings := map[string][]ringPoint{
+		"1 point":    buildRing(1, 1, nil),
+		"2 points":   buildRing(2, 1, nil),
+		"16x128":     buildRing(16, 128, nil),
+		"1024x128":   buildRing(1024, 128, nil),
+		"weighted 8": buildRing(8, 128, []float64{2, 1, 0.5, 0.5, 1, 1, 1, 1}),
+	}
+	rng := rand.New(rand.NewSource(5))
+	crafted := make([]ringPoint, 3000)
+	for i := range crafted {
+		h := uint64(0xabcd) << 48
+		switch i % 4 {
+		case 0:
+			h |= uint64(rng.Intn(1 << 20))
+		case 1:
+			h = uint64(rng.Intn(8)) // prefix 0, colliding
+		case 2:
+			h = math.MaxUint64 - uint64(rng.Intn(8))
+		default:
+			h |= uint64(rng.Intn(4)) << 40
+		}
+		crafted[i] = ringPoint{hash: h, node: int32(i % 7), replica: int32(i)}
+	}
+	slices.SortFunc(crafted, compareRingPoints)
+	rings["crafted"] = crafted
+
+	for name, ring := range rings {
+		p := &CHash{ring: ring}
+		p.jump, p.shift = jumpTable(ring)
+		want := func(key uint64) int {
+			i := sort.Search(len(ring), func(i int) bool { return ring[i].hash >= key })
+			if i == len(ring) {
+				i = 0
+			}
+			return i
+		}
+		keys := []uint64{0, math.MaxUint64}
+		for _, pt := range ring {
+			keys = append(keys, pt.hash-1, pt.hash, pt.hash+1)
+		}
+		for i := 0; i < 100000; i++ {
+			keys = append(keys, rng.Uint64())
+		}
+		for _, key := range keys {
+			if got, w := p.ringIndex(key), want(key); got != w {
+				t.Fatalf("%s (%d points, table %d): ringIndex(%#x) = %d, sort.Search says %d",
+					name, len(ring), len(p.jump), key, got, w)
+			}
+		}
+	}
+	if _, shift := jumpTable(rings["1024x128"]); shift != 64-15 {
+		t.Errorf("1024x128 ring: prefix of %d bits, want 15 (about four points per entry)", 64-shift)
+	}
+}
+
 func BenchmarkBuildRing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buildRing(1024, 128, nil)

@@ -1,17 +1,19 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// TestPropertyFireOrderExact hammers the split calendar (staging buffer +
-// heap) with a randomized mix of duplicate-time callback events, resource
-// completions at the same tied times, and nested scheduling, and checks the
-// fire sequence is exactly minimal in (when, scheduling sequence):
-// nondecreasing times, and schedule order within every tie. This is the
-// property that makes the buffer invisible — any interleaving bug between
-// the two structures, or between the two entry kinds, shows up as an
+// TestPropertyFireOrderExact hammers the calendar with a randomized mix of
+// duplicate-time callback events, resource completions at the same tied
+// times, and nested scheduling, and checks the fire sequence is exactly
+// minimal in (when, scheduling sequence): nondecreasing times, and
+// schedule order within every tie. This is the
+// property the radix heap's FIFO buckets must keep — any bug in moving
+// events between buckets, or between the two entry kinds, shows up as an
 // inversion.
 func TestPropertyFireOrderExact(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
@@ -72,24 +74,182 @@ func TestPropertyFireOrderExact(t *testing.T) {
 	}
 }
 
-// TestStagingOverflow forces the staging buffer to spill into the heap —
-// more same-time events than stagedCap — and checks schedule order
-// survives the flush.
-func TestStagingOverflow(t *testing.T) {
+// TestSameInstantBurst files a burst of events at one instant: some while
+// the clock is still far from it, so they sit in a high bucket and move
+// down together, some from a callback at an earlier time, and some from
+// callbacks firing at the instant itself, straight into bucket 0. All must
+// fire in schedule order.
+func TestSameInstantBurst(t *testing.T) {
 	e := NewEngine()
-	const n = stagedCap*3 + 5
+	const n = 1000
 	var got []int
-	for i := 0; i < n; i++ {
-		i := i
-		e.Schedule(1, func() { got = append(got, i) })
+	ord := 0
+	var add func()
+	add = func() {
+		i := ord
+		ord++
+		e.At(1, func() {
+			got = append(got, i)
+			if i%7 == 0 && ord < 2*n {
+				add()
+			}
+		})
 	}
+	for i := 0; i < n/2; i++ {
+		add()
+	}
+	e.At(0.5, func() {
+		for i := 0; i < n/2; i++ {
+			add()
+		}
+	})
 	e.Run()
-	if len(got) != n {
-		t.Fatalf("fired %d of %d", len(got), n)
+	if len(got) != ord || e.Now() != 1 {
+		t.Fatalf("fired %d of %d, clock at %v", len(got), ord, e.Now())
 	}
 	for i, v := range got {
 		if v != i {
-			t.Fatalf("flush broke tie order: got[%d]=%d", i, v)
+			t.Fatalf("burst broke schedule order: got[%d]=%d", i, v)
 		}
 	}
+}
+
+// FuzzCalendarOrder decodes bytes into a schedule — At and Schedule calls,
+// Acquire and ChargeAt on one to three resources, Steps between them, and
+// more of all of these from inside callbacks — over a small set of delays
+// with ties, ±0 and a subnormal, plus raw float bits that the engine must
+// refuse unless they are a valid time. The fire order must be the (when,
+// scheduling sequence) sort of everything filed, and Fired, Completed and
+// InSystem must agree with counts kept beside the engine at every event.
+func FuzzCalendarOrder(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
+	f.Add([]byte{2, 0, 1, 0, 1, 0, 1, 0, 1, 7, 1, 7, 0, 7, 5, 2, 2, 2, 5, 0, 5})
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4; i++ {
+		b := make([]byte, 500)
+		rng.Read(b)
+		f.Add(b)
+	}
+	negZero := math.Copysign(0, -1)
+	delays := []Time{negZero, 0, 0, 5e-324, 1e-6, 1e-6, 5e-6, 1e-3, 0.5, 1, 1e6}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		e := NewEngine()
+		res := make([]*Resource, 1+int(next())%3)
+		for i := range res {
+			res[i] = NewResource(e, "r", 1+int(next())%2)
+		}
+		type event struct {
+			when Time
+			res  int // -1 for a callback event
+		}
+		var filed []event
+		var fired []int
+		acquired := make([]int, len(res))
+		completed := make([]int, len(res))
+		check := func(where string) {
+			t.Helper()
+			if e.Fired() != uint64(len(fired)) {
+				t.Fatalf("%s: Fired() = %d, %d callbacks ran", where, e.Fired(), len(fired))
+			}
+			for i, r := range res {
+				if r.Completed() != uint64(completed[i]) || r.InSystem() != acquired[i]-completed[i] {
+					t.Fatalf("%s: resource %d Completed %d InSystem %d, want %d and %d",
+						where, i, r.Completed(), r.InSystem(), completed[i], acquired[i]-completed[i])
+				}
+			}
+		}
+
+		var op func(top bool)
+		callback := func(id int) func() {
+			return func() {
+				ev := filed[id]
+				if e.Now() != ev.when {
+					t.Fatalf("event %d fired at %v, filed for %v", id, e.Now(), ev.when)
+				}
+				fired = append(fired, id)
+				if ev.res >= 0 {
+					completed[ev.res]++
+				}
+				check("callback")
+				for n := next() % 3; n > 0; n-- {
+					op(false)
+				}
+			}
+		}
+		op = func(top bool) {
+			b := next()
+			d := delays[int(b>>3)%len(delays)]
+			k := int(b>>3) % len(res)
+			switch b % 8 {
+			case 0, 1: // At: -0 itself while the clock reads 0
+				at := e.Now() + d
+				if math.Signbit(d) && e.Now() == 0 {
+					at = d
+				}
+				filed = append(filed, event{at, -1})
+				e.At(at, callback(len(filed)-1))
+			case 2, 3:
+				filed = append(filed, event{e.Now() + d, -1})
+				e.Schedule(d, callback(len(filed)-1))
+			case 4:
+				filed = append(filed, event{0, k})
+				acquired[k]++
+				filed[len(filed)-1].when = res[k].Acquire(d, callback(len(filed)-1))
+			case 5: // a charge in the past or the future moves later Acquires
+				res[k].ChargeAt(e.Now()*float64(next())/128, d)
+			case 6: // raw bits: filed only if a valid time
+				var u uint64
+				for i := 0; i < 8; i++ {
+					u = u<<8 | uint64(next())
+				}
+				at := math.Float64frombits(u)
+				if at >= e.Now() && at <= math.MaxFloat64 {
+					filed = append(filed, event{at, -1})
+					e.At(at, callback(len(filed)-1))
+					return
+				}
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("At(%v) at now %v did not panic", at, e.Now())
+						}
+					}()
+					e.At(at, func() { t.Fatalf("refused At(%v) fired", at) })
+				}()
+			case 7:
+				if top {
+					e.Step()
+					check("step")
+				}
+			}
+		}
+		for len(data) > 0 {
+			op(true)
+		}
+		e.Run()
+		check("end")
+
+		want := make([]int, len(filed))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool { return filed[want[i]].when < filed[want[j]].when })
+		if len(fired) != len(want) {
+			t.Fatalf("fired %d of %d filed events", len(fired), len(want))
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("fire %d: event %d (t=%v), want event %d (t=%v)",
+					i, fired[i], filed[fired[i]].when, want[i], filed[want[i]].when)
+			}
+		}
+	})
 }

@@ -93,8 +93,9 @@ func TestProbePanics(t *testing.T) {
 	}()
 }
 
-// TestSchedulePanicsOnInvalidTime: At refuses a time in the past or NaN,
-// and Schedule a negative or NaN delay, before anything enters the calendar.
+// TestSchedulePanicsOnInvalidTime: At refuses a time in the past, NaN or
+// +Inf, and Schedule a negative, NaN or +Inf delay or one that overflows
+// the clock, before anything enters the calendar.
 func TestSchedulePanicsOnInvalidTime(t *testing.T) {
 	e := NewEngine()
 	e.At(2, func() {})
@@ -112,8 +113,36 @@ func TestSchedulePanicsOnInvalidTime(t *testing.T) {
 	mustPanic("At(1) at now 2", func() { e.At(1, func() {}) })
 	mustPanic("Schedule(NaN)", func() { e.Schedule(math.NaN(), func() {}) })
 	mustPanic("Schedule(-1)", func() { e.Schedule(-1, func() {}) })
+	mustPanic("At(+Inf)", func() { e.At(math.Inf(1), func() {}) })
+	mustPanic("Schedule(+Inf)", func() { e.Schedule(math.Inf(1), func() {}) })
 	if e.Step() || e.Now() != 2 {
 		t.Errorf("a refused schedule entered the calendar: clock at %v, want 2", e.Now())
+	}
+
+	e = NewEngine()
+	e.At(1e308, func() {})
+	e.Run()
+	mustPanic("Schedule(1e308) at now 1e308", func() { e.Schedule(1e308, func() {}) }) // sums to +Inf
+	if e.Step() || e.Now() != 1e308 {
+		t.Errorf("an overflowing schedule entered the calendar: clock at %v, want 1e308", e.Now())
+	}
+}
+
+// TestSignedZeroFiresInScheduleOrder: -0 and +0 are one instant. An
+// At(-0) / At(+0) pair at t = 0, in either order, fires in schedule order
+// and leaves the clock at +0.
+func TestSignedZeroFiresInScheduleOrder(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, pair := range [][2]Time{{negZero, 0}, {0, negZero}} {
+		e := NewEngine()
+		var got []int
+		for i, at := range pair {
+			e.At(at, func() { got = append(got, i) })
+		}
+		e.Run()
+		if len(got) != 2 || got[0] != 0 || got[1] != 1 || math.Signbit(e.Now()) {
+			t.Errorf("At(%v), At(%v): fired %v, clock %v; want [0 1] at +0", pair[0], pair[1], got, e.Now())
+		}
 	}
 }
 

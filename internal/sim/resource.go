@@ -53,8 +53,8 @@ func (r *Resource) Name() string { return r.name }
 // Acquire enqueues a job that needs service seconds of work and calls done
 // (if non-nil) when the job completes. It returns the completion time.
 func (r *Resource) Acquire(service Time, done func()) Time {
-	if service < 0 {
-		panic(fmt.Sprintf("sim: resource %q acquire with negative service %v", r.name, service))
+	if !(service >= 0) {
+		panic(fmt.Sprintf("sim: resource %q acquire with invalid service %v", r.name, service))
 	}
 	r.syncDeferred()
 	now := r.eng.Now()
@@ -75,8 +75,8 @@ func (r *Resource) Acquire(service Time, done func()) Time {
 	r.free[best] = finish
 	r.busy += service
 
-	// A completion event carries (r, done) inline in its calendar entry
-	// rather than in a closure, so Acquire itself never allocates.
+	// A completion event carries (r, done) in its calendar payload rather
+	// than in a closure, so Acquire itself never allocates.
 	r.eng.atCompletion(finish, r, done)
 	return finish
 }
@@ -95,8 +95,8 @@ func (r *Resource) Acquire(service Time, done func()) Time {
 // per-message samples for the O(1) event count, but utilization and busy
 // time stay exact.
 func (r *Resource) ChargeAt(at, service Time) Time {
-	if service < 0 {
-		panic(fmt.Sprintf("sim: resource %q charge with negative service %v", r.name, service))
+	if !(service >= 0) {
+		panic(fmt.Sprintf("sim: resource %q charge with invalid service %v", r.name, service))
 	}
 	r.syncDeferred()
 	best := 0

@@ -332,3 +332,27 @@ func TestResourceChargeAtNegativeServicePanics(t *testing.T) {
 	}()
 	r.ChargeAt(0, -1)
 }
+
+// TestResourceNaNServicePanics: a NaN service time would file a NaN
+// completion in the calendar and turn the clock NaN when it fired, so
+// Acquire and ChargeAt refuse it like a negative one, and nothing is filed.
+func TestResourceNaNServicePanics(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "cpu", 1)
+	for what, call := range map[string]func(){
+		"Acquire(NaN)":     func() { r.Acquire(math.NaN(), nil) },
+		"ChargeAt(0, NaN)": func() { r.ChargeAt(0, math.NaN()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", what)
+				}
+			}()
+			call()
+		}()
+	}
+	if e.Step() || r.InSystem() != 0 || r.BusyTime() != 0 {
+		t.Errorf("a refused job was booked: InSystem %d, busy %v", r.InSystem(), r.BusyTime())
+	}
+}
