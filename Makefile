@@ -122,6 +122,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzSortByTime -fuzztime=$(FUZZTIME) ./internal/shotnoise
 	$(GO) test -run=^$$ -fuzz=FuzzSeriesRoundTrip -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run=^$$ -fuzz=FuzzCalendarOrder -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run=^$$ -fuzz=FuzzLRUAgainstList -fuzztime=$(FUZZTIME) ./internal/cache
 
 # archive rewrites the experiments archives: the default experiments pass,
 # then the churn and flash studies, all at -scale 0.05 (~13 s on 2 vCPUs),

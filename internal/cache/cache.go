@@ -8,13 +8,16 @@
 //
 // The recency list and the id index are both intrusive: entries live in
 // fixed 64-entry pages that are appended on demand and never copied, linked
-// by int32 prev/next indices with a free list, and each entry carries the
-// chain link of its hash bucket. Hits, inserts, and evictions move no memory
-// and allocate nothing once the pages have grown to the cache's high-water
-// residency; a cache's footprint is that residency rounded up to one page
-// plus 4-8 bytes of bucket heads per file (DESIGN.md §4). Under the
-// Zipf-like streams of the paper this is the hottest data structure in the
-// simulator after the event calendar.
+// by int32 prev/next indices with a free list, and each carries the chain
+// link of its hash bucket; the pages hold the bucket heads too, grown by
+// linear hashing one split per insert. Hits, inserts and evictions move no
+// memory and allocate nothing once the pages have grown to the cache's
+// high-water residency, 24 bytes per file rounded up to one page
+// (DESIGN.md §4). Under the Zipf-like streams of the paper this is the
+// hottest data structure in the simulator after the event calendar.
+//
+// An entry stores a file's size in 32 bits, so a file of 4 GiB or more is
+// served uncached and counted as a miss, like one larger than the cache.
 package cache
 
 import (
@@ -31,46 +34,47 @@ type FileID int32
 // none marks the absence of a neighbor, chain successor or free entry.
 const none int32 = -1
 
-// Entries are addressed pages[i>>pageBits][i&pageMask]. A page of 64 entries
-// is 1,536 B, exactly a runtime size class, so nothing is lost to rounding;
-// the expected slack of half a page per cache is an eighth of what a cache
-// of the N=1024 runs holds (~260 files), and a large cache still appends a
-// page only once per 64 first-time inserts.
+// A page of 64 entries and 64 bucket heads is 1,536 B, a runtime size class:
+// the expected slack, half a page per cache, is an eighth of the ~260 files
+// a cache of the N=1024 runs holds, and a large cache appends one per 64.
 const (
 	pageBits = 6
 	pageSize = 1 << pageBits
 	pageMask = pageSize - 1
 )
 
-// minBuckets keeps the bucket array of a near-empty cache one half cache
-// line wide instead of degenerate.
-const minBuckets = 8
-
 // entry is one resident file: a node of the recency list and of its hash
-// bucket's chain at once. 24 bytes, pointer-free.
+// bucket's chain at once. 20 bytes, pointer-free.
 type entry struct {
-	size  int64
+	size  uint32
 	id    FileID
 	prev  int32 // toward the MRU end; free-list link while unused
 	next  int32 // toward the LRU end
 	chain int32 // next entry in the same bucket
 }
 
+// page p holds entries and bucket heads 64p to 64p+63.
+type page struct {
+	entries [pageSize]entry
+	heads   [pageSize]int32
+}
+
 // LRU is a least-recently-used file cache with a byte capacity.
 type LRU struct {
 	capacity int64
 	used     int64
-	pages    []*[pageSize]entry
+	pages    []*page
 	slots    int32 // entries handed out so far; the next fresh index
 	live     int32 // resident files
 	freeHead int32
 	head     int32 // most recently used, none when empty
 	tail     int32 // least recently used, none when empty
 
-	// buckets[h] heads the chain of resident entries whose id hashes to h.
-	// Its length is a power of two, doubled when live would exceed it.
-	buckets []int32
-	shift   uint // 64 - log2(len(buckets)), for multiply-shift hashing
+	// Buckets [0, nb) are in use, the heads past them unset; mask is the
+	// least all-ones mask ≥ nb, so a masked hash is a bucket in use or one
+	// not yet split off (bucket).
+	nb   uint32
+	mask uint32
 
 	hits          stats.Ratio
 	evictions     uint64 // capacity evictions only
@@ -112,8 +116,11 @@ func NewLRU(capacity int64) *LRU {
 		freeHead: none,
 		head:     none,
 		tail:     none,
+		pages:    []*page{new(page)},
+		nb:       1,
+		mask:     1,
 	}
-	c.setBuckets(minBuckets)
+	c.pages[0].heads[0] = none
 	return c
 }
 
@@ -136,7 +143,7 @@ func (c *LRU) Contains(id FileID) bool {
 // Access simulates serving the file: on a hit the file is refreshed to
 // most-recently-used and true is returned; on a miss the file is fetched
 // into the cache (evicting LRU entries as needed) and false is returned.
-// Files larger than the whole cache are served but never cached.
+// Files larger than the whole cache or of 4 GiB or more are never cached.
 //
 // Statistics are recorded either way; use Warm for statistics-free priming.
 func (c *LRU) Access(id FileID, size int64) bool {
@@ -167,28 +174,30 @@ func (c *LRU) touch(id FileID, size int64) bool {
 		}
 		return true
 	}
-	if size > c.capacity {
+	if size > c.capacity || size >= 1<<32 {
 		return false // uncacheable; served straight from disk
 	}
-	c.insert(id, size)
+	c.insert(id, uint32(size))
 	return false
 }
 
 // insert caches the non-resident file id as most recently used, evicting
 // from the LRU end until it fits.
-func (c *LRU) insert(id FileID, size int64) {
-	for c.used+size > c.capacity {
+func (c *LRU) insert(id FileID, size uint32) {
+	for c.used+int64(size) > c.capacity {
 		c.evictOldest()
 	}
 	i := c.alloc()
 	e := c.at(i)
 	e.id = id
 	e.size = size
-	// Index before linking: a bucket doubling re-chains whatever the recency
-	// list holds, so an entry linked first would be chained twice.
-	c.index(i, e)
 	c.pushFront(i, e)
-	c.used += size
+	c.used += int64(size)
+	b := c.headOf(c.bucket(id))
+	e.chain, *b = *b, i
+	if c.live++; uint32(c.live) > c.nb {
+		c.split()
+	}
 }
 
 // Evict removes the file if cached, returning whether it was present. The
@@ -215,11 +224,16 @@ func (c *LRU) evictOldest() {
 	c.remove(c.tail, c.at(c.tail))
 }
 
-// remove unlinks entry i (= *e), releases its slot, and fires OnEvict. The
-// caller has already counted the removal as an eviction or an invalidation.
+// remove unchains and unlinks entry i (= *e), frees its slot and fires
+// OnEvict; the caller has counted it as an eviction or an invalidation.
 func (c *LRU) remove(i int32, e *entry) {
-	id, size := e.id, e.size
-	c.unindex(i, e)
+	id, size := e.id, int64(e.size)
+	link := c.headOf(c.bucket(id))
+	for *link != i {
+		link = &c.at(*link).chain
+	}
+	*link = e.chain
+	c.live--
 	c.unlink(e)
 	e.prev = c.freeHead
 	c.freeHead = i
@@ -229,11 +243,11 @@ func (c *LRU) remove(i int32, e *entry) {
 	}
 }
 
-// at returns entry i. Pages never move, so the pointer stays valid across
-// alloc.
-func (c *LRU) at(i int32) *entry {
-	return &c.pages[i>>pageBits][i&pageMask]
-}
+// at returns entry i and headOf the head of bucket b's chain. Pages never
+// move, so the pointers stay valid across alloc.
+func (c *LRU) at(i int32) *entry { return &c.pages[i>>pageBits].entries[i&pageMask] }
+
+func (c *LRU) headOf(b uint32) *int32 { return &c.pages[b>>pageBits].heads[b&pageMask] }
 
 // alloc takes an entry slot from the free list, appending a page when the
 // list is empty and every page is handed out.
@@ -245,74 +259,59 @@ func (c *LRU) alloc() int32 {
 	}
 	i := c.slots
 	if int(i>>pageBits) == len(c.pages) {
-		c.pages = append(c.pages, new([pageSize]entry))
+		c.pages = append(c.pages, new(page))
 	}
 	c.slots++
 	return i
 }
 
-// bucket returns the chain id hashes to: a Fibonacci multiply-shift hash,
-// which spreads the sequential file ids of a rank-ordered catalog across
-// the array instead of clustering them.
+// bucket returns the chain id hashes to: the high half of a Fibonacci
+// multiply spreads the sequential ids of a rank-ordered catalog, and a
+// bucket not yet split off leaves its files in the one it splits from.
 func (c *LRU) bucket(id FileID) uint32 {
-	return uint32((uint64(uint32(id)) * 0x9e3779b97f4a7c15) >> c.shift)
+	b := uint32((uint64(uint32(id))*0x9e3779b97f4a7c15)>>32) & c.mask
+	if b >= c.nb {
+		b &= c.mask >> 1
+	}
+	return b
 }
 
-// find returns the slot and the entry of the resident file id, or none.
+// find returns the slot and the entry of the resident file id, or none. It
+// moves what it finds to the head of its chain, so the files a Zipf-like
+// stream keeps asking for stay one visit away; chain order changes no result.
 func (c *LRU) find(id FileID) (int32, *entry) {
-	for i := c.buckets[c.bucket(id)]; i != none; {
+	head := c.headOf(c.bucket(id))
+	for link := head; *link != none; {
+		i := *link
 		e := c.at(i)
 		if e.id == id {
+			if link != head {
+				*link, e.chain, *head = e.chain, *head, i
+			}
 			return i, e
 		}
-		i = e.chain
+		link = &e.chain
 	}
 	return none, nil
 }
 
-// index chains entry i (= *e), whose id is set and not resident, into its
-// bucket, doubling the bucket array first when the load would exceed 1. The
-// rehash walks the recency list from its cold end, so that the most
-// recently used file of every chain ends up at its head.
-func (c *LRU) index(i int32, e *entry) {
-	if int(c.live) == len(c.buckets) {
-		c.setBuckets(2 * len(c.buckets))
-		for j := c.tail; j != none; {
-			r := c.at(j)
-			c.chainIn(j, r)
-			j = r.prev
+// split opens bucket nb and moves into it, in chain order, the files of the
+// bucket it splits from (nb less its top mask bit) that now hash to it: one
+// chain's work per insert, and nb < slots, so its head is on a page.
+func (c *LRU) split() {
+	from, to := c.headOf(c.nb&(c.mask>>1)), c.headOf(c.nb)
+	c.nb++
+	for i := *from; i != none; {
+		e := c.at(i)
+		if c.bucket(e.id) != c.nb-1 {
+			*from, from = i, &e.chain
+		} else {
+			*to, to = i, &e.chain
 		}
+		i = e.chain
 	}
-	c.chainIn(i, e)
-	c.live++
-}
-
-func (c *LRU) chainIn(i int32, e *entry) {
-	b := &c.buckets[c.bucket(e.id)]
-	e.chain = *b
-	*b = i
-}
-
-// unindex takes the resident entry i (= *e) out of its bucket's chain.
-func (c *LRU) unindex(i int32, e *entry) {
-	link := &c.buckets[c.bucket(e.id)]
-	for *link != i {
-		link = &c.at(*link).chain
-	}
-	*link = e.chain
-	c.live--
-}
-
-// setBuckets installs an empty bucket array of n heads, n a power of two.
-func (c *LRU) setBuckets(n int) {
-	c.buckets = make([]int32, n)
-	for i := range c.buckets {
-		c.buckets[i] = none
-	}
-	c.shift = 64
-	for ; n > 1; n >>= 1 {
-		c.shift--
-	}
+	*from, *to = none, none
+	c.mask |= c.nb // gains a bit when nb reaches a power of two
 }
 
 // pushFront links entry i (= *e) in as the most recently used.

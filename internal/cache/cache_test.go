@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -59,6 +60,31 @@ func TestOversizeFileNeverCached(t *testing.T) {
 	}
 	if !c.Contains(1) {
 		t.Fatal("oversize file must not evict others")
+	}
+}
+
+// TestFileOf4GiBNeverCached pins the 32-bit entry size: on a cache big
+// enough to hold either, a file of 2^32 − 1 bytes is cached and a file of
+// 2^32 is served uncached, counted as a miss every time, and leaves the
+// cache as it was.
+func TestFileOf4GiBNeverCached(t *testing.T) {
+	c := NewLRU(8 << 30)
+	if c.Access(1, math.MaxUint32) || !c.Access(1, math.MaxUint32) {
+		t.Fatal("a file of 2^32 - 1 bytes must miss once, then hit")
+	}
+	if c.Used() != math.MaxUint32 || c.Len() != 1 {
+		t.Fatalf("Used/Len = %d/%d, want %d/1", c.Used(), c.Len(), uint32(math.MaxUint32))
+	}
+	for range 2 {
+		if c.Access(2, 1<<32) || c.Warm(2, 1<<32) {
+			t.Fatal("a file of 2^32 bytes must miss")
+		}
+	}
+	if c.Contains(2) || c.Used() != math.MaxUint32 || c.Len() != 1 || !c.Contains(1) {
+		t.Fatalf("a 2^32-byte file changed the cache: Used/Len = %d/%d", c.Used(), c.Len())
+	}
+	if got := c.Stats(); got.Hits != 1 || got.Total != 4 {
+		t.Fatalf("Stats = %+v, want 1 hit of 4 accesses", got)
 	}
 }
 

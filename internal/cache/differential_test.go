@@ -10,7 +10,8 @@ import (
 )
 
 // listLRU is a reference LRU built on container/list — the implementation
-// the intrusive cache replaced. The differential test drives both with the
+// the intrusive cache replaced — with the documented rule that a file of
+// 4 GiB or more is never cached. The differential test drives both with the
 // same randomized Zipf-like stream and demands identical observable
 // behavior, event by event.
 type listLRU struct {
@@ -39,7 +40,7 @@ func (c *listLRU) access(id FileID, size int64) bool {
 		c.order.MoveToFront(el)
 		return true
 	}
-	if size > c.capacity {
+	if size > c.capacity || size > math.MaxUint32 {
 		return false
 	}
 	for c.used+size > c.capacity {
@@ -127,6 +128,14 @@ func (d *diffPair) access(id FileID, size int64) {
 	d.check()
 }
 
+func (d *diffPair) warm(id FileID, size int64) {
+	d.t.Helper()
+	if g, w := d.got.Warm(id, size), d.want.access(id, size); g != w {
+		d.t.Fatalf("%s step %d: Warm(%d) = %v, reference %v", d.label, d.step, id, g, w)
+	}
+	d.check()
+}
+
 func (d *diffPair) evict(id FileID) {
 	d.t.Helper()
 	if g, w := d.got.Evict(id), d.want.evict(id); g != w {
@@ -164,10 +173,12 @@ func (d *diffPair) finish() {
 
 // checkInvariants walks the whole structure: the recency list is a
 // consistent doubly linked list of Len() entries, every one of them is
-// reachable from exactly one bucket (the one its id hashes to), the free
-// list is disjoint from the recency list, the two together account for
-// every slot handed out, and the pages cover those slots with less than one
-// page to spare.
+// reachable from exactly one bucket (the one its id hashes to), the table
+// has one bucket per slot ever handed out (the high-water residency, so the
+// load is at most 1 and every head is on a page) and the least all-ones
+// mask that covers them, the free list is disjoint from the recency list,
+// the two together account for every slot handed out, and the pages cover
+// those slots with less than one page to spare.
 func (c *LRU) checkInvariants() error {
 	const (
 		unseen = iota
@@ -176,7 +187,7 @@ func (c *LRU) checkInvariants() error {
 		free
 	)
 	state := make([]byte, c.slots)
-	if want := (int(c.slots) + pageSize - 1) / pageSize; len(c.pages) != want {
+	if want := max(1, (int(c.slots)+pageSize-1)/pageSize); len(c.pages) != want {
 		return fmt.Errorf("%d pages for %d slots, want %d", len(c.pages), c.slots, want)
 	}
 	var used int64
@@ -189,7 +200,7 @@ func (c *LRU) checkInvariants() error {
 		if c.at(i).prev != prev {
 			return fmt.Errorf("slot %d: prev = %d, want %d", i, c.at(i).prev, prev)
 		}
-		used += c.at(i).size
+		used += int64(c.at(i).size)
 		prev = i
 		n++
 	}
@@ -199,17 +210,17 @@ func (c *LRU) checkInvariants() error {
 	if n != c.Len() || used != c.used {
 		return fmt.Errorf("recency list holds %d files / %d bytes, Len/Used say %d / %d", n, used, c.Len(), c.used)
 	}
-	if len(c.buckets)&(len(c.buckets)-1) != 0 || len(c.buckets) < max(minBuckets, n) {
-		return fmt.Errorf("%d buckets for %d files", len(c.buckets), n)
+	if c.nb != uint32(max(1, c.slots)) || c.mask&(c.mask+1) != 0 || c.mask>>1 >= c.nb || c.nb > c.mask {
+		return fmt.Errorf("%d buckets (mask %#x) for %d slots handed out", c.nb, c.mask, c.slots)
 	}
 	inChains := 0
-	for b, i := range c.buckets {
-		for ; i != none; i = c.at(i).chain {
+	for b := range c.nb {
+		for i := *c.headOf(b); i != none; i = c.at(i).chain {
 			if i < 0 || i >= c.slots || state[i] != listed {
 				return fmt.Errorf("bucket %d chains slot %d, which is not a once-chained resident", b, i)
 			}
 			state[i] = chained
-			if got := c.bucket(c.at(i).id); got != uint32(b) {
+			if got := c.bucket(c.at(i).id); got != b {
 				return fmt.Errorf("file %d sits in bucket %d, hashes to %d", c.at(i).id, b, got)
 			}
 			inChains++
@@ -253,13 +264,14 @@ func TestDifferentialAgainstListLRU(t *testing.T) {
 	}
 }
 
-// TestDifferentialAcrossPagesAndDoublings is the same comparison on a
-// stream shaped to exercise the storage: a ramp of distinct files that
-// crosses several page boundaries and doubles the bucket array repeatedly,
-// then churn that mixes capacity evictions with explicit Evicts aimed at
-// the MRU entry, the LRU entry, the middle of a bucket chain and random
-// files, then a drain and a second ramp over recycled slots.
-func TestDifferentialAcrossPagesAndDoublings(t *testing.T) {
+// TestDifferentialAcrossPagesAndSplits is the same comparison on a stream
+// shaped to exercise the storage: a ramp of distinct files that crosses
+// several page boundaries and splits a bucket on every insert, through
+// several doublings of the hash mask, then churn that mixes capacity
+// evictions with explicit Evicts aimed at the MRU entry, the LRU entry, the
+// middle of a bucket chain and random files, then a drain and a second ramp
+// over recycled slots.
+func TestDifferentialAcrossPagesAndSplits(t *testing.T) {
 	const files = 3000
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
@@ -267,16 +279,16 @@ func TestDifferentialAcrossPagesAndDoublings(t *testing.T) {
 		for i := range sizes {
 			sizes[i] = int64(rng.Intn(8<<10) + 512)
 		}
-		// About 450 resident files of 4.6 KB: 8 pages, 6 doublings.
+		// About 450 resident files of 4.6 KB: 8 pages, a mask of 9 bits.
 		d := newDiffPair(t, fmt.Sprintf("seed %d", seed), 2<<20)
 		c := d.got
 
 		for id := FileID(0); c.Evictions() == 0; id++ {
 			d.access(id, sizes[id])
 		}
-		if len(c.pages) < 4 || len(c.buckets) < minBuckets<<3 {
+		if len(c.pages) < 4 || c.mask < 1<<8-1 {
 			t.Fatalf("ramp ended at %d pages, %d buckets: the stream no longer exercises growth",
-				len(c.pages), len(c.buckets))
+				len(c.pages), c.nb)
 		}
 
 		var head, tail, mid int
@@ -311,28 +323,101 @@ func TestDifferentialAcrossPagesAndDoublings(t *testing.T) {
 		}
 
 		// Drain to a handful of files, then refill over the free list: the
-		// pages and the bucket array stay, the slots are recycled.
-		pages, buckets := len(c.pages), len(c.buckets)
+		// pages and the buckets stay, the slots are recycled.
+		pages, buckets := len(c.pages), c.nb
 		for c.Len() > 5 {
 			d.evict(c.at(c.tail).id)
 		}
 		for id := FileID(files - 1); c.Len() < 300; id-- {
 			d.access(id, sizes[id])
 		}
-		if len(c.pages) != pages || len(c.buckets) != buckets {
+		if len(c.pages) != pages || c.nb != buckets {
 			t.Fatalf("refill below the high-water mark grew storage: pages %d -> %d, buckets %d -> %d",
-				pages, len(c.pages), buckets, len(c.buckets))
+				pages, len(c.pages), buckets, c.nb)
 		}
 		d.finish()
 	}
 }
 
+// FuzzLRUAgainstList decodes bytes into Access, Warm and Evict calls on 512
+// file ids and drives the intrusive cache and the container/list reference
+// with them in lock step, walking the structure after every call. The first
+// byte picks the cache: odd is 8 GiB with sizes from 0 to 1 TiB clustered
+// around 2^32, even is 512 B to 64 KiB with sizes from 0 to 1.6 times the
+// capacity, small ones likeliest. Each call is three bytes: kind (low two
+// bits) and the id's ninth bit, the id's low byte, the size.
+func FuzzLRUAgainstList(f *testing.F) {
+	type op struct {
+		kind byte
+		id   int
+		size byte
+	}
+	encode := func(cfg byte, ops ...op) []byte {
+		b := []byte{cfg}
+		for _, o := range ops {
+			b = append(b, o.kind|byte(o.id>>8)<<2, byte(o.id), o.size)
+		}
+		return b
+	}
+	ramp := func(kind byte, from, to int, size byte) []op {
+		var ops []op
+		for id := from; id < to; id++ {
+			ops = append(ops, op{kind, id, size})
+		}
+		return ops
+	}
+	// 300 zero-byte files cross four page boundaries and split a bucket per
+	// insert; 40-byte files then evict them all from the cold end.
+	f.Add(encode(2, slices.Concat(ramp(0, 0, 255, 5), ramp(2, 255, 300, 5),
+		ramp(3, 0, 100, 0), ramp(1, 300, 400, 40))...))
+	// The 8 GiB cache: 400 files of 1 B and 16 MiB, then sizes at and around
+	// 2^32, 8 GiB and beyond.
+	f.Add(encode(1, slices.Concat(ramp(0, 0, 200, 1), ramp(1, 200, 400, 4),
+		[]op{{0, 400, 9}, {0, 401, 10}, {2, 402, 10}, {0, 403, 11}, {1, 404, 9},
+			{3, 404, 0}, {0, 405, 12}, {0, 406, 13}, {0, 407, 14}, {2, 0, 8}})...))
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 4; i++ {
+		b := make([]byte, 900)
+		rng.Read(b)
+		f.Add(b)
+	}
+	bigSizes := [16]int64{0, 1, 4096, 1 << 20, 1 << 24, 1 << 28, 1 << 30, 3 << 30,
+		1<<32 - 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 5 << 30, 8 << 30, 8<<30 + 1, 1 << 40}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		big := data[0]&1 == 1
+		capacity := int64(data[0]>>1)<<9 + 512
+		if big {
+			capacity = 8 << 30
+		}
+		d := newDiffPair(t, "fuzz", capacity)
+		for data = data[1:]; len(data) >= 3; data = data[3:] {
+			id := FileID(data[0]>>2&1)<<8 | FileID(data[1])
+			size := int64(data[2]) * int64(data[2]) * capacity / (200 * 200)
+			if big {
+				size = bigSizes[data[2]%16]
+			}
+			switch data[0] & 3 {
+			case 0, 1:
+				d.access(id, size)
+			case 2:
+				d.warm(id, size)
+			case 3:
+				d.evict(id)
+			}
+		}
+		d.finish()
+	})
+}
+
 // midChain returns a resident file that is neither first nor last in its
 // bucket's chain, starting the search at a random bucket.
 func (c *LRU) midChain(rng *rand.Rand) (FileID, bool) {
-	start := rng.Intn(len(c.buckets))
-	for k := range c.buckets {
-		i := c.buckets[(start+k)%len(c.buckets)]
+	start := uint32(rng.Intn(int(c.nb)))
+	for k := range c.nb {
+		i := *c.headOf((start + k) % c.nb)
 		if i == none {
 			continue
 		}

@@ -30,16 +30,20 @@ func allocatedBytes(fn func()) uint64 {
 // building a cache and filling it to n resident files allocates, growth
 // garbage included, at most
 //
-//	24·(n + 64)   entries: the residency rounded up to one 64-entry page
-//	+ 8·2n        every bucket array the doubling went through (4 B heads,
-//	              final array < 2n, the discarded ones sum to less than it)
-//	+ 24·⌈n/64⌉   the append-grown table of page pointers
-//	+ 256         the LRU struct and the 8-head initial bucket array
+//	24·(n + 64)   pages: the residency rounded up to one page of 64 20-byte
+//	              entries and their 64 4-byte bucket heads
+//	+ 32·⌈n/64⌉   every table of page pointers the appends went through
+//	              (8 B a pointer, the final one < 2 pointers a page, the
+//	              discarded ones sum to less than it)
+//	+ 256         the LRU struct
 //
-// bytes. The slice-plus-hash-table storage this replaced allocated 100-200
-// bytes per file on the way up (DESIGN.md §4).
+// bytes. Linear hashing grows the index inside the pages, so there is no
+// bucket array and no rehash garbage; the slice-plus-hash-table storage
+// this replaced allocated 100-200 bytes per file on the way up (DESIGN.md
+// §4). n = 36,000 is clarknet's catalogue, which one node caches whole at
+// N = 1.
 func TestFillAllocatesResidencyPlusOnePage(t *testing.T) {
-	for _, n := range []int{1, 63, 64, 65, 300, 6000} {
+	for _, n := range []int{1, 63, 64, 65, 300, 6000, 36_000} {
 		var c *LRU
 		got := allocatedBytes(func() {
 			c = NewLRU(int64(n))
@@ -51,7 +55,7 @@ func TestFillAllocatesResidencyPlusOnePage(t *testing.T) {
 			t.Fatalf("n=%d: cache holds %d files after %d evictions", n, c.Len(), c.Evictions())
 		}
 		pages := (n + pageSize - 1) / pageSize
-		budget := uint64(24*(n+pageSize) + 8*2*n + 24*pages + 256)
+		budget := uint64(24*(n+pageSize) + 32*pages + 256)
 		if got > budget {
 			t.Errorf("n=%d: filling allocated %d B, budget %d B", n, got, budget)
 		}
@@ -61,8 +65,8 @@ func TestFillAllocatesResidencyPlusOnePage(t *testing.T) {
 
 // TestSteadyStateAllocatesNothing churns a full cache — hits, inserts that
 // evict, explicit invalidations and their re-inserts — below its high-water
-// residency: every slot comes off the free list and the bucket array never
-// grows, so nothing is allocated.
+// residency: every slot comes off the free list and the table never splits,
+// so nothing is allocated.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	const resident = 1000
 	c := NewLRU(resident)
