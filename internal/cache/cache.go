@@ -134,7 +134,7 @@ func (c *LRU) Used() int64 { return c.used }
 func (c *LRU) Len() int { return int(c.live) }
 
 // Contains reports whether the file is cached, without touching LRU order
-// or statistics.
+// or statistics (find may reorder a hash chain, which decides no result).
 func (c *LRU) Contains(id FileID) bool {
 	i, _ := c.find(id)
 	return i != none
@@ -277,8 +277,8 @@ func (c *LRU) bucket(id FileID) uint32 {
 }
 
 // find returns the slot and the entry of the resident file id, or none. It
-// moves what it finds to the head of its chain, so the files a Zipf-like
-// stream keeps asking for stay one visit away; chain order changes no result.
+// moves what it finds to the head of its chain, which keeps the benchmark's
+// lookups near one visit each (DESIGN.md §4); chain order decides no result.
 func (c *LRU) find(id FileID) (int32, *entry) {
 	head := c.headOf(c.bucket(id))
 	for link := head; *link != none; {

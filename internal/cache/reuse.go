@@ -21,14 +21,16 @@ type fileState struct {
 // hits in an LRU cache of capacity C exactly when its reuse distance is at
 // most C, so a single pass yields the hit rate at every cache size — the
 // miss-ratio curve used to anchor the analytic model's hit rates for all
-// cluster sizes at once.
+// cluster sizes at once. As the LRU never caches a file of 4 GiB or more,
+// the builder counts every access to one as a miss and keeps it off the
+// stack.
 type CurveBuilder struct {
 	bit   []int64             // Fenwick tree over access positions, holding sizes
 	files map[int32]fileState // latest access position and size per file
 	next  int32
 
 	distances []int64 // recorded reuse distances of measured hits-or-misses
-	cold      uint64  // measured accesses with no previous reference
+	cold      uint64  // measured accesses no capacity hits: first references, files ≥ 4 GiB
 }
 
 // maxInitialPositions caps the position space allocated up front. Beyond
@@ -44,12 +46,7 @@ const maxInitialPositions = 1 << 22
 // positions are compacted away, so memory is O(distinct files) regardless
 // of stream length).
 func NewCurveBuilder(accesses int) *CurveBuilder {
-	if accesses < 16 {
-		accesses = 16
-	}
-	if accesses > maxInitialPositions {
-		accesses = maxInitialPositions
-	}
+	accesses = min(max(accesses, 16), maxInitialPositions)
 	return &CurveBuilder{
 		bit:   make([]int64, accesses+1),
 		files: make(map[int32]fileState),
@@ -70,6 +67,12 @@ func (b *CurveBuilder) Add(id FileID, size int64) {
 func (b *CurveBuilder) touch(id FileID, size int64, record bool) {
 	if size < 0 {
 		panic(fmt.Sprintf("cache: negative size %d for file %d", size, id))
+	}
+	if size >= 1<<32 {
+		if record {
+			b.cold++
+		}
+		return
 	}
 	// Make room for this access's position first: grow rebuilds the tree
 	// from the file table, and compaction renumbers the positions held
@@ -136,9 +139,7 @@ func (b *CurveBuilder) compact() {
 	// Positions are unique, so the sort fixes the order the map's
 	// iteration left unspecified.
 	sort.Slice(ents, func(i, j int) bool { return ents[i].pos < ents[j].pos })
-	for i := range b.bit {
-		b.bit[i] = 0
-	}
+	clear(b.bit)
 	for i, e := range ents {
 		pos := int32(i + 1)
 		b.files[e.id] = fileState{pos: pos, size: e.size}

@@ -116,6 +116,29 @@ func TestPropertyCurveMatchesLRU(t *testing.T) {
 	}
 }
 
+// A file of 4 GiB or more misses at every capacity, as in the LRU, and
+// leaves the reuse distances of the files around it as they were.
+func TestCurveMatchesLRUWithFileOf4GiB(t *testing.T) {
+	const capacity = 8 << 30
+	sizes := []int64{1 << 32, 3 << 30, 1<<32 - 1, 1 << 20}
+	accesses := []FileID{0, 1, 2, 0, 3, 1, 0, 2, 3, 0, 1, 2}
+	builder := NewCurveBuilder(len(accesses))
+	lru := NewLRU(capacity)
+	for _, id := range accesses {
+		builder.Add(id, sizes[id])
+		lru.Access(id, sizes[id])
+	}
+	// Without the rule in the builder, file 0 would sit between file 2's
+	// accesses and push its reuse distance past 8 GiB.
+	curve := builder.Curve()
+	if got, want := curve.HitRate(capacity), lru.HitRate(); got != want {
+		t.Fatalf("curve HitRate(8 GiB) = %v, LRU = %v", got, want)
+	}
+	if got, want := lru.HitRate(), 5.0/12; got != want {
+		t.Fatalf("LRU hit rate %v, want %v", got, want)
+	}
+}
+
 func TestReuseEmptyCurve(t *testing.T) {
 	c := NewCurveBuilder(4).Curve()
 	if c.HitRate(1000) != 0 || c.MissRate(1000) != 1 {

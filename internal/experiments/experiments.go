@@ -237,14 +237,14 @@ func Table2(opts Options) ([]trace.Characteristics, string) {
 // ReuseCurve computes the trace's byte-granular LRU miss-ratio curve in a
 // single pass (Mattson's stack algorithm), warmed on the first third:
 // Curve.HitRate(C) then equals a direct LRU simulation at any capacity
-// larger than the biggest file, so one pass anchors the model's hit rates
-// for every cluster size at once. At 32 MB its miss rate is the sequential
-// miss rate Section 5.1 calibrates against (9-28%). The model curves use it
-// to instantiate the paper's hit-rate algebra with the workload's true
-// behavior: the paper's closed-form z(n, F) assumes independent Zipf
-// references, while real and realistic traces also carry temporal locality,
-// which an LRU pass captures and a z-evaluation would miss, so anchoring on
-// measured hit rates keeps the model an upper bound.
+// larger than the biggest file of under 4 GiB, so one pass anchors the
+// model's hit rates for every cluster size at once. At 32 MB its miss rate
+// is the sequential miss rate Section 5.1 calibrates against (9-28%). The
+// model curves use it to instantiate the paper's hit-rate algebra with the
+// workload's true behavior: the paper's closed-form z(n, F) assumes
+// independent Zipf references, while real and realistic traces also carry
+// temporal locality, which an LRU pass captures and a z-evaluation would
+// miss, so anchoring on measured hit rates keeps the model an upper bound.
 func ReuseCurve(tr *trace.Trace) *cache.Curve {
 	b := cache.NewCurveBuilder(tr.NumRequests())
 	warm := tr.NumRequests() / 3
