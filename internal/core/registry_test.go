@@ -2,6 +2,9 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,5 +109,38 @@ func TestServerSetUnknownFile(t *testing.T) {
 	set[0] = -99 // the copy must not alias internal state
 	if l.ServerSet(42)[0] == -99 {
 		t.Fatal("ServerSet returned an aliased slice")
+	}
+}
+
+// TestServerSetTableFootprint is the size contract of the server-set table:
+// building an l2s or a lard distributor for a 10^6-file catalogue allocates
+// at most 2 B per catalogued file, rounded up to the whole 8 KB pages the
+// runtime hands a large allocation (7,040 B at this size), plus 4 KB for
+// everything else. A 4-byte entry reads 4,007,432 B. Allocation is counted
+// for the whole process, so each reading starts after a collection at
+// GOMAXPROCS(1) and the fewest bytes of three is the answer.
+func TestServerSetTableFootprint(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("the race detector changes what is allocated: the table is made, then copied")
+	}
+	const files = 1_000_000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, name := range []string{"l2s", "lard"} {
+		allocated := uint64(math.MaxUint64)
+		for range 3 {
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			d, err := policy.MustParseSpec(name).Build(policytest.New(16), policy.Options{Files: files})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(d)
+			allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
+		}
+		if budget := uint64((2*files+8191)/8192*8192 + 4096); allocated > budget {
+			t.Errorf("%s: building for %d files allocated %d B, budget %d", name, files, allocated, budget)
+		}
 	}
 }

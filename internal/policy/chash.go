@@ -63,14 +63,16 @@ func (o ChashOptions) Validate() error {
 	return nil
 }
 
-// ringPoint is one virtual node on the ring: a node id at a hash position.
-// 16 bytes, pointer-free; a 1024-node ring at the default density is 128k
-// points (2 MB) built once per run.
+// ringPoint is one virtual node on the ring: a node id at a hash position,
+// the hash kept as two halves so a point is 12 pointer-free bytes, not 16; a
+// 1024-node ring at the default density is 128k points (1.5 MB) built once
+// per run.
 type ringPoint struct {
-	hash    uint64
-	node    int32
-	replica int32
+	hi, lo uint32
+	node   int32
 }
+
+func (pt ringPoint) hash() uint64 { return uint64(pt.hi)<<32 | uint64(pt.lo) }
 
 // CHash is the consistent-hashing distributor. Connections arrive round
 // robin (an L4 switch spraying an anycast VIP); Service walks the ring from
@@ -124,36 +126,29 @@ func NewCHash(name string, env Env, opts ChashOptions, weights []float64) *CHash
 }
 
 // buildRing places max(1, round(vnodes*w_i)) points per node and sorts them
-// by (hash, node, replica). The full ordering (not just hash) makes the
-// ring deterministic even across hash collisions, and no map iteration or
-// RNG is involved anywhere — determinism by construction.
+// by (hash, node). The full ordering (not just hash) makes the ring
+// deterministic even across hash collisions, and no map iteration or RNG is
+// involved anywhere — determinism by construction.
 func buildRing(n, vnodes int, weights []float64) []ringPoint {
 	pts := make([]ringPoint, 0, n*vnodes)
 	for i := 0; i < n; i++ {
 		v := vnodes
 		if weights != nil {
-			v = int(math.Round(float64(vnodes) * weights[i]))
-			if v < 1 {
-				v = 1
-			}
+			v = max(int(math.Round(float64(vnodes)*weights[i])), 1)
 		}
 		for r := 0; r < v; r++ {
-			pts = append(pts, ringPoint{hash: pointHash(i, r), node: int32(i), replica: int32(r)})
+			h := pointHash(i, r)
+			pts = append(pts, ringPoint{hi: uint32(h >> 32), lo: uint32(h), node: int32(i)})
 		}
 	}
 	slices.SortFunc(pts, compareRingPoints)
 	return pts
 }
 
-// compareRingPoints is the ring's total order: (hash, node, replica).
+// compareRingPoints is the ring's total order: (hash, node). Two replicas
+// of one node at one hash own the same files, so no replica number is kept.
 func compareRingPoints(a, b ringPoint) int {
-	if a.hash != b.hash {
-		return cmp.Compare(a.hash, b.hash)
-	}
-	if a.node != b.node {
-		return cmp.Compare(a.node, b.node)
-	}
-	return cmp.Compare(a.replica, b.replica)
+	return cmp.Or(cmp.Compare(a.hash(), b.hash()), cmp.Compare(a.node, b.node))
 }
 
 // pointHash positions virtual node (node, replica) on the ring — a pure
@@ -201,7 +196,7 @@ func jumpTable(ring []ringPoint) ([]int32, uint) {
 	jump := make([]int32, 1<<k)
 	i := 0
 	for pre := range jump {
-		for i < len(ring) && ring[i].hash>>shift < uint64(pre) {
+		for i < len(ring) && ring[i].hash()>>shift < uint64(pre) {
 			i++
 		}
 		jump[pre] = int32(i)
@@ -216,7 +211,7 @@ func jumpTable(ring []ringPoint) ([]int32, uint) {
 func (p *CHash) ringIndex(key uint64) int {
 	ring := p.ring
 	i := int(p.jump[key>>p.shift])
-	for i < len(ring) && ring[i].hash < key {
+	for i < len(ring) && ring[i].hash() < key {
 		i++
 	}
 	if i == len(ring) {

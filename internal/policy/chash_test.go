@@ -301,9 +301,15 @@ func TestChashRoundRobinArrival(t *testing.T) {
 	}
 }
 
-// ringLessRef is the sort.Slice comparator buildRing used before
-// compareRingPoints, kept as the differential reference.
-func ringLessRef(pts []ringPoint) func(a, b int) bool {
+// refPoint is a ring point as buildRing once stored it, with its replica
+// number; ringLessRef is the sort.Slice comparator over it that buildRing
+// used before compareRingPoints, kept as the differential reference.
+type refPoint struct {
+	hash          uint64
+	node, replica int32
+}
+
+func ringLessRef(pts []refPoint) func(a, b int) bool {
 	return func(a, b int) bool {
 		if pts[a].hash != pts[b].hash {
 			return pts[a].hash < pts[b].hash
@@ -315,34 +321,61 @@ func ringLessRef(pts []ringPoint) func(a, b int) bool {
 	}
 }
 
-// TestRingSortMatchesReference: (hash, node, replica) is a total order, so
-// slices.SortFunc on it and the sort.Slice it replaced agree on every ring —
+// point packs a hash and a node id into a ringPoint.
+func point(h uint64, node int32) ringPoint {
+	return ringPoint{hi: uint32(h >> 32), lo: uint32(h), node: node}
+}
+
+// refRing sorts pts by the reference (hash, node, replica) order and drops
+// the replica numbers.
+func refRing(pts []refPoint) []ringPoint {
+	pts = slices.Clone(pts)
+	sort.Slice(pts, ringLessRef(pts))
+	ring := make([]ringPoint, len(pts))
+	for i, pt := range pts {
+		ring[i] = point(pt.hash, pt.node)
+	}
+	return ring
+}
+
+// TestRingSortMatchesReference: (hash, node) orders a ring exactly as the
+// sort.Slice over (hash, node, replica) it replaced, on every ring —
 // including crafted ones where hashes collide and the tie-breaks decide.
+// Replicas of one node at one hash own the same files, so dropping replica
+// from the order changes no ring.
 func TestRingSortMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		n, vnodes int
 		weights   []float64
 	}{{1, 1, nil}, {8, 128, []float64{2, 1, 0.5, 0.5, 1, 1, 1, 1}}, {1024, 128, nil}} {
 		ring := buildRing(tc.n, tc.vnodes, tc.weights)
-		ref := append([]ringPoint(nil), ring...)
+		var ref []refPoint
+		for i := 0; i < tc.n; i++ {
+			v := tc.vnodes
+			if tc.weights != nil {
+				v = max(int(math.Round(float64(tc.vnodes)*tc.weights[i])), 1)
+			}
+			for r := 0; r < v; r++ {
+				ref = append(ref, refPoint{hash: pointHash(i, r), node: int32(i), replica: int32(r)})
+			}
+		}
 		rand.New(rand.NewSource(3)).Shuffle(len(ref), func(i, j int) { ref[i], ref[j] = ref[j], ref[i] })
-		sort.Slice(ref, ringLessRef(ref))
-		if !reflect.DeepEqual(ring, ref) {
+		if !reflect.DeepEqual(ring, refRing(ref)) {
 			t.Errorf("n=%d vnodes=%d: ring differs from the sort.Slice reference", tc.n, tc.vnodes)
 		}
 	}
 	rng := rand.New(rand.NewSource(4))
-	pts := make([]ringPoint, 20000)
-	for i := range pts {
-		pts[i] = ringPoint{hash: uint64(rng.Intn(50)), node: int32(rng.Intn(20)), replica: int32(i)}
+	ref := make([]refPoint, 20000)
+	pts := make([]ringPoint, len(ref))
+	for i := range ref {
+		ref[i] = refPoint{hash: uint64(rng.Intn(50)), node: int32(rng.Intn(20)), replica: int32(i)}
 		if i%3 == 0 {
-			pts[i].hash = math.MaxUint64 - uint64(rng.Intn(3)) // above the int64 range
+			ref[i].hash = math.MaxUint64 - uint64(rng.Intn(3)) // above the int64 range
 		}
+		pts[i] = point(ref[i].hash, ref[i].node)
 	}
-	ref := append([]ringPoint(nil), pts...)
 	slices.SortFunc(pts, compareRingPoints)
-	sort.Slice(ref, ringLessRef(ref))
-	if !reflect.DeepEqual(pts, ref) {
+	if !reflect.DeepEqual(pts, refRing(ref)) {
 		t.Error("colliding hashes: compareRingPoints orders differently from the sort.Slice reference")
 	}
 }
@@ -373,7 +406,7 @@ func TestRingIndexMatchesSearch(t *testing.T) {
 		default:
 			h |= uint64(rng.Intn(4)) << 40
 		}
-		crafted[i] = ringPoint{hash: h, node: int32(i % 7), replica: int32(i)}
+		crafted[i] = point(h, int32(i%7))
 	}
 	slices.SortFunc(crafted, compareRingPoints)
 	rings["crafted"] = crafted
@@ -382,7 +415,7 @@ func TestRingIndexMatchesSearch(t *testing.T) {
 		p := &CHash{ring: ring}
 		p.jump, p.shift = jumpTable(ring)
 		want := func(key uint64) int {
-			i := sort.Search(len(ring), func(i int) bool { return ring[i].hash >= key })
+			i := sort.Search(len(ring), func(i int) bool { return ring[i].hash() >= key })
 			if i == len(ring) {
 				i = 0
 			}
@@ -390,7 +423,7 @@ func TestRingIndexMatchesSearch(t *testing.T) {
 		}
 		keys := []uint64{0, math.MaxUint64}
 		for _, pt := range ring {
-			keys = append(keys, pt.hash-1, pt.hash, pt.hash+1)
+			keys = append(keys, pt.hash()-1, pt.hash(), pt.hash()+1)
 		}
 		for i := 0; i < 100000; i++ {
 			keys = append(keys, rng.Uint64())
