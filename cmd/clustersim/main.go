@@ -131,7 +131,7 @@ func main() {
 		if *dfs {
 			opts = append(opts, server.WithDistributedFS())
 		}
-		if *rate > 0 {
+		if *rate != 0 { // NaN and negative rates go on to Validate
 			opts = append(opts, server.WithArrivalRate(*rate))
 		}
 		return server.NewConfig(server.CustomServer, *nodes, opts...)

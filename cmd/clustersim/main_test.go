@@ -67,6 +67,10 @@ func TestBadValuesExit1(t *testing.T) {
 		{"-persistent", "-rpc", "0"},
 		{"-persistent", "-rpc", "0.5"},
 		{"-profiles", "2x1/1"},
+		{"-rate", "NaN"},
+		{"-rate", "-5"},
+		{"-warm", "NaN"},
+		{"-fail", "1", "-failat", "NaN"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			code, _, stderr := runClustersim(t, append(tiny(), args...)...)

@@ -120,7 +120,7 @@ func main() {
 		}),
 	}
 	var fi *native.FaultInjector
-	if *droprate > 0 || *faultdelay > 0 || *duprate > 0 {
+	if *droprate != 0 || *faultdelay != 0 || *duprate != 0 { // the setters refuse NaN and negatives
 		fi = native.NewFaultInjector(*faultseed)
 		if err := fi.SetDropRate(*droprate); err != nil {
 			fatal(err)

@@ -57,6 +57,7 @@ func TestL2SOptions(t *testing.T) {
 		{"-files", "0"}, {"-files", "-1"},
 		{"-avgkb", "NaN"}, {"-avgkb", "Inf"}, {"-avgkb", "0"},
 		{"-alpha", "NaN"}, {"-workers", "0"},
+		{"-droprate", "NaN"}, {"-droprate", "-0.1"}, {"-duprate", "NaN"}, {"-faultdelay", "-1s"},
 	} {
 		code, _, stderr := runL2SD(t, append(demo, extra...)...)
 		if code != 1 || !strings.HasPrefix(stderr, "l2sd: ") || strings.Count(stderr, "\n") != 1 {

@@ -90,11 +90,10 @@ func init() {
 			if err := opts.Validate(); err != nil {
 				return nil, err
 			}
-			l := New(env, opts)
+			l := New(env, opts, policy.NewFileSets(popts.Files, popts.Requests))
 			if weighted {
 				l.weights = popts.NodeWeights(env.N())
 			}
-			l.ReserveFiles(popts.Files)
 			return l, nil
 		})
 		policy.RegisterParams(name, l2sParams()...)
@@ -172,8 +171,9 @@ type L2S struct {
 	grows, shrinks uint64
 }
 
-// New builds an L2S distributor over the environment's cluster.
-func New(env policy.Env, opts Options) *L2S {
+// New builds an L2S distributor over the environment's cluster and a
+// server-set table (policy.NewFileSets).
+func New(env policy.Env, opts Options, sets *policy.FileSets) *L2S {
 	if err := opts.Validate(); err != nil {
 		panic(err.Error())
 	}
@@ -185,7 +185,7 @@ func New(env policy.Env, opts Options) *L2S {
 		seen:      make([]int, n),
 		gossip:    NewLoadGossip(n, opts.BroadcastDelta),
 		delivered: make([]func(), n),
-		sets:      policy.NewFileSets(0),
+		sets:      sets,
 	}
 	for i := range l.delivered {
 		l.delivered[i] = func() {
@@ -196,10 +196,6 @@ func New(env policy.Env, opts Options) *L2S {
 	}
 	return l
 }
-
-// ReserveFiles sizes the per-file server-set index for FileIDs in [0, n),
-// so a catalogue-sized index is allocated once.
-func (l *L2S) ReserveFiles(n int) { l.sets.Reserve(n) }
 
 // Name implements policy.Distributor.
 func (l *L2S) Name() string {
@@ -241,23 +237,23 @@ func (l *L2S) Service(initial int, f policy.FileID) int {
 	// algorithm (scaling by exactly 1.0); with weights the overload
 	// threshold is effectively T*w_i per node.
 	view := func(n int) float64 { return float64(l.loadAs(initial, n)) / l.weight(n) }
-	f32 := int32(f)
-	stable := func() bool { return l.env.Now()-l.sets.Modified(f32) > l.opts.ShrinkAfter }
-	d := Decide(l.sets.Nodes(f32), initial, l.env.N(), l.opts.T, l.opts.LowT, view, l.env.Alive, stable)
+	r := l.sets.Rank(int32(f))
+	stable := func() bool { return l.env.Now()-l.sets.Modified(r) > l.opts.ShrinkAfter }
+	d := Decide(l.sets.Nodes(r), initial, l.env.N(), l.opts.T, l.opts.LowT, view, l.env.Alive, stable)
 	switch d.Edit {
 	case Keep:
 		return d.Service
 	case Reset:
-		l.sets.SetSingle(f32, d.Service)
+		l.sets.SetSingle(r, d.Service)
 		l.grows++
 	case Grow:
-		l.sets.Append(f32, d.Service, l.env.Now())
+		l.sets.Append(r, d.Service, l.env.Now())
 		l.grows++
 	case Shrink:
 		if d.At >= 0 {
-			l.sets.RemoveAt(f32, d.At, l.env.Now())
+			l.sets.RemoveAt(r, d.At, l.env.Now())
 		} else {
-			l.sets.Touch(f32, l.env.Now())
+			l.sets.Touch(r, l.env.Now())
 		}
 		l.shrinks++
 	}
@@ -304,7 +300,7 @@ type Stats struct {
 func (l *L2S) Stats() Stats {
 	sizes := make(map[int]int)
 	replicated := 0
-	l.sets.RangeSizes(func(_ int32, size int) bool {
+	l.sets.RangeSizes(func(size int) bool {
 		sizes[size]++
 		if size > 1 {
 			replicated++
@@ -325,9 +321,10 @@ func (l *L2S) Stats() Stats {
 	}
 }
 
-// ServerSet returns a copy of the current server set for a file, for tests.
+// ServerSet returns a copy of the current server set for a file, for tests;
+// like Service, it panics for a file outside the table's census.
 func (l *L2S) ServerSet(f policy.FileID) []int {
-	nodes := l.sets.Nodes(int32(f))
+	nodes := l.sets.Nodes(l.sets.Rank(int32(f)))
 	if nodes == nil {
 		return nil
 	}

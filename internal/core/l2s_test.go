@@ -19,7 +19,7 @@ func TestDefaultsMatchPaper(t *testing.T) {
 
 func TestFirstRequestServedLocally(t *testing.T) {
 	env := policytest.New(4)
-	l := New(env, DefaultOptions())
+	l := New(env, DefaultOptions(), policy.NewFileSets(64, nil))
 	if svc := l.Service(2, 1); svc != 2 {
 		t.Fatalf("first request serviced at %d, want the initial node 2", svc)
 	}
@@ -31,7 +31,7 @@ func TestFirstRequestServedLocally(t *testing.T) {
 
 func TestFirstRequestOnOverloadedInitialGoesToLeastLoaded(t *testing.T) {
 	env := policytest.New(4)
-	l := New(env, DefaultOptions())
+	l := New(env, DefaultOptions(), policy.NewFileSets(64, nil))
 	env.Loads = []int{30, 5, 30, 7}
 	if svc := l.Service(0, 1); svc != 1 {
 		t.Fatalf("service at %d, want least-loaded node 1", svc)
@@ -40,7 +40,7 @@ func TestFirstRequestOnOverloadedInitialGoesToLeastLoaded(t *testing.T) {
 
 func TestMemberServesLocallyWhenUnderloaded(t *testing.T) {
 	env := policytest.New(4)
-	l := New(env, DefaultOptions())
+	l := New(env, DefaultOptions(), policy.NewFileSets(64, nil))
 	l.Service(2, 1) // set = {2}
 	env.Loads[2] = 10
 	if svc := l.Service(2, 1); svc != 2 {
@@ -50,7 +50,7 @@ func TestMemberServesLocallyWhenUnderloaded(t *testing.T) {
 
 func TestNonMemberForwardsToSet(t *testing.T) {
 	env := policytest.New(4)
-	l := New(env, DefaultOptions())
+	l := New(env, DefaultOptions(), policy.NewFileSets(64, nil))
 	l.Service(2, 1) // set = {2}
 	if svc := l.Service(0, 1); svc != 2 {
 		t.Fatalf("non-member serviced at %d, want set member 2", svc)
@@ -61,7 +61,7 @@ func TestReplicationRequiresBothOverloaded(t *testing.T) {
 	env := policytest.New(4)
 	opts := DefaultOptions()
 	opts.Oracle = true // read true loads directly for this unit test
-	l := New(env, opts)
+	l := New(env, opts, policy.NewFileSets(64, nil))
 	l.Service(2, 1) // set = {2}
 
 	// Only the member overloaded: still forwarded to it (initial is fine
@@ -89,7 +89,7 @@ func TestShrinkAfterStability(t *testing.T) {
 	env := policytest.New(4)
 	opts := DefaultOptions()
 	opts.Oracle = true
-	l := New(env, opts)
+	l := New(env, opts, policy.NewFileSets(64, nil))
 	l.Service(2, 1)
 	env.Loads = []int{25, 3, 25, 9}
 	l.Service(0, 1) // replicate: set = {2, 1}
@@ -115,7 +115,7 @@ func TestShrinkAfterStability(t *testing.T) {
 // allocates nothing, whether the request is served locally or forwarded.
 func TestServiceAllocs(t *testing.T) {
 	env := policytest.New(4)
-	l := New(env, DefaultOptions())
+	l := New(env, DefaultOptions(), policy.NewFileSets(64, nil))
 	l.Service(2, 1) // set = {2}
 	for _, initial := range []int{2, 0} {
 		if allocs := testing.AllocsPerRun(100, func() { l.Service(initial, 1) }); allocs != 0 {
@@ -126,7 +126,7 @@ func TestServiceAllocs(t *testing.T) {
 
 func TestLoadBroadcastOnDelta(t *testing.T) {
 	env := policytest.New(4)
-	l := New(env, DefaultOptions())
+	l := New(env, DefaultOptions(), policy.NewFileSets(64, nil))
 	env.Loads[1] = 3
 	l.OnAssign(1)
 	if env.Sent != 0 {
@@ -145,7 +145,7 @@ func TestLoadBroadcastOnDelta(t *testing.T) {
 func TestLoadViewIsStaleUntilDelivery(t *testing.T) {
 	env := policytest.New(3)
 	env.Deferred = true
-	l := New(env, DefaultOptions())
+	l := New(env, DefaultOptions(), policy.NewFileSets(64, nil))
 	env.Loads[1] = 4
 	l.OnAssign(1)
 	// Node 0's view of node 1 is still 0 while the broadcast is in flight.
@@ -165,7 +165,7 @@ func TestLoadViewIsStaleUntilDelivery(t *testing.T) {
 func TestBroadcastReissuedAfterFurtherDrift(t *testing.T) {
 	env := policytest.New(3)
 	env.Deferred = true
-	l := New(env, DefaultOptions())
+	l := New(env, DefaultOptions(), policy.NewFileSets(64, nil))
 	env.Loads[1] = 4
 	l.OnAssign(1) // first broadcast in flight
 	env.Loads[1] = 9
@@ -187,7 +187,7 @@ func TestOracleBypassesStaleness(t *testing.T) {
 	env := policytest.New(3)
 	opts := DefaultOptions()
 	opts.Oracle = true
-	l := New(env, opts)
+	l := New(env, opts, policy.NewFileSets(64, nil))
 	env.Loads[2] = 17
 	if got := l.loadAs(0, 2); got != 17 {
 		t.Fatalf("oracle view = %d, want 17", got)
@@ -196,7 +196,7 @@ func TestOracleBypassesStaleness(t *testing.T) {
 
 func TestFailedNodesAvoided(t *testing.T) {
 	env := policytest.New(4)
-	l := New(env, DefaultOptions())
+	l := New(env, DefaultOptions(), policy.NewFileSets(64, nil))
 	l.Service(2, 1) // set = {2}
 	env.Dead[2] = true
 	svc := l.Service(0, 1)
@@ -211,7 +211,7 @@ func TestFailedNodesAvoided(t *testing.T) {
 
 func TestRoundRobinArrivals(t *testing.T) {
 	env := policytest.New(3)
-	l := New(env, DefaultOptions())
+	l := New(env, DefaultOptions(), policy.NewFileSets(64, nil))
 	var got []int
 	for i := 0; i < 6; i++ {
 		got = append(got, l.Initial(0))
@@ -231,7 +231,7 @@ func TestStatsReplicatedFraction(t *testing.T) {
 	env := policytest.New(4)
 	opts := DefaultOptions()
 	opts.Oracle = true
-	l := New(env, opts)
+	l := New(env, opts, policy.NewFileSets(64, nil))
 	l.Service(0, 1)
 	l.Service(1, 2)
 	env.Loads = []int{25, 25, 0, 0}
@@ -262,7 +262,7 @@ func TestBadOptionsPanic(t *testing.T) {
 					t.Errorf("%s did not panic", name)
 				}
 			}()
-			New(policytest.New(2), opts)
+			New(policytest.New(2), opts, policy.NewFileSets(64, nil))
 		}()
 	}
 }
@@ -275,7 +275,7 @@ func TestPropertyServiceInvariant(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		env := policytest.New(4 + rng.Intn(12))
-		l := New(env, DefaultOptions())
+		l := New(env, DefaultOptions(), policy.NewFileSets(64, nil))
 		files := 1 + rng.Intn(50)
 		for step := 0; step < 400; step++ {
 			for i := range env.Loads {
@@ -319,7 +319,7 @@ func TestPropertyNoDuplicateMembers(t *testing.T) {
 		env := policytest.New(5)
 		opts := DefaultOptions()
 		opts.Oracle = true
-		l := New(env, opts)
+		l := New(env, opts, policy.NewFileSets(64, nil))
 		for step := 0; step < 500; step++ {
 			for i := range env.Loads {
 				env.Loads[i] = rng.Intn(40) // frequently above T

@@ -97,7 +97,7 @@ func TestLeastLoadedMemberFallsBackWhenAllDead(t *testing.T) {
 }
 
 func TestServerSetUnknownFile(t *testing.T) {
-	l := New(policytest.New(2), DefaultOptions())
+	l := New(policytest.New(2), DefaultOptions(), policy.NewFileSets(64, nil))
 	if set := l.ServerSet(42); set != nil {
 		t.Fatalf("ServerSet of a never-requested file = %v, want nil", set)
 	}
@@ -113,17 +113,26 @@ func TestServerSetUnknownFile(t *testing.T) {
 }
 
 // TestServerSetTableFootprint is the size contract of the server-set table:
-// building an l2s or a lard distributor for a 10^6-file catalogue allocates
-// at most 2 B per catalogued file, rounded up to the whole 8 KB pages the
-// runtime hands a large allocation (7,040 B at this size), plus 4 KB for
-// everything else. A 4-byte entry reads 4,007,432 B. Allocation is counted
-// for the whole process, so each reading starts after a collection at
-// GOMAXPROCS(1) and the fewest bytes of three is the answer.
+// building an l2s or a lard distributor for a run that requests 200,000 of
+// a 10^6-file catalogue allocates at most 2 B per requested file plus the
+// census (8 B of bitset and 4 B of count per 64 catalogued files), each
+// rounded up to the whole 8 KB pages the runtime hands a large allocation,
+// plus 4 KB for everything else: 602,112 B, and l2s reads 599,704. A table
+// of 2 B per catalogued file reads 2,008,648 B. Allocation is counted for the whole process, so each reading
+// starts after a collection at GOMAXPROCS(1) and the fewest bytes of three
+// is the answer.
 func TestServerSetTableFootprint(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
 		t.Skip("the race detector changes what is allocated: the table is made, then copied")
 	}
-	const files = 1_000_000
+	const files, every = 1_000_000, 5
+	requests := make([]policy.FileID, files/every)
+	for i := range requests {
+		requests[i] = policy.FileID(i * every)
+	}
+	pages := func(n int) uint64 { return uint64((n + 8191) / 8192 * 8192) }
+	words := (files + 63) / 64
+	budget := pages(2*len(requests)) + pages(8*words) + pages(4*words) + 4096
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, name := range []string{"l2s", "lard"} {
 		allocated := uint64(math.MaxUint64)
@@ -131,7 +140,7 @@ func TestServerSetTableFootprint(t *testing.T) {
 			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			d, err := policy.MustParseSpec(name).Build(policytest.New(16), policy.Options{Files: files})
+			d, err := policy.MustParseSpec(name).Build(policytest.New(16), policy.Options{Files: files, Requests: requests})
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
@@ -139,8 +148,8 @@ func TestServerSetTableFootprint(t *testing.T) {
 			runtime.KeepAlive(d)
 			allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
 		}
-		if budget := uint64((2*files+8191)/8192*8192 + 4096); allocated > budget {
-			t.Errorf("%s: building for %d files allocated %d B, budget %d", name, files, allocated, budget)
+		if allocated > budget {
+			t.Errorf("%s: building for %d requested of %d files allocated %d B, budget %d", name, len(requests), files, allocated, budget)
 		}
 	}
 }

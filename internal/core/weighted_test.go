@@ -18,7 +18,7 @@ func TestWeightedL2SScalesOverloadThreshold(t *testing.T) {
 		return env
 	}
 
-	weighted := New(mkEnv(), DefaultOptions())
+	weighted := New(mkEnv(), DefaultOptions(), policy.NewFileSets(64, nil))
 	weighted.weights = []float64{4, 1}
 	if weighted.Name() != "l2s-weighted" {
 		t.Fatalf("Name = %q", weighted.Name())
@@ -27,7 +27,7 @@ func TestWeightedL2SScalesOverloadThreshold(t *testing.T) {
 		t.Fatalf("weighted Service = %d, want the 4x initial node 0", got)
 	}
 
-	plain := New(mkEnv(), DefaultOptions())
+	plain := New(mkEnv(), DefaultOptions(), policy.NewFileSets(64, nil))
 	if got := plain.Service(0, 7); got != 1 {
 		t.Fatalf("plain Service = %d, want deflection to idle node 1", got)
 	}

@@ -56,7 +56,7 @@ func NewFaultInjector(seed int64) *FaultInjector {
 
 // SetDropRate drops the given fraction of control messages (0..1).
 func (f *FaultInjector) SetDropRate(p float64) error {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return fmt.Errorf("native: drop rate must be in [0,1], got %g", p)
 	}
 	f.mu.Lock()
@@ -71,7 +71,7 @@ func (f *FaultInjector) SetDelay(max time.Duration, rate float64) error {
 	if max < 0 {
 		return fmt.Errorf("native: delay must be >= 0, got %v", max)
 	}
-	if rate < 0 || rate > 1 {
+	if !(rate >= 0 && rate <= 1) {
 		return fmt.Errorf("native: delay rate must be in [0,1], got %g", rate)
 	}
 	f.mu.Lock()
@@ -84,7 +84,7 @@ func (f *FaultInjector) SetDelay(max time.Duration, rate float64) error {
 // delivered first, then the original. Control handlers are idempotent, so
 // duplication must be invisible.
 func (f *FaultInjector) SetDupRate(p float64) error {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return fmt.Errorf("native: dup rate must be in [0,1], got %g", p)
 	}
 	f.mu.Lock()

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/policy/policytest"
 )
 
@@ -31,7 +32,7 @@ const lockStepFiles = 40
 func newLockStep(n int, opts core.Options) *lockStep {
 	opts.Oracle = true
 	ls := &lockStep{env: policytest.New(n), reps: make([]*state, n), t0: time.Unix(1e9, 0)}
-	ls.sim = core.New(ls.env, opts)
+	ls.sim = core.New(ls.env, opts, policy.NewFileSets(lockStepFiles, nil))
 	ls.alive = func(i int) bool { return !ls.env.Dead[i] }
 	opts.Oracle = false
 	for i := range ls.reps {

@@ -1,6 +1,7 @@
 package native
 
 import (
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -91,6 +92,10 @@ func TestFaultInjectorValidation(t *testing.T) {
 	fi := NewFaultInjector(1)
 	if err := fi.SetDropRate(1.5); err == nil {
 		t.Fatal("drop rate > 1 accepted")
+	}
+	nan := math.NaN()
+	if fi.SetDropRate(nan) == nil || fi.SetDelay(time.Second, nan) == nil || fi.SetDupRate(nan) == nil {
+		t.Fatal("a NaN rate accepted")
 	}
 	if err := fi.SetDelay(-time.Second, 0.5); err == nil {
 		t.Fatal("negative delay accepted")

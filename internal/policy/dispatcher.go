@@ -21,19 +21,16 @@ type DispatchLARD struct {
 	QueryCPUSec float64
 }
 
-// NewDispatchLARD builds the dispatcher variant: node 0 is the dispatcher,
-// nodes 1..N-1 accept and serve.
-func NewDispatchLARD(env Env, opts LARDOptions, queryCPU float64) *DispatchLARD {
+// NewDispatchLARD builds the dispatcher variant over a server-set table:
+// node 0 is the dispatcher, nodes 1..N-1 accept and serve.
+func NewDispatchLARD(env Env, opts LARDOptions, queryCPU float64, sets *FileSets) *DispatchLARD {
 	return &DispatchLARD{
-		lard:        NewLARD(env, opts),
+		lard:        NewLARD(env, opts, sets),
 		rr:          NewRoundRobin(env),
 		env:         env,
 		QueryCPUSec: queryCPU,
 	}
 }
-
-// ReserveFiles sizes the underlying LARD server-set index.
-func (d *DispatchLARD) ReserveFiles(n int) { d.lard.ReserveFiles(n) }
 
 // Name implements Distributor.
 func (d *DispatchLARD) Name() string { return "lard-dispatch" }

@@ -62,8 +62,8 @@ type LARD struct {
 	assigned uint64
 }
 
-// NewLARD builds the LARD policy.
-func NewLARD(env Env, opts LARDOptions) *LARD {
+// NewLARD builds the LARD policy over a server-set table (NewFileSets).
+func NewLARD(env Env, opts LARDOptions, sets *FileSets) *LARD {
 	if err := opts.Validate(); err != nil {
 		panic(err.Error())
 	}
@@ -81,13 +81,9 @@ func NewLARD(env Env, opts LARDOptions) *LARD {
 		backends: backends,
 		feLoad:   make([]int, n),
 		pending:  make([]int, n),
-		sets:     NewFileSets(0),
+		sets:     sets,
 	}
 }
-
-// ReserveFiles sizes the per-file server-set index for FileIDs in [0, n),
-// so a catalogue-sized index is allocated once.
-func (l *LARD) ReserveFiles(n int) { l.sets.Reserve(n) }
 
 // Name implements Distributor.
 func (l *LARD) Name() string {
@@ -135,14 +131,14 @@ func (l *LARD) Service(initial int, f FileID) int {
 	// Weighted comparisons: loads scale by 1/weight, thresholds stay
 	// nominal — equivalent to per-node thresholds THigh*w_i / TLow*w_i.
 	view := func(n int) float64 { return float64(l.feLoad[n]) / l.weight(n) }
-	f32 := int32(f)
-	nodes := l.sets.Nodes(f32)
+	r := l.sets.Rank(int32(f))
+	nodes := l.sets.Nodes(r)
 	if len(nodes) == 0 || l.allDead(nodes) {
 		n := argminScaled(l.env, l.backends, view)
 		if n < 0 {
 			return initial // cluster effectively down
 		}
-		l.sets.SetSingle(f32, n)
+		l.sets.SetSingle(r, n)
 		return n
 	}
 	n := l.leastLoadedMember(nodes, view)
@@ -151,18 +147,18 @@ func (l *LARD) Service(initial int, f FileID) int {
 	if overloaded || view(n) >= float64(2*l.opts.THigh) {
 		if cheapest >= 0 && cheapest != n {
 			if l.opts.Replication {
-				l.sets.Append(f32, cheapest, l.env.Now())
+				l.sets.Append(r, cheapest, l.env.Now())
 			} else {
-				l.sets.SetSingle(f32, cheapest)
+				l.sets.SetSingle(r, cheapest)
 			}
 			n = cheapest
 		}
 	}
 	if l.opts.Replication {
 		// Re-read: growth above stamps the modification time.
-		nodes = l.sets.Nodes(f32)
-		if len(nodes) > 1 && l.env.Now()-l.sets.Modified(f32) > l.opts.ShrinkAfter {
-			l.removeMostLoaded(f32, nodes, n, view)
+		nodes = l.sets.Nodes(r)
+		if len(nodes) > 1 && l.env.Now()-l.sets.Modified(r) > l.opts.ShrinkAfter {
+			l.removeMostLoaded(r, nodes, n, view)
 		}
 	}
 	return n
@@ -184,7 +180,7 @@ func (l *LARD) leastLoadedMember(nodes []int32, view func(int) float64) int {
 	return int(nodes[0])
 }
 
-func (l *LARD) removeMostLoaded(f int32, nodes []int32, keep int, view func(int) float64) {
+func (l *LARD) removeMostLoaded(r int32, nodes []int32, keep int, view func(int) float64) {
 	worst, at := -1, -1
 	worstLoad := -1.0
 	for i, n := range nodes {
@@ -196,9 +192,9 @@ func (l *LARD) removeMostLoaded(f int32, nodes []int32, keep int, view func(int)
 		}
 	}
 	if worst >= 0 {
-		l.sets.RemoveAt(f, at, l.env.Now())
+		l.sets.RemoveAt(r, at, l.env.Now())
 	} else {
-		l.sets.Touch(f, l.env.Now())
+		l.sets.Touch(r, l.env.Now())
 	}
 }
 
@@ -259,7 +255,7 @@ func (u *lardUpdate) apply() {
 // and tests.
 func (l *LARD) SetSizes() map[int]int {
 	out := make(map[int]int)
-	l.sets.RangeSizes(func(_ int32, size int) bool {
+	l.sets.RangeSizes(func(size int) bool {
 		out[size]++
 		return true
 	})

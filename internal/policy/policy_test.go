@@ -124,7 +124,7 @@ func TestRoundRobinSkipsDead(t *testing.T) {
 
 func TestLARDRoutesEverythingThroughFrontEnd(t *testing.T) {
 	env := newFakeEnv(4)
-	l := NewLARD(env, DefaultLARDOptions())
+	l := NewLARD(env, DefaultLARDOptions(), NewFileSets(64, nil))
 	if l.FrontEnd() != 0 {
 		t.Fatalf("FrontEnd = %d, want 0", l.FrontEnd())
 	}
@@ -141,7 +141,7 @@ func TestLARDRoutesEverythingThroughFrontEnd(t *testing.T) {
 
 func TestLARDSingleNodeDegenerates(t *testing.T) {
 	env := newFakeEnv(1)
-	l := NewLARD(env, DefaultLARDOptions())
+	l := NewLARD(env, DefaultLARDOptions(), NewFileSets(64, nil))
 	if l.FrontEnd() != -1 {
 		t.Fatal("single-node LARD has no front-end")
 	}
@@ -156,7 +156,7 @@ func TestLARDSingleNodeDegenerates(t *testing.T) {
 
 func TestLARDStickyAssignment(t *testing.T) {
 	env := newFakeEnv(5)
-	l := NewLARD(env, DefaultLARDOptions())
+	l := NewLARD(env, DefaultLARDOptions(), NewFileSets(64, nil))
 	first := l.Service(0, 42)
 	l.OnAssign(first)
 	// Subsequent requests for the same target stay on the same back-end
@@ -178,7 +178,7 @@ func TestLARDStickyAssignment(t *testing.T) {
 func TestLARDReplicatesWhenOverloaded(t *testing.T) {
 	env := newFakeEnv(5)
 	opts := DefaultLARDOptions()
-	l := NewLARD(env, opts)
+	l := NewLARD(env, opts, NewFileSets(64, nil))
 	first := l.Service(0, 7)
 	// Push the assigned node past THigh while others stay idle.
 	for i := 0; i <= opts.THigh; i++ {
@@ -197,7 +197,7 @@ func TestLARDBasicReassignsInsteadOfReplicating(t *testing.T) {
 	env := newFakeEnv(5)
 	opts := DefaultLARDOptions()
 	opts.Replication = false
-	l := NewLARD(env, opts)
+	l := NewLARD(env, opts, NewFileSets(64, nil))
 	first := l.Service(0, 7)
 	for i := 0; i <= opts.THigh; i++ {
 		l.OnAssign(first)
@@ -217,7 +217,7 @@ func TestLARDBasicReassignsInsteadOfReplicating(t *testing.T) {
 func TestLARDShrinksStableSets(t *testing.T) {
 	env := newFakeEnv(5)
 	opts := DefaultLARDOptions()
-	l := NewLARD(env, opts)
+	l := NewLARD(env, opts, NewFileSets(64, nil))
 	first := l.Service(0, 7)
 	for i := 0; i <= opts.THigh; i++ {
 		l.OnAssign(first)
@@ -234,7 +234,7 @@ func TestLARDBatchedLoadUpdates(t *testing.T) {
 	env := newFakeEnv(3)
 	env.defer_ = true
 	opts := DefaultLARDOptions()
-	l := NewLARD(env, opts)
+	l := NewLARD(env, opts, NewFileSets(64, nil))
 	svc := l.Service(0, 1)
 	for i := 0; i < 8; i++ {
 		l.OnAssign(svc)
@@ -259,7 +259,7 @@ func TestLARDBatchedLoadUpdates(t *testing.T) {
 
 func TestLARDAvoidsDeadBackends(t *testing.T) {
 	env := newFakeEnv(4)
-	l := NewLARD(env, DefaultLARDOptions())
+	l := NewLARD(env, DefaultLARDOptions(), NewFileSets(64, nil))
 	svc := l.Service(0, 9)
 	env.dead[svc] = true
 	got := l.Service(0, 9)
@@ -274,12 +274,12 @@ func TestLARDBadThresholdsPanic(t *testing.T) {
 			t.Fatal("bad thresholds did not panic")
 		}
 	}()
-	NewLARD(newFakeEnv(2), LARDOptions{TLow: 10, THigh: 5, UpdateBatch: 4})
+	NewLARD(newFakeEnv(2), LARDOptions{TLow: 10, THigh: 5, UpdateBatch: 4}, NewFileSets(64, nil))
 }
 
 func TestDispatchLARDStructure(t *testing.T) {
 	env := newFakeEnv(5)
-	d := NewDispatchLARD(env, DefaultLARDOptions(), 0.0001)
+	d := NewDispatchLARD(env, DefaultLARDOptions(), 0.0001, NewFileSets(64, nil))
 	if d.Name() != "lard-dispatch" {
 		t.Fatalf("Name = %q", d.Name())
 	}
@@ -306,7 +306,7 @@ func TestDispatchLARDStructure(t *testing.T) {
 
 func TestDispatchLARDSingleNode(t *testing.T) {
 	env := newFakeEnv(1)
-	d := NewDispatchLARD(env, DefaultLARDOptions(), 0.0001)
+	d := NewDispatchLARD(env, DefaultLARDOptions(), 0.0001, NewFileSets(64, nil))
 	if d.FrontEnd() != -1 || d.Initial(0) != 0 || d.Service(0, 0) != 0 {
 		t.Fatal("single-node dispatcher must degenerate to local service")
 	}

@@ -33,10 +33,15 @@ type Options struct {
 	// selects core.DefaultOptions.
 	L2S any
 
-	// Files is the catalogue size; FileIDs lie in [0, Files). The per-file
-	// indexes (the LARD and L2S server-set tables) are allocated once at
-	// that size; zero means unknown, and they grow as FileIDs arrive.
+	// Files is the catalogue size; FileIDs lie in [0, Files).
 	Files int
+
+	// Requests is the run's request stream, a view of the trace's, not a
+	// copy. The per-file indexes (the LARD and L2S server-set tables) keep
+	// an entry for each file it names, built once at construction. nil
+	// means the stream is unknown: they then keep one for every file of
+	// [0, Files), and for any FileID past it as it arrives.
+	Requests []FileID
 
 	// Weights gives each node's relative capacity, normalized to mean 1.
 	// The simulator fills it from the node hardware profiles; the weighted
@@ -131,9 +136,7 @@ func init() {
 		if err := l.Validate(); err != nil {
 			return nil, err
 		}
-		d := NewLARD(env, l)
-		d.ReserveFiles(o.Files)
-		return d, nil
+		return NewLARD(env, l, NewFileSets(o.Files, o.Requests)), nil
 	})
 	Register("lard-basic", func(env Env, o Options) (Distributor, error) {
 		l := o.lard()
@@ -141,9 +144,7 @@ func init() {
 		if err := l.Validate(); err != nil {
 			return nil, err
 		}
-		d := NewLARD(env, l)
-		d.ReserveFiles(o.Files)
-		return d, nil
+		return NewLARD(env, l, NewFileSets(o.Files, o.Requests)), nil
 	})
 	Register("lard-dispatch", func(env Env, o Options) (Distributor, error) {
 		l := o.lard()
@@ -154,9 +155,7 @@ func init() {
 		if query <= 0 {
 			query = 0.0001
 		}
-		d := NewDispatchLARD(env, l, query)
-		d.ReserveFiles(o.Files)
-		return d, nil
+		return NewDispatchLARD(env, l, query, NewFileSets(o.Files, o.Requests)), nil
 	})
 	Register("hashing", func(env Env, _ Options) (Distributor, error) {
 		return NewHashing(env), nil

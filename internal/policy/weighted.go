@@ -83,9 +83,8 @@ func init() {
 		if err := l.Validate(); err != nil {
 			return nil, err
 		}
-		d := NewLARD(env, l)
+		d := NewLARD(env, l, NewFileSets(o.Files, o.Requests))
 		d.weights = o.NodeWeights(env.N())
-		d.ReserveFiles(o.Files)
 		return d, nil
 	})
 	RegisterParams("lard-weighted", lardParams()...)

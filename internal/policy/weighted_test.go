@@ -88,7 +88,7 @@ func TestWeightedLARDScalesThresholds(t *testing.T) {
 	// changed the decision.
 	env2 := policytest.New(3)
 	env2.Loads = env.Loads
-	plain := policy.NewLARD(env2, opts)
+	plain := policy.NewLARD(env2, opts, policy.NewFileSets(64, nil))
 	for n, ld := range env2.Loads {
 		for i := 0; i < ld; i++ {
 			plain.OnAssign(n)

@@ -164,14 +164,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("server: negative cache size %d", c.CacheBytes)
 	case c.WindowPerNode < 1:
 		return fmt.Errorf("server: window per node must be >= 1, got %d", c.WindowPerNode)
-	case c.WarmFraction < 0 || c.WarmFraction > 0.95:
+	case !(c.WarmFraction >= 0 && c.WarmFraction <= 0.95):
 		return fmt.Errorf("server: warm fraction %v outside [0, 0.95]", c.WarmFraction)
 	case c.Policy == "":
 		return fmt.Errorf("server: no policy (CustomServer needs WithPolicy)")
-	case c.Net.RouterKBps <= 0 || c.Net.LinkKBps <= 0:
+	case !(c.Net.RouterKBps > 0 && c.Net.LinkKBps > 0):
 		return fmt.Errorf("server: network rates must be positive: %+v", c.Net)
 	case c.FailNode >= c.Nodes:
 		return fmt.Errorf("server: fail node %d outside cluster of %d", c.FailNode, c.Nodes)
+	case c.FailNode >= 0 && !(c.FailAtFrac >= 0 && c.FailAtFrac <= 1):
+		return fmt.Errorf("server: failure point %v outside [0, 1]", c.FailAtFrac)
 	case c.ReqsPerConn != 0 && !(c.ReqsPerConn >= 1):
 		return fmt.Errorf("server: persistent connections need ReqsPerConn >= 1, got %v", c.ReqsPerConn)
 	}

@@ -44,6 +44,28 @@ func TestValidateRejectsUnnamedCustom(t *testing.T) {
 	}
 }
 
+// NaN fails every range check, so each is spelled to be true only inside
+// its range; a failure point matters only with a node to fail.
+func TestValidateRejectsNaNAndOutOfRange(t *testing.T) {
+	nan := math.NaN()
+	for name, opt := range map[string]Option{
+		"warm NaN":      WithWarmFraction(nan),
+		"fail at NaN":   WithFailure(1, nan),
+		"fail at -0.1":  WithFailure(1, -0.1),
+		"fail at 1.5":   WithFailure(1, 1.5),
+		"rate NaN":      WithArrivalRate(nan),
+		"rate -5":       WithArrivalRate(-5),
+		"router KB NaN": func(c *Config) { c.Net.RouterKBps = nan },
+	} {
+		if err := NewConfig(L2SServer, 4, opt).Validate(); err == nil {
+			t.Errorf("%s: validated", name)
+		}
+	}
+	if err := NewConfig(L2SServer, 4, func(c *Config) { c.FailAtFrac = nan }).Validate(); err != nil {
+		t.Errorf("a failure point with no node to fail: %v", err)
+	}
+}
+
 func TestRunReturnsErrorNotPanic(t *testing.T) {
 	tr := testTrace(2000)
 

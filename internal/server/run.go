@@ -76,25 +76,25 @@ type driver struct {
 	clientAware policy.ClientAware
 	dispatched  policy.Dispatched
 
-	// Free lists of pooled per-request and per-reply jobs; the simulation is
-	// single-threaded, so plain stacks suffice.
+	// Free list of pooled request jobs; the simulation is single-threaded,
+	// so a plain stack suffices.
 	reqPool []*requestJob
-	txPool  []*transmitJob
 }
 
 // requestJob is the pooled state of one client connection's lifecycle:
 // router in, initial node NI and CPU, an optional dispatcher round trip,
 // distribution decision, optional hand-off, then its requests one after
 // another — each read at src (a cache lookup, a disk or home-disk read on a
-// miss), shipped to svc if src is another node, and transmitted. Without
-// persistent connections a job carries one request. It is a stage machine
-// with one pre-bound callback: every hand-off to a resource or the network
-// sets the stage that runs next and passes step, so a pooled job carries
-// one method value instead of a closure per stage.
+// miss), shipped to svc if src is another node, and transmitted, its reply
+// CPU charged chunk by chunk. Without persistent connections a job carries
+// one request. It is a stage machine with one pre-bound callback: every
+// hand-off to a resource or the network sets the stage that runs next and
+// passes step, so a pooled job carries one method value instead of a
+// closure per stage.
 type requestJob struct {
 	d     *driver
-	step  func() // pre-bound j.advance
-	skb   float64
+	step  func()  // pre-bound j.advance
+	rem   float64 // reply KB whose transmit CPU is still to be charged
 	t0    float64
 	f     cache.FileID
 	n0    int32 // node the current request arrives at
@@ -127,6 +127,7 @@ const (
 	atHomeIn                      // NI-in at src
 	atHomeCPU                     // src's message CPU
 	atFetched                     // file in memory at src: ship it to svc, or transmit
+	atReplied                     // a reply chunk's CPU done: the next chunk, or NI-out
 	atShipOut                     // NI-out at src
 	atShipWire                    // the file crosses the wire to svc
 	atShipIn                      // NI-in at svc
@@ -148,9 +149,8 @@ func (d *driver) getRequestJob() *requestJob {
 
 // advance runs the stage the last hand-off completed, and any stage that
 // follows it at the same instant, up to the next hand-off. A hand-off is
-// the last thing a stage does: its callback may run before it returns (a
-// zero-byte transmit), and a released job may already carry the next
-// connection.
+// the last thing a stage does: its callback may run before it returns,
+// and a released job may already carry the next connection.
 func (j *requestJob) advance() {
 	d := j.d
 	switch j.stage {
@@ -262,7 +262,6 @@ func (j *requestJob) advance() {
 		// The request arrives over the open connection and is parsed at
 		// the owner.
 		j.f = d.tr.Requests[j.next]
-		j.skb = float64(d.tr.Size(j.f)) / 1024
 		j.t0 = d.eng.Now()
 		d.assigned++
 		d.m.assigned.Inc()
@@ -292,22 +291,22 @@ func (j *requestJob) advance() {
 				return
 			}
 		}
-		node.Disk.Acquire(node.DiskTime(d.cfg.Costs.DiskTime(j.skb)), j.step)
+		node.Disk.Acquire(node.DiskTime(d.cfg.Costs.DiskTime(j.kb())), j.step)
 	case atHomeRead:
 		home := d.nodes[fileHome(j.f, len(d.nodes))]
 		j.stage = atHomeOut
-		home.Disk.Acquire(home.DiskTime(d.cfg.Costs.DiskTime(j.skb)), j.step)
+		home.Disk.Acquire(home.DiskTime(d.cfg.Costs.DiskTime(j.kb())), j.step)
 	case atHomeOut:
 		home := fileHome(j.f, len(d.nodes))
 		j.stage = atHomeWire
-		d.nodes[home].NIOut.Acquire(d.niOut(home, j.skb), j.step)
+		d.nodes[home].NIOut.Acquire(d.niOut(home, j.kb()), j.step)
 	case atHomeWire:
 		home := d.nodes[fileHome(j.f, len(d.nodes))]
 		j.stage = atHomeIn
-		d.eng.Schedule(d.net.WireTime(home, d.nodes[j.src], j.skb), j.step)
+		d.eng.Schedule(d.net.WireTime(home, d.nodes[j.src], j.kb()), j.step)
 	case atHomeIn:
 		j.stage = atHomeCPU
-		d.nodes[j.src].NIIn.Acquire(d.niOut(int(j.src), j.skb), j.step)
+		d.nodes[j.src].NIIn.Acquire(d.niOut(int(j.src), j.kb()), j.step)
 	case atHomeCPU:
 		j.stage = atFetched
 		d.nodes[j.src].CPU.Acquire(d.cfg.Net.MsgCPU, j.step)
@@ -318,25 +317,27 @@ func (j *requestJob) advance() {
 			d.nodes[j.src].CPU.Acquire(d.cfg.Net.MsgCPU, j.step)
 			return
 		}
-		j.stage = atTransmitted
-		d.transmit(d.nodes[j.svc], j.skb, j.step)
+		j.rem = j.kb()
+		j.transmit(d.cfg.Costs.ReplyFixed)
+	case atReplied:
+		j.transmit(0)
 	case atShipOut:
 		j.stage = atShipWire
-		d.nodes[j.src].NIOut.Acquire(d.niOut(int(j.src), j.skb), j.step)
+		d.nodes[j.src].NIOut.Acquire(d.niOut(int(j.src), j.kb()), j.step)
 	case atShipWire:
 		j.stage = atShipIn
-		d.eng.Schedule(d.net.WireTime(d.nodes[j.src], d.nodes[j.svc], j.skb), j.step)
+		d.eng.Schedule(d.net.WireTime(d.nodes[j.src], d.nodes[j.svc], j.kb()), j.step)
 	case atShipIn:
 		// Once NI-in at svc is done the file is in memory there.
 		j.src = j.svc
 		j.stage = atFetched
-		d.nodes[j.svc].NIIn.Acquire(d.niOut(int(j.svc), j.skb), j.step)
+		d.nodes[j.svc].NIIn.Acquire(d.niOut(int(j.svc), j.kb()), j.step)
 	case atTransmitted:
 		j.stage = atNIOut
-		d.nodes[j.svc].NIOut.Acquire(d.niOut(int(j.svc), j.skb), j.step)
+		d.nodes[j.svc].NIOut.Acquire(d.niOut(int(j.svc), j.kb()), j.step)
 	case atNIOut:
 		j.stage = atDone
-		d.net.RouterOut(j.skb, j.step)
+		d.net.RouterOut(j.kb(), j.step)
 	case atDone:
 		d.completed++
 		d.m.completed.Inc()
@@ -399,46 +400,30 @@ func (j *requestJob) release() {
 // cpuChunkKB is the transmit-processing quantum: reply CPU work is charged
 // in chunks of this many kilobytes, so transmissions interleave with request
 // parsing and forwarding as in the LARD paper's cost model (40 us per 512
-// bytes; see driver.transmit).
+// bytes; see requestJob.transmit).
 const cpuChunkKB = 8
 
-// transmitJob is the pooled state of one reply's chunked CPU transmit
-// processing (see driver.transmit).
-type transmitJob struct {
-	d         *driver
-	node      *cluster.Node
-	remaining float64
-	first     bool
-	done      func()
+// kb is the size of the current request's reply in kilobytes.
+func (j *requestJob) kb() float64 { return float64(j.d.tr.Size(j.f)) / 1024 }
 
-	step func()
-}
-
-func (d *driver) getTransmitJob() *transmitJob {
-	if n := len(d.txPool); n > 0 {
-		j := d.txPool[n-1]
-		d.txPool = d.txPool[:n-1]
-		return j
+// transmit charges the service node's CPU for the next cpuChunkKB of the
+// reply's transmit processing (mu_m), plus fixed — the per-reply cost, on
+// the first chunk — and moves on to NI-out once nothing is left; a
+// zero-byte reply goes straight there. Each chunk re-enters the FCFS CPU
+// queue, so concurrent transmissions and request parsing interleave at
+// chunk granularity: the behavior implied by the per-512-byte transmit cost
+// of the LARD paper the parameters come from.
+func (j *requestJob) transmit(fixed float64) {
+	if j.rem <= 0 {
+		j.stage = atTransmitted
+		j.advance()
+		return
 	}
-	j := &transmitJob{d: d}
-	j.step = func() {
-		if j.remaining <= 0 {
-			d, done := j.d, j.done
-			j.node, j.done = nil, nil
-			d.txPool = append(d.txPool, j)
-			done()
-			return
-		}
-		kb := min(cpuChunkKB, j.remaining)
-		j.remaining -= kb
-		cost := kb / j.d.cfg.Costs.ReplyKBps
-		if j.first {
-			cost += j.d.cfg.Costs.ReplyFixed
-			j.first = false
-		}
-		j.node.CPU.Acquire(j.node.CPUTime(cost), j.step)
-	}
-	return j
+	kb := min(cpuChunkKB, j.rem)
+	j.rem -= kb
+	node := j.d.nodes[j.svc]
+	j.stage = atReplied
+	node.CPU.Acquire(node.CPUTime(kb/j.d.cfg.Costs.ReplyKBps+fixed), j.step)
 }
 
 // Run simulates one configuration over a trace and reports the measured
@@ -521,7 +506,7 @@ func newDriver(cfg Config, tr *trace.Trace) (*driver, error) {
 	// (pinned by TestFlatGolden).
 	d.net.RegisterFleet(d.nodes)
 
-	popts := policy.Options{Seed: cfg.Seed, Files: tr.NumFiles()}
+	popts := policy.Options{Seed: cfg.Seed, Files: tr.NumFiles(), Requests: tr.Requests}
 	if d.profiles != nil {
 		// Weighted policies scale their thresholds and selections by
 		// relative node capacity; unweighted ones ignore this.
@@ -667,7 +652,6 @@ func (d *driver) start(first, end int) {
 	j.n0 = int32(d.dist.Initial(f))
 	j.svc = -1
 	j.first, j.next, j.end = int32(first), int32(first), int32(end)
-	j.skb = float64(d.tr.Size(f)) / 1024
 	j.t0 = d.eng.Now()
 	j.stage = atRouterIn
 	d.net.RouterIn(d.cfg.Costs.ReqKB, j.step)
@@ -690,22 +674,6 @@ func fileHome(f cache.FileID, n int) int {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	x ^= x >> 31
 	return int(x % uint64(n))
-}
-
-// transmit charges the CPU for reply transmit processing (mu_m) in
-// cpuChunkKB quanta. Each chunk re-enters the FCFS CPU queue, so concurrent
-// transmissions and request parsing interleave at chunk granularity — the
-// behavior implied by the per-512-byte transmit cost of the LARD paper the
-// parameters come from.
-func (d *driver) transmit(node *cluster.Node, skb float64, done func()) {
-	// Fixed per-reply cost up front, then the per-byte portion in chunks,
-	// all carried by a pooled job instead of a per-reply closure.
-	j := d.getTransmitJob()
-	j.node = node
-	j.remaining = skb
-	j.first = true
-	j.done = done
-	j.step()
 }
 
 // retire closes the books on a finished or aborted job; in the closed loop

@@ -10,11 +10,11 @@ import (
 )
 
 // indexedFamilies are the policy families that keep per-file state.
-var indexedFamilies = []string{"lard", "lard-dispatch", "lard-weighted", "l2s", "l2s-weighted"}
+var indexedFamilies = []string{"lard", "lard-basic", "lard-dispatch", "lard-weighted", "l2s", "l2s-weighted"}
 
 // sizingTrace requests under a quarter of its 40,000-file catalogue, so an
-// index sized for the catalogue and one grown from empty end at different
-// sizes.
+// index over the requested files and one over the whole catalogue differ
+// in size and in every file's rank.
 func sizingTrace() *trace.Trace {
 	return trace.MustGenerate(trace.GenSpec{
 		Name: "sizing", Files: 40000, AvgFileKB: 6, Requests: 9000,
@@ -32,11 +32,11 @@ func sizingConfig(family string) Config {
 }
 
 // TestIndexCapacityIsNotAnInput runs each family twice — through Run's own
-// path, which sizes its index for the catalogue, and through a registered
-// twin (testpolicies_test.go) that hands the same factory an unknown
-// catalogue size, so its index grows as FileIDs arrive — and requires
-// identical Results: the index's size never reaches a decision, so
-// changing how it is sized cannot change a result.
+// path, whose index holds the files the run requests, and through a
+// registered twin (testpolicies_test.go) that hands the same factory no
+// request stream, so its index holds the whole catalogue — and requires
+// identical Results: a file's rank never reaches a decision, so what the
+// index holds cannot change a result.
 func TestIndexCapacityIsNotAnInput(t *testing.T) {
 	tr := sizingTrace()
 	for _, family := range indexedFamilies {
@@ -49,7 +49,7 @@ func TestIndexCapacityIsNotAnInput(t *testing.T) {
 			t.Fatalf("%s, unsized: %v", family, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: an unsized index changed the result\n got %+v\nwant %+v", family, got, want)
+			t.Errorf("%s: a whole-catalogue index changed the result\n got %+v\nwant %+v", family, got, want)
 		}
 	}
 }

@@ -12,7 +12,8 @@ import (
 // contract) skip them through publishedPolicies.
 const (
 	testPolicyPrefix = "test-"
-	// unsizedPrefix + family builds family with an unknown catalogue size.
+	// unsizedPrefix + family builds family without the run's request
+	// stream: its server-set table holds the whole catalogue.
 	unsizedPrefix = testPolicyPrefix + "unsized-"
 )
 
@@ -26,7 +27,7 @@ func init() {
 	for _, family := range indexedFamilies {
 		spec := policy.MustParseSpec(family)
 		policy.Register(unsizedPrefix+family, func(env policy.Env, o policy.Options) (policy.Distributor, error) {
-			o.Files = 0
+			o.Requests = nil
 			return spec.Build(env, o)
 		})
 	}
