@@ -119,6 +119,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzRankPow -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzSolveBeta -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzHandoffFrame -fuzztime=$(FUZZTIME) ./internal/native
+	$(GO) test -run=^$$ -fuzz=FuzzNativeState -fuzztime=$(FUZZTIME) ./internal/native
 	$(GO) test -run=^$$ -fuzz=FuzzSortByTime -fuzztime=$(FUZZTIME) ./internal/shotnoise
 	$(GO) test -run=^$$ -fuzz=FuzzSeriesRoundTrip -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run=^$$ -fuzz=FuzzCalendarOrder -fuzztime=$(FUZZTIME) ./internal/sim

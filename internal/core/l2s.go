@@ -231,7 +231,7 @@ func (l *L2S) loadAs(observer, n int) int {
 // Service implements the L2S distribution algorithm, executed at the
 // initial node with the information visible there: the shared rule
 // (Decide) over this node's gossiped load view, applied to the simulator's
-// FileSets.
+// FileSets (Decision.Apply).
 func (l *L2S) Service(initial int, f policy.FileID) int {
 	// Capacity-scaled load view: with nil weights this is the published
 	// algorithm (scaling by exactly 1.0); with weights the overload
@@ -243,20 +243,12 @@ func (l *L2S) Service(initial int, f policy.FileID) int {
 	switch d.Edit {
 	case Keep:
 		return d.Service
-	case Reset:
-		l.sets.SetSingle(r, d.Service)
-		l.grows++
-	case Grow:
-		l.sets.Append(r, d.Service, l.env.Now())
+	case Reset, Grow:
 		l.grows++
 	case Shrink:
-		if d.At >= 0 {
-			l.sets.RemoveAt(r, d.At, l.env.Now())
-		} else {
-			l.sets.Touch(r, l.env.Now())
-		}
 		l.shrinks++
 	}
+	d.Apply(l.sets, r, l.env.Now())
 	l.broadcastSetChange(initial)
 	return d.Service
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"slices"
+
+	"repro/internal/policy"
 )
 
 // Edit is the server-set change a Decision makes; a request makes at most
@@ -24,6 +26,27 @@ type Decision struct {
 	// than Service exists to remove, in which case the set only restamps
 	// its modification time.
 	At int
+}
+
+// Apply makes the decision's edit to the set of the file of rank r in sets,
+// stamping now on a replicated set it changes: Reset makes the set
+// {Service}, Grow appends Service, Shrink removes the member at At or, with
+// At < 0, only restamps the set. Keep changes nothing. Both the simulator
+// (L2S.Service) and the native replicas (native's state.decide) apply their
+// decisions through it.
+func (d Decision) Apply(sets *policy.FileSets, r int32, now float64) {
+	switch d.Edit {
+	case Reset:
+		sets.SetSingle(r, d.Service)
+	case Grow:
+		sets.Append(r, d.Service, now)
+	case Shrink:
+		if d.At >= 0 {
+			sets.RemoveAt(r, d.At, now)
+		} else {
+			sets.Touch(r, now)
+		}
+	}
 }
 
 // Decide is the L2S distribution rule of Section 4, the one both the

@@ -108,14 +108,10 @@ func (g *gossiper) broadcast(path string, doc any, skip func(int) bool, attempts
 	wg.Wait()
 }
 
-// sendTo delivers one document to one peer.
-func (g *gossiper) sendTo(peer int, path string, doc any, attempts int) bool {
+// sendTo delivers one encoded document to one peer.
+func (g *gossiper) sendTo(peer int, path string, body []byte, attempts int) bool {
 	base := g.peers[peer]
 	if peer == g.self || base == "" {
-		return false
-	}
-	body, err := json.Marshal(doc)
-	if err != nil {
 		return false
 	}
 	return g.send(peer, base+path, body, attempts)

@@ -39,9 +39,9 @@ const (
 	// handoffTimeout covers one exchange, dial and upgrade included.
 	handoffTimeout = 10 * time.Second
 
-	// peerBufSize is the entry node's read buffer per channel: large enough
-	// that a typical reply arrives in one read and is relayed from the
-	// buffer without a copy.
+	// peerBufSize is the entry node's read buffer per exchange: large
+	// enough that a typical reply arrives in one read and is relayed from
+	// the buffer without a copy.
 	peerBufSize = 32 << 10
 
 	frameLen       = 4
@@ -103,11 +103,51 @@ func (s *connSet) closeAll() {
 	s.conns = nil
 }
 
-// peerConn is the entry node's end of one hand-off channel.
+// peerConn is the entry node's end of one hand-off channel. It holds no
+// read buffer: an exchange borrows one (readerPool), so an idle channel
+// costs its connection and nothing more.
 type peerConn struct {
 	c     net.Conn
-	br    *bufio.Reader
 	frame [frameLen]byte // request scratch
+}
+
+// readerPool is a node's free list of hand-off read buffers, shared by all
+// its outbound channels: it grows to the peak number of concurrent
+// exchanges, not to the number of channels.
+type readerPool struct {
+	mu   sync.Mutex
+	free []*bufio.Reader
+}
+
+// get returns a buffer reading from c.
+func (p *readerPool) get(c net.Conn) *bufio.Reader {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return bufio.NewReaderSize(c, peerBufSize)
+	}
+	br := p.free[n-1]
+	p.free = p.free[:n-1]
+	br.Reset(c)
+	return br
+}
+
+// put returns br, dropping whatever it still holds and its connection.
+func (p *readerPool) put(br *bufio.Reader) {
+	br.Reset(nil)
+	p.mu.Lock()
+	p.free = append(p.free, br)
+	p.mu.Unlock()
+}
+
+// inStep reports an error when br holds bytes past a complete reply: the
+// peer sent what no frame asked for, and the channel is out of step.
+func inStep(br *bufio.Reader, svc int) error {
+	if n := br.Buffered(); n > 0 {
+		return fmt.Errorf("native: %d stray bytes on the hand-off channel from node %d", n, svc)
+	}
+	return nil
 }
 
 // peerPool holds the idle channels to one peer, most recently used last.
@@ -139,6 +179,7 @@ func (p *peerPool) put(pc *peerConn) {
 // handoffs is one node's hand-off state, both directions.
 type handoffs struct {
 	pools    []peerPool // outbound idle channels, by peer id
+	readers  readerPool // read buffers of the outbound exchanges in progress
 	outbound connSet    // every outbound channel, idle or in use
 	inbound  connSet    // hijacked channels this node serves
 }
@@ -164,8 +205,8 @@ func (n *Node) dialPeer(svc int) (*peerConn, error) {
 		_ = c.Close()
 		return nil, errNodeStopped
 	}
-	pc := &peerConn{c: c, br: bufio.NewReaderSize(c, peerBufSize)}
-	if err := pc.upgrade(addr); err != nil {
+	pc := &peerConn{c: c}
+	if err := n.upgrade(pc, svc, addr); err != nil {
 		n.handoffs.outbound.drop(c)
 		return nil, fmt.Errorf("native: opening hand-off channel to node %d: %w", svc, err)
 	}
@@ -173,7 +214,9 @@ func (n *Node) dialPeer(svc int) (*peerConn, error) {
 	return pc, nil
 }
 
-func (pc *peerConn) upgrade(host string) error {
+// upgrade turns the fresh connection pc into a hand-off channel to node
+// svc at host.
+func (n *Node) upgrade(pc *peerConn, svc int, host string) error {
 	if err := pc.c.SetDeadline(time.Now().Add(handoffTimeout)); err != nil {
 		return err
 	}
@@ -181,14 +224,16 @@ func (pc *peerConn) upgrade(host string) error {
 		handoffPath, host, handoffProto); err != nil {
 		return err
 	}
-	resp, err := http.ReadResponse(pc.br, nil)
+	br := n.handoffs.readers.get(pc.c)
+	defer n.handoffs.readers.put(br)
+	resp, err := http.ReadResponse(br, nil)
 	if err != nil {
 		return err
 	}
 	if resp.StatusCode != http.StatusSwitchingProtocols {
 		return fmt.Errorf("peer answered %s", resp.Status)
 	}
-	return nil
+	return inStep(br, svc)
 }
 
 // handoffOnce relays the request to node svc over a pooled channel.
@@ -222,8 +267,9 @@ func (n *Node) handoffOnce(svc int, f cache.FileID, w http.ResponseWriter) (star
 	}
 }
 
-// exchange sends one frame and relays the reply to the client. A nil error
-// means the channel is in step and reusable.
+// exchange sends one frame and relays the reply to the client through a
+// read buffer it borrows for the exchange. A nil error means the channel is
+// in step and reusable.
 func (n *Node) exchange(pc *peerConn, svc int, f cache.FileID, w http.ResponseWriter) (started bool, err error) {
 	if err := pc.c.SetDeadline(time.Now().Add(handoffTimeout)); err != nil {
 		return false, err
@@ -232,12 +278,14 @@ func (n *Node) exchange(pc *peerConn, svc int, f cache.FileID, w http.ResponseWr
 	if _, err := pc.c.Write(pc.frame[:]); err != nil {
 		return false, err
 	}
-	hdr, err := pc.br.Peek(replyHeaderLen)
+	br := n.handoffs.readers.get(pc.c)
+	defer n.handoffs.readers.put(br)
+	hdr, err := br.Peek(replyHeaderLen)
 	if err != nil {
 		return false, err
 	}
 	length := int64(binary.BigEndian.Uint64(hdr))
-	_, _ = pc.br.Discard(replyHeaderLen) // just peeked
+	_, _ = br.Discard(replyHeaderLen) // just peeked
 	if length < 0 {
 		return false, fmt.Errorf("native: bad hand-off reply from node %d (length %d)", svc, length)
 	}
@@ -246,25 +294,31 @@ func (n *Node) exchange(pc *peerConn, svc int, f cache.FileID, w http.ResponseWr
 	n.fileHeaders(h, svc, length)
 	w.WriteHeader(http.StatusOK)
 	for length > 0 {
-		b, err := pc.br.Peek(int(min(length, peerBufSize)))
+		b, err := br.Peek(int(min(length, peerBufSize)))
 		if err != nil {
 			return true, err
 		}
 		if _, err := w.Write(b); err != nil {
 			// The client went away, the peer did nothing wrong: drain
 			// its reply so the channel stays in step.
-			_, err = io.CopyN(io.Discard, pc.br, length)
-			return true, err
+			if _, err = io.CopyN(io.Discard, br, length); err != nil {
+				return true, err
+			}
+			return true, inStep(br, svc)
 		}
-		_, _ = pc.br.Discard(len(b))
+		_, _ = br.Discard(len(b))
 		length -= int64(len(b))
 	}
-	return true, nil
+	return true, inStep(br, svc)
 }
 
 // handleHandoff is the peer's side of the upgrade: it takes the connection
-// over from the HTTP server and serves frames on it until it fails or a
-// crash or shutdown closes it.
+// over from the HTTP server and serves frames on it, on a goroutine of its
+// own, until it fails or a crash or shutdown closes it. An idle channel
+// then holds the connection and a frame-sized reader: the handler returns,
+// and unless bytes past the upgrade are already buffered the loop does not
+// read through the server's reader, which would keep the server's whole
+// per-connection state (its 4 KB read and write buffers) alive.
 func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	hj, ok := w.(http.Hijacker)
 	if !ok || r.Header.Get("Upgrade") != handoffProto {
@@ -280,12 +334,19 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		_ = c.Close()
 		return
 	}
-	defer n.handoffs.inbound.drop(c)
 	_, _ = rw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + handoffProto + "\r\n\r\n")
 	if rw.Flush() != nil {
+		n.handoffs.inbound.drop(c)
 		return
 	}
-	n.serveHandoffs(c, rw.Reader)
+	br := rw.Reader
+	if br.Buffered() == 0 {
+		br = bufio.NewReaderSize(c, frameLen)
+	}
+	go func() {
+		defer n.handoffs.inbound.drop(c)
+		n.serveHandoffs(c, br)
+	}()
 }
 
 // readFrame reads one request frame and returns its FileID. Any error, an ID

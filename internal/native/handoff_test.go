@@ -92,18 +92,20 @@ func FuzzHandoffFrame(f *testing.F) {
 			_, _ = pc.c.Write(data)
 			_ = pc.c.(*net.TCPConn).CloseWrite()
 		}()
+		rbr := n.handoffs.readers.get(pc.c)
+		defer n.handoffs.readers.put(rbr)
 		replies := 0
 		var rerr error
 		for {
 			var hdr []byte
-			if hdr, rerr = pc.br.Peek(replyHeaderLen); rerr != nil {
+			if hdr, rerr = rbr.Peek(replyHeaderLen); rerr != nil {
 				break
 			}
 			size := int64(binary.BigEndian.Uint64(hdr))
 			if size < 0 || size > 1<<20 {
 				t.Fatalf("reply %d has length %d", replies, size)
 			}
-			if _, rerr = io.CopyN(io.Discard, pc.br, replyHeaderLen+size); rerr != nil {
+			if _, rerr = io.CopyN(io.Discard, rbr, replyHeaderLen+size); rerr != nil {
 				break
 			}
 			replies++
@@ -210,9 +212,7 @@ func TestUnknownPathIsRefusedAtTheEdge(t *testing.T) {
 		}
 	}
 	sent, _, _ := n.gossip.stats()
-	n.state.mu.Lock()
-	sets := len(n.state.sets)
-	n.state.mu.Unlock()
+	sets := len(n.state.exportSets())
 	if s := n.Snapshot(); sent != 0 || s.HandoffDials != 0 || s.Proxied != 0 || s.Received != 0 || sets != 1 {
 		t.Fatalf("after %d unknown paths: %d gossip messages, %d dials, %d proxied, %d received, %d server sets; want 0, 0, 0, 0, 1",
 			2*len(unknown), sent, s.HandoffDials, s.Proxied, s.Received, sets)
@@ -519,5 +519,90 @@ func TestShutdownWhileGossiping(t *testing.T) {
 		if took := time.Since(start); took > time.Second {
 			t.Fatalf("round %d: Shutdown took %v, want under 1 s", round, took)
 		}
+	}
+}
+
+// TestIdleHandoffChannelsHoldNoBuffer: opening k idle hand-off channels
+// grows the post-GC heap by far less than k read buffers. An exchange
+// borrows its buffer from the node's free list, and the peer's serving loop
+// holds a frame-sized reader; when each channel kept its own 32 KB reader
+// and the peer the HTTP server's state for it, 32 channels grew the heap by
+// about 1.4 MB (44 KB each), now by under 70 KB.
+func TestIdleHandoffChannelsHoldNoBuffer(t *testing.T) {
+	const k = 32
+	c, err := Start(WithNodes(2), WithStore(testStore(8)), WithCacheMB(1), WithHealth(noHeartbeat()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	n := c.Node(0)
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	for range k {
+		pc, err := n.dialPeer(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.handoffs.pools[1].put(pc)
+	}
+	grown := heap() - before
+	t.Logf("%d idle channels: heap grew %d B (%d B each)", k, grown, grown/k)
+	if grown > k*peerBufSize/4 {
+		t.Fatalf("%d idle channels grew the heap by %d B, more than a quarter of a %d B read buffer each", k, grown, peerBufSize)
+	}
+	// The channels still work: a hand-off borrows a buffer and gives it back.
+	pin(c, 3, 1, 0, 1)
+	if resp, body := get(t, c.URLs()[0]+"/files/f/3"); resp.Header.Get("X-Served-By") != "1" || string(body) != "content-of-3" {
+		t.Fatalf("served by %q, body %q; want node 1, content-of-3", resp.Header.Get("X-Served-By"), body)
+	}
+	// The reply is flushed when the handler returns, after the exchange
+	// gave its buffer back.
+	n.handoffs.readers.mu.Lock()
+	free := len(n.handoffs.readers.free)
+	n.handoffs.readers.mu.Unlock()
+	if s := n.Snapshot(); s.HandoffDials != k || free != 1 {
+		t.Fatalf("%d dials, %d free read buffers after one hand-off over a warm pool; want %d, 1", s.HandoffDials, free, k)
+	}
+}
+
+// TestExchangeRefusesStrayBytes: a reply followed by bytes no frame asked
+// for leaves the channel out of step. The exchange relays the reply, then
+// fails, so the channel is dropped rather than pooled with the next reply
+// misread from those bytes; the borrowed buffer still goes back.
+func TestExchangeRefusesStrayBytes(t *testing.T) {
+	c, err := Start(WithNodes(1), WithStore(testStore(8)), WithCacheMB(1), WithHealth(noHeartbeat()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	n := c.Node(0)
+	for _, stray := range []int{0, 1, 9} {
+		entry, peer := net.Pipe()
+		go func() {
+			var req [frameLen]byte
+			if _, err := io.ReadFull(peer, req[:]); err != nil {
+				return
+			}
+			reply := binary.BigEndian.AppendUint64(nil, 5)
+			reply = append(reply, "hello"...)
+			_, _ = peer.Write(append(reply, make([]byte, stray)...))
+		}()
+		rec := httptest.NewRecorder()
+		started, err := n.exchange(&peerConn{c: entry}, 0, 2, rec)
+		entry.Close()
+		peer.Close()
+		if !started || rec.Body.String() != "hello" || (err != nil) != (stray > 0) {
+			t.Fatalf("%d stray bytes: started %v, body %q, error %v", stray, started, rec.Body.String(), err)
+		}
+	}
+	n.handoffs.readers.mu.Lock()
+	defer n.handoffs.readers.mu.Unlock()
+	if len(n.handoffs.readers.free) != 1 {
+		t.Fatalf("%d free read buffers after three exchanges, one at a time; want 1", len(n.handoffs.readers.free))
 	}
 }

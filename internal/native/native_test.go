@@ -1,6 +1,8 @@
 package native
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -298,9 +300,7 @@ func TestControlEndpointsValidate(t *testing.T) {
 		resp.Body.Close()
 	}
 	n := c.Node(0)
-	n.state.mu.Lock()
-	sets := len(n.state.sets)
-	n.state.mu.Unlock()
+	sets := len(n.state.exportSets())
 	if sets != 0 {
 		t.Fatalf("node 0 installed %d server sets for files outside the catalogue", sets)
 	}
@@ -488,5 +488,77 @@ func TestReplayValidation(t *testing.T) {
 	})
 	if _, err := Replay(c, tr, 0); err == nil {
 		t.Fatal("zero concurrency accepted")
+	}
+}
+
+// TestAntiEntropyCarriesLargeState: a node holding 120,000 server sets
+// syncs every one of them to its peer. As one JSON document that state is
+// larger than the 4 MiB a sync body may be, so the peer refused it whole
+// and the sender, counting a delivery failure, marked a healthy peer
+// suspect.
+func TestAntiEntropyCarriesLargeState(t *testing.T) {
+	const files = 120_000
+	c, err := Start(WithNodes(2), WithStore(SyntheticStore(files, 1, 1)), WithCacheMB(1), WithHealth(noHeartbeat()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	src, dst := c.Node(0), c.Node(1)
+	for f := range files {
+		src.state.applySet(SetUpdate{File: cache.FileID(f), Nodes: []int{f % 2}, Version: uint64(1 + f%3)})
+	}
+	src.syncToPeer()
+	sent, failed, _ := src.gossip.stats()
+	if failed != 0 || src.peerHealth(1) != PeerAlive {
+		t.Fatalf("sync of %d sets: %d of %d messages undelivered, peer %v", files, failed, sent, src.peerHealth(1))
+	}
+	want, got := src.state.exportSets(), dst.state.exportSets()
+	if len(got) != files || !sameUpdates(sortedByFile(got), sortedByFile(want)) {
+		t.Fatalf("the peer holds %d of %d sets, or different ones", len(got), files)
+	}
+	t.Logf("%d sets in %d messages", files, sent)
+}
+
+// TestSyncBodiesFitTheLimit: every message syncBodies makes is a JSON list
+// no larger than the limit (but for an update that alone exceeds it), the
+// lists together carry every update in order, and a state that fits the
+// limit is one message byte-identical to the whole list's encoding.
+func TestSyncBodiesFitTheLimit(t *testing.T) {
+	var us []SetUpdate
+	for f := range 500 {
+		us = append(us, SetUpdate{File: cache.FileID(f), Nodes: []int{f % 7, 7 + f%5}[:1+f%2], Version: uint64(f * f)})
+	}
+	us = append(us, SetUpdate{File: 500, Version: 3}) // a tombstone
+	whole, err := json.Marshal(us)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int{1, 40, 41, 100, 1000, len(whole) - 1, len(whole)} {
+		var got []SetUpdate
+		messages := 0
+		syncBodies(us, limit, func(body []byte) bool {
+			messages++
+			var part []SetUpdate
+			if err := json.Unmarshal(body, &part); err != nil {
+				t.Fatalf("limit %d: message %d does not decode: %v", limit, messages, err)
+			}
+			if len(body) > limit && len(part) != 1 {
+				t.Fatalf("limit %d: message %d holds %d updates in %d bytes", limit, messages, len(part), len(body))
+			}
+			if limit == len(whole) && !bytes.Equal(body, whole) {
+				t.Fatalf("a state that fits is not the whole list's encoding")
+			}
+			got = append(got, part...)
+			return true
+		})
+		if !sameUpdates(got, us) {
+			t.Fatalf("limit %d: %d messages carried %d of %d updates, or changed them", limit, messages, len(got), len(us))
+		}
+	}
+	// A failed send ends the sync.
+	calls := 0
+	syncBodies(us, 100, func([]byte) bool { calls++; return false })
+	if calls != 1 {
+		t.Fatalf("sync went on for %d messages after the first failed", calls)
 	}
 }

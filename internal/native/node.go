@@ -164,9 +164,14 @@ func (n *Node) gossipLoop() {
 	}
 }
 
+// syncLimit is the largest /control/sync body a node accepts; anti-entropy
+// splits a replica's state into messages that fit it (syncBodies).
+const syncLimit = 1 << 22
+
 // syncToPeer pushes this replica's full server-set state to the next peer
-// in round-robin order. Dead peers are not skipped: a rejoining node
-// recovers its state through exactly this path.
+// in round-robin order, as many messages as the state needs, stopping at
+// the first that is not delivered. Dead peers are not skipped: a rejoining
+// node recovers its state through exactly this path.
 func (n *Node) syncToPeer() {
 	sets := n.state.exportSets()
 	if len(sets) == 0 || len(n.peers) < 2 {
@@ -180,7 +185,35 @@ func (n *Node) syncToPeer() {
 		n.syncRR++
 	}
 	n.syncMu.Unlock()
-	n.gossip.sendTo(peer, syncPath, sets, 1)
+	syncBodies(sets, syncLimit, func(body []byte) bool {
+		return n.gossip.sendTo(peer, syncPath, body, 1)
+	})
+}
+
+// syncBodies encodes updates, in order, as JSON lists of at most limit
+// bytes each (an update that alone exceeds it travels alone) and hands each
+// list to send until send reports false. Each list is a new buffer: the
+// transport may still be reading one after send returns.
+func syncBodies(updates []SetUpdate, limit int, send func(body []byte) bool) {
+	body := []byte{'['}
+	for _, u := range updates {
+		b, err := json.Marshal(u)
+		if err != nil {
+			return
+		}
+		if len(body) > 1 {
+			if len(body)+1+len(b)+1 > limit {
+				if !send(append(body, ']')) {
+					return
+				}
+				body = []byte{'['}
+			} else {
+				body = append(body, ',')
+			}
+		}
+		body = append(body, b...)
+	}
+	send(append(body, ']'))
 }
 
 // peerDied is the failure detector's dead-transition hook: evict the peer
@@ -402,7 +435,7 @@ func (n *Node) applyFilteredSet(u SetUpdate) {
 // a peer's full state (anti-entropy).
 func (n *Node) handleSync(w http.ResponseWriter, r *http.Request) {
 	var us []SetUpdate
-	if err := decodeJSON(r, &us, 1<<22); err != nil {
+	if err := decodeJSON(r, &us, syncLimit); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -150,6 +150,19 @@ func (s *FileSets) SetSingle(r int32, n int) {
 	}
 }
 
+// Clear removes the set of the file of rank r, releasing any spill storage;
+// the file then has no set, as before its first SetSingle.
+func (s *FileSets) Clear(r int32) {
+	switch v := s.sets[r]; {
+	case v == 0:
+		return
+	case v >= slotBase:
+		s.release(r)
+	}
+	s.sets[r] = 0
+	s.files--
+}
+
 // Append adds n at the end of the set of the file of rank r and stamps the
 // modification time. Appending to a file with no set creates {n}. It
 // panics if n is negative.

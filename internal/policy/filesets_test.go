@@ -23,9 +23,10 @@ func newRefSets() *refSets {
 // apply performs one operation on both FileSets and the reference — the
 // exact operations LARD and L2S perform on a census file, through its rank:
 // create or replace (op 0), append (1, duplicates included), positional
-// remove of a replicated set's member at pick mod its size (2), touch (3) —
-// or compares the file's Nodes and, for a replicated set (the only sets
-// asked for one), Modified (4). It reports a mismatch as an error.
+// remove of a replicated set's member at pick mod its size (2), touch (3),
+// clear (5, the native replica's tombstone) — or compares the file's Nodes
+// and, for a replicated set (the only sets asked for one), Modified (4). It
+// reports a mismatch as an error.
 func (ref *refSets) apply(fs *FileSets, op int, f int32, n, pick int, now float64) error {
 	r := fs.Rank(f)
 	switch op {
@@ -52,6 +53,9 @@ func (ref *refSets) apply(fs *FileSets, op int, f int32, n, pick int, now float6
 		if got, want := fs.Nodes(r), ref.nodes[f]; !slices.Equal(got, want) {
 			return fmt.Errorf("file %d: nodes %v, want %v", f, got, want)
 		}
+	case 5:
+		fs.Clear(r)
+		delete(ref.nodes, f)
 	}
 	want := 0.0
 	if len(ref.nodes[f]) > 1 {
@@ -241,7 +245,7 @@ func TestFileSetsDifferential(t *testing.T) {
 					continue
 				}
 				n := tc.nodeBase + rng.Intn(16)
-				if err := ref.apply(fs, rng.Intn(5), f, n, rng.Int(), now); err != nil {
+				if err := ref.apply(fs, rng.Intn(6), f, n, rng.Int(), now); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 			}
@@ -268,6 +272,8 @@ func FuzzFileSets(f *testing.F) {
 	// Files 63 and 64, either side of the first word boundary, in the
 	// census; 62 and 65 outside it.
 	f.Add(byte(0x81), byte(0x80), []byte{0x08, 5, 0, 0x10, 6, 0, 0x09, 6, 0, 0x09, 5, 0, 0x0c, 6, 0, 0x08, 4, 0, 0x08, 7, 0})
+	// A replicated set cleared with its slot in the map, then rebuilt.
+	f.Add(byte(0xFF), byte(0), []byte{0x08, 1, 0, 0x11, 1, 0, 0x19, 1, 0, 0x0d, 1, 0, 0x20, 1, 0, 0x09, 1, 0, 0x05, 1, 0})
 	f.Fuzz(func(t *testing.T, census, layout byte, ops []byte) {
 		in := func(f int32) bool { return census>>(f%8)&1 == 1 }
 		fs := NewFileSets(130, requestsOf(130, in))
@@ -290,7 +296,7 @@ func FuzzFileSets(f *testing.F) {
 				}
 				continue
 			}
-			if err := ref.apply(fs, int(ops[step]&7)%5, file, node, int(ops[step+2]), float64(step+1)); err != nil {
+			if err := ref.apply(fs, int(ops[step]&7)%6, file, node, int(ops[step+2]), float64(step+1)); err != nil {
 				t.Fatalf("step %d: %v", step/3, err)
 			}
 			if err := ref.check(fs); err != nil {
@@ -360,6 +366,14 @@ func testSpillRecycling(t *testing.T, direct int32) {
 		if len(fs.wide) != 0 {
 			t.Fatalf("round %d: map holds %d entries after a replacement", round, len(fs.wide))
 		}
+		fs.Append(f, 5, 5)
+		fs.Clear(f) // a cleared replicated set: slot must recycle
+		if fs.Nodes(f) != nil || len(fs.wide) != 0 {
+			t.Fatalf("round %d: after Clear nodes %v, map holds %d entries", round, fs.Nodes(f), len(fs.wide))
+		}
+	}
+	if fs.Len() != 0 {
+		t.Fatalf("direct %d: Len %d after every set was cleared", direct, fs.Len())
 	}
 	if len(fs.spill) > 10 {
 		t.Fatalf("direct %d: spill arena grew to %d slots for 10 files of churn", direct, len(fs.spill))
